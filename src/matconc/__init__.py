@@ -7,23 +7,6 @@ scalar trace-exponential e-process; and a Monte Carlo harness that
 verifies every stated bound empirically.
 """
 
-# Submodules must all be imported before any name re-exports below:
-# re-exporting the `symmat` constructor rebinds the package attribute
-# of the same name, and a submodule imported after that point would
-# resolve `from . import symmat` to the function instead of the module.
-from . import (  # noqa: F401
-    cli,
-    errors,
-    fixed_bounds,
-    generators,
-    martingales,
-    randomizers,
-    report,
-    rng,
-    scalar_e,
-    simulator,
-    symmat,
-)
 from .errors import (
     AssumptionViolated,
     ConfigError,
@@ -36,9 +19,7 @@ from .errors import (
     PreconditionFailed,
 )
 from .symmat import (
-    DEFAULT_TOL,
     TOL_PSD,
-    ToleranceConfig,
     anticommutator,
     curlyvee,
     eigh_decomp,
@@ -55,7 +36,6 @@ from .symmat import (
     mat_sqrt,
     parse_matrix_json,
     spectral_norm,
-    symmat,
     trace,
     trace_product,
 )
@@ -67,9 +47,7 @@ from .randomizers import (
     verify_trace_superuniform,
 )
 from .fixed_bounds import (
-    BoundSpec,
     MgfSpec,
-    MomentInfo,
     chebyshev1_bound,
     chebyshev1_event,
     chebyshev_n_bound,
@@ -100,7 +78,6 @@ from .martingales import (
     doob_event,
     eprocess_min,
     mvi_event,
-    sm_step,
     trace_pcheb_bound,
     trace_pcheb_event,
     ville_bound,

@@ -23,6 +23,7 @@ coverage FAIL verdict, 2 configuration or input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -35,72 +36,53 @@ from . import martingales as mg
 from . import rng as _rng
 from . import scalar_e as se
 from . import symmat as sm
-from .errors import DomainError, MatconcError
-from .errors import ConfigError
-from .generators import GENERATOR_KINDS, GeneratorSpec
+from .errors import ConfigError, MatconcError
+from .fixed_bounds import MgfSpec
+from .generators import GeneratorSpec
 from .randomizers import ScalarRandomizer
 from .simulator import (
+    FactorProcess,
     McConfig,
+    TraceExpProcess,
     falsify_conjecture,
     run_coverage,
     run_default_suite,
+    sequential_test_stops,
 )
 
 __all__ = ["main"]
 
 
 # ---------------------------------------------------------------------------
-# JSON with stable 17-significant-digit floats
-
-
-def _fmt_json(obj, indent=0, compact=False) -> str:
-    pad = "  " * indent
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if math.isnan(x):
-            return "NaN"
-        if math.isinf(x):
-            return "Infinity" if x > 0 else "-Infinity"
-        return format(x, ".17g")
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        return _fmt_json(obj.tolist(), indent, compact)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if compact:
-            return "[" + ", ".join(_fmt_json(v, 0, True) for v in obj) + "]"
-        inner = ",\n".join(
-            "  " * (indent + 1) + _fmt_json(v, indent + 1) for v in obj
-        )
-        return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        if compact:
-            items = [
-                json.dumps(str(k)) + ": " + _fmt_json(v, 0, True)
-                for k, v in obj.items()
-            ]
-            return "{" + ", ".join(items) + "}"
-        items = []
-        for key, val in obj.items():
-            items.append(
-                "  " * (indent + 1) + json.dumps(str(key)) + ": " + _fmt_json(val, indent + 1)
-            )
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    raise ConfigError(f"cannot serialize value of type {type(obj).__name__}")
+# JSON output: floats in their shortest round-trip form
 
 
 def _dump_json(obj) -> str:
-    return _fmt_json(obj) + "\n"
+    """Report text: indented JSON, one trailing newline."""
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def _num(obj: dict, key: str, default, kind=float):
+    """``kind(obj[key])``, or of ``default`` when absent; a ConfigError naming the key."""
+    raw = obj.get(key, default)
+    try:
+        return kind(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key!r} must be a number, got {raw!r}") from None
+
+
+def _matrix(obj: dict, key: str, d: int | None, missing: str | None = None) -> np.ndarray:
+    """The matrix literal under ``key``, checked to be ``d x d`` unless ``d`` is None;
+    ``missing`` is the error when absent."""
+    if key not in obj:
+        raise ConfigError(missing or f"config needs {key!r}")
+    try:
+        mat = sm.parse_matrix_json(obj[key])
+    except MatconcError as exc:
+        raise ConfigError(f"{key!r}: {exc}") from None
+    if d is not None and mat.shape[0] != d:
+        raise ConfigError(f"{key!r} has dimension {mat.shape[0]}, expected {d}")
+    return mat
 
 
 def _write_atomic(path: str | None, text: str) -> None:
@@ -136,33 +118,20 @@ def _load_config(path: str) -> dict:
 def _generator_from_json(obj) -> GeneratorSpec:
     if not isinstance(obj, dict):
         raise ConfigError("generator must be a JSON object")
-    known = {
-        "kind",
-        "dim",
-        "m",
-        "c",
-        "b",
-        "d_dir",
-        "tail_index",
-        "tau",
-        "scale",
-        "a",
-        "seed",
-    }
-    extra = set(obj) - known
+    extra = set(obj) - {f.name for f in dataclasses.fields(GeneratorSpec)}
     if extra:
         raise ConfigError(f"unknown generator fields: {sorted(extra)}")
     if "kind" not in obj or "dim" not in obj:
         raise ConfigError("generator needs at least 'kind' and 'dim'")
-    kwargs = {"kind": obj["kind"], "dim": int(obj["dim"])}
+    kwargs = {"kind": obj["kind"], "dim": _num(obj, "dim", None, int)}
     for field in ("m", "c", "b", "d_dir", "a"):
         if obj.get(field) is not None:
             kwargs[field] = sm.parse_matrix_json(obj[field])
     for field in ("tail_index", "tau", "scale"):
         if obj.get(field) is not None:
-            kwargs[field] = float(obj[field])
+            kwargs[field] = _num(obj, field, None)
     if obj.get("seed") is not None:
-        kwargs["seed"] = int(obj["seed"])
+        kwargs["seed"] = _num(obj, "seed", None, int)
     return GeneratorSpec(**kwargs)
 
 
@@ -185,8 +154,8 @@ def _cmd_verify(args) -> int:
                 raise ConfigError(f"run {i}: needs 'bound' and 'generator'")
             gen = _generator_from_json(run["generator"])
             mc = McConfig(
-                trials=int(run.get("trials", args.trials or 10_000)),
-                horizon=int(run.get("horizon", 200)),
+                trials=_num(run, "trials", args.trials or 10_000, int),
+                horizon=_num(run, "horizon", 200, int),
                 workers=args.workers,
                 base_seed=seed,
             )
@@ -202,9 +171,9 @@ def _cmd_verify(args) -> int:
             raise ConfigError("'dims' must be a list of positive integers")
         reports = run_default_suite(
             dims=tuple(dims),
-            trials_fixed=int(cfg.get("trials_fixed", args.trials or 100_000)),
-            trials_path=int(cfg.get("trials_path", max(1, (args.trials or 10_000)))),
-            horizon=int(cfg.get("horizon", 200)),
+            trials_fixed=_num(cfg, "trials_fixed", args.trials or 100_000, int),
+            trials_path=_num(cfg, "trials_path", max(1, args.trials or 10_000), int),
+            horizon=_num(cfg, "horizon", 200, int),
             workers=args.workers,
             base_seed=seed,
         )
@@ -249,7 +218,7 @@ def _iter_frames(path: str):
                 obj = obj["x"]
             try:
                 yield lineno, sm.parse_matrix_json(obj)
-            except (DomainError, ConfigError) as exc:
+            except MatconcError as exc:
                 raise ConfigError(f"data line {lineno}: {exc}") from exc
 
 
@@ -262,7 +231,7 @@ def _gamma_fn(raw):
             raise ConfigError(f"gamma must be positive, got {g}")
         return lambda n: g
     if isinstance(raw, dict) and "scale" in raw:
-        return mg.default_gamma_schedule(float(raw["scale"]))
+        return mg.default_gamma_schedule(_num(raw, "scale", None))
     raise ConfigError("'gamma' must be a positive number or {\"scale\": s}")
 
 
@@ -271,10 +240,10 @@ def _cmd_test(args) -> int:
     mode = cfg.get("mode", "matrix")
     if mode not in ("matrix", "scalar"):
         raise ConfigError(f"mode must be 'matrix' or 'scalar', got {mode!r}")
-    alpha = float(cfg.get("alpha", 0.05))
-    if "m" not in cfg:
-        raise ConfigError("config needs 'm', the hypothesized mean matrix")
-    m = sm.parse_matrix_json(cfg["m"])
+    alpha = _num(cfg, "alpha", 0.05)
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must be in (0,1), got {alpha}")
+    m = _matrix(cfg, "m", None, "config needs 'm', the hypothesized mean matrix")
     d = m.shape[0]
     gamma_fn = _gamma_fn(cfg.get("gamma"))
     rand_cfg = cfg.get("randomizer")
@@ -282,12 +251,11 @@ def _cmd_test(args) -> int:
     if rand_cfg is not None:
         if not isinstance(rand_cfg, dict):
             raise ConfigError("'randomizer' must be an object")
-        kind = rand_cfg.get("kind", "uniform01")
+        seed = rand_cfg.get("seed", args.seed)
         randomizer = ScalarRandomizer(
-            kind, seed=rand_cfg.get("seed", args.seed)
+            rand_cfg.get("kind", "uniform01"),
+            seed=None if seed is None else _num(rand_cfg, "seed", seed, int),
         )
-    frames_out = []
-    rejected_at = None
 
     if mode == "matrix":
         builder = cfg.get("builder", "SELF_NORMALIZED")
@@ -295,88 +263,62 @@ def _cmd_test(args) -> int:
             raise ConfigError(
                 f"builder must be one of {mg.BUILDER_KINDS}, got {builder!r}"
             )
-        kwargs = {}
+        params = {}
         if builder == "SELF_NORMALIZED":
-            if "v" not in cfg:
-                raise ConfigError("SELF_NORMALIZED needs 'v', the variance bound")
-            kwargs["v"] = sm.parse_matrix_json(cfg["v"])
+            params["v"] = _matrix(cfg, "v", d, "SELF_NORMALIZED needs 'v', the variance bound")
         elif builder == "BETTING":
-            if "b" not in cfg:
-                raise ConfigError("BETTING needs 'b', the upper bound matrix")
-            kwargs["b"] = sm.parse_matrix_json(cfg["b"])
+            b = _matrix(cfg, "b", d, "BETTING needs 'b', the upper bound matrix")
+            # raises unless gamma_1 is admissible; gamma_n <= gamma_1 on every schedule
+            mg.build_factors("BETTING", m, m, gamma_fn(1), b=b)
         elif builder == "MGF":
             row = cfg.get("mgf")
             if not isinstance(row, dict) or "kind" not in row or "matrix" not in row:
                 raise ConfigError("MGF needs 'mgf': {\"kind\":..., \"matrix\":...}")
-            from .fixed_bounds import MgfSpec
-
-            kwargs["mgf"] = MgfSpec(row["kind"], sm.parse_matrix_json(row["matrix"]))
-        if "a" in cfg:
-            a_thresh = sm.parse_matrix_json(cfg["a"])
-        else:
-            a_thresh = (d / alpha) * np.eye(d)
-        tc = se.TestConfig(alpha=alpha, a_thresh=a_thresh, randomizer=randomizer)
-        state = mg.MatSupermartingaleState.start(d)
-        n = 0
-        for lineno, x in _iter_frames(args.data):
-            if x.shape[0] != d:
-                raise ConfigError(
-                    f"data line {lineno}: dimension {x.shape[0]} != mean dimension {d}"
-                )
-            n += 1
-            e_fac, a_fac = mg.build_factors(builder, x, m, gamma_fn(n), **kwargs)
-            state = state.step(e_fac, a_fac)
-            y = state.value()
-            reject = se.matrix_test_decide(y, tc.a_thresh)
-            frames_out.append(
-                {"n": n, "trace": sm.trace(y), "reject": bool(reject)}
-            )
-            if reject and rejected_at is None:
-                rejected_at = n
-                break
-        if rejected_at is None and randomizer is not None and n > 0:
-            u = randomizer.sample()
-            y = state.value()
-            root = sm.mat_sqrt(tc.a_thresh)
-            if not sm.loewner_leq(y, u * (root @ root)):
-                rejected_at = n
-            frames_out.append({"n": n, "u": u, "reject": rejected_at is not None})
+            params["mgf"] = MgfSpec(row["kind"], _matrix(row, "matrix", d))
+        a_thresh = _matrix(cfg, "a", d) if "a" in cfg else (d / alpha) * np.eye(d)
+        a_thresh = se.TestConfig(alpha=alpha, a_thresh=a_thresh).a_thresh
+        proc = FactorProcess(builder, m, a_thresh, **params)
+        key = "trace"
     else:
-        if "v" not in cfg:
-            raise ConfigError("scalar mode needs 'v', the variance bound")
-        v = sm.parse_matrix_json(cfg["v"])
-        state = se.TraceExpState.start(d)
-        n = 0
-        for lineno, x in _iter_frames(args.data):
-            if x.shape[0] != d:
-                raise ConfigError(
-                    f"data line {lineno}: dimension {x.shape[0]} != mean dimension {d}"
-                )
-            n += 1
-            state = se.sn_process_step(state, x, m, v, gamma_fn(n))
-            val = state.log_value()
-            reject = val >= math.log(d / alpha)
-            frames_out.append({"n": n, "log_value": val, "reject": bool(reject)})
-            if reject and rejected_at is None:
-                rejected_at = n
-                break
-        if rejected_at is None and randomizer is not None and n > 0:
-            u = randomizer.sample()
-            if se.ursn_event(state, alpha, u):
-                rejected_at = n
-            frames_out.append({"n": n, "u": u, "reject": rejected_at is not None})
+        v = _matrix(cfg, "v", d, "scalar mode needs 'v', the variance bound")
+        proc = TraceExpProcess(m, v, alpha)
+        key = "log_value"
+
+    # each frame advances a batch of one through the path kernels
+    frames_out = []
+    rejected_at = None
+    n = 0
+    for lineno, x in _iter_frames(args.data):
+        if x.shape[0] != d:
+            raise ConfigError(
+                f"data line {lineno}: dimension {x.shape[0]} != mean dimension {d}"
+            )
+        n += 1
+        reject = bool(proc.step(x, gamma_fn(n)))
+        value = sm.trace(proc.value) if mode == "matrix" else float(proc.value)
+        frames_out.append({"n": n, key: value, "reject": reject})
+        if reject:
+            rejected_at = n
+            break
+    if rejected_at is None and randomizer is not None and n > 0:
+        u = randomizer.sample()
+        if mode == "matrix":
+            final = mg.ville_event(proc.value, a_thresh, u * np.eye(d))
+        else:
+            final = se.ursn_event(proc.state, alpha, u)
+        if final:
+            rejected_at = n
+        frames_out.append({"n": n, "u": u, "reject": final})
 
     summary = {
         "mode": mode,
         "alpha": alpha,
-        "frames": len([f for f in frames_out if "n" in f]),
+        "frames": len(frames_out),
         "decision": "reject" if rejected_at is not None else "continue",
         "rejected_at": rejected_at,
     }
     # one JSON record per line so the stream stays greppable/splittable
-    lines = [_fmt_json(f, compact=True) for f in frames_out] + [
-        _fmt_json(summary, compact=True)
-    ]
+    lines = [json.dumps(f) for f in frames_out + [summary]]
     _write_atomic(args.output, "\n".join(lines) + "\n")
     return 0
 
@@ -391,59 +333,27 @@ def _cmd_power_compare(args) -> int:
         raise ConfigError("config needs 'generator'")
     gen = _generator_from_json(cfg["generator"])
     d = gen.dim
-    alpha = float(cfg.get("alpha", 0.05))
+    alpha = _num(cfg, "alpha", 0.05)
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0,1), got {alpha}")
-    trials = int(cfg.get("trials", 2000))
-    horizon = int(cfg.get("horizon", 200))
+    trials = _num(cfg, "trials", 2000, int)
+    horizon = _num(cfg, "horizon", 200, int)
     if trials < 1 or horizon < 1:
         raise ConfigError("trials and horizon must be positive")
-    gamma_scale = float(cfg.get("gamma_scale", 0.5))
+    gamma_scale = _num(cfg, "gamma_scale", 0.5)
     # the hypothesized mean: the truth plus an optional shift, so
     # shift = 0 measures size and shift != 0 measures power
     m0 = gen.mean()
     if cfg.get("mean_shift") is not None:
-        m0 = m0 + sm.parse_matrix_json(cfg["mean_shift"])
+        m0 = m0 + _matrix(cfg, "mean_shift", d)
     try:
         v = gen.variance()
     except ConfigError as exc:
         raise ConfigError(f"power comparison needs a known variance: {exc}") from exc
     seed = args.seed if args.seed is not None else _rng.default_seed()
-    a_thresh = (d / alpha) * np.eye(d)
-    log_cross = math.log(d / alpha)
-    counts = {"matrix": 0, "scalar": 0}
-    stops = {"matrix": 0, "scalar": 0}
     lam_v = max(math.sqrt(sm.lambda_max(v)), 1e-12)
-    for t in range(trials):
-        g = _rng.substream(seed, 0xC0DE, t)
-        xs = gen.sample_path(g, horizon)
-        state_m = mg.MatSupermartingaleState.start(d)
-        state_s = se.TraceExpState.start(d)
-        done_m = done_s = False
-        for n in range(1, horizon + 1):
-            gamma = gamma_scale / (lam_v * math.sqrt(n))
-            x = xs[n - 1]
-            if not done_m:
-                e_fac, a_fac = mg.build_factors(
-                    "SELF_NORMALIZED", x, m0, gamma, v=v
-                )
-                state_m = state_m.step(e_fac, a_fac)
-                if se.matrix_test_decide(state_m.value(), a_thresh):
-                    counts["matrix"] += 1
-                    stops["matrix"] += n
-                    done_m = True
-            if not done_s:
-                state_s = se.sn_process_step(state_s, x, m0, v, gamma)
-                if state_s.log_value() >= log_cross:
-                    counts["scalar"] += 1
-                    stops["scalar"] += n
-                    done_s = True
-            if done_m and done_s:
-                break
-        if not done_m:
-            stops["matrix"] += horizon
-        if not done_s:
-            stops["scalar"] += horizon
+    gammas = gamma_scale / (lam_v * np.sqrt(np.arange(1, horizon + 1)))
+    stops = sequential_test_stops(gen, m0, v, gammas, alpha, trials, seed)
     out = {
         "alpha": alpha,
         "trials": trials,
@@ -451,16 +361,13 @@ def _cmd_power_compare(args) -> int:
         "dim": d,
         "generator": gen.kind,
         "null_is_true": cfg.get("mean_shift") is None,
-        "matrix": {
-            "reject_rate": counts["matrix"] / trials,
-            "mean_stop": stops["matrix"] / trials,
-        },
-        "scalar": {
-            "reject_rate": counts["scalar"] / trials,
-            "mean_stop": stops["scalar"] / trials,
-        },
-        "seed": seed,
     }
+    for rule, stop in stops.items():
+        out[rule] = {
+            "reject_rate": int(np.count_nonzero(stop)) / trials,
+            "mean_stop": int(np.where(stop > 0, stop, horizon).sum()) / trials,
+        }
+    out["seed"] = seed
     _write_atomic(args.output, _dump_json(out))
     return 0
 

@@ -29,8 +29,6 @@ from .errors import DimMismatch, DomainError, ParamMismatch
 
 __all__ = [
     "MgfSpec",
-    "MomentInfo",
-    "BoundSpec",
     "markov_threshold",
     "ummi_event",
     "ummi_bound",
@@ -43,7 +41,6 @@ __all__ = [
     "pcheb1_bound",
     "chernoff1_event",
     "chernoff1_bound",
-    "estimate_exp_moment",
     "mgf_trace_bound",
     "chernoff_hoeffding_event",
     "chernoff_hoeffding_bound",
@@ -51,22 +48,10 @@ __all__ = [
     "vector_pcheb_bound",
     "vec_pcheb_event",
     "spectral_pcheb_moment_bound",
-    "BOUND_NAMES",
     "MGF_KINDS",
 ]
 
 MGF_KINDS = ("RADEMACHER", "UNI_GAUSSIAN", "BENNETT_I", "BENNETT_II", "SYM_HOEFFDING")
-
-BOUND_NAMES = (
-    "UMMI",
-    "UMCI1",
-    "UMCI_N",
-    "PCHEB1",
-    "CHERNOFF1",
-    "CHERNOFF_HOEFFDING",
-    "VEC_PCHEB",
-    "SPECTRAL_PCHEB",
-)
 
 #: Matrix parameter expected by each MGF family.
 _MGF_PARAM_ROLE = {
@@ -102,71 +87,6 @@ class MgfSpec:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class MomentInfo:
-    """Moment knowledge a bound may consume.
-
-    Attributes
-    ----------
-    mean : ndarray
-        The (conditional) mean ``M``.
-    variance_ub : ndarray, optional
-        PSD matrix dominating the variance.
-    pth_central : ndarray, optional
-        PSD matrix dominating the p-th central absolute moment.
-    mgf : MgfSpec, optional
-        MGF family row when exponential moments are known.
-    """
-
-    mean: np.ndarray
-    variance_ub: np.ndarray | None = None
-    pth_central: np.ndarray | None = None
-    mgf: MgfSpec | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", sm.symmat(self.mean))
-        for name in ("variance_ub", "pth_central"):
-            val = getattr(self, name)
-            if val is not None:
-                val = sm.symmat(val)
-                if not sm.is_psd(val):
-                    raise DomainError(f"{name} must be positive semidefinite")
-                object.__setattr__(self, name, val)
-
-
-@dataclass(frozen=True)
-class BoundSpec:
-    """Identification of a fixed-time bound instance.
-
-    ``a`` is the matrix threshold for the Loewner-event bounds, while
-    ``a_scalar`` is the scalar threshold used by the sum-tail families.
-    """
-
-    name: str
-    a: np.ndarray | None = None
-    p: float | None = None
-    gamma: float | None = None
-    n: int = 1
-    a_scalar: float | None = None
-
-    def __post_init__(self):
-        if self.name not in BOUND_NAMES:
-            raise ParamMismatch(f"unknown bound name {self.name!r}")
-        if self.a is not None:
-            a = sm.symmat(self.a)
-            if sm.lambda_min(a) <= 0.0:
-                raise DomainError("threshold matrix must be positive definite")
-            object.__setattr__(self, "a", a)
-        if self.p is not None and not (1.0 <= self.p <= 2.0):
-            raise DomainError(f"p must lie in [1, 2], got {self.p}")
-        if self.gamma is not None and not self.gamma > 0.0:
-            raise DomainError(f"gamma must be positive, got {self.gamma}")
-        if self.n < 1:
-            raise DomainError(f"n must be >= 1, got {self.n}")
-        if self.a_scalar is not None and not self.a_scalar > 0.0:
-            raise DomainError(f"scalar threshold must be positive, got {self.a_scalar}")
 
 
 def _require_pd(a: np.ndarray) -> np.ndarray:
@@ -276,21 +196,6 @@ def chernoff1_bound(exp_moment: np.ndarray, a: np.ndarray, gamma: float) -> floa
         raise DomainError("gamma must be nonzero")
     a = sm.symmat(a, copy=False)
     return sm.trace_product(sm.mat_exp(-2.0 * gamma * a), sm.symmat(exp_moment, copy=False))
-
-
-def estimate_exp_moment(xs, gamma: float) -> np.ndarray:
-    """Sample estimate of ``E e^{2 gamma X}`` when no closed form exists.
-
-    Reports built on this estimate must be flagged accordingly; the
-    result is a plug-in, not a certified moment.
-    """
-    arr = np.asarray(xs, dtype=np.float64)
-    if arr.ndim != 3:
-        raise DimMismatch("expected a stack of square matrices")
-    acc = np.zeros(arr.shape[1:])
-    for x in arr:
-        acc += sm.mat_exp(2.0 * gamma * x)
-    return sm.symmat(acc / arr.shape[0], copy=False)
 
 
 def mgf_trace_bound(spec: MgfSpec, gamma: float, n: int) -> float:

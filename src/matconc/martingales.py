@@ -17,6 +17,12 @@ running-average events for exchangeable sequences.
 
 The time-uniform ``exists n`` forms are never randomized: randomization
 is sound only for the value at a stopping time, not for the supremum.
+
+The per-step kernels (:func:`factor_pair`,
+:meth:`MatSupermartingaleState.advance`, :func:`exceeds`,
+:func:`scan_exceeds`) take stacks ``(..., d, d)`` of independent paths;
+the Monte Carlo harness and the CLI run them, and the per-sample
+functions here are their batch-of-one wrappers.
 """
 
 from __future__ import annotations
@@ -29,19 +35,20 @@ import numpy as np
 
 from . import symmat as sm
 from .errors import DimMismatch, DomainError, GammaOutOfRange, ParamMismatch
-from .fixed_bounds import MgfSpec, markov_threshold, ummi_bound
+from .fixed_bounds import MgfSpec, _check_p, _require_pd, markov_threshold, ummi_bound
 
 __all__ = [
     "BUILDER_KINDS",
     "DEFAULT_N_MAX",
     "FactorStream",
     "MatSupermartingaleState",
-    "RunningMean",
     "default_gamma_schedule",
     "mgf_growth_matrix",
     "betting_gamma_interval",
+    "factor_pair",
     "build_factors",
-    "sm_step",
+    "exceeds",
+    "scan_exceeds",
     "ville_event",
     "ville_bound",
     "mvi_event",
@@ -77,16 +84,18 @@ def default_gamma_schedule(scale: float = 1.0) -> Callable[[int], float]:
     return schedule
 
 
-def mgf_growth_matrix(spec: MgfSpec, gamma: float) -> np.ndarray:
-    """Matrix ``G(gamma)`` dominating ``E e^{gamma (X - M)}`` for one family."""
+def _mgf_log_growth(spec: MgfSpec, gamma: float) -> np.ndarray:
     mat = spec.matrix
     if spec.kind in ("RADEMACHER", "UNI_GAUSSIAN"):
-        inner = (gamma**2 / 2.0) * sm.mat_pow(mat, 2.0)
-    elif spec.kind == "SYM_HOEFFDING":
-        inner = (gamma**2 / 2.0) * mat
-    else:
-        inner = (math.expm1(gamma) - gamma) * mat
-    return sm.mat_exp(inner)
+        return (gamma**2 / 2.0) * sm.mat_pow(mat, 2.0)
+    if spec.kind == "SYM_HOEFFDING":
+        return (gamma**2 / 2.0) * mat
+    return (math.expm1(gamma) - gamma) * mat
+
+
+def mgf_growth_matrix(spec: MgfSpec, gamma: float) -> np.ndarray:
+    """Matrix ``G(gamma)`` dominating ``E e^{gamma (X - M)}`` for one family."""
+    return sm.mat_exp(_mgf_log_growth(spec, gamma))
 
 
 def betting_gamma_interval(m: np.ndarray, b: np.ndarray) -> tuple[float, float]:
@@ -103,6 +112,30 @@ def betting_gamma_interval(m: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     return lo, hi
 
 
+def factor_pair(kind, dev, gamma, *, mgf=None, v=None, root=False):
+    """``(A_n, E_n)`` for a stack of deviations ``dev = X_n - M`` of shape ``(..., d, d)``.
+
+    With ``root`` the pair is ``(A_n^{1/2}, E_n^{1/2})``, the form the
+    left-factor update consumes; exponential factors are then taken at
+    half their exponent, not square-rooted.  ``A_n`` depends on gamma
+    only: it is one ``(d, d)`` matrix, or None when it is the identity.
+    This is the kernel behind :func:`build_factors`; it validates nothing.
+    """
+    if kind == "BETTING":
+        e = np.eye(dev.shape[-1]) + gamma * dev
+        return None, (sm.mat_sqrt(e) if root else e)
+    # the exponential builders: A_n = exp(log_a), E_n = exp(log_e)
+    if kind == "MGF":
+        log_a, log_e = -_mgf_log_growth(mgf, gamma), gamma * dev
+    elif kind == "SELF_NORMALIZED":
+        log_a, log_e = -(gamma**2 / 3.0) * v, gamma * dev - (gamma**2 / 6.0) * (dev @ dev)
+    else:  # SYMMETRIC_DIST
+        log_a, log_e = None, gamma * dev - (gamma**2 / 2.0) * (dev @ dev)
+    half = 0.5 if root else 1.0
+    a = None if log_a is None else sm.mat_exp(half * log_a)
+    return a, sm.mat_exp(half * log_e)
+
+
 def build_factors(
     kind: str,
     x: np.ndarray,
@@ -113,14 +146,15 @@ def build_factors(
     v: np.ndarray | None = None,
     b: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Factor pair ``(E_n, A_n)`` for one observation.
+    """Factor pair ``(E_n, A_n)`` for one observation, or for a stack of them.
 
     Parameters
     ----------
     kind : {"MGF", "BETTING", "SELF_NORMALIZED", "SYMMETRIC_DIST"}
         Which construction to use.
     x, m : ndarray
-        Observation and its (hypothesized) conditional mean.
+        Observation, shape ``(d, d)`` or a stack ``(..., d, d)``, and its
+        (hypothesized) conditional mean, shape ``(d, d)``.
     gamma : float
         Tuning scalar for this step.
     mgf : MgfSpec, required for MGF
@@ -133,8 +167,9 @@ def build_factors(
     Returns
     -------
     (E, A) : pair of ndarray
-        ``E`` PSD, ``A`` positive definite, satisfying
-        ``E[E | past] <= A^{-1}`` under the kind's assumptions.
+        ``E`` PSD, shaped like ``x``, and ``A`` positive definite,
+        ``(d, d)``, satisfying ``E[E | past] <= A^{-1}`` under the kind's
+        assumptions.
 
     Raises
     ------
@@ -143,41 +178,31 @@ def build_factors(
     ParamMismatch
         When the kind's parameter is missing.
     """
-    x = sm.symmat(x, copy=False)
+    x = sm.symmat_stack(x)
     m = sm.symmat(m, copy=False)
-    if x.shape != m.shape:
+    if x.shape[-2:] != m.shape:
         raise DimMismatch("observation and mean have different shapes")
-    dev = x - m
+    if kind not in BUILDER_KINDS:
+        raise ParamMismatch(f"unknown builder kind {kind!r}")
     if kind == "MGF":
         if mgf is None:
             raise ParamMismatch("MGF builder needs an MgfSpec")
-        if mgf.dim != x.shape[0]:
+        if mgf.dim != m.shape[0]:
             raise DimMismatch("MGF parameter dimension does not match data")
-        e = sm.mat_exp(gamma * dev)
-        a = sm.mat_inv(mgf_growth_matrix(mgf, gamma))
-        return e, a
-    if kind == "BETTING":
+    elif kind == "BETTING":
         if b is None:
             raise ParamMismatch("BETTING builder needs the upper bound b")
-        b = sm.symmat(b, copy=False)
-        lo, hi = betting_gamma_interval(m, b)
+        lo, hi = betting_gamma_interval(m, sm.symmat(b, copy=False))
         if not (lo < gamma < hi):
             raise GammaOutOfRange(
                 f"gamma {gamma} outside the open interval ({lo:.6g}, {hi:.6g})"
             )
-        e = np.eye(x.shape[0]) + gamma * dev
-        return e, np.eye(x.shape[0])
-    if kind == "SELF_NORMALIZED":
+    elif kind == "SELF_NORMALIZED":
         if v is None:
             raise ParamMismatch("SELF_NORMALIZED builder needs the variance v")
         v = sm.symmat(v, copy=False)
-        e = sm.mat_exp(gamma * dev - (gamma**2 / 6.0) * (dev @ dev))
-        a = sm.mat_exp(-(gamma**2 / 3.0) * v)
-        return e, a
-    if kind == "SYMMETRIC_DIST":
-        e = sm.mat_exp(gamma * dev - (gamma**2 / 2.0) * (dev @ dev))
-        return e, np.eye(x.shape[0])
-    raise ParamMismatch(f"unknown builder kind {kind!r}")
+    a, e = factor_pair(kind, x - m, gamma, mgf=mgf, v=v)
+    return e, (np.eye(m.shape[0]) if a is None else a)
 
 
 @dataclass
@@ -248,7 +273,10 @@ class MatSupermartingaleState:
     """Incremental state of the factor-product supermartingale.
 
     Only the left factor is stored; the current value is
-    ``Y_n = left @ left.T``, which is PSD by construction.
+    ``Y_n = left @ left.T``, which is PSD by construction.  ``left`` may
+    be a stack ``(..., d, d)`` of independent processes; starting from
+    the ``(d, d)`` identity, the first :meth:`advance` on stacked factors
+    broadcasts it.
     """
 
     left: np.ndarray
@@ -259,8 +287,8 @@ class MatSupermartingaleState:
         return cls(left=np.eye(dim), n=0)
 
     def value(self) -> np.ndarray:
-        y = self.left @ self.left.T
-        return (y + y.T) / 2.0
+        y = self.left @ np.swapaxes(self.left, -1, -2)
+        return (y + np.swapaxes(y, -1, -2)) / 2.0
 
     def step(self, e: np.ndarray, a: np.ndarray) -> "MatSupermartingaleState":
         """Absorb one factor pair; returns the advanced state."""
@@ -271,20 +299,62 @@ class MatSupermartingaleState:
         if sm.lambda_min(a) <= 0.0:
             raise DomainError("A_n must be positive definite")
         # mat_sqrt clamps eigenvalues in [-tol, 0) and rejects lower ones.
-        left = self.left @ sm.mat_sqrt(a) @ sm.mat_sqrt(e)
-        return MatSupermartingaleState(left=left, n=self.n + 1)
+        return self.advance(sm.mat_sqrt(a), sm.mat_sqrt(e))
+
+    def advance(self, sqrt_a, sqrt_e) -> "MatSupermartingaleState":
+        """Absorb square-root factors (see :func:`factor_pair`); no validation.
+
+        ``L_n = L_{n-1} (A_n^{1/2} E_n^{1/2})``, with ``sqrt_a`` None for ``A_n = I``.
+        """
+        step = sqrt_e if sqrt_a is None else sqrt_a @ sqrt_e
+        return MatSupermartingaleState(left=self.left @ step, n=self.n + 1)
 
 
-def sm_step(
-    state: MatSupermartingaleState, e: np.ndarray, a: np.ndarray
-) -> MatSupermartingaleState:
-    """Functional alias for :meth:`MatSupermartingaleState.step`."""
-    return state.step(e, a)
+def exceeds(y, a, f=None) -> np.ndarray:
+    """Event ``f(Y) not <= a`` for each matrix of a stack ``y`` (..., d, d).
+
+    ``a`` is a threshold matrix (or a stack of them), or a scalar or
+    per-matrix array standing for ``a I``.  A threshold ``a I`` (also when
+    given as a matrix exactly equal to it) costs one ``eigvalsh`` of ``y``:
+    ``a I - f(Y)`` has eigenvalues ``a - f(w)``.  Any other threshold costs
+    one of ``a - f(Y)``.  ``f`` is an eigenvalue map (``np.abs``,
+    ``np.square``) applied through the spectrum.  Ties count as ordered,
+    as in :func:`~matconc.symmat.loewner_leq`.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim == 2 and np.array_equal(a, a[0, 0] * np.eye(a.shape[0])):
+        a = a[0, 0]
+    if a.ndim < 2:
+        w = np.linalg.eigvalsh(y)
+        w = w if f is None else f(w)
+        return np.logical_not(sm.spectrum_is_psd(a[..., None] - w))
+    fy = y if f is None else sm.apply_spectral(f, y)
+    return np.logical_not(sm.loewner_leq(fy, a))
+
+
+def scan_exceeds(kind: str, xbar, m, a, p: float | None = None) -> np.ndarray:
+    """Crossing test of one running-mean scan for each matrix of a stack ``xbar``.
+
+    ``DOOB`` (squared mean deviation), ``XMCI``/``XMCI2`` (absolute
+    deviation) and ``XMPCI`` (the PSD mean) compare against ``a``
+    through :func:`exceeds`; ``TRACE_PCHEB`` tests ``tr abs(Xbar - M)^p >= a^p``
+    for a scalar ``a``.
+    """
+    if kind == "DOOB":
+        return exceeds(xbar - m, a, np.square)
+    if kind in ("XMCI", "XMCI2"):
+        return exceeds(xbar - m, a, np.abs)
+    if kind == "XMPCI":
+        return exceeds(xbar, a)
+    if kind == "TRACE_PCHEB":
+        w = np.linalg.eigvalsh(xbar - m)
+        return (np.abs(w) ** p).sum(axis=-1) >= a**p
+    raise ParamMismatch(f"unknown scan kind {kind!r}")
 
 
 def ville_event(y: np.ndarray, a: np.ndarray, u_mat: np.ndarray) -> bool:
     """Randomized stopped-value event ``Y_tau not <= A^{1/2} U A^{1/2}``."""
-    return not sm.loewner_leq(sm.symmat(y, copy=False), markov_threshold(a, u_mat))
+    return bool(exceeds(sm.symmat(y, copy=False), markov_threshold(a, u_mat)))
 
 
 def ville_bound(y0_mean: np.ndarray, a: np.ndarray) -> float:
@@ -295,7 +365,8 @@ def ville_bound(y0_mean: np.ndarray, a: np.ndarray) -> float:
 def mvi_event(history, a: np.ndarray) -> bool:
     """Time-uniform event ``exists n: Y_n not <= A`` — never randomized."""
     a = sm.symmat(a, copy=False)
-    return any(not sm.loewner_leq(sm.symmat(y, copy=False), a) for y in history)
+    ys = [sm.symmat(y, copy=False) for y in history]
+    return bool(ys) and bool(exceeds(np.stack(ys), a).any())
 
 
 def eprocess_min(processes) -> np.ndarray:
@@ -329,64 +400,33 @@ def doob_bound(ey_last: np.ndarray, a: np.ndarray) -> float:
     return ummi_bound(ey_last, a)
 
 
-@dataclass
-class RunningMean:
-    """Running average of a matrix stream."""
-
-    running_sum: np.ndarray
-    n: int = 0
-
-    @classmethod
-    def start(cls, dim: int) -> "RunningMean":
-        return cls(running_sum=np.zeros((dim, dim)), n=0)
-
-    def update(self, x: np.ndarray) -> "RunningMean":
-        x = sm.symmat(x, copy=False)
-        if x.shape != self.running_sum.shape:
-            raise DimMismatch("observation does not match accumulator shape")
-        return RunningMean(running_sum=self.running_sum + x, n=self.n + 1)
-
-    def mean(self) -> np.ndarray:
-        if self.n == 0:
-            raise DomainError("no observations yet")
-        return self.running_sum / self.n
-
-
-def _scan_running_means(xs) -> np.ndarray:
+def _scan_event(kind, xs, m, a, n_lo, n_max, p=None) -> bool:
+    """Whether scan ``kind`` crosses at some ``n`` with ``n_lo <= n <= n_max``."""
     arr = np.asarray(xs, dtype=np.float64)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise DimMismatch("expected a stack of square matrices")
     counts = np.arange(1, arr.shape[0] + 1, dtype=np.float64)
-    return np.cumsum(arr, axis=0) / counts[:, None, None]
+    means = sm.symmat_stack(np.cumsum(arr, axis=0) / counts[:, None, None])
+    return bool(scan_exceeds(kind, means[n_lo - 1 : n_max], m, a, p).any())
 
 
 def xmci_event(xs, m, a, n_max: int = DEFAULT_N_MAX) -> bool:
     """Exchangeable Chebyshev event ``exists n: abs(Xbar_n - M) not <= A``."""
-    a = _require_pd_local(a)
-    m = sm.symmat(m, copy=False)
-    means = _scan_running_means(xs)[:n_max]
-    for xbar in means:
-        if not sm.loewner_leq(sm.mat_abs(sm.symmat(xbar, copy=False) - m), a):
-            return True
-    return False
+    a = _require_pd(a)
+    return _scan_event("XMCI", xs, sm.symmat(m, copy=False), a, 1, n_max)
 
 
 def xmci_bound(v, a) -> float:
     """Time-uniform Chebyshev bound ``tr(V A^{-2})``."""
-    return sm.trace_product(sm.symmat(v, copy=False), sm.mat_pow(_require_pd_local(a), -2.0))
+    return sm.trace_product(sm.symmat(v, copy=False), sm.mat_pow(_require_pd(a), -2.0))
 
 
 def xmci2_event(xs, m, a, n_start: int, n_max: int = DEFAULT_N_MAX) -> bool:
     """Late-start variant scanning only ``n >= n_start``."""
     if n_start < 1:
         raise DomainError(f"n_start must be >= 1, got {n_start}")
-    a = _require_pd_local(a)
-    m = sm.symmat(m, copy=False)
-    means = _scan_running_means(xs)[n_start - 1 : n_max]
-    for xbar in means:
-        if not sm.loewner_leq(sm.mat_abs(sm.symmat(xbar, copy=False) - m), a):
-            return True
-    return False
+    a = _require_pd(a)
+    return _scan_event("XMCI2", xs, sm.symmat(m, copy=False), a, n_start, n_max)
 
 
 def xmci2_bound(v, a, n_start: int) -> float:
@@ -402,19 +442,14 @@ def xmci2_bound(v, a, n_start: int) -> float:
 
 def xmpci_event(xs, a, p: float, n_max: int = DEFAULT_N_MAX) -> bool:
     """PSD running-average event ``exists n: Xbar_n not <= A``."""
-    _check_p_range(p)
-    a = _require_pd_local(a)
-    means = _scan_running_means(xs)[:n_max]
-    for xbar in means:
-        if not sm.loewner_leq(sm.symmat(xbar, copy=False), a):
-            return True
-    return False
+    _check_p(p)
+    return _scan_event("XMPCI", xs, None, _require_pd(a), 1, n_max)
 
 
 def xmpci_bound(vp_raw, a, p: float) -> float:
     """Raw-moment bound ``tr(V_p A^{-p})`` for PSD exchangeable streams."""
-    _check_p_range(p)
-    return sm.trace_product(sm.symmat(vp_raw, copy=False), sm.mat_pow(_require_pd_local(a), -p))
+    _check_p(p)
+    return sm.trace_product(sm.symmat(vp_raw, copy=False), sm.mat_pow(_require_pd(a), -p))
 
 
 def trace_pcheb_event(xs, m, a_scalar: float, p: float, n_max: int = DEFAULT_N_MAX) -> bool:
@@ -423,14 +458,7 @@ def trace_pcheb_event(xs, m, a_scalar: float, p: float, n_max: int = DEFAULT_N_M
         raise DomainError(f"p must be >= 1, got {p}")
     if a_scalar <= 0.0:
         raise DomainError(f"scalar threshold must be positive, got {a_scalar}")
-    m = sm.symmat(m, copy=False)
-    means = _scan_running_means(xs)[:n_max]
-    ap = a_scalar**p
-    for xbar in means:
-        w = np.linalg.eigvalsh(sm.symmat(xbar, copy=False) - m)
-        if float(np.sum(np.abs(w) ** p)) >= ap:
-            return True
-    return False
+    return _scan_event("TRACE_PCHEB", xs, sm.symmat(m, copy=False), a_scalar, 1, n_max, p)
 
 
 def trace_pcheb_bound(tr_vp: float, a_scalar: float, p: float) -> float:
@@ -470,15 +498,3 @@ def exchangeable_conditional_mean(
         else:
             acc += sm.mat_pow(dev, p)
     return sm.symmat(acc / n_perms, copy=False)
-
-
-def _require_pd_local(a) -> np.ndarray:
-    a = sm.symmat(a, copy=False)
-    if sm.lambda_min(a) <= 0.0:
-        raise DomainError("threshold matrix must be positive definite")
-    return a
-
-
-def _check_p_range(p: float) -> None:
-    if not (1.0 <= p <= 2.0):
-        raise DomainError(f"p must lie in [1, 2], got {p}")

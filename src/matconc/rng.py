@@ -20,10 +20,6 @@ __all__ = ["DEFAULT_SEED", "default_seed", "substream", "spawn_pair"]
 
 DEFAULT_SEED = 20240817
 
-#: Trials are generated in fixed-size blocks; each block owns one
-#: substream, so results cannot depend on how blocks map onto workers.
-BLOCK_SIZE = 4096
-
 
 def default_seed() -> int:
     """Seed from ``MATCONC_SEED`` when set, else the package constant."""

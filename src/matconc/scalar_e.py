@@ -16,6 +16,12 @@ subtracts ``(gamma_i^2 / 6)((X_i - M_i)^2 + 2 V_i)``, and — derived from
 it with the variance replaced by the square-deviation bound ``B_n`` —
 the Hoeffding e-process and its stopped closed-form threshold.
 
+The state takes stacks ``(..., d, d)`` of independent processes: the
+kernels :func:`sn_advance`, :meth:`TraceExpState.log_value`,
+:func:`log_hoeffding_eprocess_value` and :func:`log_level` serve the
+Monte Carlo harness and the CLI, and the per-sample functions are their
+batch-of-one wrappers.
+
 The module also hosts the two sequential mean-test decision rules: the
 MATRIX rule rejects when the matrix process escapes a threshold matrix
 ``A`` with ``tr(A^{-1}) = alpha``; the SCALAR rule rejects when the
@@ -26,11 +32,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import martingales as mg
 from . import symmat as sm
 from .errors import (
     AssumptionViolated,
@@ -46,7 +53,9 @@ __all__ = [
     "TraceExpState",
     "TestConfig",
     "te_step",
+    "sn_advance",
     "sn_process_step",
+    "log_level",
     "ursn_event",
     "hoeffding_eprocess_value",
     "log_hoeffding_eprocess_value",
@@ -80,6 +89,11 @@ class TraceExpState:
     lose mass; the exponent matrix is their difference.
     ``sum_gamma_sq_b`` tracks ``sum gamma_i^2 B_i`` when square-deviation
     bounds are supplied, feeding the Hoeffding threshold family.
+
+    Starting from ``start(dim)``, stepping with stacked increments
+    broadcasts the matrix fields to the stack's shape; ``sum_gamma`` and
+    ``sum_gamma_sq_b`` stay shared, since gammas and bounds are
+    predictable.
     """
 
     gz: np.ndarray
@@ -107,32 +121,29 @@ class TraceExpState:
 
     @property
     def dim(self) -> int:
-        return self.gz.shape[0]
+        return self.gz.shape[-1]
 
     def exponent(self) -> np.ndarray:
         """The matrix ``S_n`` inside the trace-exp."""
-        return sm.symmat(self.gz - self.pc, copy=False)
+        return sm.symmat_stack(self.gz - self.pc)
 
-    def log_value(self) -> float:
-        """``log L_n``, computed with an eigenvalue shift against overflow."""
+    def log_value(self):
+        """``log L_n``, computed with an eigenvalue shift against overflow.
+
+        A float, or an array with one value per process of a stacked state.
+        """
         w = np.linalg.eigvalsh(self.exponent())
-        top = float(w[-1])
-        return top + math.log(float(np.sum(np.exp(w - top))))
+        top = w[..., -1]
+        return _float_or_stack(top + np.log(np.exp(w - top[..., None]).sum(axis=-1)))
 
     def value(self) -> float:
-        """``L_n = tr exp(S_n)``; exactly ``d`` at n = 0, inf past float range."""
-        w = np.linalg.eigvalsh(self.exponent())
-        top = float(w[-1])
-        if top > 709.0:
-            return math.inf
-        return float(math.exp(top) * np.sum(np.exp(w - top)))
+        """``L_n = tr exp(S_n)``; ``d`` at n = 0, inf past float range."""
+        log_l = self.log_value()
+        return math.exp(log_l) if log_l <= 709.0 else math.inf
 
     def log_spectral_lower_bound(self) -> float:
         """Log of the dominated e-process value."""
-        return float(
-            np.linalg.eigvalsh(sm.symmat(self.gz, copy=False))[-1]
-            - np.linalg.eigvalsh(sm.symmat(self.pc, copy=False))[-1]
-        )
+        return float(_top(self.gz) - _top(self.pc))
 
     def weighted_dev_mean(self) -> np.ndarray:
         """Gamma-weighted average deviation ``(sum gamma_i Z_i) / sum gamma_i``."""
@@ -145,6 +156,33 @@ def _kahan_add(total: np.ndarray, carry: np.ndarray, delta: np.ndarray):
     y = delta - carry
     t = total + y
     return t, (t - total) - y
+
+
+def log_level(d: int, alpha: float, u=1.0):
+    """``log(d u / alpha)``, the level a stopped log e-process must reach.
+
+    ``u`` may be an array of randomizer draws, one per trial.
+    """
+    return math.log(d / alpha) + np.log(u)
+
+
+def _advance(state: TraceExpState, z, c_sum, gamma: float, psi, b=None) -> TraceExpState:
+    """Kahan-compensated step, stack-aware: ``+ gamma z`` to the tilt,
+    ``+ psi(gamma) c_sum`` to the compensator (unless ``c_sum`` is None)
+    and, with ``b``, ``+ gamma^2 b`` to ``sum_gamma_sq_b``."""
+    gz, gz_carry = _kahan_add(state.gz, state.gz_carry, gamma * z)
+    pc, pc_carry = state.pc, state.pc_carry
+    if c_sum is not None:
+        pc, pc_carry = _kahan_add(pc, pc_carry, float(psi(gamma)) * c_sum)
+    sum_b = state.sum_gamma_sq_b if b is None else state.sum_gamma_sq_b + gamma**2 * b
+    return TraceExpState(gz, gz_carry, pc, pc_carry, state.sum_gamma + gamma, sum_b, state.n + 1)
+
+
+def _check_step(state: TraceExpState, gamma: float, *mats: np.ndarray) -> None:
+    if gamma <= 0.0:
+        raise DomainError(f"gamma must be positive, got {gamma}")
+    if any(a.shape != (state.dim, state.dim) for a in mats):
+        raise DimMismatch("increment dimensions do not match the state")
 
 
 def te_step(
@@ -160,24 +198,25 @@ def te_step(
     ``c_prime`` must be predictable — decided before ``z`` is observed;
     the call order is the only enforcement a library can offer.
     """
-    if gamma <= 0.0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
     z = sm.symmat(z, copy=False)
     c = sm.symmat(c, copy=False)
     c_prime = sm.symmat(c_prime, copy=False)
-    if z.shape != (state.dim, state.dim) or c.shape != z.shape or c_prime.shape != z.shape:
-        raise DimMismatch("increment dimensions do not match the state")
-    gz, gz_carry = _kahan_add(state.gz, state.gz_carry, gamma * z)
-    pc, pc_carry = _kahan_add(state.pc, state.pc_carry, float(psi(gamma)) * (c + c_prime))
-    return replace(
-        state,
-        gz=gz,
-        gz_carry=gz_carry,
-        pc=pc,
-        pc_carry=pc_carry,
-        sum_gamma=state.sum_gamma + gamma,
-        n=state.n + 1,
-    )
+    _check_step(state, gamma, z, c, c_prime)
+    return _advance(state, z, c + c_prime, gamma, psi)
+
+
+def sn_advance(
+    state: TraceExpState, dev, v, gamma: float, b: np.ndarray | None = None
+) -> TraceExpState:
+    """Self-normalized step for a stack of deviations ``dev = X - M``; no validation.
+
+    Adds ``gamma dev`` to the tilt and ``(gamma^2/6)(dev^2 + 2V)`` to the
+    compensator; with ``b``, also ``gamma^2 B`` to ``sum_gamma_sq_b``.
+    ``v`` None skips the compensator: the Hoeffding e-process reads only
+    the tilt and ``sum_gamma_sq_b``.
+    """
+    c_sum = None if v is None else (dev @ dev) / 3.0 + (2.0 / 3.0) * v
+    return _advance(state, dev, c_sum, gamma, PSI_QUADRATIC, b)
 
 
 def sn_process_step(
@@ -199,19 +238,17 @@ def sn_process_step(
     x = sm.symmat(x, copy=False)
     m = sm.symmat(m, copy=False)
     v = sm.symmat(v, copy=False)
+    _check_step(state, gamma, x, m, v)
     dev = x - m
-    sq = dev @ dev
-    out = te_step(state, dev, sq / 3.0, (2.0 / 3.0) * v, gamma, psi=PSI_QUADRATIC)
-    if b is None:
-        return out
-    b = sm.symmat(b, copy=False)
-    if not sm.loewner_leq(sq, b):
-        warnings.warn(
-            "realized squared deviation exceeds the declared bound B",
-            AssumptionViolated,
-            stacklevel=2,
-        )
-    return replace(out, sum_gamma_sq_b=state.sum_gamma_sq_b + gamma**2 * b)
+    if b is not None:
+        b = sm.symmat(b, copy=False)
+        if not sm.loewner_leq(dev @ dev, b):
+            warnings.warn(
+                "realized squared deviation exceeds the declared bound B",
+                AssumptionViolated,
+                stacklevel=2,
+            )
+    return sn_advance(state, dev, v, gamma, b)
 
 
 def ursn_event(state: TraceExpState, alpha: float, u: float) -> bool:
@@ -219,14 +256,25 @@ def ursn_event(state: TraceExpState, alpha: float, u: float) -> bool:
     _check_alpha(alpha)
     if u <= 0.0:
         raise DomainError(f"u must be positive, got {u}")
-    return state.log_value() >= math.log(state.dim * u / alpha)
+    return bool(state.log_value() >= log_level(state.dim, alpha, u))
 
 
-def log_hoeffding_eprocess_value(state: TraceExpState) -> float:
-    """Log of ``exp(lambda_max(sum gamma_i (X_i - M_i)) - lambda_max(sum gamma_i^2 B_i)/2)``."""
-    dev_top = float(np.linalg.eigvalsh(sm.symmat(state.gz, copy=False))[-1])
-    b_top = float(np.linalg.eigvalsh(sm.symmat(state.sum_gamma_sq_b, copy=False))[-1])
-    return dev_top - 0.5 * b_top
+def _top(a: np.ndarray) -> np.ndarray:
+    return np.linalg.eigvalsh(sm.symmat_stack(a))[..., -1]
+
+
+def _float_or_stack(x: np.ndarray):
+    """A float for one process, the array for a stack of them."""
+    return float(x) if x.ndim == 0 else x
+
+
+def log_hoeffding_eprocess_value(state: TraceExpState):
+    """Log of ``exp(lambda_max(sum gamma_i (X_i - M_i)) - lambda_max(sum gamma_i^2 B_i)/2)``.
+
+    The stopped Hoeffding test rejects when it reaches :func:`log_level`.
+    A float, or an array with one value per process of a stacked state.
+    """
+    return _float_or_stack(_top(state.gz) - 0.5 * _top(state.sum_gamma_sq_b))
 
 
 def hoeffding_eprocess_value(state: TraceExpState) -> float:
@@ -247,9 +295,6 @@ def usmhi_threshold(
     to be compared against ``lambda_max`` of the gamma-weighted average
     deviation at the stopping time.
     """
-    _check_alpha(alpha)
-    if u <= 0.0:
-        raise DomainError(f"u must be positive, got {u}")
     gam = np.asarray(gammas, dtype=np.float64)
     if gam.size == 0 or np.any(gam <= 0.0):
         raise DomainError("need at least one positive gamma")
@@ -257,24 +302,26 @@ def usmhi_threshold(
     for g, b_raw in zip(gam, bs, strict=True):
         b = sm.symmat(b_raw, copy=False)
         acc = g * g * b if acc is None else acc + g * g * b
-    b_top = float(np.linalg.eigvalsh(acc)[-1])
-    return (math.log(d * u / alpha) + 0.5 * b_top) / float(np.sum(gam))
+    return _hoeffding_threshold(d, alpha, u, acc, float(np.sum(gam)))
 
 
 def usmhi_threshold_from_state(state: TraceExpState, alpha: float, u: float) -> float:
     """Threshold computed from a state's running accumulators."""
+    if state.sum_gamma <= 0.0:
+        raise DomainError("no positive-gamma steps accumulated yet")
+    return _hoeffding_threshold(state.dim, alpha, u, state.sum_gamma_sq_b, state.sum_gamma)
+
+
+def _hoeffding_threshold(d, alpha, u, sum_gamma_sq_b, sum_gamma) -> float:
     _check_alpha(alpha)
     if u <= 0.0:
         raise DomainError(f"u must be positive, got {u}")
-    if state.sum_gamma <= 0.0:
-        raise DomainError("no positive-gamma steps accumulated yet")
-    b_top = float(np.linalg.eigvalsh(sm.symmat(state.sum_gamma_sq_b, copy=False))[-1])
-    return (math.log(state.dim * u / alpha) + 0.5 * b_top) / state.sum_gamma
+    return float((log_level(d, alpha, u) + 0.5 * _top(sum_gamma_sq_b)) / sum_gamma)
 
 
 def usmhi_event(weighted_dev_mean: np.ndarray, threshold: float) -> bool:
     """Rejection event ``lambda_max(weighted mean deviation) >= threshold``."""
-    return sm.lambda_max(sm.symmat(weighted_dev_mean, copy=False)) >= threshold
+    return bool(_top(sm.symmat(weighted_dev_mean, copy=False)) >= threshold)
 
 
 def mhi_threshold(b_opnorm: float, n: int, d: int, alpha: float) -> float:
@@ -294,7 +341,7 @@ def matrix_test_decide(y: np.ndarray, a_thresh: np.ndarray) -> bool:
     a = sm.symmat(a_thresh, copy=False)
     if sm.lambda_min(a) <= 0.0:
         raise DomainError("threshold matrix must be positive definite")
-    return not sm.loewner_leq(sm.symmat(y, copy=False), a)
+    return bool(mg.exceeds(sm.symmat(y, copy=False), a))
 
 
 def scalar_test_decide(l_value: float, d: int, alpha: float, u: float = 1.0) -> bool:

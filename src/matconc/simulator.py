@@ -17,13 +17,14 @@ is bit-for-bit reproducible no matter how it is parallelized.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import fixed_bounds as fb
+from . import martingales as mg
 from . import rng as _rng
+from . import scalar_e as se
 from . import symmat as sm
 from .errors import ConfigError, IncompatiblePair
 from .generators import GeneratorSpec
@@ -36,6 +37,10 @@ __all__ = [
     "compatible_generators",
     "default_generator",
     "run_coverage",
+    "FactorProcess",
+    "TraceExpProcess",
+    "first_crossing",
+    "sequential_test_stops",
     "default_run_specs",
     "run_default_suite",
     "falsify_conjecture",
@@ -48,69 +53,6 @@ _FIXED_BLOCK_CAP = 8192
 _PATH_BLOCK_CAP = 1024
 
 _STOPPING_KINDS = ("first_crossing", "fixed", "geometric")
-
-
-# ---------------------------------------------------------------------------
-# batched spectral helpers (tolerance semantics identical to symmat)
-
-
-def _batch_not_leq(x: np.ndarray, y) -> np.ndarray:
-    """Elementwise event ``x_i  is not <=  y_i`` in the semidefinite order."""
-    w = np.linalg.eigvalsh(y - x)
-    lam_min = w[..., 0]
-    opn = np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
-    return lam_min < -sm.TOL_PSD * np.maximum(1.0, opn)
-
-
-def _eig_not_leq_scalar(w: np.ndarray, a) -> np.ndarray:
-    """Event ``X not <= a I`` given the eigenvalues ``w`` of each ``X``.
-
-    ``a`` may be a scalar or a per-trial vector.  Uses the fact that
-    ``a I - X`` has eigenvalues ``a - w`` in the same basis, so the
-    tolerance rule needs no second decomposition.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    diff = a[..., None] - w
-    lam_min = diff.min(axis=-1)
-    opn = np.abs(diff).max(axis=-1)
-    return lam_min < -sm.TOL_PSD * np.maximum(1.0, opn)
-
-
-def _batch_apply(fn, x: np.ndarray) -> np.ndarray:
-    w, q = np.linalg.eigh(x)
-    fw = fn(w)
-    return np.einsum("...ij,...j,...kj->...ik", q, fw, q)
-
-
-def _batch_expm(x: np.ndarray) -> np.ndarray:
-    return _batch_apply(np.exp, x)
-
-
-def _batch_sqrt_psd(x: np.ndarray) -> np.ndarray:
-    """Square root of nearly-PSD stacks; clamps roundoff-negative eigenvalues."""
-    w, q = np.linalg.eigh(x)
-    scale = np.maximum(1.0, np.abs(w).max(axis=-1, keepdims=True))
-    if np.any(w < -sm.TOL_PSD * scale):
-        worst = float((w / scale).min())
-        raise ConfigError(f"matrix is not PSD within tolerance (relative eig {worst:.3e})")
-    return np.einsum("...ij,...j,...kj->...ik", q, np.sqrt(np.clip(w, 0.0, None)), q)
-
-
-def _batch_abs(x: np.ndarray) -> np.ndarray:
-    return _batch_apply(np.abs, x)
-
-
-def _log_trace_exp(w: np.ndarray) -> np.ndarray:
-    """``log tr exp`` from eigenvalue rows, shifted for overflow safety."""
-    top = w.max(axis=-1)
-    return top + np.log(np.exp(w - top[..., None]).sum(axis=-1))
-
-
-def _scalar_coeff(a: np.ndarray) -> float | None:
-    """``c`` when ``a == c I`` exactly, else None (enables fast scan paths)."""
-    d = a.shape[0]
-    c = float(a[0, 0])
-    return c if np.array_equal(a, c * np.eye(d)) else None
 
 
 # ---------------------------------------------------------------------------
@@ -530,13 +472,11 @@ def _umvi_common(params, gen, mc, builder):
             if row_kind != "SYM_HOEFFDING"
             else math.sqrt(sm.lambda_max(row_mat))
         )
-        plan["row_kind"] = row_kind
-        plan["row_mat"] = row_mat
+        plan["mgf"] = fb.MgfSpec(row_kind, row_mat)
         default_scale = 0.5 / max(scale_ref, 1e-12)
     elif builder == "BETTING":
-        b = _moment(gen, "betting_upper")
+        _moment(gen, "betting_upper")  # the factor needs 0 <= X <= B surely
         hi = 1.0 / sm.lambda_max(m)
-        plan["b"] = b
         default_scale = 0.4 * hi
         plan["gamma_hi"] = hi
     elif builder == "SELF_NORMALIZED":
@@ -609,6 +549,7 @@ def _prep_mvi(params, gen, mc):
     # stopping time, so the plain version is the honest one.
     plan["rand_kind"] = "identity"
     plan["shift_term"] = None
+    plan["stopping"] = {"kind": "first_crossing"}
     return plan
 
 
@@ -626,8 +567,8 @@ def _prep_doob(params, gen, mc):
     v = _moment(gen, "variance")
     if p["a"] is not None:
         a = sm.symmat(p["a"])
-        a_scalar = _scalar_coeff(a)
-        if a_scalar is None:
+        a_scalar = float(a[0, 0])
+        if not np.array_equal(a, a_scalar * np.eye(gen.dim)):
             raise ConfigError("the squared-mean scan needs a scalar threshold a I")
     else:
         a_scalar = sm.trace(v) / p["target"]
@@ -743,6 +684,42 @@ def _prep_trace_pcheb(params, gen, mc):
     return _scan_common(params, gen, mc, "TRACE_PCHEB", 0.2)
 
 
+def _trace_exp_common(params, gen, mc, kind, moment, scale_coeff, what):
+    """URSN and USMHI both run the self-normalized trace-exp process: URSN
+    tests its value with the variance V, USMHI the Hoeffding e-process
+    derived from it with the square-deviation bound B."""
+    p = _take(
+        params,
+        {"alpha": 0.05, "gamma_scale": None, "randomizer": None, "stopping": None},
+    )
+    alpha = float(p["alpha"])
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must be in (0,1), got {alpha}")
+    v = _moment(gen, moment)
+    scale = (
+        float(p["gamma_scale"])
+        if p["gamma_scale"] is not None
+        else scale_coeff / max(math.sqrt(sm.lambda_max(v)), 1e-12)
+    )
+    if scale <= 0.0:
+        raise ConfigError(f"gamma_scale must be positive, got {scale}")
+    rand_kind, _ = _norm_randomizer(p["randomizer"], gen.dim)
+    if rand_kind == "shifted":
+        raise ConfigError(f"the {what} test uses a scalar randomizer")
+    return {
+        "kind": kind,
+        "horizon": mc.horizon,
+        "m": gen.mean(),
+        "v": v if kind == "URSN" else None,
+        "b": v if kind == "USMHI" else None,
+        "alpha": alpha,
+        "gammas": _gamma_array(scale, mc.horizon),
+        "stopping": _norm_stopping(p["stopping"], mc.horizon),
+        "rand_kind": rand_kind,
+        "bound": alpha,
+    }
+
+
 @_register(
     "URSN",
     "path",
@@ -750,69 +727,12 @@ def _prep_trace_pcheb(params, gen, mc):
     "GAUSSIAN_SCALED",
 )
 def _prep_ursn(params, gen, mc):
-    p = _take(
-        params,
-        {"alpha": 0.05, "gamma_scale": None, "randomizer": None, "stopping": None},
-    )
-    alpha = float(p["alpha"])
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must be in (0,1), got {alpha}")
-    v = _moment(gen, "variance")
-    scale = (
-        float(p["gamma_scale"])
-        if p["gamma_scale"] is not None
-        else 0.5 / max(math.sqrt(sm.lambda_max(v)), 1e-12)
-    )
-    if scale <= 0.0:
-        raise ConfigError(f"gamma_scale must be positive, got {scale}")
-    rand_kind, _ = _norm_randomizer(p["randomizer"], gen.dim)
-    if rand_kind == "shifted":
-        raise ConfigError("the trace-exp test uses a scalar randomizer")
-    return {
-        "kind": "URSN",
-        "horizon": mc.horizon,
-        "m": gen.mean(),
-        "v": v,
-        "alpha": alpha,
-        "gammas": _gamma_array(scale, mc.horizon),
-        "stopping": _norm_stopping(p["stopping"], mc.horizon),
-        "rand_kind": rand_kind,
-        "bound": alpha,
-    }
+    return _trace_exp_common(params, gen, mc, "URSN", "variance", 0.5, "trace-exp")
 
 
 @_register("USMHI", "path", ("RADEMACHER_SCALED", "BOUNDED_PSD"), "RADEMACHER_SCALED")
 def _prep_usmhi(params, gen, mc):
-    p = _take(
-        params,
-        {"alpha": 0.05, "gamma_scale": None, "randomizer": None, "stopping": None},
-    )
-    alpha = float(p["alpha"])
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must be in (0,1), got {alpha}")
-    b = _moment(gen, "sq_dev_bound")
-    lam_b = sm.lambda_max(b)
-    scale = (
-        float(p["gamma_scale"])
-        if p["gamma_scale"] is not None
-        else 0.3 / max(math.sqrt(lam_b), 1e-12)
-    )
-    if scale <= 0.0:
-        raise ConfigError(f"gamma_scale must be positive, got {scale}")
-    rand_kind, _ = _norm_randomizer(p["randomizer"], gen.dim)
-    if rand_kind == "shifted":
-        raise ConfigError("the stopped Hoeffding test uses a scalar randomizer")
-    return {
-        "kind": "USMHI",
-        "horizon": mc.horizon,
-        "m": gen.mean(),
-        "lam_b": lam_b,
-        "alpha": alpha,
-        "gammas": _gamma_array(scale, mc.horizon),
-        "stopping": _norm_stopping(p["stopping"], mc.horizon),
-        "rand_kind": rand_kind,
-        "bound": alpha,
-    }
+    return _trace_exp_common(params, gen, mc, "USMHI", "sq_dev_bound", 0.3, "stopped Hoeffding")
 
 
 # ---------------------------------------------------------------------------
@@ -833,30 +753,30 @@ def _fixed_block(plan, gen, size, seed, tag, block_idx) -> int:
         thr = us[:, None, None] * plan["a"]
         if plan["shift_term"] is not None:
             thr = thr + plan["shift_term"]
-        return int(_batch_not_leq(xs[:, 0], thr).sum())
+        return int((~sm.loewner_leq(xs[:, 0], thr)).sum())
     if kind == "UMCI":
         dev = xs.mean(axis=1) - plan["m"]
-        absdev = _batch_abs(dev)
+        absdev = sm.mat_abs(dev)
         a = plan["a"]
         if plan.get("shift") is None:
             # (A u A)^{1/2} = sqrt(u) |A| when U = u I
             thr = np.sqrt(us)[:, None, None] * sm.mat_abs(a)
         else:
             inner = us[:, None, None] * (a @ a) + a @ plan["shift"] @ a
-            thr = _batch_sqrt_psd(inner)
-        return int(_batch_not_leq(absdev, thr).sum())
+            thr = sm.mat_sqrt(inner)
+        return int((~sm.loewner_leq(absdev, thr)).sum())
     if kind == "PCHEB1":
         pw = plan["p"]
         dev = xs[:, 0] - plan["m"]
-        absdev = _batch_abs(dev)
+        absdev = sm.mat_abs(dev)
         a = plan["a"]
         if plan.get("shift") is None:
             thr = (us ** (1.0 / pw))[:, None, None] * a
         else:
             half = sm.mat_pow(a, pw / 2.0)
             inner = us[:, None, None] * (half @ half) + half @ plan["shift"] @ half
-            thr = _batch_apply(lambda w: np.clip(w, 0.0, None) ** (1.0 / pw), inner)
-        return int(_batch_not_leq(absdev, thr).sum())
+            thr = sm.apply_spectral(lambda w: np.clip(w, 0.0, None) ** (1.0 / pw), inner)
+        return int((~sm.loewner_leq(absdev, thr)).sum())
     if kind == "CHERNOFF1":
         gamma = plan["gamma"]
         a = plan["a"]
@@ -864,241 +784,198 @@ def _fixed_block(plan, gen, size, seed, tag, block_idx) -> int:
         if plan.get("shift") is None:
             shiftc = np.log(us) / (2.0 * gamma)
             thr = a + shiftc[:, None, None] * np.eye(gen.dim)
-            return int(_batch_not_leq(x, thr).sum())
+            return int((~sm.loewner_leq(x, thr)).sum())
         wmat = sm.mat_exp(gamma * a)
         inner = us[:, None, None] * (wmat @ wmat) + wmat @ plan["shift"] @ wmat
-        w, q = np.linalg.eigh(inner)
-        singular = w[:, 0] < sm.LOG_EIG_FLOOR
-        safe_w = np.where(w < sm.LOG_EIG_FLOOR, 1.0, w)
-        thr = np.einsum("...ij,...j,...kj->...ik", q, np.log(safe_w), q) / (2.0 * gamma)
-        events = _batch_not_leq(x, thr)
-        events |= singular
-        return int(events.sum())
+        # a singular draw puts the threshold at minus infinity: an event
+        singular = np.linalg.eigvalsh(inner)[:, 0] < sm.LOG_EIG_FLOOR
+        safe_log = lambda w: np.log(np.where(w < sm.LOG_EIG_FLOOR, 1.0, w))  # noqa: E731
+        thr = sm.apply_spectral(safe_log, inner) / (2.0 * gamma)
+        return int((~sm.loewner_leq(x, thr) | singular).sum())
     if kind == "CHERNOFF_HOEFFDING":
         gamma, a_scalar = plan["gamma"], plan["a_scalar"]
         dev = xs.mean(axis=1) - plan["m"]
         eye = np.eye(gen.dim)
         if plan.get("shift") is None:
             thr = (a_scalar + np.log(us) / gamma)[:, None, None] * eye
-            return int(_batch_not_leq(dev, thr).sum())
+            return int((~sm.loewner_leq(dev, thr)).sum())
         w_y, q_y = np.linalg.eigh(plan["shift"])
         inner_w = us[:, None] + w_y[None, :]
         singular = inner_w[:, 0] < sm.LOG_EIG_FLOOR
         safe = np.where(inner_w < sm.LOG_EIG_FLOOR, 1.0, inner_w)
         logu = np.einsum("ij,...j,kj->...ik", q_y, np.log(safe), q_y)
         thr = a_scalar * eye + logu / gamma
-        events = _batch_not_leq(dev, thr)
+        events = ~sm.loewner_leq(dev, thr)
         events |= singular
         return int(events.sum())
     raise AssertionError(kind)
 
 
-def _sqrt_factor(builder, dev, gamma, plan):
-    """Square roots of the per-step factor E for a stack of deviations."""
-    if builder == "MGF":
-        return _batch_expm((gamma / 2.0) * dev)
-    if builder == "BETTING":
-        return _batch_sqrt_psd(np.eye(dev.shape[-1]) + gamma * dev)
-    if builder == "SELF_NORMALIZED":
-        quad = np.matmul(dev, dev)
-        return _batch_expm((gamma / 2.0) * dev - (gamma**2 / 12.0) * quad)
-    if builder == "SYMMETRIC_DIST":
-        quad = np.matmul(dev, dev)
-        return _batch_expm((gamma / 2.0) * dev - (gamma**2 / 4.0) * quad)
-    raise AssertionError(builder)
+class _Process:
+    """A sequential statistic on a stack of paths (or on one path).
+
+    ``step(x, gamma)`` absorbs each trial's next observation with step
+    size ``gamma`` and returns the crossing event per trial; ``value`` is
+    then the statistic per trial.  ``freeze(rows)`` copies those trials'
+    value into ``at_stop`` (see :func:`first_crossing`).
+    """
+
+    value = None
+    at_stop = None
+
+    def freeze(self, rows) -> None:
+        if self.at_stop is None:
+            self.at_stop = np.empty_like(self.value)
+        self.at_stop[rows] = self.value[rows]
 
 
-def _sqrt_shrink(builder, gamma, plan):
-    """The deterministic factor ``A^{1/2}`` for one step, or None for I."""
-    if builder == "MGF":
-        row_mat = plan["row_mat"]
-        if plan["row_kind"] in ("RADEMACHER", "UNI_GAUSSIAN"):
-            expo = (gamma**2 / 2.0) * (row_mat @ row_mat)
+class FactorProcess(_Process):
+    """``Y_n = L_n L_n^T`` from one factor builder; crosses when ``Y_n`` is not <= ``a``.
+
+    ``a`` is a threshold matrix or a scalar standing for ``a I``; ``mgf``
+    and ``v`` are the builder's parameters (see
+    :func:`~matconc.martingales.factor_pair`).
+    """
+
+    def __init__(self, builder, m, a, mgf=None, v=None):
+        self.builder, self.m, self.a = builder, m, a
+        self.params = {"mgf": mgf, "v": v}
+        self.state = mg.MatSupermartingaleState.start(m.shape[0])
+
+    def step(self, x, gamma):
+        roots = mg.factor_pair(self.builder, x - self.m, gamma, root=True, **self.params)
+        self.state = self.state.advance(*roots)
+        self.value = self.state.value()
+        return mg.exceeds(self.value, self.a)
+
+    def freeze(self, rows) -> None:
+        super().freeze(rows)
+        # a stopped trial's value is recorded; restarting it keeps its product bounded
+        self.state.left[rows] = np.eye(self.m.shape[0])
+
+
+class TraceExpProcess(_Process):
+    """The self-normalized trace-exp process in log space, or with ``b`` the
+    Hoeffding e-process derived from it; crosses at ``log(d / alpha)``."""
+
+    def __init__(self, m, v, alpha, b=None):
+        self.m, self.v, self.b = m, v, b
+        self.state = se.TraceExpState.start(m.shape[0])
+        self.level = se.log_level(m.shape[0], alpha)
+
+    def step(self, x, gamma):
+        self.state = se.sn_advance(self.state, x - self.m, self.v, gamma, self.b)
+        if self.b is None:
+            self.value = self.state.log_value()
         else:
-            expo = (gamma**2 / 2.0) * row_mat
-        return sm.mat_exp(-expo / 2.0)
-    if builder == "SELF_NORMALIZED":
-        return sm.mat_exp(-(gamma**2 / 6.0) * plan["v"])
-    return None
+            self.value = se.log_hoeffding_eprocess_value(self.state)
+        return self.value >= self.level
+
+
+class _MeanScan(_Process):
+    """Running means ``Xbar_n`` tested by :func:`~matconc.martingales.scan_exceeds`
+    from ``n_start`` on; the value is the crossing event itself."""
+
+    def __init__(self, kind, m, a, p=None, n_start=1):
+        self.kind, self.m, self.a, self.p, self.n_start = kind, m, a, p, n_start
+        self.total, self.n = 0.0, 0
+
+    def step(self, x, gamma=None):
+        self.total, self.n = self.total + x, self.n + 1
+        if self.n < self.n_start:
+            self.value = np.zeros(x.shape[0], dtype=bool)
+        else:
+            self.value = mg.scan_exceeds(self.kind, self.total / self.n, self.m, self.a, self.p)
+        return self.value
+
+
+def first_crossing(proc: _Process, xs: np.ndarray, gammas=None, taus=None) -> np.ndarray:
+    """Step ``proc`` along stacked paths ``xs`` of shape (trials, horizon, d, d).
+
+    Step ``n`` uses ``gammas[n - 1]``.  A trial stops at its first
+    crossing, or at its entry of ``taus`` when given.  Returns each
+    trial's stopping step, 0 for a trial that never stopped;
+    ``proc.at_stop`` then holds the value at the stopping step, or at
+    the last step run for trials that never stopped.
+    """
+    size, horizon = xs.shape[:2]
+    stop = np.zeros(size, dtype=np.int64)
+    for n in range(1, horizon + 1):
+        crossed = proc.step(xs[:, n - 1], None if gammas is None else float(gammas[n - 1]))
+        newly = (stop == 0) & (crossed if taus is None else taus == n)
+        if newly.any():
+            stop[newly] = n
+            proc.freeze(newly)
+        if stop.all():
+            break
+    proc.freeze(stop == 0)
+    return stop
+
+
+def sequential_test_stops(gen, m, v, gammas, alpha: float, trials: int, seed: int) -> dict:
+    """Stopping steps of the MATRIX and SCALAR sequential tests on simulated paths.
+
+    Trial ``t`` draws its path from ``substream(seed, 0xC0DE, t)``; paths
+    are stacked in blocks sized by the cell budget.  Both rules run the
+    self-normalized process with variance bound ``v`` against the
+    hypothesized mean ``m`` with step sizes ``gammas``: MATRIX rejects
+    when ``Y_n`` escapes ``(d / alpha) I``, SCALAR when ``L_n`` reaches
+    ``d / alpha``.  Returns ``{"matrix": steps, "scalar": steps}``, a
+    step of 0 marking a trial that never rejected.
+    """
+    d, horizon = gen.dim, len(gammas)
+    block = _block_size(horizon, d, _PATH_BLOCK_CAP)
+    stops = {"matrix": [], "scalar": []}
+    for lo in range(0, trials, block):
+        xs = np.stack([
+            gen.sample_path(_rng.substream(seed, 0xC0DE, t), horizon)
+            for t in range(lo, min(trials, lo + block))
+        ])
+        matrix = FactorProcess("SELF_NORMALIZED", m, d / alpha, v=v)
+        stops["matrix"].append(first_crossing(matrix, xs, gammas))
+        stops["scalar"].append(first_crossing(TraceExpProcess(m, v, alpha), xs, gammas))
+    return {rule: np.concatenate(s) for rule, s in stops.items()}
+
+
+def _path_process(plan) -> _Process:
+    kind = plan["kind"]
+    if kind in ("UMVI", "MVI"):
+        return FactorProcess(
+            plan["builder"], plan["m"], plan["a_scalar"], mgf=plan.get("mgf"), v=plan.get("v")
+        )
+    if kind in ("URSN", "USMHI"):
+        return TraceExpProcess(plan["m"], plan["v"], plan["alpha"], plan["b"])
+    return _MeanScan(kind, plan.get("m"), plan["a_scalar"], plan.get("p"), plan.get("n_start", 1))
+
+
+def _path_events(plan, xs: np.ndarray, g_rand: np.random.Generator) -> np.ndarray:
+    """Per-trial events of a path bound on stacked paths ``xs``."""
+    size, horizon, d = xs.shape[0], xs.shape[1], xs.shape[-1]
+    kind = plan["kind"]
+    stopping = plan.get("stopping", {"kind": "first_crossing"})
+    taus = None
+    if stopping["kind"] == "geometric":
+        taus = np.minimum(g_rand.geometric(stopping["q"], size), horizon)
+    elif stopping["kind"] == "fixed":
+        taus = np.full(size, stopping["n"])
+    proc = _path_process(plan)
+    stop = first_crossing(proc, xs, plan.get("gammas"), taus)
+    if kind not in ("UMVI", "URSN", "USMHI"):
+        # "exists n" scans: the crossing itself is the event, never randomized
+        return stop > 0
+    us = _draw_us(plan, g_rand, size)
+    if kind != "UMVI":
+        return proc.at_stop >= se.log_level(d, plan["alpha"], us)
+    thr = us * plan["a_scalar"]
+    if plan["shift_term"] is not None:
+        thr = thr[:, None, None] * np.eye(d) + plan["shift_term"]
+    return mg.exceeds(proc.at_stop, thr)
 
 
 def _path_block(plan, gen, size, seed, tag, block_idx) -> int:
     g_data, g_rand = _rng.spawn_pair(seed, tag, block_idx)
-    horizon = plan["horizon"]
-    xs = gen.sample_batch(g_data, size, horizon)
-    kind = plan["kind"]
-    d = gen.dim
-    eye = np.eye(d)
-
-    if kind in ("UMVI", "MVI"):
-        builder = plan["builder"]
-        m = plan["m"]
-        gammas = plan["gammas"]
-        a_scalar = plan["a_scalar"]
-        stopping = plan.get("stopping", {"kind": "first_crossing"})
-        taus = None
-        if kind == "UMVI" and stopping["kind"] == "geometric":
-            taus = np.minimum(g_rand.geometric(stopping["q"], size), horizon)
-        elif kind == "UMVI" and stopping["kind"] == "fixed":
-            taus = np.full(size, stopping["n"])
-        left = np.broadcast_to(eye, (size, d, d)).copy()
-        frozen = np.zeros(size, dtype=bool)
-        y_tau = np.broadcast_to(eye, (size, d, d)).copy()
-        y_cur = y_tau.copy()
-        crossed_any = np.zeros(size, dtype=bool)
-        for n in range(1, horizon + 1):
-            gamma = float(gammas[n - 1])
-            dev = xs[:, n - 1] - m
-            sqrt_e = _sqrt_factor(builder, dev, gamma, plan)
-            shrink = _sqrt_shrink(builder, gamma, plan)
-            step = sqrt_e if shrink is None else np.matmul(shrink, sqrt_e)
-            left = np.matmul(left, step)
-            y_cur = np.matmul(left, np.transpose(left, (0, 2, 1)))
-            w = np.linalg.eigvalsh(y_cur)
-            cross_now = _eig_not_leq_scalar(w, a_scalar)
-            crossed_any |= cross_now
-            if kind == "MVI":
-                if crossed_any.all():
-                    break
-                continue
-            if taus is not None:
-                newly = (~frozen) & (taus == n)
-            else:
-                newly = (~frozen) & cross_now
-            if newly.any():
-                y_tau[newly] = y_cur[newly]
-                left[newly] = eye
-                frozen[newly] = True
-            if frozen.all():
-                break
-        if kind == "MVI":
-            return int(crossed_any.sum())
-        y_tau[~frozen] = y_cur[~frozen]
-        us = _draw_us(plan, g_rand, size)
-        if plan.get("shift_term") is None:
-            w_tau = np.linalg.eigvalsh(y_tau)
-            events = _eig_not_leq_scalar(w_tau, us * a_scalar)
-        else:
-            thr = (us * a_scalar)[:, None, None] * eye + plan["shift_term"]
-            events = _batch_not_leq(y_tau, thr)
-        return int(events.sum())
-
-    if kind == "DOOB":
-        m = plan["m"]
-        a_scalar = plan["a_scalar"]
-        run_sum = np.zeros((size, d, d))
-        crossed = np.zeros(size, dtype=bool)
-        for n in range(1, horizon + 1):
-            run_sum += xs[:, n - 1]
-            dev = run_sum / n - m
-            w = np.linalg.eigvalsh(dev)
-            crossed |= _eig_not_leq_scalar(w * w, a_scalar)
-            if crossed.all():
-                break
-        return int(crossed.sum())
-
-    if kind in ("XMCI", "XMCI2", "XMPCI", "TRACE_PCHEB"):
-        a_scalar = plan["a_scalar"]
-        n_start = plan.get("n_start", 1)
-        run_sum = np.zeros((size, d, d))
-        crossed = np.zeros(size, dtype=bool)
-        for n in range(1, horizon + 1):
-            run_sum += xs[:, n - 1]
-            if n < n_start:
-                continue
-            xbar = run_sum / n
-            if kind == "XMPCI":
-                w = np.linalg.eigvalsh(xbar)
-                crossed |= _eig_not_leq_scalar(w, a_scalar)
-            elif kind == "TRACE_PCHEB":
-                w = np.linalg.eigvalsh(xbar - plan["m"])
-                crossed |= (np.abs(w) ** plan["p"]).sum(axis=-1) >= a_scalar ** plan["p"]
-            else:
-                w = np.linalg.eigvalsh(xbar - plan["m"])
-                crossed |= _eig_not_leq_scalar(np.abs(w), a_scalar)
-            if crossed.all():
-                break
-        return int(crossed.sum())
-
-    if kind == "URSN":
-        m, v = plan["m"], plan["v"]
-        gammas = plan["gammas"]
-        alpha = plan["alpha"]
-        log_crossing = math.log(d / alpha)
-        stopping = plan["stopping"]
-        taus = None
-        if stopping["kind"] == "geometric":
-            taus = np.minimum(g_rand.geometric(stopping["q"], size), horizon)
-        elif stopping["kind"] == "fixed":
-            taus = np.full(size, stopping["n"])
-        acc = np.zeros((size, d, d))
-        frozen = np.zeros(size, dtype=bool)
-        log_l_tau = np.zeros(size)
-        log_l_cur = np.full(size, math.log(d))
-        for n in range(1, horizon + 1):
-            gamma = float(gammas[n - 1])
-            dev = xs[:, n - 1] - m
-            acc += gamma * dev - (gamma**2 / 6.0) * (np.matmul(dev, dev) + 2.0 * v)
-            w = np.linalg.eigvalsh(acc)
-            log_l_cur = _log_trace_exp(w)
-            if taus is not None:
-                newly = (~frozen) & (taus == n)
-            else:
-                newly = (~frozen) & (log_l_cur >= log_crossing)
-            if newly.any():
-                log_l_tau[newly] = log_l_cur[newly]
-                frozen[newly] = True
-            if frozen.all():
-                break
-        log_l_tau[~frozen] = log_l_cur[~frozen]
-        us = _draw_us(plan, g_rand, size)
-        events = log_l_tau >= log_crossing + np.log(us)
-        return int(events.sum())
-
-    if kind == "USMHI":
-        m = plan["m"]
-        lam_b = plan["lam_b"]
-        gammas = plan["gammas"]
-        alpha = plan["alpha"]
-        stopping = plan["stopping"]
-        taus = None
-        if stopping["kind"] == "geometric":
-            taus = np.minimum(g_rand.geometric(stopping["q"], size), horizon)
-        elif stopping["kind"] == "fixed":
-            taus = np.full(size, stopping["n"])
-        gz = np.zeros((size, d, d))
-        sum_g = 0.0
-        sum_g2 = 0.0
-        frozen = np.zeros(size, dtype=bool)
-        top_tau = np.zeros(size)
-        g2_tau = np.zeros(size)
-        top_cur = np.zeros(size)
-        log_base = math.log(d / alpha)
-        for n in range(1, horizon + 1):
-            gamma = float(gammas[n - 1])
-            dev = xs[:, n - 1] - m
-            gz += gamma * dev
-            sum_g += gamma
-            sum_g2 += gamma * gamma
-            top_cur = np.linalg.eigvalsh(gz)[:, -1]
-            if taus is not None:
-                newly = (~frozen) & (taus == n)
-            else:
-                cross_now = top_cur >= log_base + 0.5 * sum_g2 * lam_b
-                newly = (~frozen) & cross_now
-            if newly.any():
-                top_tau[newly] = top_cur[newly]
-                g2_tau[newly] = sum_g2
-                frozen[newly] = True
-            if frozen.all():
-                break
-        top_tau[~frozen] = top_cur[~frozen]
-        g2_tau[~frozen] = sum_g2
-        us = _draw_us(plan, g_rand, size)
-        events = top_tau >= log_base + np.log(us) + 0.5 * g2_tau * lam_b
-        return int(events.sum())
-
-    raise AssertionError(kind)
+    xs = gen.sample_batch(g_data, size, plan["horizon"])
+    return int(_path_events(plan, xs, g_rand).sum())
 
 
 def _block_task(args) -> int:
@@ -1140,6 +1017,10 @@ def run_coverage(
     if mc.workers == 1:
         counts = [_block_task(t) for t in tasks]
     else:
+        # imported on demand: the pool's modules add about 2 MB to every
+        # process, and serial runs, `test` and `power-compare` never use them
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=mc.workers) as pool:
             counts = list(pool.map(_block_task, tasks))
     hits = int(sum(counts))

@@ -11,6 +11,10 @@ eigendecomposition: for ``A = Q diag(w) Q.T`` the image is
 ``Q diag(f(w)) Q.T``.  Order comparisons use the Loewner partial order:
 ``A <= B`` iff ``B - A`` is positive semidefinite, tested with a relative
 eigenvalue tolerance.
+
+:func:`apply_spectral`, :func:`mat_exp`, :func:`mat_sqrt`, :func:`mat_abs`,
+:func:`is_psd` and :func:`loewner_leq` also take stacks ``(..., d, d)``
+and act on each matrix; the batched Monte Carlo kernels rely on this.
 """
 
 from __future__ import annotations
@@ -24,10 +28,9 @@ import numpy as np
 from .errors import DimMismatch, DomainError
 
 __all__ = [
-    "ToleranceConfig",
-    "DEFAULT_TOL",
     "SpectralDecomp",
     "symmat",
+    "symmat_stack",
     "load_matrix",
     "parse_matrix_json",
     "eigh_decomp",
@@ -48,6 +51,7 @@ __all__ = [
     "loewner_leq",
     "loewner_geq",
     "is_psd",
+    "spectrum_is_psd",
     "curlyvee",
     "identity_like",
 ]
@@ -63,28 +67,6 @@ MAX_INVERSE_COND = 1e12
 
 #: Maximum relative asymmetry accepted when *loading* a matrix from JSON.
 LOAD_ASYMMETRY_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Numerical tolerances for order predicates and spectral sanity checks.
-
-    Attributes
-    ----------
-    tol_psd : float
-        Relative slack on the smallest eigenvalue in PSD / Loewner tests.
-    tol_reconstruct : float
-        Allowed relative error of ``Q diag(w) Q.T`` against the input.
-    tol_ortho : float
-        Allowed deviation of ``Q.T Q`` from the identity.
-    """
-
-    tol_psd: float = TOL_PSD
-    tol_reconstruct: float = 1e-9
-    tol_ortho: float = 1e-9
-
-
-DEFAULT_TOL = ToleranceConfig()
 
 
 @dataclass(frozen=True)
@@ -131,11 +113,25 @@ def symmat(m, *, copy: bool = True) -> np.ndarray:
         If the input contains non-finite entries.
     """
     a = np.array(m, dtype=np.float64, copy=copy)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim != 2:
         raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
+    return symmat_stack(a)
+
+
+def symmat_stack(m) -> np.ndarray:
+    """:func:`symmat` for a stack ``(..., d, d)``: validated symmetric part of each matrix."""
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimMismatch(f"expected square matrices, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise DomainError("matrix entries must be finite")
-    return (a + a.T) / 2.0
+    return (a + np.swapaxes(a, -1, -2)) / 2.0
+
+
+def _recompose(q: np.ndarray, fw: np.ndarray) -> np.ndarray:
+    """``Q diag(f(w)) Q.T`` per matrix, re-symmetrized to absorb floating-point drift."""
+    out = (q * fw[..., None, :]) @ np.swapaxes(q, -1, -2)
+    return (out + np.swapaxes(out, -1, -2)) / 2.0
 
 
 def parse_matrix_json(obj) -> np.ndarray:
@@ -194,7 +190,6 @@ def _require_same_shape(a: np.ndarray, b: np.ndarray) -> None:
 
 def eigh_decomp(a: np.ndarray) -> SpectralDecomp:
     """Eigendecompose a symmetric matrix (eigenvalues ascending)."""
-    _require_square(a)
     w, q = np.linalg.eigh(symmat(a, copy=False))
     return SpectralDecomp(eigenvalues=w, eigenvectors=q)
 
@@ -206,31 +201,31 @@ def apply_spectral(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray) -> np.n
     ----------
     f : callable
         Vectorized map on the eigenvalue array.
-    a : ndarray, shape (d, d)
-        Symmetric matrix.
+    a : ndarray, shape (..., d, d)
+        Symmetric matrix, or a stack of them.
 
     Returns
     -------
-    ndarray, shape (d, d)
+    ndarray, shape (..., d, d)
         ``Q diag(f(w)) Q.T``, explicitly re-symmetrized to absorb
         floating-point drift.
     """
-    dec = eigh_decomp(a)
-    fw = np.asarray(f(dec.eigenvalues), dtype=np.float64)
-    if fw.shape != dec.eigenvalues.shape:
+    w, q = np.linalg.eigh(symmat_stack(a))
+    fw = np.asarray(f(w), dtype=np.float64)
+    if fw.shape != w.shape:
         raise DomainError("spectral map must return one value per eigenvalue")
     if not np.all(np.isfinite(fw)):
         raise DomainError("spectral map produced non-finite values")
-    out = (dec.eigenvectors * fw) @ dec.eigenvectors.T
-    return (out + out.T) / 2.0
+    return _recompose(q, fw)
 
 
-def _eig_scale(w: np.ndarray) -> float:
-    return max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
+def _eig_scale(w: np.ndarray) -> np.ndarray:
+    """``max(1, max |w|)`` per eigenvalue row."""
+    return np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))
 
 
 def mat_exp(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a symmetric matrix."""
+    """Matrix exponential of a symmetric matrix (or of each in a stack)."""
     return apply_spectral(np.exp, a)
 
 
@@ -248,35 +243,36 @@ def mat_log(a: np.ndarray, *, floor: float = LOG_EIG_FLOOR) -> np.ndarray:
             f"matrix log needs eigenvalues >= {floor:g}, smallest is "
             f"{dec.eigenvalues[0]:.6e}"
         )
-    out = (dec.eigenvectors * np.log(dec.eigenvalues)) @ dec.eigenvectors.T
-    return (out + out.T) / 2.0
+    return _recompose(dec.eigenvectors, np.log(dec.eigenvalues))
 
 
 def _clamped_nonneg(w: np.ndarray, tol_psd: float) -> np.ndarray:
-    """Clamp eigenvalues in ``[-tol, 0)`` to zero; reject anything lower."""
+    """Clamp eigenvalues in ``[-tol, 0)`` to zero; reject anything lower.
+
+    ``w`` holds ascending eigenvalue rows, one per matrix of a stack.
+    """
     slack = tol_psd * _eig_scale(w)
-    if w[0] < -slack:
+    bad = w[..., 0] < -slack
+    if np.any(bad):
         raise DomainError(
             f"matrix is not positive semidefinite: smallest eigenvalue "
-            f"{w[0]:.6e} below -{slack:.3e}"
+            f"{w[..., 0][bad].min():.6e} below -{slack[bad].min():.3e}"
         )
     return np.maximum(w, 0.0)
 
 
 def mat_sqrt(a: np.ndarray, *, tol_psd: float = TOL_PSD) -> np.ndarray:
-    """Principal square root of a symmetric PSD matrix.
+    """Principal square root of a symmetric PSD matrix (or of each in a stack).
 
     Eigenvalues within ``-tol_psd * scale`` of zero are clamped to zero
     before the root is taken; more negative spectra raise ``DomainError``.
     """
-    dec = eigh_decomp(a)
-    w = _clamped_nonneg(dec.eigenvalues, tol_psd)
-    out = (dec.eigenvectors * np.sqrt(w)) @ dec.eigenvectors.T
-    return (out + out.T) / 2.0
+    w, q = np.linalg.eigh(symmat_stack(a))
+    return _recompose(q, np.sqrt(_clamped_nonneg(w, tol_psd)))
 
 
 def mat_abs(a: np.ndarray) -> np.ndarray:
-    """Matrix absolute value ``(A^2)^{1/2}`` via absolute eigenvalues."""
+    """Matrix absolute value ``(A^2)^{1/2}`` via absolute eigenvalues (stack-aware)."""
     return apply_spectral(np.abs, a)
 
 
@@ -313,8 +309,7 @@ def mat_pow(a: np.ndarray, k: float, *, tol_psd: float = TOL_PSD) -> np.ndarray:
         pw = w ** float(k)
     else:
         pw = _clamped_nonneg(w, tol_psd) ** float(k)
-    out = (dec.eigenvectors * pw) @ dec.eigenvectors.T
-    return (out + out.T) / 2.0
+    return _recompose(dec.eigenvectors, pw)
 
 
 def mat_inv(a: np.ndarray) -> np.ndarray:
@@ -367,20 +362,33 @@ def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-def is_psd(a: np.ndarray, *, tol_psd: float = TOL_PSD) -> bool:
-    """Positive semidefinite up to the relative eigenvalue tolerance."""
-    w = eigh_decomp(a).eigenvalues
-    return bool(w[0] >= -tol_psd * _eig_scale(w))
+def spectrum_is_psd(w: np.ndarray, *, tol_psd: float = TOL_PSD) -> np.ndarray:
+    """The PSD rule on eigenvalue rows ``(..., d)``, in any order.
+
+    True per row iff its smallest value is at least
+    ``-tol_psd * max(1, max |w|)``.
+    """
+    return w.min(axis=-1) >= -tol_psd * _eig_scale(w)
 
 
-def loewner_leq(a: np.ndarray, b: np.ndarray, *, tol_psd: float = TOL_PSD) -> bool:
-    """Loewner comparison ``A <= B``.
+def is_psd(a: np.ndarray, *, tol_psd: float = TOL_PSD):
+    """Positive semidefinite up to the relative eigenvalue tolerance.
+
+    A bool for one matrix, a bool array for a stack ``(..., d, d)``.
+    """
+    ok = spectrum_is_psd(np.linalg.eigvalsh(symmat_stack(a)), tol_psd=tol_psd)
+    return bool(ok) if ok.ndim == 0 else ok
+
+
+def loewner_leq(a: np.ndarray, b: np.ndarray, *, tol_psd: float = TOL_PSD):
+    """Loewner comparison ``A <= B``, matrix by matrix for stacks.
 
     True iff the smallest eigenvalue of ``B - A`` is at least
     ``-tol_psd * max(1, ||B - A||)``, so exact ties and rounding noise
-    count as ordered.
+    count as ordered.  Stacks broadcast against each other.
     """
-    _require_same_shape(a, b)
+    if a.shape[-2:] != b.shape[-2:]:
+        raise DimMismatch(f"operands have different shapes {a.shape} and {b.shape}")
     return is_psd(b - a, tol_psd=tol_psd)
 
 

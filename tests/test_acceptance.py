@@ -358,12 +358,9 @@ def test_criterion_09_builder_one_step_means():
         kwargs = case["kwargs"](g)
         gamma = case["gamma"]
         xs = g.sample_batch(substream(1009, i), n_draws, 1)[:, 0]
-        _, a_fac = build_factors(kind, xs[0], g.m, gamma, **kwargs)
+        e_fac, a_fac = build_factors(kind, xs, g.m, gamma, **kwargs)
         root = mat_sqrt(a_fac)
-        samples = np.empty((n_draws, 2, 2))
-        for t in range(n_draws):
-            e_fac, _ = build_factors(kind, xs[t], g.m, gamma, **kwargs)
-            samples[t] = root @ e_fac @ root
+        samples = root @ e_fac @ root
         mean_s = samples.mean(axis=0)
         top = np.linalg.eigh(mean_s)[1][:, -1]
         proj = np.einsum("i,tij,j->t", top, samples, top)

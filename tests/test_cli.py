@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -62,6 +65,14 @@ def test_verify_rejects_bad_config(tmp_path, capsys):
     cfg2 = write_json(tmp_path / "cfg2.json", {"suite": "exotic"})
     assert main(["verify", "--config", cfg2]) == 2
     assert main(["verify", "--config", str(tmp_path / "missing.json")]) == 2
+    capsys.readouterr()
+    cfg3 = write_json(
+        tmp_path / "cfg3.json",
+        {"runs": [{"bound": "UMMI", "generator": {"kind": "ELLIPSOID_RANK1", "dim": "two",
+                                                  "a": [[1.0, 0.0], [0.0, 2.0]]}}]},
+    )
+    assert main(["verify", "--config", cfg3]) == 2
+    assert capsys.readouterr().err.startswith("error: 'dim' must be a number")
 
 
 def test_sequential_test_matrix_mode_rejects_shift(tmp_path):
@@ -170,6 +181,12 @@ def test_sequential_test_missing_config_keys(tmp_path, capsys):
     assert "'v'" in capsys.readouterr().err
     cfg2 = write_json(tmp_path / "t2.json", {"mode": "teleport", "m": [[0.0]]})
     assert main(["test", "--config", cfg2, "--data", data]) == 2
+    capsys.readouterr()
+    cfg3 = write_json(
+        tmp_path / "t3.json", {"mode": "scalar", "alpha": "x", "m": [[0.0]], "v": [[1.0]]}
+    )
+    assert main(["test", "--config", cfg3, "--data", data]) == 2
+    assert capsys.readouterr().err.startswith("error: 'alpha' must be a number")
 
 
 def test_power_compare(tmp_path):
@@ -227,3 +244,21 @@ def test_output_goes_to_stdout_without_flag(tmp_path, capsys):
     assert rc == 0
     rec = json.loads(capsys.readouterr().out)
     assert rec["d"] == 1
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    cfg = write_json(
+        tmp_path / "t.json", {"mode": "scalar", "m": [[0.0]], "v": [[1.0]]}
+    )
+    data = write_frames(tmp_path / "d.ndjson", [np.array([[0.1]]), np.array([[-0.2]])])
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "matconc", "test", "--config", cfg, "--data", data],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(s) for s in proc.stdout.splitlines()]
+    assert [f["n"] for f in lines[:-1]] == [1, 2]
+    assert lines[-1]["frames"] == 2
+    assert lines[-1]["decision"] == "continue"

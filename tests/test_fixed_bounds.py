@@ -5,9 +5,7 @@ import pytest
 
 from matconc.errors import DimMismatch, DomainError, ParamMismatch
 from matconc.fixed_bounds import (
-    BoundSpec,
     MgfSpec,
-    MomentInfo,
     chebyshev1_bound,
     chebyshev_event,
     chebyshev_n_bound,
@@ -16,7 +14,6 @@ from matconc.fixed_bounds import (
     chernoff1_event,
     chernoff_hoeffding_bound,
     chernoff_hoeffding_event,
-    estimate_exp_moment,
     markov_threshold,
     mgf_trace_bound,
     pcheb1_bound,
@@ -29,7 +26,7 @@ from matconc.fixed_bounds import (
     vector_pcheb_bound,
 )
 from matconc.randomizers import MatrixRandomizer
-from matconc.symmat import mat_abs, mat_exp
+from matconc.symmat import mat_abs
 
 from conftest import random_pd, random_psd
 
@@ -142,15 +139,6 @@ def test_chernoff1_bound_value():
     assert got == pytest.approx(1.0, rel=1e-14)
 
 
-def test_estimate_exp_moment_matches_direct_average(gen):
-    xs = np.stack([random_psd(gen, 2) - 0.5 * np.eye(2) for _ in range(7)])
-    got = estimate_exp_moment(xs, 0.3)
-    want = sum(mat_exp(0.6 * x) for x in xs) / 7
-    assert np.allclose(got, want, atol=1e-12)
-    with pytest.raises(DimMismatch):
-        estimate_exp_moment(np.eye(2), 0.3)
-
-
 def test_mgf_trace_bound_closed_forms():
     c = np.diag([1.0, 2.0])
     got = mgf_trace_bound(MgfSpec("RADEMACHER", c), gamma=1.0, n=1)
@@ -228,29 +216,3 @@ def test_mgf_spec_validation():
         MgfSpec("BENNETT_I", -np.eye(2))
     spec = MgfSpec("RADEMACHER", np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert spec.dim == 2
-
-
-def test_moment_info_validation():
-    info = MomentInfo(mean=np.eye(2), variance_ub=np.eye(2))
-    assert np.array_equal(info.variance_ub, np.eye(2))
-    with pytest.raises(DomainError):
-        MomentInfo(mean=np.eye(2), variance_ub=-np.eye(2))
-    with pytest.raises(DomainError):
-        MomentInfo(mean=np.eye(2), pth_central=np.diag([1.0, -0.5]))
-
-
-def test_bound_spec_validation():
-    spec = BoundSpec(name="UMMI", a=np.eye(2))
-    assert spec.n == 1
-    with pytest.raises(ParamMismatch):
-        BoundSpec(name="MARKOV")
-    with pytest.raises(DomainError):
-        BoundSpec(name="UMMI", a=np.diag([1.0, 0.0]))
-    with pytest.raises(DomainError):
-        BoundSpec(name="PCHEB1", a=np.eye(2), p=3.0)
-    with pytest.raises(DomainError):
-        BoundSpec(name="CHERNOFF1", a=np.eye(2), gamma=-1.0)
-    with pytest.raises(DomainError):
-        BoundSpec(name="UMCI_N", a=np.eye(2), n=0)
-    with pytest.raises(DomainError):
-        BoundSpec(name="CHERNOFF_HOEFFDING", a_scalar=-2.0)

@@ -9,7 +9,6 @@ from matconc.martingales import (
     DEFAULT_N_MAX,
     FactorStream,
     MatSupermartingaleState,
-    RunningMean,
     betting_gamma_interval,
     build_factors,
     default_gamma_schedule,
@@ -19,7 +18,6 @@ from matconc.martingales import (
     exchangeable_conditional_mean,
     mgf_growth_matrix,
     mvi_event,
-    sm_step,
     trace_pcheb_bound,
     trace_pcheb_event,
     ville_bound,
@@ -140,7 +138,7 @@ def test_state_product_consistency(gen):
         x = random_psd(gen, 3)
         m = 0.5 * np.eye(3)
         e, a = build_factors("SELF_NORMALIZED", x, m, 0.2, v=np.eye(3))
-        state = sm_step(state, e, a)
+        state = state.step(e, a)
         left = left @ mat_sqrt(a) @ mat_sqrt(e)
     assert np.allclose(state.left, left, atol=1e-10)
     assert state.n == 12
@@ -220,17 +218,6 @@ def test_eprocess_min_accepts_states_and_validates():
         eprocess_min([])
     with pytest.raises(DimMismatch):
         eprocess_min([np.eye(2), np.eye(3)])
-
-
-def test_running_mean():
-    rm = RunningMean.start(2)
-    with pytest.raises(DomainError):
-        rm.mean()
-    rm = rm.update(np.eye(2)).update(3.0 * np.eye(2))
-    assert np.allclose(rm.mean(), 2.0 * np.eye(2))
-    assert rm.n == 2
-    with pytest.raises(DimMismatch):
-        rm.update(np.eye(3))
 
 
 def test_xmci_event_scans_running_means():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from matconc.report import SIGMA_MARGIN, McReport, wilson_interval
-from matconc.rng import BLOCK_SIZE, default_seed, spawn_pair, substream
+from matconc.rng import default_seed, spawn_pair, substream
 
 
 def test_substream_is_deterministic_and_path_sensitive():
@@ -38,11 +38,6 @@ def test_default_seed_env_override(monkeypatch):
     monkeypatch.setenv("MATCONC_SEED", "not-an-int")
     with pytest.raises(ValueError):
         default_seed()
-
-
-def test_block_size_constant():
-    # block layout is part of the reproducibility contract
-    assert BLOCK_SIZE == 4096
 
 
 def wilson_oracle(k, n, z):
