@@ -49,7 +49,6 @@ from .randomizers import (
 from .fixed_bounds import (
     MgfSpec,
     chebyshev1_bound,
-    chebyshev1_event,
     chebyshev_n_bound,
     chebyshev_n_event,
     chernoff1_bound,

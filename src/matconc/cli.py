@@ -303,7 +303,7 @@ def _cmd_test(args) -> int:
     if rejected_at is None and randomizer is not None and n > 0:
         u = randomizer.sample()
         if mode == "matrix":
-            final = mg.ville_event(proc.value, a_thresh, u * np.eye(d))
+            final = mg.ville_event(proc.value, a_thresh, u)
         else:
             final = se.ursn_event(proc.state, alpha, u)
         if final:
@@ -313,7 +313,7 @@ def _cmd_test(args) -> int:
     summary = {
         "mode": mode,
         "alpha": alpha,
-        "frames": len(frames_out),
+        "frames": n,
         "decision": "reject" if rejected_at is not None else "continue",
         "rejected_at": rejected_at,
     }

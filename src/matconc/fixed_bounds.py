@@ -12,9 +12,16 @@ event frequency must not exceed the evaluated bound.  A bound larger
 than one is legal but uninformative; evaluators return it verbatim and
 reports flag it as vacuous.
 
-Conventions: ``a`` is the positive definite threshold matrix, ``u_mat``
-a draw from a :class:`~matconc.randomizers.MatrixRandomizer`, ``gamma``
-a positive tilt parameter, ``p`` an exponent in ``[1, 2]``.
+The predicates are also the engine's batched kernels.  ``x`` is one
+matrix or a stack ``(..., d, d)`` of trials; events on a mean take
+``xs`` of shape ``(..., n, d, d)``.  They return a ``bool`` for one
+trial and a bool array for a stack.
+
+Conventions: ``a`` is the positive definite threshold matrix, ``gamma``
+a positive tilt parameter, ``p`` an exponent in ``[1, 2]``.  The
+randomizer draw ``u`` follows :func:`~matconc.symmat.exceeds`: a matrix
+``U`` (or one per trial) is the general form; a scalar (or one per
+trial) stands for ``u I`` and takes the event's closed-form threshold.
 """
 
 from __future__ import annotations
@@ -33,7 +40,6 @@ __all__ = [
     "ummi_event",
     "ummi_bound",
     "chebyshev_event",
-    "chebyshev1_event",
     "chebyshev1_bound",
     "chebyshev_n_event",
     "chebyshev_n_bound",
@@ -96,17 +102,52 @@ def _require_pd(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def markov_threshold(a: np.ndarray, u_mat: np.ndarray) -> np.ndarray:
-    """Randomized Markov threshold ``A^{1/2} U A^{1/2}``."""
-    root = sm.mat_sqrt(_require_pd(a))
-    return sm.symmat(root @ u_mat @ root, copy=False)
+def _randomizer(u, d: int) -> np.ndarray:
+    """The randomizer ``u`` (see the module doc), checked against dimension ``d``."""
+    u = np.asarray(u, dtype=np.float64)
+    if u.ndim >= 2 and u.shape[-2:] != (d, d):
+        raise DimMismatch(f"randomizer shape {u.shape} does not match dimension {d}")
+    return u
 
 
-def ummi_event(x: np.ndarray, a: np.ndarray, u_mat: np.ndarray) -> bool:
+def _event(hit):
+    """A ``bool`` for one matrix, the bool array for a stack."""
+    return bool(hit) if np.ndim(hit) == 0 else hit
+
+
+def _abs_dev_event(x, m, thr):
+    """``abs(X - M) not <= thr``, the Chebyshev-type event."""
+    dev = np.asarray(x, dtype=np.float64) - sm.symmat(m, copy=False)
+    return _event(sm.exceeds(dev, thr, np.abs))
+
+
+def _log_or_singular(u: np.ndarray):
+    """``(log U, singular)``: a draw with an eigenvalue below the log floor
+    puts the Chernoff thresholds at minus infinity, an event by convention;
+    its logarithm is taken with those eigenvalues set to one."""
+    if u.ndim < 2:
+        singular = u < sm.LOG_EIG_FLOOR
+        return np.log(np.where(singular, 1.0, u)), singular
+    singular = np.linalg.eigvalsh(u)[..., 0] < sm.LOG_EIG_FLOOR
+    safe_log = lambda w: np.log(np.where(w < sm.LOG_EIG_FLOOR, 1.0, w))  # noqa: E731
+    return sm.apply_spectral(safe_log, u), singular
+
+
+def markov_threshold(a: np.ndarray, u) -> np.ndarray:
+    """Randomized Markov threshold ``A^{1/2} U A^{1/2}``; ``u A`` for ``U = u I``."""
+    a = _require_pd(a)
+    u = _randomizer(u, a.shape[0])
+    if u.ndim < 2:
+        return u[..., None, None] * a
+    root = sm.mat_sqrt(a)
+    return sm.symmat_stack(root @ u @ root)
+
+
+def ummi_event(x, a: np.ndarray, u):
     """Markov tail event ``X not <= A^{1/2} U A^{1/2}`` for PSD ``X``."""
-    if x.shape != a.shape or x.shape != u_mat.shape:
+    if np.shape(x)[-2:] != np.shape(a):
         raise DimMismatch("x, a, u must share one dimension")
-    return not sm.loewner_leq(x, markov_threshold(a, u_mat))
+    return _event(sm.exceeds(x, markov_threshold(a, u)))
 
 
 def ummi_bound(mean_x: np.ndarray, a: np.ndarray) -> float:
@@ -114,17 +155,18 @@ def ummi_bound(mean_x: np.ndarray, a: np.ndarray) -> float:
     return sm.trace_product(sm.symmat(mean_x, copy=False), sm.mat_inv(_require_pd(a)))
 
 
-def chebyshev_event(x: np.ndarray, m: np.ndarray, a: np.ndarray, u_mat: np.ndarray) -> bool:
-    """Chebyshev tail event ``abs(X - M) not <= (A U A)^{1/2}``."""
+def chebyshev_event(x, m: np.ndarray, a: np.ndarray, u):
+    """Chebyshev tail event ``abs(X - M) not <= (A U A)^{1/2}``.
+
+    For ``U = u I`` the threshold is ``sqrt(u) abs(A)``.
+    """
     a = _require_pd(a)
-    dev = sm.mat_abs(sm.symmat(x, copy=False) - sm.symmat(m, copy=False))
-    thr = sm.mat_sqrt(sm.symmat(a @ u_mat @ a, copy=False))
-    return not sm.loewner_leq(dev, thr)
-
-
-def chebyshev1_event(x, m, a, u_mat) -> bool:
-    """One-observation Chebyshev event."""
-    return chebyshev_event(x, m, a, u_mat)
+    u = _randomizer(u, a.shape[0])
+    if u.ndim < 2:
+        thr = np.sqrt(u)[..., None, None] * sm.mat_abs(a)
+    else:
+        thr = sm.mat_sqrt(a @ u @ a)
+    return _abs_dev_event(x, m, thr)
 
 
 def chebyshev1_bound(v: np.ndarray, a: np.ndarray) -> float:
@@ -132,10 +174,9 @@ def chebyshev1_bound(v: np.ndarray, a: np.ndarray) -> float:
     return sm.trace_product(sm.symmat(v, copy=False), sm.mat_pow(_require_pd(a), -2.0))
 
 
-def chebyshev_n_event(xs, m, a, u_mat) -> bool:
-    """Chebyshev event on the average of ``n`` observations."""
-    xbar = sm.symmat(np.mean(np.asarray(xs, dtype=np.float64), axis=0), copy=False)
-    return chebyshev_event(xbar, m, a, u_mat)
+def chebyshev_n_event(xs, m: np.ndarray, a: np.ndarray, u):
+    """Chebyshev event on the average of the ``n`` observations ``xs`` (..., n, d, d)."""
+    return chebyshev_event(np.mean(np.asarray(xs, dtype=np.float64), axis=-3), m, a, u)
 
 
 def chebyshev_n_bound(v: np.ndarray, a: np.ndarray, n: int) -> float:
@@ -156,15 +197,20 @@ def _check_p(p: float) -> float:
     return float(p)
 
 
-def pcheb1_event(x, m, a, u_mat, p: float) -> bool:
-    """p-Chebyshev event ``abs(X - M) not <= (A^{p/2} U A^{p/2})^{1/p}``."""
+def pcheb1_event(x, m: np.ndarray, a: np.ndarray, u, p: float):
+    """p-Chebyshev event ``abs(X - M) not <= (A^{p/2} U A^{p/2})^{1/p}``.
+
+    For ``U = u I`` the threshold is ``u^{1/p} A``.
+    """
     p = _check_p(p)
     a = _require_pd(a)
-    half = sm.mat_pow(a, p / 2.0)
-    inner = sm.symmat(half @ u_mat @ half, copy=False)
-    thr = sm.mat_pow(inner, 1.0 / p)
-    dev = sm.mat_abs(sm.symmat(x, copy=False) - sm.symmat(m, copy=False))
-    return not sm.loewner_leq(dev, thr)
+    u = _randomizer(u, a.shape[0])
+    if u.ndim < 2:
+        thr = (u ** (1.0 / p))[..., None, None] * a
+    else:
+        half = sm.mat_pow(a, p / 2.0)
+        thr = sm.mat_pow(half @ u @ half, 1.0 / p)
+    return _abs_dev_event(x, m, thr)
 
 
 def pcheb1_bound(vp: np.ndarray, a: np.ndarray, p: float) -> float:
@@ -173,21 +219,25 @@ def pcheb1_bound(vp: np.ndarray, a: np.ndarray, p: float) -> float:
     return sm.trace_product(sm.symmat(vp, copy=False), sm.mat_pow(_require_pd(a), -p))
 
 
-def chernoff1_event(x, a, u_mat, gamma: float) -> bool:
+def chernoff1_event(x, a: np.ndarray, u, gamma: float):
     """Chernoff event ``X not <= (1/2 gamma) log(e^{gamma A} U e^{gamma A})``.
 
-    A singular randomizer drives the threshold to minus infinity along
+    For ``U = u I`` the threshold is ``A + log(u) / (2 gamma) I``.  A
+    singular randomizer drives the threshold to minus infinity along
     some direction, so the event is declared true by convention.
     """
     if gamma == 0.0:
         raise DomainError("gamma must be nonzero")
     a = sm.symmat(a, copy=False)
-    w = sm.mat_exp(gamma * a)
-    inner = sm.symmat(w @ u_mat @ w, copy=False)
-    if sm.lambda_min(inner) < sm.LOG_EIG_FLOOR:
-        return True
-    thr = sm.mat_log(inner) / (2.0 * gamma)
-    return not sm.loewner_leq(sm.symmat(x, copy=False), thr)
+    u = _randomizer(u, a.shape[0])
+    if u.ndim < 2:
+        log_u, singular = _log_or_singular(u)
+        thr = a + (log_u / (2.0 * gamma))[..., None, None] * np.eye(a.shape[0])
+    else:
+        w = sm.mat_exp(gamma * a)
+        log_inner, singular = _log_or_singular(w @ u @ w)
+        thr = log_inner / (2.0 * gamma)
+    return _event(np.logical_or(singular, sm.exceeds(x, thr)))
 
 
 def chernoff1_bound(exp_moment: np.ndarray, a: np.ndarray, gamma: float) -> float:
@@ -224,24 +274,26 @@ def mgf_trace_bound(spec: MgfSpec, gamma: float, n: int) -> float:
     return sm.trace(sm.mat_exp(inner))
 
 
-def chernoff_hoeffding_event(xs, m, a_scalar: float, gamma: float, u_mat) -> bool:
-    """Sum-tail event ``Xbar_n - M not <= a I + log(U) / gamma``.
+def chernoff_hoeffding_event(xs, m: np.ndarray, a_scalar: float, gamma: float, u):
+    """Sum-tail event ``Xbar_n - M not <= a I + log(U) / gamma`` on ``xs`` (..., n, d, d).
 
-    A singular ``U`` makes the threshold unbounded below, so the event
+    For ``U = u I`` the threshold is ``(a + log(u) / gamma) I``.  A
+    singular ``U`` makes the threshold unbounded below, so the event
     is true by convention.
     """
     if gamma <= 0.0:
         raise DomainError(f"gamma must be positive, got {gamma}")
     if a_scalar <= 0.0:
         raise DomainError(f"scalar threshold must be positive, got {a_scalar}")
-    arr = np.asarray(xs, dtype=np.float64)
-    xbar = sm.symmat(np.mean(arr, axis=0), copy=False)
     m = sm.symmat(m, copy=False)
-    u_mat = sm.symmat(u_mat, copy=False)
-    if sm.lambda_min(u_mat) < sm.LOG_EIG_FLOOR:
-        return True
-    thr = a_scalar * np.eye(m.shape[0]) + sm.mat_log(u_mat) / gamma
-    return not sm.loewner_leq(xbar - m, thr)
+    dev = np.mean(np.asarray(xs, dtype=np.float64), axis=-3) - m
+    eye = np.eye(m.shape[0])
+    log_u, singular = _log_or_singular(_randomizer(u, m.shape[0]))
+    if log_u.ndim < 2:
+        thr = (a_scalar + log_u / gamma)[..., None, None] * eye
+    else:
+        thr = a_scalar * eye + log_u / gamma
+    return _event(np.logical_or(singular, sm.exceeds(dev, thr)))
 
 
 def chernoff_hoeffding_bound(spec: MgfSpec, gamma: float, n: int, a_scalar: float) -> float:

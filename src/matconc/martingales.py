@@ -22,7 +22,10 @@ The per-step kernels (:func:`factor_pair`,
 :meth:`MatSupermartingaleState.advance`, :func:`exceeds`,
 :func:`scan_exceeds`) take stacks ``(..., d, d)`` of independent paths;
 the Monte Carlo harness and the CLI run them, and the per-sample
-functions here are their batch-of-one wrappers.
+functions here are their batch-of-one wrappers.  :func:`exceeds` lives
+in :mod:`matconc.symmat`, so that :mod:`matconc.fixed_bounds` can use it
+too, and keeps its name here.  :func:`ville_event` is the fixed-time
+Markov event :func:`~matconc.fixed_bounds.ummi_event` at a stopping time.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ import numpy as np
 
 from . import symmat as sm
 from .errors import DimMismatch, DomainError, GammaOutOfRange, ParamMismatch
-from .fixed_bounds import MgfSpec, _check_p, _require_pd, markov_threshold, ummi_bound
+from .fixed_bounds import MgfSpec, _check_p, _require_pd, ummi_bound, ummi_event
+from .symmat import exceeds
 
 __all__ = [
     "BUILDER_KINDS",
@@ -310,28 +314,6 @@ class MatSupermartingaleState:
         return MatSupermartingaleState(left=self.left @ step, n=self.n + 1)
 
 
-def exceeds(y, a, f=None) -> np.ndarray:
-    """Event ``f(Y) not <= a`` for each matrix of a stack ``y`` (..., d, d).
-
-    ``a`` is a threshold matrix (or a stack of them), or a scalar or
-    per-matrix array standing for ``a I``.  A threshold ``a I`` (also when
-    given as a matrix exactly equal to it) costs one ``eigvalsh`` of ``y``:
-    ``a I - f(Y)`` has eigenvalues ``a - f(w)``.  Any other threshold costs
-    one of ``a - f(Y)``.  ``f`` is an eigenvalue map (``np.abs``,
-    ``np.square``) applied through the spectrum.  Ties count as ordered,
-    as in :func:`~matconc.symmat.loewner_leq`.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim == 2 and np.array_equal(a, a[0, 0] * np.eye(a.shape[0])):
-        a = a[0, 0]
-    if a.ndim < 2:
-        w = np.linalg.eigvalsh(y)
-        w = w if f is None else f(w)
-        return np.logical_not(sm.spectrum_is_psd(a[..., None] - w))
-    fy = y if f is None else sm.apply_spectral(f, y)
-    return np.logical_not(sm.loewner_leq(fy, a))
-
-
 def scan_exceeds(kind: str, xbar, m, a, p: float | None = None) -> np.ndarray:
     """Crossing test of one running-mean scan for each matrix of a stack ``xbar``.
 
@@ -352,9 +334,10 @@ def scan_exceeds(kind: str, xbar, m, a, p: float | None = None) -> np.ndarray:
     raise ParamMismatch(f"unknown scan kind {kind!r}")
 
 
-def ville_event(y: np.ndarray, a: np.ndarray, u_mat: np.ndarray) -> bool:
-    """Randomized stopped-value event ``Y_tau not <= A^{1/2} U A^{1/2}``."""
-    return bool(exceeds(sm.symmat(y, copy=False), markov_threshold(a, u_mat)))
+def ville_event(y, a: np.ndarray, u):
+    """Randomized stopped-value event ``Y_tau not <= A^{1/2} U A^{1/2}``:
+    :func:`~matconc.fixed_bounds.ummi_event` at a stopping time."""
+    return ummi_event(y, a, u)
 
 
 def ville_bound(y0_mean: np.ndarray, a: np.ndarray) -> float:

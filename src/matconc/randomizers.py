@@ -191,18 +191,16 @@ def verify_trace_superuniform(
         if not sm.is_psd(y):
             raise DomainError(f"probe {j} is not positive semidefinite")
         gen = _rng.substream(base, 0xFA13, j)
-        # Every supported U is u*I + S, so U >= Y has eigenvalues u + w
+        # Every supported U is u*I + S, so U - Y has eigenvalues u + w
         # with w the (fixed) spectrum of S - Y; the per-trial Loewner test
-        # collapses to scalar comparisons with the same tolerance rule.
+        # is the PSD rule on those shifted spectra.
         shift = randomizer.y if randomizer.kind == "shifted" else np.zeros_like(y)
         w = np.linalg.eigvalsh(shift - y)
         if randomizer.kind == "identity":
             us = np.ones(trials)
         else:
             us = 1.0 - gen.random(trials)
-        lo = us + w[0]
-        op = np.maximum(np.abs(lo), np.abs(us + w[-1]))
-        hits = int(np.count_nonzero(lo < -sm.TOL_PSD * np.maximum(1.0, op)))
+        hits = int(np.count_nonzero(~sm.spectrum_is_psd(us[:, None] + w)))
         bound = sm.trace(y)
         p = hits / trials
         low, high = wilson_interval(hits, trials)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -138,9 +139,13 @@ def _norm_randomizer(raw, dim: int) -> tuple[str, np.ndarray | None]:
 
 
 def _draw_us(plan: dict, g_rand: np.random.Generator, size: int) -> np.ndarray:
-    if plan["rand_kind"] == "identity":
-        return np.ones(size)
-    return 1.0 - g_rand.random(size)
+    """Randomizer draws: one ``u`` per trial standing for ``u I``, or the
+    stack ``u I + Y`` for the shifted randomizer."""
+    us = np.ones(size) if plan["rand_kind"] == "identity" else 1.0 - g_rand.random(size)
+    shift = plan.get("shift")
+    if shift is None:
+        return us
+    return us[:, None, None] * np.eye(shift.shape[0]) + shift
 
 
 def _gamma_array(scale: float, horizon: int) -> np.ndarray:
@@ -219,16 +224,13 @@ def _prep_ummi(params, gen, mc):
     else:
         a = (sm.trace(mean_x) / p["target"]) * np.eye(gen.dim)
     rand_kind, shift = _norm_randomizer(p["randomizer"], gen.dim)
-    plan = {
-        "kind": "UMMI",
+    return {
+        "event": partial(fb.ummi_event, a=a),
         "n_per": 1,
         "rand_kind": rand_kind,
-        "a": a,
+        "shift": shift,
         "bound": fb.ummi_bound(mean_x, a),
     }
-    root = sm.mat_sqrt(a) if shift is not None else None
-    plan["shift_term"] = None if shift is None else root @ shift @ root
-    return plan
 
 
 def _prep_cheb(params, gen, mc, n_fixed):
@@ -244,16 +246,14 @@ def _prep_cheb(params, gen, mc, n_fixed):
     else:
         a = math.sqrt(sm.trace(v) / (p["target"] * n)) * np.eye(gen.dim)
     rand_kind, shift = _norm_randomizer(p["randomizer"], gen.dim)
-    plan = {
-        "kind": "UMCI",
+    return {
+        "event": partial(fb.chebyshev_n_event, m=gen.mean(), a=a),
+        "averaged": True,
         "n_per": n,
         "rand_kind": rand_kind,
-        "a": a,
-        "m": gen.mean(),
-        "bound": fb.chebyshev_n_bound(v, a, n),
         "shift": shift,
+        "bound": fb.chebyshev_n_bound(v, a, n),
     }
-    return plan
 
 
 @_register(
@@ -304,14 +304,12 @@ def _prep_pcheb1(params, gen, mc):
         a = (sm.trace(vp) / p["target"]) ** (1.0 / pw) * np.eye(gen.dim)
     rand_kind, shift = _norm_randomizer(p["randomizer"], gen.dim)
     return {
-        "kind": "PCHEB1",
+        "event": partial(fb.pcheb1_event, m=gen.mean(), a=a, p=pw),
         "n_per": 1,
         "p": pw,
         "rand_kind": rand_kind,
-        "a": a,
-        "m": gen.mean(),
-        "bound": fb.pcheb1_bound(vp, a, pw),
         "shift": shift,
+        "bound": fb.pcheb1_bound(vp, a, pw),
     }
 
 
@@ -340,13 +338,12 @@ def _prep_chernoff1(params, gen, mc):
         a = (math.log(sm.trace(exp_moment) / p["target"]) / two_g) * np.eye(gen.dim)
     rand_kind, shift = _norm_randomizer(p["randomizer"], gen.dim)
     return {
-        "kind": "CHERNOFF1",
+        "event": partial(fb.chernoff1_event, a=a, gamma=gamma),
         "n_per": 1,
         "gamma": gamma,
         "rand_kind": rand_kind,
-        "a": a,
-        "bound": fb.chernoff1_bound(exp_moment, a, gamma),
         "shift": shift,
+        "bound": fb.chernoff1_bound(exp_moment, a, gamma),
     }
 
 
@@ -414,18 +411,19 @@ def _prep_ch(params, gen, mc):
     )
     spec = fb.MgfSpec(mgf_kind, row_mat)
     rand_kind, shift = _norm_randomizer(p["randomizer"], gen.dim)
-    plan = {
-        "kind": "CHERNOFF_HOEFFDING",
+    return {
+        "event": partial(
+            fb.chernoff_hoeffding_event, m=gen.mean(), a_scalar=a_scalar, gamma=gamma
+        ),
+        "averaged": True,
         "n_per": n,
         "gamma": gamma,
         "a_scalar": a_scalar,
         "rand_kind": rand_kind,
-        "m": gen.mean(),
-        "bound": fb.chernoff_hoeffding_bound(spec, gamma, n, a_scalar),
         "shift": shift,
+        "bound": fb.chernoff_hoeffding_bound(spec, gamma, n, a_scalar),
         "mgf_kind": mgf_kind,
     }
-    return plan
 
 
 # --- sequential entries ----------------------------------------------------
@@ -456,10 +454,7 @@ def _umvi_common(params, gen, mc, builder):
         "bound": alpha,
         "stopping": _norm_stopping(p["stopping"], horizon),
     }
-    rand_kind, shift = _norm_randomizer(p["randomizer"], d)
-    plan["rand_kind"] = rand_kind
-    # sqrt(A) Y sqrt(A) with A = (d/alpha) I is just (d/alpha) Y
-    plan["shift_term"] = None if shift is None else (d / alpha) * shift
+    plan["rand_kind"], plan["shift"] = _norm_randomizer(p["randomizer"], d)
     if builder == "MGF":
         row_kind = {
             "RADEMACHER_SCALED": "RADEMACHER",
@@ -548,7 +543,7 @@ def _prep_mvi(params, gen, mc):
     # be known before the scan starts for the crossing to define a
     # stopping time, so the plain version is the honest one.
     plan["rand_kind"] = "identity"
-    plan["shift_term"] = None
+    plan["shift"] = None
     plan["stopping"] = {"kind": "first_crossing"}
     return plan
 
@@ -745,70 +740,13 @@ def _block_size(n_per: int, d: int, cap: int) -> int:
 
 
 def _fixed_block(plan, gen, size, seed, tag, block_idx) -> int:
+    """Events of a fixed-time bound: its ``fixed_bounds`` predicate on a block of trials."""
     g_data, g_rand = _rng.spawn_pair(seed, tag, block_idx)
     xs = gen.sample_batch(g_data, size, plan["n_per"])
-    us = _draw_us(plan, g_rand, size)
-    kind = plan["kind"]
-    if kind == "UMMI":
-        thr = us[:, None, None] * plan["a"]
-        if plan["shift_term"] is not None:
-            thr = thr + plan["shift_term"]
-        return int((~sm.loewner_leq(xs[:, 0], thr)).sum())
-    if kind == "UMCI":
-        dev = xs.mean(axis=1) - plan["m"]
-        absdev = sm.mat_abs(dev)
-        a = plan["a"]
-        if plan.get("shift") is None:
-            # (A u A)^{1/2} = sqrt(u) |A| when U = u I
-            thr = np.sqrt(us)[:, None, None] * sm.mat_abs(a)
-        else:
-            inner = us[:, None, None] * (a @ a) + a @ plan["shift"] @ a
-            thr = sm.mat_sqrt(inner)
-        return int((~sm.loewner_leq(absdev, thr)).sum())
-    if kind == "PCHEB1":
-        pw = plan["p"]
-        dev = xs[:, 0] - plan["m"]
-        absdev = sm.mat_abs(dev)
-        a = plan["a"]
-        if plan.get("shift") is None:
-            thr = (us ** (1.0 / pw))[:, None, None] * a
-        else:
-            half = sm.mat_pow(a, pw / 2.0)
-            inner = us[:, None, None] * (half @ half) + half @ plan["shift"] @ half
-            thr = sm.apply_spectral(lambda w: np.clip(w, 0.0, None) ** (1.0 / pw), inner)
-        return int((~sm.loewner_leq(absdev, thr)).sum())
-    if kind == "CHERNOFF1":
-        gamma = plan["gamma"]
-        a = plan["a"]
-        x = xs[:, 0]
-        if plan.get("shift") is None:
-            shiftc = np.log(us) / (2.0 * gamma)
-            thr = a + shiftc[:, None, None] * np.eye(gen.dim)
-            return int((~sm.loewner_leq(x, thr)).sum())
-        wmat = sm.mat_exp(gamma * a)
-        inner = us[:, None, None] * (wmat @ wmat) + wmat @ plan["shift"] @ wmat
-        # a singular draw puts the threshold at minus infinity: an event
-        singular = np.linalg.eigvalsh(inner)[:, 0] < sm.LOG_EIG_FLOOR
-        safe_log = lambda w: np.log(np.where(w < sm.LOG_EIG_FLOOR, 1.0, w))  # noqa: E731
-        thr = sm.apply_spectral(safe_log, inner) / (2.0 * gamma)
-        return int((~sm.loewner_leq(x, thr) | singular).sum())
-    if kind == "CHERNOFF_HOEFFDING":
-        gamma, a_scalar = plan["gamma"], plan["a_scalar"]
-        dev = xs.mean(axis=1) - plan["m"]
-        eye = np.eye(gen.dim)
-        if plan.get("shift") is None:
-            thr = (a_scalar + np.log(us) / gamma)[:, None, None] * eye
-            return int((~sm.loewner_leq(dev, thr)).sum())
-        w_y, q_y = np.linalg.eigh(plan["shift"])
-        inner_w = us[:, None] + w_y[None, :]
-        singular = inner_w[:, 0] < sm.LOG_EIG_FLOOR
-        safe = np.where(inner_w < sm.LOG_EIG_FLOOR, 1.0, inner_w)
-        logu = np.einsum("ij,...j,kj->...ik", q_y, np.log(safe), q_y)
-        thr = a_scalar * eye + logu / gamma
-        events = ~sm.loewner_leq(dev, thr)
-        events |= singular
-        return int(events.sum())
-    raise AssertionError(kind)
+    u = _draw_us(plan, g_rand, size)
+    # events on the average of n observations read them all
+    x = xs if plan.get("averaged") else xs[:, 0]
+    return int(np.count_nonzero(plan["event"](x, u=u)))
 
 
 class _Process:
@@ -966,10 +904,7 @@ def _path_events(plan, xs: np.ndarray, g_rand: np.random.Generator) -> np.ndarra
     us = _draw_us(plan, g_rand, size)
     if kind != "UMVI":
         return proc.at_stop >= se.log_level(d, plan["alpha"], us)
-    thr = us * plan["a_scalar"]
-    if plan["shift_term"] is not None:
-        thr = thr[:, None, None] * np.eye(d) + plan["shift_term"]
-    return mg.exceeds(proc.at_stop, thr)
+    return mg.ville_event(proc.at_stop, plan["a_scalar"] * np.eye(d), us)
 
 
 def _path_block(plan, gen, size, seed, tag, block_idx) -> int:

@@ -13,8 +13,9 @@ eigendecomposition: for ``A = Q diag(w) Q.T`` the image is
 eigenvalue tolerance.
 
 :func:`apply_spectral`, :func:`mat_exp`, :func:`mat_sqrt`, :func:`mat_abs`,
-:func:`is_psd` and :func:`loewner_leq` also take stacks ``(..., d, d)``
-and act on each matrix; the batched Monte Carlo kernels rely on this.
+:func:`mat_pow`, :func:`is_psd`, :func:`loewner_leq` and :func:`exceeds`
+also take stacks ``(..., d, d)`` and act on each matrix; the batched
+Monte Carlo kernels rely on this.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ __all__ = [
     "anticommutator",
     "loewner_leq",
     "loewner_geq",
+    "exceeds",
     "is_psd",
     "spectrum_is_psd",
     "curlyvee",
@@ -277,7 +279,7 @@ def mat_abs(a: np.ndarray) -> np.ndarray:
 
 
 def mat_pow(a: np.ndarray, k: float, *, tol_psd: float = TOL_PSD) -> np.ndarray:
-    """Matrix power ``A^k`` through the spectrum.
+    """Matrix power ``A^k`` through the spectrum (of each matrix in a stack).
 
     Integer ``k >= 0`` works for any symmetric matrix.  Non-integer
     ``k >= 0`` requires a PSD matrix (tiny negative eigenvalues are
@@ -288,17 +290,17 @@ def mat_pow(a: np.ndarray, k: float, *, tol_psd: float = TOL_PSD) -> np.ndarray:
     ------
     DomainError
         On negative spectra (fractional powers) or ill-conditioned /
-        singular matrices (negative powers).
+        singular matrices (negative powers), in any matrix of a stack.
     """
-    dec = eigh_decomp(a)
-    w = dec.eigenvalues
+    w, q = np.linalg.eigh(symmat_stack(a))
     if k < 0:
-        if w[0] <= 0.0:
+        lo = w[..., 0]
+        if np.any(lo <= 0.0):
             raise DomainError(
                 f"negative power needs a positive definite matrix, smallest "
-                f"eigenvalue is {w[0]:.6e}"
+                f"eigenvalue is {lo.min():.6e}"
             )
-        cond = w[-1] / w[0]
+        cond = (w[..., -1] / lo).max()
         if cond > MAX_INVERSE_COND:
             raise DomainError(
                 f"condition number {cond:.3e} exceeds {MAX_INVERSE_COND:g}; "
@@ -309,7 +311,7 @@ def mat_pow(a: np.ndarray, k: float, *, tol_psd: float = TOL_PSD) -> np.ndarray:
         pw = w ** float(k)
     else:
         pw = _clamped_nonneg(w, tol_psd) ** float(k)
-    return _recompose(dec.eigenvectors, pw)
+    return _recompose(q, pw)
 
 
 def mat_inv(a: np.ndarray) -> np.ndarray:
@@ -395,6 +397,28 @@ def loewner_leq(a: np.ndarray, b: np.ndarray, *, tol_psd: float = TOL_PSD):
 def loewner_geq(a: np.ndarray, b: np.ndarray, *, tol_psd: float = TOL_PSD) -> bool:
     """Loewner comparison ``A >= B``."""
     return loewner_leq(b, a, tol_psd=tol_psd)
+
+
+def exceeds(y, a, f=None) -> np.ndarray:
+    """Event ``f(Y) not <= a`` for each matrix of a stack ``y`` (..., d, d).
+
+    ``a`` is a threshold matrix (or a stack of them), or a scalar or
+    per-matrix array standing for ``a I``.  A threshold ``a I`` (also when
+    given as a matrix exactly equal to it) costs one ``eigvalsh`` of ``y``:
+    ``a I - f(Y)`` has eigenvalues ``a - f(w)``.  Any other threshold costs
+    one of ``a - f(Y)``.  ``f`` is an eigenvalue map (``np.abs``, ``np.square``)
+    applied through the spectrum.  Ties count as ordered, as in
+    :func:`loewner_leq`.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim == 2 and np.array_equal(a, a[0, 0] * np.eye(a.shape[0])):
+        a = a[0, 0]
+    if a.ndim < 2:
+        w = np.linalg.eigvalsh(y)
+        w = w if f is None else f(w)
+        return np.logical_not(spectrum_is_psd(a[..., None] - w))
+    fy = y if f is None else apply_spectral(f, y)
+    return np.logical_not(loewner_leq(fy, a))
 
 
 def curlyvee(a: np.ndarray, b: np.ndarray, *, tol_psd: float = TOL_PSD) -> np.ndarray:

@@ -144,6 +144,28 @@ def test_sequential_test_scalar_mode_with_terminal_randomizer(tmp_path):
     assert all("log_value" in f for f in lines[:-1] if "u" not in f)
 
 
+@pytest.mark.parametrize("mode", ["matrix", "scalar"])
+def test_sequential_test_frames_excludes_randomizer_record(tmp_path, mode):
+    data = write_frames(tmp_path / "frames.ndjson", [np.zeros((2, 2))] * 2)
+    cfg = write_json(
+        tmp_path / "test.json",
+        {
+            "mode": mode,
+            "m": [[0.0, 0.0], [0.0, 0.0]],
+            "v": [[1.0, 0.0], [0.0, 1.0]],
+            "randomizer": {"kind": "uniform01", "seed": 3},
+        },
+    )
+    out = tmp_path / "out.ndjson"
+    rc = main(["test", "--config", cfg, "--data", data, "--output", str(out)])
+    assert rc == 0
+    lines = [json.loads(s) for s in out.read_text().splitlines()]
+    # two data frames, the terminal randomizer record, the summary
+    assert len(lines) == 4 and "u" in lines[2]
+    assert lines[-1]["decision"] == "continue"
+    assert lines[-1]["frames"] == 2
+
+
 def test_sequential_test_bad_frames(tmp_path, capsys):
     cfg = write_json(
         tmp_path / "t.json", {"mode": "scalar", "m": [[0.0]], "v": [[1.0]]}

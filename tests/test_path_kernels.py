@@ -1,9 +1,12 @@
-"""Differential test: batched path kernels against the public per-sample API.
+"""Differential test: batched kernels against the public per-sample API.
 
 The coverage harness and ``power-compare`` run every sequential bound on
 stacks of paths; ``matconc test`` and library users step one observation
 at a time through the public functions.  Both must decide the same
-events on the same draws.
+events on the same draws.  The fixed-time bounds run the public
+``fixed_bounds`` events on a whole block of trials, with the randomizer
+``u I`` given as one scalar per trial; called one trial at a time with
+the matrix ``U``, the same events must count the same hits.
 """
 
 import math
@@ -11,12 +14,14 @@ import math
 import numpy as np
 import pytest
 
+from matconc import fixed_bounds as fb
 from matconc import martingales as mg
 from matconc import scalar_e as se
-from matconc.rng import substream
+from matconc.rng import spawn_pair, substream
 from matconc.simulator import (
     McConfig,
     _entry,
+    _fixed_block,
     _path_events,
     default_generator,
     sequential_test_stops,
@@ -79,8 +84,8 @@ def _umvi_event(plan, gen, path, tau, u):
     if plan["kind"] == "MVI":
         return mg.mvi_event(history, a)
     u_mat = u * np.eye(d)
-    if plan["shift_term"] is not None:
-        u_mat = u_mat + plan["shift_term"] / plan["a_scalar"]
+    if plan["shift"] is not None:
+        u_mat = u_mat + plan["shift"]
     return mg.ville_event(history[-1], a, u_mat)
 
 
@@ -170,3 +175,67 @@ def test_power_compare_stops_match_per_sample_api():
         assert (stops["matrix"][t], stops["scalar"][t]) == (stop_m, stop_s)
     assert 0 < np.count_nonzero(stops["matrix"]) < TRIALS
     assert 0 < np.count_nonzero(stops["scalar"]) <= TRIALS
+
+
+FIXED_CASES = [
+    ("UMMI", "ELLIPSOID_RANK1", fb.ummi_event, None),
+    ("UMMI", "HEAVY_PSD", fb.ummi_event, {"target": 1.5}),
+    ("UMCI1", "GAUSSIAN_SCALED", fb.chebyshev_n_event, {"target": 1.5}),
+    ("UMCI_N", "RADEMACHER_SCALED", fb.chebyshev_n_event, {"n": 5, "target": 1.5}),
+    ("PCHEB1", "SYMMETRIC_HEAVY", fb.pcheb1_event, {"target": 1.5}),
+    ("CHERNOFF1", "RADEMACHER_SCALED", fb.chernoff1_event, {"target": 1.5}),
+    ("CHERNOFF_HOEFFDING", "RADEMACHER_SCALED", fb.chernoff_hoeffding_event, {"alpha0": 0.9}),
+]
+RANDOMIZERS = [
+    "identity",
+    "scaled_identity",
+    {"kind": "shifted", "y": [[0.2, 0.1], [0.1, 0.3]]},
+]
+#: events on the average of n observations take the whole sample
+AVERAGED = (fb.chebyshev_n_event, fb.chernoff_hoeffding_event)
+
+
+@pytest.mark.parametrize("randomizer", RANDOMIZERS, ids=["identity", "scaled", "shifted"])
+@pytest.mark.parametrize("bound,kind,event,params", FIXED_CASES)
+def test_fixed_block_counts_match_per_trial_events(bound, kind, event, params, randomizer):
+    entry = _entry(bound)
+    gen = default_generator(bound, kind, 2)
+    plan = entry.prepare({**(params or {}), "randomizer": randomizer}, gen, McConfig())
+    assert plan["event"].func is event
+    seed, block_idx = 4242, 3
+    count = _fixed_block(plan, gen, TRIALS, seed, entry.tag, block_idx)
+    g_data, g_rand = spawn_pair(seed, entry.tag, block_idx)
+    xs = gen.sample_batch(g_data, TRIALS, plan["n_per"])
+    us = np.ones(TRIALS) if randomizer == "identity" else 1.0 - g_rand.random(TRIALS)
+    shift = np.zeros((2, 2)) if plan["shift"] is None else plan["shift"]
+    hits = []
+    for t in range(TRIALS):
+        x = xs[t] if event in AVERAGED else xs[t, 0]
+        hit = event(x, u=us[t] * np.eye(2) + shift, **plan["event"].keywords)
+        assert type(hit) is bool
+        hits.append(hit)
+    assert count == sum(hits)
+    # the comparison must see both outcomes to mean anything; on its
+    # ellipsoid the rank-one draw never exceeds A at u = 1 (equality case)
+    if not (kind == "ELLIPSOID_RANK1" and randomizer == "identity"):
+        assert 0 < count < TRIALS
+
+
+@pytest.mark.parametrize("bound,kind,event,params", FIXED_CASES)
+def test_scalar_randomizer_is_u_times_identity(bound, kind, event, params):
+    gen = default_generator(bound, kind, 2)
+    plan = _entry(bound).prepare(params, gen, McConfig())
+    xs = gen.sample_batch(substream(4243, 0), 16, plan["n_per"])
+    for x, u in zip(xs, np.linspace(0.05, 1.0, 16)):
+        x = x if event in AVERAGED else x[0]
+        at_scalar = event(x, u=float(u), **plan["event"].keywords)
+        assert type(at_scalar) is bool
+        assert at_scalar == event(x, u=u * np.eye(2), **plan["event"].keywords)
+
+
+def test_chernoff_events_true_at_zero_randomizer():
+    x = np.diag([-5.0, -5.0])
+    a = np.eye(2)
+    for u in (0.0, np.zeros((2, 2))):
+        assert fb.chernoff1_event(x, a, u, 0.5) is True
+        assert fb.chernoff_hoeffding_event(x[None], np.zeros((2, 2)), 1.0, 1.0, u) is True

@@ -197,6 +197,22 @@ def test_mat_pow_condition_guard():
     assert np.isclose(out[1, 1], 1e6)
 
 
+@pytest.mark.parametrize("k", [-1.0, 0.5, 1.5, 2.0])
+def test_mat_pow_stack_matches_per_matrix_loop(gen, k):
+    stack = np.stack([random_pd(gen, 3) for _ in range(6)]).reshape(2, 3, 3, 3)
+    out = mat_pow(stack, k)
+    assert out.shape == stack.shape
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(out[idx], mat_pow(stack[idx], k))
+    # the negative-power guards apply to every matrix of the stack
+    bad = stack.copy()
+    bad[1, 2] = np.diag([1.0, 1.0, 1e-13])
+    with pytest.raises(DomainError):
+        mat_pow(bad, -1.0)
+    with pytest.raises(DomainError):
+        mat_pow(np.stack([np.eye(2), np.diag([1.0, -1.0])]), 1.5)
+
+
 def test_trace_helpers(gen):
     a = random_symmetric(gen, 4)
     b = random_symmetric(gen, 4)
