@@ -320,7 +320,12 @@ def scan_exceeds(kind: str, xbar, m, a, p: float | None = None) -> np.ndarray:
     ``DOOB`` (squared mean deviation), ``XMCI``/``XMCI2`` (absolute
     deviation) and ``XMPCI`` (the PSD mean) compare against ``a``
     through :func:`exceeds`; ``TRACE_PCHEB`` tests ``tr abs(Xbar - M)^p >= a^p``
-    for a scalar ``a``.
+    for a scalar ``a`` (or one per matrix) and ``p >= 1``.  Its
+    ``eigvalsh`` runs only on the rows that the exact bound
+    ``sum_i |w_i|^p <= max(1, d^{1 - p/2}) ||D||_F^p`` (Hoelder for
+    ``p <= 2``, ``l_p <= l_2`` above) leaves within the margin of
+    :func:`~matconc.symmat.screened` below ``a^p``, so the events equal
+    those of the eigenvalue rule on every row.
     """
     if kind == "DOOB":
         return exceeds(xbar - m, a, np.square)
@@ -329,8 +334,13 @@ def scan_exceeds(kind: str, xbar, m, a, p: float | None = None) -> np.ndarray:
     if kind == "XMPCI":
         return exceeds(xbar, a)
     if kind == "TRACE_PCHEB":
-        w = np.linalg.eigvalsh(xbar - m)
-        return (np.abs(w) ** p).sum(axis=-1) >= a**p
+        dev = xbar - m
+        ap, c = a**p, max(1.0, dev.shape[-1] ** (1.0 - p / 2.0))
+
+        def exact(ys, rows_ap):
+            return (np.abs(np.linalg.eigvalsh(ys)) ** p).sum(axis=-1) >= rows_ap
+
+        return sm.screened(dev, ap, exact, p, c)
     raise ParamMismatch(f"unknown scan kind {kind!r}")
 
 

@@ -15,13 +15,17 @@ eigenvalue tolerance.
 :func:`apply_spectral`, :func:`mat_exp`, :func:`mat_sqrt`, :func:`mat_abs`,
 :func:`mat_pow`, :func:`is_psd`, :func:`loewner_leq` and :func:`exceeds`
 also take stacks ``(..., d, d)`` and act on each matrix; the batched
-Monte Carlo kernels rely on this.
+Monte Carlo kernels rely on this.  Threshold tests against ``a I`` are
+screened (:func:`screened`): an exact Frobenius-norm bound settles the
+matrices that sit clearly below the threshold, and ``eigvalsh`` runs on
+the rest only, with the same events as running it on every matrix.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -52,6 +56,7 @@ __all__ = [
     "loewner_leq",
     "loewner_geq",
     "exceeds",
+    "screened",
     "is_psd",
     "spectrum_is_psd",
     "curlyvee",
@@ -69,6 +74,8 @@ MAX_INVERSE_COND = 1e12
 
 #: Maximum relative asymmetry accepted when *loading* a matrix from JSON.
 LOAD_ASYMMETRY_TOL = 1e-6
+
+_F64 = np.finfo(np.float64)
 
 
 @dataclass(frozen=True)
@@ -399,24 +406,85 @@ def loewner_geq(a: np.ndarray, b: np.ndarray, *, tol_psd: float = TOL_PSD) -> bo
     return loewner_leq(b, a, tol_psd=tol_psd)
 
 
+#: Screen margin in ulps per unit of dimension; see :func:`screened`.
+SCREEN_ULPS = 256
+
+#: Threshold maps whose statistic ``max_i f(w_i)`` is at most ``||Y||_F ** power``.
+_SCREEN_POWER = {None: 1.0, np.abs: 1.0, np.square: 2.0}
+
+
+@lru_cache(maxsize=None)
+def _lower_weights(d: int) -> np.ndarray:
+    w = 2.0 * np.tri(d, k=-1) + np.eye(d)
+    w.flags.writeable = False
+    return w
+
+
+def _eig_frobenius_sq(y) -> np.ndarray:
+    """``||S||_F^2`` per matrix of ``y`` (..., d, d), for the symmetric ``S``
+    that ``eigvalsh`` reads from it: the lower triangle, mirrored."""
+    return np.einsum("...ij,...ij,ij->...", y, y, _lower_weights(y.shape[-1]))
+
+
+def screened(y, a, exact, power: float = 1.0, scale: float = 1.0):
+    """Row events ``exact(y_rows, a_rows)``, computed only on the rows that
+    the norm bound ``scale * ||S||_F ** power`` cannot settle.
+
+    ``exact`` compares a statistic of each matrix's eigenvalues with its
+    threshold ``a`` (a scalar or one per matrix), ``True`` meaning crossed;
+    the caller guarantees that ``scale * ||S||_F ** power`` bounds that
+    statistic exactly.  A row is settled as not crossed when its bound sits
+    below ``a`` by the relative margin ``power * SCREEN_ULPS * d`` ulps.
+    The margin covers the rounding of the ``d^2`` squares (at most
+    ``d^2 / 4`` ulps of the norm) and LAPACK's backward error in the
+    eigenvalues (a few ulps of ``||S||_2`` per unit of ``d``), each raised
+    to ``power``, for ``d`` up to about a thousand; so a settled row is one
+    that ``exact`` also calls not crossed.  The bound is trusted only when
+    ``||S||_F^2`` is a normal float and the threshold finite; zero, tiny,
+    overflowing and non-finite rows, as well as NaN thresholds, reach
+    ``exact``.  Returns a ``numpy.bool_`` for one matrix, else an array.
+    """
+    y, a = np.asarray(y, dtype=np.float64), np.asarray(a, dtype=np.float64)
+    sq = _eig_frobenius_sq(y)
+    limit = a * (1.0 - power * SCREEN_ULPS * y.shape[-1] * _F64.eps)
+    settled = (sq >= _F64.tiny) & (scale * sq ** (power / 2.0) <= limit) & (limit <= _F64.max)
+    out = np.zeros(np.shape(settled), dtype=bool)
+    if not settled.all():
+        rows = ~settled
+        a = np.broadcast_to(a, out.shape)[rows]
+        out[rows] = exact(np.broadcast_to(y, out.shape + y.shape[-2:])[rows], a)
+    return out[()]
+
+
 def exceeds(y, a, f=None) -> np.ndarray:
     """Event ``f(Y) not <= a`` for each matrix of a stack ``y`` (..., d, d).
 
     ``a`` is a threshold matrix (or a stack of them), or a scalar or
     per-matrix array standing for ``a I``.  A threshold ``a I`` (also when
-    given as a matrix exactly equal to it) costs one ``eigvalsh`` of ``y``:
-    ``a I - f(Y)`` has eigenvalues ``a - f(w)``.  Any other threshold costs
-    one of ``a - f(Y)``.  ``f`` is an eigenvalue map (``np.abs``, ``np.square``)
-    applied through the spectrum.  Ties count as ordered, as in
-    :func:`loewner_leq`.
+    given as a matrix exactly equal to it) is decided on the eigenvalues
+    ``w`` of ``y``: ``a I - f(Y)`` has eigenvalues ``a - f(w)``.  For ``f``
+    None or ``np.abs`` it is first screened with ``max |w_i| <= ||Y||_F``,
+    for ``np.square`` with ``max w_i^2 <= ||Y||_F^2`` (see
+    :func:`screened`), so ``eigvalsh`` runs only on the rows whose norm
+    comes within the screen margin of ``a``.  The margin covers the
+    rounding of the norm and of ``eigvalsh``, so a settled row is one that
+    the eigenvalue rule, ``TOL_PSD`` tie rule included, also finds ordered.
+    Any other threshold costs one ``eigvalsh`` of ``a - f(Y)``.  ``f`` is an
+    eigenvalue map (``np.abs``, ``np.square``) applied through the
+    spectrum.  Ties count as ordered, as in :func:`loewner_leq`.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim == 2 and np.array_equal(a, a[0, 0] * np.eye(a.shape[0])):
         a = a[0, 0]
     if a.ndim < 2:
-        w = np.linalg.eigvalsh(y)
-        w = w if f is None else f(w)
-        return np.logical_not(spectrum_is_psd(a[..., None] - w))
+
+        def exact(ys, rows_a):
+            w = np.linalg.eigvalsh(ys)
+            w = w if f is None else f(w)
+            return np.logical_not(spectrum_is_psd(rows_a[..., None] - w))
+
+        power = _SCREEN_POWER.get(f)
+        return exact(y, a) if power is None else screened(y, a, exact, power)
     fy = y if f is None else apply_spectral(f, y)
     return np.logical_not(loewner_leq(fy, a))
 
