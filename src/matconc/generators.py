@@ -29,6 +29,13 @@ variance, and (where finite) p-th moments:
     ``X = x x^T`` with ``x = sqrt(w) A^{1/2} z / ||z||``: rank-one draws
     supported on the ellipsoid ``x^T A^{-1} x <= 1``, the equality case
     of the randomized Markov bound.
+
+Sampling has two parts.  :meth:`GeneratorSpec.draw` draws a block's
+random numbers (the scalar ``t`` or the vectors above) and builds no
+matrix; indexing the :class:`Draws` it returns over trials and steps
+builds just those matrices.  :meth:`GeneratorSpec.sample_batch` is the
+whole stack, ``draw(...)[:, :]``, so each law is written once, and a
+slice built from the draws equals the same slice of the stack exactly.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from . import rng as _rng
 from . import symmat as sm
 from .errors import ConfigError
 
-__all__ = ["GENERATOR_KINDS", "GeneratorSpec", "generate_path"]
+__all__ = ["GENERATOR_KINDS", "Draws", "GeneratorSpec", "generate_path"]
 
 GENERATOR_KINDS = (
     "RADEMACHER_SCALED",
@@ -142,6 +149,42 @@ class GeneratorSpec:
     # ------------------------------------------------------------------
     # sampling
 
+    def draw(self, gen: np.random.Generator, trials: int, n: int) -> Draws:
+        """The random part of ``trials`` independent paths of ``n`` draws.
+
+        Makes the RNG calls of :meth:`sample_batch` in the same order but
+        builds no matrix; index the result to build the ones needed.
+        """
+        d = self.dim
+        if self.kind == "RADEMACHER_SCALED":
+            return Draws(self, gen.integers(0, 2, size=(trials, n)) * 2.0 - 1.0)
+        if self.kind == "GAUSSIAN_SCALED":
+            return Draws(self, gen.standard_normal((trials, n)))
+        if self.kind == "BOUNDED_PSD":
+            return Draws(self, gen.uniform(-1.0, 1.0, size=(trials, n)))
+        if self.kind == "SYMMETRIC_HEAVY":
+            w = gen.pareto(self.tail_index, size=(trials, n)) + 1.0
+            sign = gen.integers(0, 2, size=(trials, n)) * 2.0 - 1.0
+            return Draws(self, sign * w)
+        if self.kind == "EXCHANGEABLE_MIXTURE":
+            t = gen.normal(0.0, self.tau, size=(trials, 1))
+            g = gen.standard_normal((trials, n))
+            return Draws(self, g, shift=np.broadcast_to(t, g.shape))
+        if self.kind == "IID_WISHART_LIKE":
+            return Draws(self, None, gen.standard_normal((trials, n, d)))
+        if self.kind == "HEAVY_PSD":
+            w = gen.pareto(self.tail_index, size=(trials, n)) + 1.0
+            u = gen.standard_normal((trials, n, d))
+            u /= np.linalg.norm(u, axis=-1, keepdims=True)
+            return Draws(self, w, u)
+        if self.kind == "ELLIPSOID_RANK1":
+            z = gen.standard_normal((trials, n, d))
+            z /= np.linalg.norm(z, axis=-1, keepdims=True)
+            w = gen.random((trials, n))
+            x = np.sqrt(w)[..., None] * np.einsum("ij,...j->...i", self._a_root, z)
+            return Draws(self, None, x)
+        raise AssertionError(self.kind)
+
     def sample_batch(self, gen: np.random.Generator, trials: int, n: int) -> np.ndarray:
         """Stack of ``trials`` independent paths of ``n`` draws each.
 
@@ -149,45 +192,7 @@ class GeneratorSpec:
         i.i.d. except for EXCHANGEABLE_MIXTURE, which shares one latent
         shift per path.
         """
-        d = self.dim
-        if self.kind == "RADEMACHER_SCALED":
-            r = gen.integers(0, 2, size=(trials, n)) * 2.0 - 1.0
-            return self.m + r[..., None, None] * self.c
-        if self.kind == "GAUSSIAN_SCALED":
-            g = gen.standard_normal((trials, n))
-            return self.m + g[..., None, None] * self.c
-        if self.kind == "BOUNDED_PSD":
-            t = gen.uniform(-1.0, 1.0, size=(trials, n))
-            return self.m + t[..., None, None] * self._spread
-        if self.kind == "SYMMETRIC_HEAVY":
-            w = gen.pareto(self.tail_index, size=(trials, n)) + 1.0
-            sign = gen.integers(0, 2, size=(trials, n)) * 2.0 - 1.0
-            return self.m + (sign * w)[..., None, None] * self.d_dir
-        if self.kind == "EXCHANGEABLE_MIXTURE":
-            t = gen.normal(0.0, self.tau, size=(trials, 1))
-            g = gen.standard_normal((trials, n))
-            return (
-                self.m
-                + t[..., None, None] * self.d_dir
-                + g[..., None, None] * self.c
-            )
-        if self.kind == "IID_WISHART_LIKE":
-            g = gen.standard_normal((trials, n, d))
-            ggt = np.einsum("...i,...j->...ij", g, g)
-            return self.m + self.scale * (ggt - np.eye(d))
-        if self.kind == "HEAVY_PSD":
-            w = gen.pareto(self.tail_index, size=(trials, n)) + 1.0
-            u = gen.standard_normal((trials, n, d))
-            u /= np.linalg.norm(u, axis=-1, keepdims=True)
-            uut = np.einsum("...i,...j->...ij", u, u)
-            return self.scale * w[..., None, None] * uut
-        if self.kind == "ELLIPSOID_RANK1":
-            z = gen.standard_normal((trials, n, d))
-            z /= np.linalg.norm(z, axis=-1, keepdims=True)
-            w = gen.random((trials, n))
-            x = np.sqrt(w)[..., None] * np.einsum("ij,...j->...i", self._a_root, z)
-            return np.einsum("...i,...j->...ij", x, x)
-        raise AssertionError(self.kind)
+        return self.draw(gen, trials, n)[:, :]
 
     def sample_path(self, gen: np.random.Generator, n: int) -> np.ndarray:
         """One path of ``n`` draws, shape ``(n, dim, dim)``."""
@@ -290,6 +295,49 @@ class GeneratorSpec:
             "BOUNDED_PSD",
             "SYMMETRIC_HEAVY",
         )
+
+
+@dataclass(frozen=True, eq=False)
+class Draws:
+    """The random part of a block of paths, standing for their matrix stack.
+
+    ``shape`` is that of the stack, ``(trials, n, dim, dim)``; indexing
+    it over trials and steps (``draws[rows, steps]``) builds only those
+    matrices, each by the elementwise expression of the kind.  ``coef``
+    is the scalar of the ``M + t C`` kinds or the weight of HEAVY_PSD,
+    ``vec`` the vectors of the rank-one kinds (``x`` itself for
+    ELLIPSOID_RANK1), ``shift`` the per-path latent of
+    EXCHANGEABLE_MIXTURE, broadcast over the steps.
+    """
+
+    spec: GeneratorSpec
+    coef: np.ndarray | None
+    vec: np.ndarray | None = None
+    shift: np.ndarray | None = None
+
+    @property
+    def shape(self) -> tuple[int, int, int, int]:
+        d = self.spec.dim
+        return (self.coef if self.vec is None else self.vec).shape[:2] + (d, d)
+
+    def __getitem__(self, key) -> np.ndarray:
+        g = self.spec
+        if g.kind in ("RADEMACHER_SCALED", "GAUSSIAN_SCALED"):
+            return g.m + self.coef[key][..., None, None] * g.c
+        if g.kind == "BOUNDED_PSD":
+            return g.m + self.coef[key][..., None, None] * g._spread
+        if g.kind == "SYMMETRIC_HEAVY":
+            return g.m + self.coef[key][..., None, None] * g.d_dir
+        if g.kind == "EXCHANGEABLE_MIXTURE":
+            t = self.shift[key][..., None, None]
+            return g.m + t * g.d_dir + self.coef[key][..., None, None] * g.c
+        v = self.vec[key]
+        outer = np.einsum("...i,...j->...ij", v, v)
+        if g.kind == "IID_WISHART_LIKE":
+            return g.m + g.scale * (outer - np.eye(g.dim))
+        if g.kind == "HEAVY_PSD":
+            return g.scale * self.coef[key][..., None, None] * outer
+        return outer
 
 
 def generate_path(g: GeneratorSpec, n: int, seed: int | None = None) -> np.ndarray:

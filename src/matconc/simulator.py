@@ -12,6 +12,12 @@ draws from counter-based substreams keyed by ``(seed, tag, j)``, where
 the tag identifies the bound family.  Block boundaries depend only on
 the trial count and the data shape, never on the worker count, so a run
 is bit-for-bit reproducible no matter how it is parallelized.
+
+A block keeps its random numbers (:meth:`GeneratorSpec.draw`), not the
+``(block, n, d, d)`` stack they stand for: a path run builds each step's
+matrices when it takes that step, and a fixed-time event on the mean of
+``n`` draws receives means built a cache-sized chunk of trials at a time.
+Every matrix and every mean comes out as it would from the whole stack.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from . import martingales as mg
 from . import rng as _rng
 from . import scalar_e as se
 from . import symmat as sm
-from .errors import ConfigError, IncompatiblePair
+from .errors import ConfigError, IncompatiblePair, MatconcError
 from .generators import GeneratorSpec
 from .report import McReport
 
@@ -47,9 +53,13 @@ __all__ = [
     "falsify_conjecture",
 ]
 
-# Largest data array held per block, in scalar cells; keeps peak memory
-# for a (block, n, d, d) stack around one hundred megabytes.
+# Cells of the (block, n, d, d) stack a block stands for.  It sets the
+# block boundaries, and so which substream draws each trial: it is part
+# of the reproducibility contract, not a bound on memory (a block keeps
+# only its draws and builds its matrices a step or a chunk at a time).
 _CELL_BUDGET = 1 << 24
+# Cells of the matrices built at once for the mean of a fixed-time block.
+_MEAN_CHUNK_CELLS = 1 << 16
 _FIXED_BLOCK_CAP = 8192
 _PATH_BLOCK_CAP = 1024
 
@@ -81,15 +91,60 @@ class McConfig:
         return self.base_seed if self.base_seed is not None else _rng.default_seed()
 
 
+#: the numeric parameters and their type, cast by :func:`_take`
+_NUMBER_PARAMS = {
+    "n": int,
+    "n_start": int,
+    "n_max": int,
+    "target": float,
+    "p": float,
+    "gamma": float,
+    "a_scalar": float,
+    "alpha0": float,
+    "alpha": float,
+    "gamma_scale": float,
+}
+
+
+def _number(val, key: str, kind=float):
+    """``kind(val)`` for a finite number, or a ConfigError naming the parameter ``key``."""
+    try:
+        out = kind(val)
+    except (TypeError, ValueError, OverflowError):
+        out = math.nan
+    if not math.isfinite(out):
+        raise ConfigError(f"parameter {key!r} must be a finite number, got {val!r}")
+    return out
+
+
+def _matrix(val, key: str, dim: int) -> np.ndarray:
+    """The symmetric ``dim x dim`` matrix ``val``, or a ConfigError naming ``key``."""
+    try:
+        mat = sm.symmat(val)
+    except (TypeError, ValueError, MatconcError) as exc:
+        raise ConfigError(f"parameter {key!r} must be a symmetric matrix: {exc}") from None
+    if mat.shape[0] != dim:
+        raise ConfigError(f"parameter {key!r} has dimension {mat.shape[0]}, expected {dim}")
+    return mat
+
+
 def _take(params: dict | None, defaults: dict) -> dict:
+    """``params`` over ``defaults``, numeric ones cast (None keeps a None default)."""
+    if params is not None and not isinstance(params, dict):
+        raise ConfigError(f"params must be an object, got {params!r}")
     merged = dict(defaults)
-    if params:
-        for key, val in params.items():
-            if key not in defaults:
-                raise ConfigError(
-                    f"unknown parameter {key!r}; expected one of {sorted(defaults)}"
-                )
-            merged[key] = val
+    for key, val in (params or {}).items():
+        if key not in defaults:
+            raise ConfigError(
+                f"unknown parameter {key!r}; expected one of {sorted(defaults)}"
+            )
+        merged[key] = val
+    for key, val in merged.items():
+        if key in _NUMBER_PARAMS and not (val is None and defaults[key] is None):
+            merged[key] = _number(val, key, _NUMBER_PARAMS[key])
+    # every default threshold divides by its target tail probability
+    if "target" in merged and merged["target"] <= 0.0:
+        raise ConfigError(f"target must be positive, got {merged['target']}")
     return merged
 
 
@@ -98,17 +153,19 @@ def _norm_stopping(raw, horizon: int) -> dict:
         raw = {"kind": "first_crossing"}
     if isinstance(raw, str):
         raw = {"kind": raw}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"stopping must be a kind name or an object, got {raw!r}")
     kind = raw.get("kind")
     if kind not in _STOPPING_KINDS:
         raise ConfigError(f"stopping kind must be one of {_STOPPING_KINDS}, got {kind!r}")
     out = {"kind": kind}
     if kind == "fixed":
-        n = int(raw.get("n", horizon))
+        n = _number(raw.get("n", horizon), "n", int)
         if not 1 <= n <= horizon:
             raise ConfigError(f"fixed stopping time {n} outside 1..{horizon}")
         out["n"] = n
     elif kind == "geometric":
-        q = float(raw.get("q", 0.02))
+        q = _number(raw.get("q", 0.02), "q")
         if not 0.0 < q < 1.0:
             raise ConfigError(f"geometric parameter must be in (0,1), got {q}")
         out["q"] = q
@@ -120,17 +177,17 @@ def _norm_randomizer(raw, dim: int) -> tuple[str, np.ndarray | None]:
         raw = "scaled_identity"
     if isinstance(raw, str):
         kind, shift = raw, None
-    else:
+    elif isinstance(raw, dict):
         kind = raw.get("kind", "scaled_identity")
         shift = raw.get("y")
+    else:
+        raise ConfigError(f"randomizer must be a kind name or an object, got {raw!r}")
     if kind not in ("identity", "scaled_identity", "shifted"):
         raise ConfigError(f"unsupported randomizer kind {kind!r}")
     if kind == "shifted":
         if shift is None:
             raise ConfigError("shifted randomizer needs the offset matrix y")
-        shift = sm.symmat(shift)
-        if shift.shape[0] != dim:
-            raise ConfigError("randomizer offset dimension mismatch")
+        shift = _matrix(shift, "y", dim)
         if not sm.is_psd(shift):
             raise ConfigError("randomizer offset must be PSD")
     else:
@@ -218,7 +275,7 @@ def _prep_ummi(params, gen, mc):
     p = _take(params, {"a": None, "randomizer": None, "target": 0.5})
     mean_x = gen.mean()
     if p["a"] is not None:
-        a = sm.symmat(p["a"])
+        a = _matrix(p["a"], "a", gen.dim)
     elif gen.kind == "ELLIPSOID_RANK1":
         a = gen.a.copy()  # the supporting ellipsoid: equality case
     else:
@@ -235,14 +292,14 @@ def _prep_ummi(params, gen, mc):
 
 def _prep_cheb(params, gen, mc, n_fixed):
     p = _take(params, {"a": None, "n": n_fixed, "randomizer": None, "target": 0.2})
-    n = int(p["n"])
+    n = p["n"]
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     if n > 1 and gen.kind == "EXCHANGEABLE_MIXTURE":
         raise IncompatiblePair("variance of the running mean needs independent draws")
     v = _moment(gen, "variance")
     if p["a"] is not None:
-        a = sm.symmat(p["a"])
+        a = _matrix(p["a"], "a", gen.dim)
     else:
         a = math.sqrt(sm.trace(v) / (p["target"] * n)) * np.eye(gen.dim)
     rand_kind, shift = _norm_randomizer(p["randomizer"], gen.dim)
@@ -294,12 +351,12 @@ def _prep_umci_n(params, gen, mc):
 )
 def _prep_pcheb1(params, gen, mc):
     p = _take(params, {"p": 1.5, "a": None, "randomizer": None, "target": 0.1})
-    pw = float(p["p"])
+    pw = p["p"]
     if not 1.0 <= pw <= 2.0:
         raise ConfigError(f"p must lie in [1, 2], got {pw}")
     vp = _moment(gen, "pth_central", pw)
     if p["a"] is not None:
-        a = sm.symmat(p["a"])
+        a = _matrix(p["a"], "a", gen.dim)
     else:
         a = (sm.trace(vp) / p["target"]) ** (1.0 / pw) * np.eye(gen.dim)
     rand_kind, shift = _norm_randomizer(p["randomizer"], gen.dim)
@@ -316,7 +373,7 @@ def _prep_pcheb1(params, gen, mc):
 @_register("CHERNOFF1", "fixed", ("RADEMACHER_SCALED", "GAUSSIAN_SCALED"), "RADEMACHER_SCALED")
 def _prep_chernoff1(params, gen, mc):
     p = _take(params, {"gamma": 1.0, "a": None, "randomizer": None, "target": 0.15})
-    gamma = float(p["gamma"])
+    gamma = p["gamma"]
     if gamma <= 0.0:
         raise ConfigError(f"gamma must be positive, got {gamma}")
     m, c = gen.m, gen.c
@@ -333,7 +390,7 @@ def _prep_chernoff1(params, gen, mc):
         exp_moment = sm.mat_exp(two_g * m + (two_g**2 / 2.0) * (c @ c))
     exp_moment = sm.symmat(exp_moment, copy=False)
     if p["a"] is not None:
-        a = sm.symmat(p["a"])
+        a = _matrix(p["a"], "a", gen.dim)
     else:
         a = (math.log(sm.trace(exp_moment) / p["target"]) / two_g) * np.eye(gen.dim)
     rand_kind, shift = _norm_randomizer(p["randomizer"], gen.dim)
@@ -374,7 +431,7 @@ def _prep_ch(params, gen, mc):
             "alpha0": 0.05,
         },
     )
-    n = int(p["n"])
+    n = p["n"]
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     mgf_kind = p["mgf_kind"] or {
@@ -382,7 +439,7 @@ def _prep_ch(params, gen, mc):
         "GAUSSIAN_SCALED": "UNI_GAUSSIAN",
         "BOUNDED_PSD": "SYM_HOEFFDING",
     }[gen.kind]
-    if mgf_kind not in _CH_ROWS:
+    if not isinstance(mgf_kind, str) or mgf_kind not in _CH_ROWS:
         raise ConfigError(f"unknown MGF family {mgf_kind!r}")
     if gen.kind not in _CH_ROWS[mgf_kind]:
         raise IncompatiblePair(f"{mgf_kind} assumptions do not hold for {gen.kind}")
@@ -400,12 +457,14 @@ def _prep_ch(params, gen, mc):
         if mgf_kind == "BENNETT_II":
             row_mat = row_mat + 0.05 * np.eye(gen.dim)
         lam = sm.lambda_max(row_mat)
-    alpha0 = float(p["alpha0"])
-    gamma = float(p["gamma"]) if p["gamma"] is not None else math.sqrt(
+    alpha0 = p["alpha0"]
+    if not 0.0 < alpha0 < gen.dim:
+        raise ConfigError(f"alpha0 must be in (0, {gen.dim}), got {alpha0}")
+    gamma = p["gamma"] if p["gamma"] is not None else math.sqrt(
         2.0 * n * math.log(gen.dim / alpha0) / lam
     )
     a_scalar = (
-        float(p["a_scalar"])
+        p["a_scalar"]
         if p["a_scalar"] is not None
         else 2.0 * math.log(gen.dim / alpha0) / gamma
     )
@@ -439,7 +498,7 @@ def _umvi_common(params, gen, mc, builder):
             "stopping": None,
         },
     )
-    alpha = float(p["alpha"])
+    alpha = p["alpha"]
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0,1), got {alpha}")
     horizon = mc.horizon
@@ -488,7 +547,7 @@ def _umvi_common(params, gen, mc, builder):
         else:
             ref = gen.d_dir
         default_scale = 0.3 / max(sm.spectral_norm(ref), 1e-12)
-    scale = float(p["gamma_scale"]) if p["gamma_scale"] is not None else default_scale
+    scale = p["gamma_scale"] if p["gamma_scale"] is not None else default_scale
     if scale <= 0.0:
         raise ConfigError(f"gamma_scale must be positive, got {scale}")
     plan["gammas"] = _gamma_array(scale, horizon)
@@ -556,12 +615,12 @@ def _prep_mvi(params, gen, mc):
 )
 def _prep_doob(params, gen, mc):
     p = _take(params, {"a": None, "n": 100, "target": 0.1})
-    n = int(p["n"])
+    n = p["n"]
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     v = _moment(gen, "variance")
     if p["a"] is not None:
-        a = sm.symmat(p["a"])
+        a = _matrix(p["a"], "a", gen.dim)
         a_scalar = float(a[0, 0])
         if not np.array_equal(a, a_scalar * np.eye(gen.dim)):
             raise ConfigError("the squared-mean scan needs a scalar threshold a I")
@@ -579,7 +638,7 @@ def _prep_doob(params, gen, mc):
 
 def _scan_common(params, gen, mc, kind, default_target):
     p = _take(params, {"a": None, "p": 1.5, "n_start": 10, "n_max": 300, "target": default_target})
-    n_max = int(p["n_max"])
+    n_max = p["n_max"]
     if n_max < 1:
         raise ConfigError(f"n_max must be >= 1, got {n_max}")
     plan = {"kind": kind, "horizon": n_max, "rand_kind": "identity"}
@@ -588,13 +647,13 @@ def _scan_common(params, gen, mc, kind, default_target):
         tr_ref = sm.trace(v)
         plan["m"] = gen.mean()
     elif kind == "XMPCI":
-        pw = float(p["p"])
+        pw = p["p"]
         if not 1.0 <= pw <= 2.0:
             raise ConfigError(f"p must lie in [1, 2], got {pw}")
         vp = _moment(gen, "pth_raw", pw)
         plan["p"] = pw
     else:  # TRACE_PCHEB
-        pw = float(p["p"])
+        pw = p["p"]
         if pw < 1.0:
             raise ConfigError(f"p must be >= 1, got {pw}")
         vp = _moment(gen, "pth_central", pw)
@@ -602,16 +661,16 @@ def _scan_common(params, gen, mc, kind, default_target):
         plan["m"] = gen.mean()
     if kind == "XMCI":
         a_scalar = (
-            float(p["a"]) if p["a"] is not None else math.sqrt(tr_ref / p["target"])
+            _number(p["a"], "a") if p["a"] is not None else math.sqrt(tr_ref / p["target"])
         )
         plan["a_scalar"] = a_scalar
         plan["bound"] = tr_ref / a_scalar**2
     elif kind == "XMCI2":
-        n_start = int(p["n_start"])
+        n_start = p["n_start"]
         if not 1 <= n_start <= n_max:
             raise ConfigError(f"n_start {n_start} outside 1..{n_max}")
         a_scalar = (
-            float(p["a"])
+            _number(p["a"], "a")
             if p["a"] is not None
             else math.sqrt(tr_ref / (p["target"] * n_start))
         )
@@ -620,7 +679,7 @@ def _scan_common(params, gen, mc, kind, default_target):
         plan["bound"] = tr_ref / (a_scalar**2 * n_start)
     elif kind == "XMPCI":
         a_scalar = (
-            float(p["a"])
+            _number(p["a"], "a")
             if p["a"] is not None
             else (sm.trace(vp) / p["target"]) ** (1.0 / pw)
         )
@@ -629,7 +688,7 @@ def _scan_common(params, gen, mc, kind, default_target):
     else:
         tr_vp = sm.trace(vp)
         a_scalar = (
-            float(p["a"]) if p["a"] is not None else (tr_vp / p["target"]) ** (1.0 / pw)
+            _number(p["a"], "a") if p["a"] is not None else (tr_vp / p["target"]) ** (1.0 / pw)
         )
         plan["a_scalar"] = a_scalar
         plan["bound"] = tr_vp / a_scalar**pw
@@ -687,12 +746,12 @@ def _trace_exp_common(params, gen, mc, kind, moment, scale_coeff, what):
         params,
         {"alpha": 0.05, "gamma_scale": None, "randomizer": None, "stopping": None},
     )
-    alpha = float(p["alpha"])
+    alpha = p["alpha"]
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0,1), got {alpha}")
     v = _moment(gen, moment)
     scale = (
-        float(p["gamma_scale"])
+        p["gamma_scale"]
         if p["gamma_scale"] is not None
         else scale_coeff / max(math.sqrt(sm.lambda_max(v)), 1e-12)
     )
@@ -739,13 +798,23 @@ def _block_size(n_per: int, d: int, cap: int) -> int:
     return max(64, min(cap, _CELL_BUDGET // per_trial))
 
 
+def _block_means(draws) -> np.ndarray:
+    """Mean of each trial's ``n`` matrices, built a chunk of trials at a time."""
+    size, n, d = draws.shape[:3]
+    rows = max(1, _MEAN_CHUNK_CELLS // (n * d * d))
+    return np.concatenate([
+        np.mean(draws[lo:lo + rows], axis=1) for lo in range(0, size, rows)
+    ])
+
+
 def _fixed_block(plan, gen, size, seed, tag, block_idx) -> int:
     """Events of a fixed-time bound: its ``fixed_bounds`` predicate on a block of trials."""
     g_data, g_rand = _rng.spawn_pair(seed, tag, block_idx)
-    xs = gen.sample_batch(g_data, size, plan["n_per"])
+    draws = gen.draw(g_data, size, plan["n_per"])
     u = _draw_us(plan, g_rand, size)
-    # events on the average of n observations read them all
-    x = xs if plan.get("averaged") else xs[:, 0]
+    # an event on the average of n observations gets each trial's mean
+    # as its one observation: the mean of one matrix is that matrix
+    x = _block_means(draws)[:, None] if plan.get("averaged") else draws[:, 0]
     return int(np.count_nonzero(plan["event"](x, u=u)))
 
 
@@ -827,9 +896,11 @@ class _MeanScan(_Process):
         return self.value
 
 
-def first_crossing(proc: _Process, xs: np.ndarray, gammas=None, taus=None) -> np.ndarray:
+def first_crossing(proc: _Process, xs, gammas=None, taus=None) -> np.ndarray:
     """Step ``proc`` along stacked paths ``xs`` of shape (trials, horizon, d, d).
 
+    ``xs`` is the stack or the :class:`~matconc.generators.Draws` that
+    stand for it; step ``n`` reads (and so builds) only ``xs[:, n - 1]``.
     Step ``n`` uses ``gammas[n - 1]``.  A trial stops at its first
     crossing, or at its entry of ``taus`` when given.  Returns each
     trial's stopping step, 0 for a trial that never stopped;
@@ -886,8 +957,8 @@ def _path_process(plan) -> _Process:
     return _MeanScan(kind, plan.get("m"), plan["a_scalar"], plan.get("p"), plan.get("n_start", 1))
 
 
-def _path_events(plan, xs: np.ndarray, g_rand: np.random.Generator) -> np.ndarray:
-    """Per-trial events of a path bound on stacked paths ``xs``."""
+def _path_events(plan, xs, g_rand: np.random.Generator) -> np.ndarray:
+    """Per-trial events of a path bound on stacked paths ``xs`` (see :func:`first_crossing`)."""
     size, horizon, d = xs.shape[0], xs.shape[1], xs.shape[-1]
     kind = plan["kind"]
     stopping = plan.get("stopping", {"kind": "first_crossing"})
@@ -909,8 +980,8 @@ def _path_events(plan, xs: np.ndarray, g_rand: np.random.Generator) -> np.ndarra
 
 def _path_block(plan, gen, size, seed, tag, block_idx) -> int:
     g_data, g_rand = _rng.spawn_pair(seed, tag, block_idx)
-    xs = gen.sample_batch(g_data, size, plan["horizon"])
-    return int(_path_events(plan, xs, g_rand).sum())
+    draws = gen.draw(g_data, size, plan["horizon"])
+    return int(_path_events(plan, draws, g_rand).sum())
 
 
 def _block_task(args) -> int:

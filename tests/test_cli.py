@@ -75,6 +75,32 @@ def test_verify_rejects_bad_config(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: 'dim' must be a number")
 
 
+@pytest.mark.parametrize(
+    "bound,generator,params,key",
+    [
+        ("XMCI", {"kind": "GAUSSIAN_SCALED", "dim": 2, "c": [[0.5, 0.0], [0.0, 0.5]]},
+         {"n_max": "x"}, "'n_max'"),
+        ("TRACE_PCHEB", {"kind": "GAUSSIAN_SCALED", "dim": 2, "c": [[0.5, 0.0], [0.0, 0.5]]},
+         {"p": None}, "'p'"),
+        ("UMVI_MGF", {"kind": "GAUSSIAN_SCALED", "dim": 2, "c": [[0.5, 0.0], [0.0, 0.5]]},
+         {"alpha": "a"}, "'alpha'"),
+        ("UMMI", {"kind": "ELLIPSOID_RANK1", "dim": 2, "a": [[1.0, 0.0], [0.0, 2.0]]},
+         {"randomizer": ["shifted"]}, "randomizer"),
+        ("UMVI_MGF", {"kind": "GAUSSIAN_SCALED", "dim": 2, "c": [[0.5, 0.0], [0.0, 0.5]]},
+         {"stopping": ["fixed"]}, "stopping"),
+    ],
+)
+def test_verify_malformed_params_exit_2(tmp_path, capsys, bound, generator, params, key):
+    cfg = write_json(
+        tmp_path / "cfg.json",
+        {"runs": [{"bound": bound, "generator": generator, "params": params, "trials": 100}]},
+    )
+    assert main(["verify", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert key in err
+
+
 def test_sequential_test_matrix_mode_rejects_shift(tmp_path):
     gen = GeneratorSpec(kind="GAUSSIAN_SCALED", dim=2, m=0.8 * np.eye(2),
                         c=0.3 * np.eye(2))

@@ -192,3 +192,51 @@ def test_batch_matches_path_layout():
     assert single.shape == (6, 2, 2)
     # every draw is symmetric
     assert np.array_equal(batch, np.swapaxes(batch, -1, -2))
+
+
+def _spec(kind, d):
+    """A spec of ``kind`` with non-diagonal, non-commuting parameters."""
+    rng = np.random.default_rng(d)
+    raw = rng.standard_normal((3, d, d))
+    m, c, d_dir = (raw + np.swapaxes(raw, -1, -2)) / 4.0
+    spd = raw[0] @ raw[0].T + d * np.eye(d)
+    params = {
+        "RADEMACHER_SCALED": {"m": m, "c": c},
+        "GAUSSIAN_SCALED": {"m": m, "c": c},
+        "BOUNDED_PSD": {"m": spd, "b": 3.0 * spd},
+        "SYMMETRIC_HEAVY": {"m": m, "d_dir": d_dir, "tail_index": 2.5},
+        "EXCHANGEABLE_MIXTURE": {"m": m, "d_dir": d_dir, "tau": 0.5, "c": c},
+        "IID_WISHART_LIKE": {"m": m, "scale": 0.5},
+        "HEAVY_PSD": {"scale": 1.0, "tail_index": 1.5},
+        "ELLIPSOID_RANK1": {"a": spd},
+    }[kind]
+    return GeneratorSpec(kind=kind, dim=d, **params)
+
+
+def _same_state(a, b):
+    """Equal bit-generator states (nested dicts holding arrays)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_draw_builds_exact_slices_of_sample_batch(kind, d):
+    spec = _spec(kind, d)
+    trials, n, rows = 23, 7, 5
+    g_batch, g_draw = substream(61, d), substream(61, d)
+    stack = spec.sample_batch(g_batch, trials, n)
+    draws = spec.draw(g_draw, trials, n)
+    # the same RNG calls in the same order
+    assert _same_state(g_draw.bit_generator.state, g_batch.bit_generator.state)
+    assert draws.shape == stack.shape == (trials, n, d, d)
+    for step in range(n):
+        assert np.array_equal(draws[:, step], stack[:, step])
+    # trial chunks, the last one ragged (23 = 4 x 5 + 3)
+    for lo in range(0, trials, rows):
+        assert np.array_equal(draws[lo:lo + rows], stack[lo:lo + rows])
+        assert np.array_equal(draws[lo:lo + rows, n - 1], stack[lo:lo + rows, n - 1])
+    assert np.array_equal(draws[:, :], stack)
+    path = spec.sample_path(substream(62, d), n)
+    assert np.array_equal(path, spec.sample_batch(substream(62, d), 1, n)[0])

@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from matconc import simulator as sim
 from matconc.errors import ConfigError, IncompatiblePair
 from matconc.generators import GeneratorSpec
+from matconc.rng import spawn_pair
 from matconc.simulator import (
     FalsifyRecord,
     McConfig,
+    _entry,
     compatible_generators,
     default_generator,
     default_run_specs,
@@ -176,3 +181,92 @@ def test_falsify_conjecture_scalar_case_respects_constant():
     rec = falsify_conjecture(p=1.5, d=1, instances=30, trials_per_instance=1000, seed=22)
     # the scalar contraction constant 2^{2-p} caps the achievable ratio
     assert rec.best_ratio <= 2.0**0.5 + 5.0 * rec.stderr
+
+
+#: (bound, generator kind, params) of every event on the mean of n draws
+AVERAGED_CASES = [
+    ("UMCI_N", "RADEMACHER_SCALED", {"n": 40, "target": 1.5}),
+    ("CHERNOFF_HOEFFDING", "RADEMACHER_SCALED", {"mgf_kind": "RADEMACHER", "n": 40, "alpha0": 0.9}),
+    ("CHERNOFF_HOEFFDING", "GAUSSIAN_SCALED", {"mgf_kind": "UNI_GAUSSIAN", "n": 40, "alpha0": 0.9}),
+    ("CHERNOFF_HOEFFDING", "RADEMACHER_SCALED", {"mgf_kind": "BENNETT_I", "n": 40, "alpha0": 0.9}),
+    ("CHERNOFF_HOEFFDING", "BOUNDED_PSD", {"mgf_kind": "BENNETT_II", "n": 40, "alpha0": 0.9}),
+    ("CHERNOFF_HOEFFDING", "BOUNDED_PSD", {"mgf_kind": "SYM_HOEFFDING", "n": 40, "alpha0": 0.9}),
+]
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("bound,kind,params", AVERAGED_CASES)
+def test_fixed_block_means_over_chunks_match_the_full_stack(bound, kind, params, d):
+    entry = _entry(bound)
+    gen = default_generator(bound, kind, d)
+    plan = entry.prepare(params, gen, FAST)
+    assert plan["averaged"]
+    n = plan["n_per"]
+    # three full chunks of trials and a partial fourth
+    rows = sim._MEAN_CHUNK_CELLS // (n * d * d)
+    trials = 3 * rows + rows // 2
+    seed, block_idx = 808, 2
+    count = sim._fixed_block(plan, gen, trials, seed, entry.tag, block_idx)
+    g_data, g_rand = spawn_pair(seed, entry.tag, block_idx)
+    draws = gen.draw(g_data, trials, n)
+    g_data, _ = spawn_pair(seed, entry.tag, block_idx)
+    xs = gen.sample_batch(g_data, trials, n)
+    assert np.array_equal(sim._block_means(draws), np.mean(xs, axis=1))
+    events = plan["event"](xs, u=sim._draw_us(plan, g_rand, trials))
+    assert count == np.count_nonzero(events)
+    assert 0 < count < trials
+
+
+def _block_peak_bytes(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_block_memory_stays_below_the_sample_stack():
+    # a (trials, n, 5, 5) stack would take 40 MB here and 30 MB below
+    ch = _entry("CHERNOFF_HOEFFDING")
+    gen = default_generator("CHERNOFF_HOEFFDING", "RADEMACHER_SCALED", 5)
+    plan = ch.prepare(None, gen, FAST)
+    peak = _block_peak_bytes(lambda: sim._fixed_block(plan, gen, 2000, 9, ch.tag, 0))
+    assert peak < 16 * 2**20
+    tp = _entry("TRACE_PCHEB")
+    gen = default_generator("TRACE_PCHEB", "SYMMETRIC_HEAVY", 5)
+    plan = tp.prepare(None, gen, FAST)
+    assert plan["horizon"] == 300
+    peak = _block_peak_bytes(lambda: sim._path_block(plan, gen, 512, 9, tp.tag, 0))
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize(
+    "bound,params",
+    [
+        ("XMCI", {"n_max": "x"}),
+        ("TRACE_PCHEB", {"p": None}),
+        ("UMVI_MGF", {"alpha": "a"}),
+        ("UMMI", {"randomizer": ["shifted"]}),
+        ("URSN", {"stopping": ["fixed"]}),
+        ("URSN", {"stopping": {"kind": "geometric", "q": [0.1]}}),
+        ("UMMI", {"a": "x"}),
+        ("UMCI1", {"a": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]}),
+        ("UMVI_SELF_NORMALIZED", {"randomizer": {"kind": "shifted", "y": "k"}}),
+        ("CHERNOFF_HOEFFDING", {"mgf_kind": ["RADEMACHER"]}),
+        ("CHERNOFF_HOEFFDING", {"alpha0": 0}),
+        ("UMMI", {"target": 0}),
+        ("UMVI_MGF", {"gamma_scale": float("nan")}),
+        ("DOOB", {"n": float("inf")}),
+        ("DOOB", ["n", 5]),
+    ],
+)
+def test_malformed_params_raise_config_error_before_sampling(bound, params, monkeypatch):
+    gen = default_generator(bound, _entry(bound).default_kind, 2)
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before validating")
+
+    monkeypatch.setattr(GeneratorSpec, "draw", no_sampling)
+    with pytest.raises(ConfigError):
+        run_coverage(bound, gen, FAST, params)
