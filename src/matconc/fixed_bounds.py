@@ -22,6 +22,22 @@ a positive tilt parameter, ``p`` an exponent in ``[1, 2]``.  The
 randomizer draw ``u`` follows :func:`~matconc.symmat.exceeds`: a matrix
 ``U`` (or one per trial) is the general form; a scalar (or one per
 trial) stands for ``u I`` and takes the event's closed-form threshold.
+
+With one scalar ``u`` per trial, the thresholds of the Markov, Chebyshev
+and p-Chebyshev events are ``t B`` for one matrix ``B`` (``u A``,
+``sqrt(u) |A|``, ``u^{1/p} A``), and they are decided by
+:func:`~matconc.symmat.exceeds_scaled`.  Its screen is sound for any
+``B``: ``t B >= t lambda_min(B) I`` and ``lambda_max f(Y) <= ||Y||_F``
+for ``f`` the identity or ``abs``, so a trial with ``||Y||_F`` below
+``t beta`` by the margin of :func:`~matconc.symmat.settles` is ordered,
+where ``beta = lambda_min(B) - SCREEN_ULPS d eps ||B||_F`` is computed
+once per call.  The margin on ``||Y||_F`` covers the rounding that scales
+with ``Y`` (its norm, ``abs(Y)`` through ``eigh``); ``beta`` covers the
+rounding that scales with ``t ||B||``, which an ill-conditioned ``B`` does
+not make small next to ``t lambda_min(B)``: the rounding of
+``lambda_min(B)``, of ``t B``, of ``t B - f(Y)`` and LAPACK's error in its
+eigenvalues.  ``beta <= 0`` settles nothing; the other trials get one
+``eigvalsh`` of ``t B - f(Y)`` each, as without the screen.
 """
 
 from __future__ import annotations
@@ -115,10 +131,13 @@ def _event(hit):
     return bool(hit) if np.ndim(hit) == 0 else hit
 
 
-def _abs_dev_event(x, m, thr):
-    """``abs(X - M) not <= thr``, the Chebyshev-type event."""
+def _abs_dev_event(x, m, thr, t=None):
+    """``abs(X - M) not <= thr``, the Chebyshev-type event; with ``t``, the
+    threshold is ``t thr`` (see :func:`~matconc.symmat.exceeds_scaled`)."""
     dev = np.asarray(x, dtype=np.float64) - sm.symmat(m, copy=False)
-    return _event(sm.exceeds(dev, thr, np.abs))
+    if t is None:
+        return _event(sm.exceeds(dev, thr, np.abs))
+    return _event(sm.exceeds_scaled(dev, t, thr, np.abs))
 
 
 def _log_or_singular(u: np.ndarray):
@@ -144,9 +163,14 @@ def markov_threshold(a: np.ndarray, u) -> np.ndarray:
 
 
 def ummi_event(x, a: np.ndarray, u):
-    """Markov tail event ``X not <= A^{1/2} U A^{1/2}`` for PSD ``X``."""
+    """Markov tail event ``X not <= A^{1/2} U A^{1/2}`` for PSD ``X``.
+
+    For ``U = u I`` the threshold is ``u A``.
+    """
     if np.shape(x)[-2:] != np.shape(a):
         raise DimMismatch("x, a, u must share one dimension")
+    if np.ndim(u) < 2:
+        return _event(sm.exceeds_scaled(x, u, _require_pd(a)))
     return _event(sm.exceeds(x, markov_threshold(a, u)))
 
 
@@ -163,10 +187,8 @@ def chebyshev_event(x, m: np.ndarray, a: np.ndarray, u):
     a = _require_pd(a)
     u = _randomizer(u, a.shape[0])
     if u.ndim < 2:
-        thr = np.sqrt(u)[..., None, None] * sm.mat_abs(a)
-    else:
-        thr = sm.mat_sqrt(a @ u @ a)
-    return _abs_dev_event(x, m, thr)
+        return _abs_dev_event(x, m, sm.mat_abs(a), np.sqrt(u))
+    return _abs_dev_event(x, m, sm.mat_sqrt(a @ u @ a))
 
 
 def chebyshev1_bound(v: np.ndarray, a: np.ndarray) -> float:
@@ -206,11 +228,9 @@ def pcheb1_event(x, m: np.ndarray, a: np.ndarray, u, p: float):
     a = _require_pd(a)
     u = _randomizer(u, a.shape[0])
     if u.ndim < 2:
-        thr = (u ** (1.0 / p))[..., None, None] * a
-    else:
-        half = sm.mat_pow(a, p / 2.0)
-        thr = sm.mat_pow(half @ u @ half, 1.0 / p)
-    return _abs_dev_event(x, m, thr)
+        return _abs_dev_event(x, m, a, u ** (1.0 / p))
+    half = sm.mat_pow(a, p / 2.0)
+    return _abs_dev_event(x, m, sm.mat_pow(half @ u @ half, 1.0 / p))
 
 
 def pcheb1_bound(vp: np.ndarray, a: np.ndarray, p: float) -> float:

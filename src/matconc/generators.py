@@ -315,6 +315,16 @@ class Draws:
     vec: np.ndarray | None = None
     shift: np.ndarray | None = None
 
+    @classmethod
+    def join(cls, parts) -> "Draws":
+        """The trials of ``parts`` (draws of one spec and length), in order, as one block."""
+
+        def cat(name):
+            fields = [getattr(p, name) for p in parts]
+            return None if fields[0] is None else np.concatenate(fields)
+
+        return cls(parts[0].spec, cat("coef"), cat("vec"), cat("shift"))
+
     @property
     def shape(self) -> tuple[int, int, int, int]:
         d = self.spec.dim

@@ -123,11 +123,14 @@ def factor_pair(kind, dev, gamma, *, mgf=None, v=None, root=False):
     left-factor update consumes; exponential factors are then taken at
     half their exponent, not square-rooted.  ``A_n`` depends on gamma
     only: it is one ``(d, d)`` matrix, or None when it is the identity.
-    This is the kernel behind :func:`build_factors`; it validates nothing.
+    This is the kernel behind :func:`build_factors`; it validates nothing,
+    and its spectral maps take the stacks it builds as trusted (they are
+    symmetrized, since ``dev @ dev`` need not be bitwise symmetric, but
+    not re-checked for finiteness).
     """
     if kind == "BETTING":
         e = np.eye(dev.shape[-1]) + gamma * dev
-        return None, (sm.mat_sqrt(e) if root else e)
+        return None, (sm.mat_sqrt(e, trusted=True) if root else e)
     # the exponential builders: A_n = exp(log_a), E_n = exp(log_e)
     if kind == "MGF":
         log_a, log_e = -_mgf_log_growth(mgf, gamma), gamma * dev
@@ -136,8 +139,8 @@ def factor_pair(kind, dev, gamma, *, mgf=None, v=None, root=False):
     else:  # SYMMETRIC_DIST
         log_a, log_e = None, gamma * dev - (gamma**2 / 2.0) * (dev @ dev)
     half = 0.5 if root else 1.0
-    a = None if log_a is None else sm.mat_exp(half * log_a)
-    return a, sm.mat_exp(half * log_e)
+    a = None if log_a is None else sm.mat_exp(half * log_a, trusted=True)
+    return a, sm.mat_exp(half * log_e, trusted=True)
 
 
 def build_factors(

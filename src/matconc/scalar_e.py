@@ -56,6 +56,7 @@ __all__ = [
     "sn_advance",
     "sn_process_step",
     "log_level",
+    "log_trace_exp",
     "ursn_event",
     "hoeffding_eprocess_value",
     "log_hoeffding_eprocess_value",
@@ -124,17 +125,20 @@ class TraceExpState:
         return self.gz.shape[-1]
 
     def exponent(self) -> np.ndarray:
-        """The matrix ``S_n`` inside the trace-exp."""
-        return sm.symmat_stack(self.gz - self.pc)
+        """The matrix ``S_n`` inside the trace-exp.
+
+        The accumulators are built from finite data, so they are not
+        re-validated; they are symmetrized, since the compensator's
+        ``dev @ dev`` terms need not be bitwise symmetric.
+        """
+        return sm.symmat_stack(self.gz - self.pc, trusted=True)
 
     def log_value(self):
         """``log L_n``, computed with an eigenvalue shift against overflow.
 
         A float, or an array with one value per process of a stacked state.
         """
-        w = np.linalg.eigvalsh(self.exponent())
-        top = w[..., -1]
-        return _float_or_stack(top + np.log(np.exp(w - top[..., None]).sum(axis=-1)))
+        return _float_or_stack(log_trace_exp(self.exponent()))
 
     def value(self) -> float:
         """``L_n = tr exp(S_n)``; ``d`` at n = 0, inf past float range."""
@@ -150,6 +154,18 @@ class TraceExpState:
         if self.sum_gamma <= 0.0:
             raise DomainError("no positive-gamma steps accumulated yet")
         return sm.symmat(self.gz / self.sum_gamma, copy=False)
+
+
+def log_trace_exp(s: np.ndarray) -> np.ndarray:
+    """``log tr exp(S)`` per matrix of a symmetric stack ``s`` (..., d, d),
+    as ``lambda_max + log sum_i exp(w_i - lambda_max)`` against overflow.
+
+    Each matrix's value depends on that matrix only, so the value of a
+    row subset equals the same rows of the whole stack's, bit for bit.
+    """
+    w = np.linalg.eigvalsh(s)
+    top = w[..., -1]
+    return top + np.log(np.exp(w - top[..., None]).sum(axis=-1))
 
 
 def _kahan_add(total: np.ndarray, carry: np.ndarray, delta: np.ndarray):
@@ -260,7 +276,8 @@ def ursn_event(state: TraceExpState, alpha: float, u: float) -> bool:
 
 
 def _top(a: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvalsh(sm.symmat_stack(a))[..., -1]
+    """``lambda_max`` per matrix of an accumulator built from finite data."""
+    return np.linalg.eigvalsh(sm.symmat_stack(a, trusted=True))[..., -1]
 
 
 def _float_or_stack(x: np.ndarray):

@@ -33,8 +33,8 @@ from . import martingales as mg
 from . import rng as _rng
 from . import scalar_e as se
 from . import symmat as sm
-from .errors import ConfigError, IncompatiblePair, MatconcError
-from .generators import GeneratorSpec
+from .errors import ConfigError, DomainError, IncompatiblePair, MatconcError
+from .generators import Draws, GeneratorSpec
 from .report import McReport
 
 __all__ = [
@@ -822,18 +822,35 @@ class _Process:
     """A sequential statistic on a stack of paths (or on one path).
 
     ``step(x, gamma)`` absorbs each trial's next observation with step
-    size ``gamma`` and returns the crossing event per trial; ``value`` is
-    then the statistic per trial.  ``freeze(rows)`` copies those trials'
-    value into ``at_stop`` (see :func:`first_crossing`).
+    size ``gamma`` and returns the crossing event per trial.  ``value``
+    is the statistic per trial, formed when it is read and kept until the
+    next step; ``freeze(rows)`` forms it on those trials only and copies
+    it into ``at_stop`` (see :func:`first_crossing`).  A stack of trials
+    decides most rows from an exact norm bound, without the statistic:
+    only rows near the level, rows that stop and the last step need it.
     """
 
-    value = None
     at_stop = None
+    _value = None
+
+    @property
+    def value(self):
+        if self._value is None:
+            self._value = self._form(None)
+        return self._value
+
+    def _form(self, rows):
+        """The statistic of every trial (``rows`` None) or of the trials at ``rows``."""
+        raise NotImplementedError
+
+    def _rows(self, rows):
+        return self._form(rows) if self._value is None else self._value[rows]
 
     def freeze(self, rows) -> None:
+        frozen = self._rows(rows)
         if self.at_stop is None:
-            self.at_stop = np.empty_like(self.value)
-        self.at_stop[rows] = self.value[rows]
+            self.at_stop = np.empty(rows.shape + frozen.shape[1:], dtype=frozen.dtype)
+        self.at_stop[rows] = frozen
 
 
 class FactorProcess(_Process):
@@ -842,28 +859,77 @@ class FactorProcess(_Process):
     ``a`` is a threshold matrix or a scalar standing for ``a I``; ``mgf``
     and ``v`` are the builder's parameters (see
     :func:`~matconc.martingales.factor_pair`).
+
+    A stack of trials with a threshold ``a I`` is decided without ``Y``
+    where an exact bound allows: ``lambda_max(Y) = ||L||_2^2 <= ||L||_F^2
+    = tr Y``, so a trial whose ``||L||_F^2`` sits below ``a`` by the
+    margin of :func:`~matconc.symmat.settles` at ``power = 2`` has not
+    crossed.  The margin covers the rounding of the ``d^2`` squares, of
+    the product ``L L^T`` (``d`` ulps of ``||L||_F^2``) and LAPACK's error
+    in the eigenvalues of ``Y``, so the rule on ``Y`` would find that trial
+    ordered too.  ``Y`` is formed only on the other trials, each matrix
+    bitwise as in the whole stack's product, and decided by
+    :func:`~matconc.martingales.exceeds` as before.  A lone trial, whose
+    value ``matconc test`` reads at every step, is decided on ``Y``, and
+    raises DomainError when ``Y`` holds a NaN.  In a stack, a non-finite
+    trial is never settled and takes the rule on ``Y`` as before.
     """
 
     def __init__(self, builder, m, a, mgf=None, v=None):
         self.builder, self.m, self.a = builder, m, a
         self.params = {"mgf": mgf, "v": v}
         self.state = mg.MatSupermartingaleState.start(m.shape[0])
+        a = np.asarray(a, dtype=np.float64)
+        if a.ndim == 2 and np.array_equal(a, a[0, 0] * np.eye(a.shape[0])):
+            a = a[0, 0]
+        self._level = None if a.ndim else a
 
     def step(self, x, gamma):
         roots = mg.factor_pair(self.builder, x - self.m, gamma, root=True, **self.params)
         self.state = self.state.advance(*roots)
-        self.value = self.state.value()
-        return mg.exceeds(self.value, self.a)
+        return self.decide()
+
+    def decide(self):
+        """Crossing event of each trial's current state."""
+        self._value = None
+        left, level = self.state.left, self._level
+        if left.ndim == 2 and np.isnan(self.value).any():
+            # the kernels do not re-validate their stacks: a non-finite
+            # exponent shows as NaN in the factors
+            raise DomainError("process state is not finite")
+        if level is None or left.ndim == 2:
+            return mg.exceeds(self.value, self.a if level is None else level)
+        sq = np.einsum("...ij,...ij->...", left, left)
+        settled = sm.settles(sq, level, left.shape[-1], power=2.0)
+        return sm.unsettled_events(settled, lambda rows: mg.exceeds(self._rows(rows), level))
+
+    def _form(self, rows):
+        left = self.state.left
+        return mg.MatSupermartingaleState(left if rows is None else left[rows]).value()
 
     def freeze(self, rows) -> None:
         super().freeze(rows)
         # a stopped trial's value is recorded; restarting it keeps its product bounded
         self.state.left[rows] = np.eye(self.m.shape[0])
+        self._value = None
 
 
 class TraceExpProcess(_Process):
     """The self-normalized trace-exp process in log space, or with ``b`` the
-    Hoeffding e-process derived from it; crosses at ``log(d / alpha)``."""
+    Hoeffding e-process derived from it; crosses at ``log(d / alpha)``.
+
+    A stack of trials is decided without an eigenvalue per trial where an
+    exact bound allows.  The trace-exp value obeys ``log tr e^S <= log d +
+    lambda_max(S) <= log d + ||S||_F``; the Hoeffding value
+    ``lambda_max(G) - lambda_max(B_n) / 2`` (``G`` the tilt, ``B_n = sum
+    gamma_i^2 B_i`` shared by all trials, one ``eigvalsh`` per step) obeys
+    ``lambda_max(G) <= ||G||_F``.  A trial whose bound sits below the
+    level by the margin of :func:`~matconc.symmat.settles` has not
+    crossed: the margin also covers the rounding of ``log d`` and of the
+    shifted log-sum-exp.  The statistic is formed on the other trials
+    only.  A lone trial is decided on its value.  A state with a
+    non-finite entry raises DomainError, as the validated kernels did.
+    """
 
     def __init__(self, m, v, alpha, b=None):
         self.m, self.v, self.b = m, v, b
@@ -872,11 +938,37 @@ class TraceExpProcess(_Process):
 
     def step(self, x, gamma):
         self.state = se.sn_advance(self.state, x - self.m, self.v, gamma, self.b)
+        return self.decide()
+
+    def decide(self):
+        """Crossing event of each trial's current state."""
+        self._value = None
+        d = self.m.shape[0]
         if self.b is None:
-            self.value = self.state.log_value()
+            self._mat = self.state.exponent()
+            level, offset = self.level, math.log(d)
         else:
-            self.value = se.log_hoeffding_eprocess_value(self.state)
-        return self.value >= self.level
+            # the symmetric tilt that the eigenvalue rule reads, so that the norm bounds it
+            self._mat = sm.symmat_stack(self.state.gz, trusted=True)
+            self._half_top_b = 0.5 * se._top(self.state.sum_gamma_sq_b)
+            level, offset = self.level + self._half_top_b, 0.0
+        lone = self._mat.ndim == 2
+        sq = None if lone else sm._eig_frobenius_sq(self._mat)
+        # a stack is finite where ||S||_F^2 is, short of overflowing squares
+        if (lone or not np.isfinite(sq).all()) and not np.isfinite(self._mat).all():
+            raise DomainError("matrix entries must be finite")
+        if lone:
+            return self.value >= self.level
+        settled = sm.settles(sq, level, d, offset=offset)
+        return sm.unsettled_events(settled, lambda rows: self._rows(rows) >= self.level)
+
+    def _form(self, rows):
+        mat = self._mat if rows is None else self._mat[rows]
+        if self.b is None:
+            stat = se.log_trace_exp(mat)
+        else:
+            stat = np.linalg.eigvalsh(mat)[..., -1] - self._half_top_b
+        return se._float_or_stack(stat) if rows is None else stat
 
 
 class _MeanScan(_Process):
@@ -890,10 +982,10 @@ class _MeanScan(_Process):
     def step(self, x, gamma=None):
         self.total, self.n = self.total + x, self.n + 1
         if self.n < self.n_start:
-            self.value = np.zeros(x.shape[0], dtype=bool)
+            self._value = np.zeros(x.shape[0], dtype=bool)
         else:
-            self.value = mg.scan_exceeds(self.kind, self.total / self.n, self.m, self.a, self.p)
-        return self.value
+            self._value = mg.scan_exceeds(self.kind, self.total / self.n, self.m, self.a, self.p)
+        return self._value
 
 
 def first_crossing(proc: _Process, xs, gammas=None, taus=None) -> np.ndarray:
@@ -924,8 +1016,11 @@ def first_crossing(proc: _Process, xs, gammas=None, taus=None) -> np.ndarray:
 def sequential_test_stops(gen, m, v, gammas, alpha: float, trials: int, seed: int) -> dict:
     """Stopping steps of the MATRIX and SCALAR sequential tests on simulated paths.
 
-    Trial ``t`` draws its path from ``substream(seed, 0xC0DE, t)``; paths
-    are stacked in blocks sized by the cell budget.  Both rules run the
+    Trial ``t`` draws its path from ``substream(seed, 0xC0DE, t)``, with
+    the RNG calls of :meth:`~matconc.generators.GeneratorSpec.sample_path`;
+    the draws of a block of trials, sized by the cell budget, are joined
+    into one :class:`~matconc.generators.Draws`, and each step builds only
+    its own matrices.  Both rules run the
     self-normalized process with variance bound ``v`` against the
     hypothesized mean ``m`` with step sizes ``gammas``: MATRIX rejects
     when ``Y_n`` escapes ``(d / alpha) I``, SCALAR when ``L_n`` reaches
@@ -936,8 +1031,8 @@ def sequential_test_stops(gen, m, v, gammas, alpha: float, trials: int, seed: in
     block = _block_size(horizon, d, _PATH_BLOCK_CAP)
     stops = {"matrix": [], "scalar": []}
     for lo in range(0, trials, block):
-        xs = np.stack([
-            gen.sample_path(_rng.substream(seed, 0xC0DE, t), horizon)
+        xs = Draws.join([
+            gen.draw(_rng.substream(seed, 0xC0DE, t), 1, horizon)
             for t in range(lo, min(trials, lo + block))
         ])
         matrix = FactorProcess("SELF_NORMALIZED", m, d / alpha, v=v)

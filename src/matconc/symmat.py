@@ -15,10 +15,16 @@ eigenvalue tolerance.
 :func:`apply_spectral`, :func:`mat_exp`, :func:`mat_sqrt`, :func:`mat_abs`,
 :func:`mat_pow`, :func:`is_psd`, :func:`loewner_leq` and :func:`exceeds`
 also take stacks ``(..., d, d)`` and act on each matrix; the batched
-Monte Carlo kernels rely on this.  Threshold tests against ``a I`` are
-screened (:func:`screened`): an exact Frobenius-norm bound settles the
-matrices that sit clearly below the threshold, and ``eigvalsh`` runs on
-the rest only, with the same events as running it on every matrix.
+Monte Carlo kernels rely on this.  Threshold tests against ``a I`` and
+``t B`` are screened (:func:`exceeds`, :func:`exceeds_scaled`): an exact
+Frobenius-norm bound settles the matrices that sit clearly below the
+threshold, and ``eigvalsh`` runs on the rest only, with the same events
+as running it on every matrix.  :func:`settles` holds the margin that
+makes a settled row one the exact rule also finds ordered, and
+:func:`unsettled_events` runs the exact rule on the rows left; the
+sequential processes screen with them without forming their statistic.
+Kernels pass ``trusted=True`` for stacks they built from finite data,
+which are symmetrized but not re-validated.
 """
 
 from __future__ import annotations
@@ -56,7 +62,10 @@ __all__ = [
     "loewner_leq",
     "loewner_geq",
     "exceeds",
+    "exceeds_scaled",
     "screened",
+    "settles",
+    "unsettled_events",
     "is_psd",
     "spectrum_is_psd",
     "curlyvee",
@@ -127,13 +136,19 @@ def symmat(m, *, copy: bool = True) -> np.ndarray:
     return symmat_stack(a)
 
 
-def symmat_stack(m) -> np.ndarray:
-    """:func:`symmat` for a stack ``(..., d, d)``: validated symmetric part of each matrix."""
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise DimMismatch(f"expected square matrices, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise DomainError("matrix entries must be finite")
+def symmat_stack(m, *, trusted: bool = False) -> np.ndarray:
+    """:func:`symmat` for a stack ``(..., d, d)``: validated symmetric part of each matrix.
+
+    ``trusted`` skips the conversion and the checks, for a float64 stack
+    that the caller built from finite data: only the symmetric part is taken.
+    """
+    a = m
+    if not trusted:
+        a = np.asarray(m, dtype=np.float64)
+        if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+            raise DimMismatch(f"expected square matrices, got shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise DomainError("matrix entries must be finite")
     return (a + np.swapaxes(a, -1, -2)) / 2.0
 
 
@@ -203,7 +218,9 @@ def eigh_decomp(a: np.ndarray) -> SpectralDecomp:
     return SpectralDecomp(eigenvalues=w, eigenvectors=q)
 
 
-def apply_spectral(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray) -> np.ndarray:
+def apply_spectral(
+    f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, *, trusted: bool = False
+) -> np.ndarray:
     """Apply a scalar function to a symmetric matrix through its spectrum.
 
     Parameters
@@ -212,6 +229,9 @@ def apply_spectral(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray) -> np.n
         Vectorized map on the eigenvalue array.
     a : ndarray, shape (..., d, d)
         Symmetric matrix, or a stack of them.
+    trusted : bool, default False
+        ``a`` is a float64 stack built from finite data; it is symmetrized
+        but not validated (see :func:`symmat_stack`).
 
     Returns
     -------
@@ -219,7 +239,7 @@ def apply_spectral(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray) -> np.n
         ``Q diag(f(w)) Q.T``, explicitly re-symmetrized to absorb
         floating-point drift.
     """
-    w, q = np.linalg.eigh(symmat_stack(a))
+    w, q = np.linalg.eigh(symmat_stack(a, trusted=trusted))
     fw = np.asarray(f(w), dtype=np.float64)
     if fw.shape != w.shape:
         raise DomainError("spectral map must return one value per eigenvalue")
@@ -233,9 +253,9 @@ def _eig_scale(w: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))
 
 
-def mat_exp(a: np.ndarray) -> np.ndarray:
+def mat_exp(a: np.ndarray, *, trusted: bool = False) -> np.ndarray:
     """Matrix exponential of a symmetric matrix (or of each in a stack)."""
-    return apply_spectral(np.exp, a)
+    return apply_spectral(np.exp, a, trusted=trusted)
 
 
 def mat_log(a: np.ndarray, *, floor: float = LOG_EIG_FLOOR) -> np.ndarray:
@@ -270,13 +290,14 @@ def _clamped_nonneg(w: np.ndarray, tol_psd: float) -> np.ndarray:
     return np.maximum(w, 0.0)
 
 
-def mat_sqrt(a: np.ndarray, *, tol_psd: float = TOL_PSD) -> np.ndarray:
+def mat_sqrt(a: np.ndarray, *, tol_psd: float = TOL_PSD, trusted: bool = False) -> np.ndarray:
     """Principal square root of a symmetric PSD matrix (or of each in a stack).
 
     Eigenvalues within ``-tol_psd * scale`` of zero are clamped to zero
     before the root is taken; more negative spectra raise ``DomainError``.
+    ``trusted`` is as in :func:`apply_spectral`.
     """
-    w, q = np.linalg.eigh(symmat_stack(a))
+    w, q = np.linalg.eigh(symmat_stack(a, trusted=trusted))
     return _recompose(q, np.sqrt(_clamped_nonneg(w, tol_psd)))
 
 
@@ -406,7 +427,7 @@ def loewner_geq(a: np.ndarray, b: np.ndarray, *, tol_psd: float = TOL_PSD) -> bo
     return loewner_leq(b, a, tol_psd=tol_psd)
 
 
-#: Screen margin in ulps per unit of dimension; see :func:`screened`.
+#: Screen margin in ulps per unit of dimension; see :func:`settles`.
 SCREEN_ULPS = 256
 
 #: Threshold maps whose statistic ``max_i f(w_i)`` is at most ``||Y||_F ** power``.
@@ -426,6 +447,45 @@ def _eig_frobenius_sq(y) -> np.ndarray:
     return np.einsum("...ij,...ij,ij->...", y, y, _lower_weights(y.shape[-1]))
 
 
+def settles(sq, a, d: int, power: float = 1.0, scale: float = 1.0, offset: float = 0.0):
+    """Rows that an exact norm bound settles as not crossed.
+
+    The caller guarantees that ``offset + scale * sq ** (power / 2)``, with
+    ``sq >= 0`` a squared Frobenius norm per row, bounds a statistic of the
+    eigenvalues of a ``d x d`` matrix per row, and that the event is the
+    statistic reaching (or passing) its threshold ``a``, a scalar or one
+    per row.  A row is settled when its bound sits below ``a`` by the
+    relative margin ``power * SCREEN_ULPS * d`` ulps.  The margin covers
+    the rounding of the ``d^2`` squares (at most ``d^2 / 4`` ulps of the
+    norm), of forming the matrix that the exact rule decomposes (``d``
+    ulps of the norm for a product ``L L^T``) and LAPACK's backward error
+    in its eigenvalues (a few ulps of the norm per unit of ``d``), each
+    raised to ``power``, and a few ulps of ``offset``, for ``d`` up to
+    about a thousand; so a settled row is one that the exact rule also
+    calls not crossed.  The bound is trusted only where ``sq`` is a normal
+    float and the threshold finite: zero, tiny, overflowing and non-finite
+    rows, and NaN thresholds, are never settled.
+    """
+    limit = a * (1.0 - power * SCREEN_ULPS * d * _F64.eps)
+    bound = offset + scale * sq ** (power / 2.0)
+    return (sq >= _F64.tiny) & (bound <= limit) & (limit <= _F64.max)
+
+
+def unsettled_events(settled, exact):
+    """Events: ``False`` on the ``settled`` rows, ``exact(rows)`` on the others.
+
+    ``exact`` receives the boolean mask of the rows left (a 0-d ``True``
+    for a single matrix) and returns their events in row order; it is not
+    called when every row is settled.  Returns a ``numpy.bool_`` for a
+    single matrix, else an array.
+    """
+    out = np.zeros(np.shape(settled), dtype=bool)
+    if not settled.all():
+        rows = ~settled
+        out[rows] = exact(rows)
+    return out[()]
+
+
 def screened(y, a, exact, power: float = 1.0, scale: float = 1.0):
     """Row events ``exact(y_rows, a_rows)``, computed only on the rows that
     the norm bound ``scale * ||S||_F ** power`` cannot settle.
@@ -433,27 +493,19 @@ def screened(y, a, exact, power: float = 1.0, scale: float = 1.0):
     ``exact`` compares a statistic of each matrix's eigenvalues with its
     threshold ``a`` (a scalar or one per matrix), ``True`` meaning crossed;
     the caller guarantees that ``scale * ||S||_F ** power`` bounds that
-    statistic exactly.  A row is settled as not crossed when its bound sits
-    below ``a`` by the relative margin ``power * SCREEN_ULPS * d`` ulps.
-    The margin covers the rounding of the ``d^2`` squares (at most
-    ``d^2 / 4`` ulps of the norm) and LAPACK's backward error in the
-    eigenvalues (a few ulps of ``||S||_2`` per unit of ``d``), each raised
-    to ``power``, for ``d`` up to about a thousand; so a settled row is one
-    that ``exact`` also calls not crossed.  The bound is trusted only when
-    ``||S||_F^2`` is a normal float and the threshold finite; zero, tiny,
-    overflowing and non-finite rows, as well as NaN thresholds, reach
-    ``exact``.  Returns a ``numpy.bool_`` for one matrix, else an array.
+    statistic exactly, ``S`` being the symmetric matrix that ``eigvalsh``
+    reads from ``y`` (its lower triangle, mirrored).  The margin, and the
+    rows that are never settled, are those of :func:`settles`.  Returns a
+    ``numpy.bool_`` for one matrix, else an array.
     """
     y, a = np.asarray(y, dtype=np.float64), np.asarray(a, dtype=np.float64)
-    sq = _eig_frobenius_sq(y)
-    limit = a * (1.0 - power * SCREEN_ULPS * y.shape[-1] * _F64.eps)
-    settled = (sq >= _F64.tiny) & (scale * sq ** (power / 2.0) <= limit) & (limit <= _F64.max)
-    out = np.zeros(np.shape(settled), dtype=bool)
-    if not settled.all():
-        rows = ~settled
-        a = np.broadcast_to(a, out.shape)[rows]
-        out[rows] = exact(np.broadcast_to(y, out.shape + y.shape[-2:])[rows], a)
-    return out[()]
+    settled = settles(_eig_frobenius_sq(y), a, y.shape[-1], power, scale)
+
+    def rest(rows):
+        shape = settled.shape
+        return exact(np.broadcast_to(y, shape + y.shape[-2:])[rows], np.broadcast_to(a, shape)[rows])
+
+    return unsettled_events(settled, rest)
 
 
 def exceeds(y, a, f=None) -> np.ndarray:
@@ -466,12 +518,13 @@ def exceeds(y, a, f=None) -> np.ndarray:
     None or ``np.abs`` it is first screened with ``max |w_i| <= ||Y||_F``,
     for ``np.square`` with ``max w_i^2 <= ||Y||_F^2`` (see
     :func:`screened`), so ``eigvalsh`` runs only on the rows whose norm
-    comes within the screen margin of ``a``.  The margin covers the
-    rounding of the norm and of ``eigvalsh``, so a settled row is one that
-    the eigenvalue rule, ``TOL_PSD`` tie rule included, also finds ordered.
-    Any other threshold costs one ``eigvalsh`` of ``a - f(Y)``.  ``f`` is an
-    eigenvalue map (``np.abs``, ``np.square``) applied through the
-    spectrum.  Ties count as ordered, as in :func:`loewner_leq`.
+    comes within the screen margin of ``a``.  A settled row has every
+    ``a - f(w_i) > 0``, so the eigenvalue rule, ``TOL_PSD`` tie rule
+    included, also finds it ordered.  Any other threshold costs one
+    ``eigvalsh`` of ``a - f(Y)``; :func:`exceeds_scaled` screens the
+    thresholds ``t B``.  ``f`` is an eigenvalue map (``np.abs``,
+    ``np.square``) applied through the spectrum.  Ties count as ordered,
+    as in :func:`loewner_leq`.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim == 2 and np.array_equal(a, a[0, 0] * np.eye(a.shape[0])):
@@ -487,6 +540,46 @@ def exceeds(y, a, f=None) -> np.ndarray:
         return exact(y, a) if power is None else screened(y, a, exact, power)
     fy = y if f is None else apply_spectral(f, y)
     return np.logical_not(loewner_leq(fy, a))
+
+
+def exceeds_scaled(y, t, b, f=None):
+    """:func:`exceeds` against the thresholds ``t B``: one symmetric matrix
+    ``B`` scaled by ``t``, a scalar or one value per matrix of ``y``.
+
+    A scalar ``t`` is the call ``exceeds(y, t B, f)``.  One ``t`` per
+    matrix makes a stack of thresholds, whose exact rule costs one
+    ``eigvalsh`` of ``t B - f(Y)`` per matrix (after an ``eigh`` of ``Y``
+    for ``f``), so it is screened first.  For ``t > 0``,
+    ``t B >= t lambda_min(B) I``, and ``lambda_max f(Y) <= ||Y||_F ** power``
+    for the maps that :func:`exceeds` screens; so a matrix whose norm bound
+    sits below ``t beta`` by the margin of :func:`settles` is ordered, with
+
+        beta = max(0, lambda_min(B) - SCREEN_ULPS d eps ||B||_F)
+
+    computed once per call.  ``beta`` carries the rounding that scales with
+    ``B`` rather than with ``Y``: that of ``lambda_min(B)``, of ``t B``, of
+    ``t B - f(Y)`` and LAPACK's backward error in its eigenvalues, each a
+    few ulps of ``t ||B||`` per unit of ``d``, which is not small next to
+    ``t lambda_min(B)`` when ``B`` is ill-conditioned.  A ``B`` with
+    ``beta = 0`` (and a ``t <= 0``) settles nothing.  The rows left get the
+    call ``exceeds(y, t B, f)`` would make on them, so the events equal it
+    on every matrix.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    power = _SCREEN_POWER.get(f)
+    if t.ndim == 0 or power is None:
+        return exceeds(y, t[..., None, None] * b, f)
+    y = np.asarray(y, dtype=np.float64)
+    d = y.shape[-1]
+    slack = SCREEN_ULPS * d * _F64.eps * np.sqrt(_eig_frobenius_sq(b))
+    beta = max(np.linalg.eigvalsh(b)[0] - slack, 0.0)
+    settled = settles(_eig_frobenius_sq(y), t * beta, d, power)
+
+    def rest(rows):
+        ys = np.broadcast_to(y, settled.shape + y.shape[-2:])[rows]
+        return exceeds(ys, np.broadcast_to(t, settled.shape)[rows][..., None, None] * b, f)
+
+    return unsettled_events(settled, rest)
 
 
 def curlyvee(a: np.ndarray, b: np.ndarray, *, tol_psd: float = TOL_PSD) -> np.ndarray:

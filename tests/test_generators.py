@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from matconc.errors import ConfigError
-from matconc.generators import GENERATOR_KINDS, GeneratorSpec, generate_path
+from matconc.generators import GENERATOR_KINDS, Draws, GeneratorSpec, generate_path
 from matconc.rng import substream
 from matconc.symmat import is_psd, loewner_leq, spectral_norm
 
@@ -240,3 +240,16 @@ def test_draw_builds_exact_slices_of_sample_batch(kind, d):
     assert np.array_equal(draws[:, :], stack)
     path = spec.sample_path(substream(62, d), n)
     assert np.array_equal(path, spec.sample_batch(substream(62, d), 1, n)[0])
+
+
+@pytest.mark.parametrize("d", [1, 5])
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_joined_draws_build_the_stacked_paths(kind, d):
+    """Per-trial draws joined into one block build each trial's own path, bitwise."""
+    spec = _spec(kind, d)
+    n = 6
+    joined = Draws.join([spec.draw(substream(63, t), 1, n) for t in range(9)])
+    paths = np.stack([spec.sample_path(substream(63, t), n) for t in range(9)])
+    assert joined.shape == paths.shape == (9, n, d, d)
+    for step in range(n):
+        assert joined[:, step].tobytes() == np.ascontiguousarray(paths[:, step]).tobytes()

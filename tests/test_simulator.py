@@ -6,7 +6,7 @@ import pytest
 from matconc import simulator as sim
 from matconc.errors import ConfigError, IncompatiblePair
 from matconc.generators import GeneratorSpec
-from matconc.rng import spawn_pair
+from matconc.rng import spawn_pair, substream
 from matconc.simulator import (
     FalsifyRecord,
     McConfig,
@@ -238,6 +238,38 @@ def test_block_memory_stays_below_the_sample_stack():
     plan = tp.prepare(None, gen, FAST)
     assert plan["horizon"] == 300
     peak = _block_peak_bytes(lambda: sim._path_block(plan, gen, 512, 9, tp.tag, 0))
+    assert peak < 16 * 2**20
+
+
+def _stop_inputs(kind, d, horizon):
+    """A generator, a wrong hypothesized mean, its variance bound and step sizes."""
+    gen = default_generator("XMCI", kind, d)
+    v = gen.variance()
+    scale = np.sqrt(np.linalg.eigvalsh(v)[-1])
+    gammas = 0.5 / (scale * np.sqrt(np.arange(1, horizon + 1)))
+    return gen, gen.mean() - 0.5 * scale * np.eye(d), v, gammas
+
+
+@pytest.mark.parametrize("kind", ["GAUSSIAN_SCALED", "IID_WISHART_LIKE", "EXCHANGEABLE_MIXTURE"])
+def test_sequential_test_stops_match_a_per_trial_loop(kind):
+    d, alpha, trials, seed = 5, 0.05, 40, 17
+    gen, m0, v, gammas = _stop_inputs(kind, d, 60)
+    stops = sim.sequential_test_stops(gen, m0, v, gammas, alpha, trials, seed)
+    for t in range(trials):
+        xs = gen.sample_path(substream(seed, 0xC0DE, t), len(gammas))[None]
+        matrix = sim.FactorProcess("SELF_NORMALIZED", m0, d / alpha, v=v)
+        scalar = sim.TraceExpProcess(m0, v, alpha)
+        assert stops["matrix"][t] == sim.first_crossing(matrix, xs, gammas)[0]
+        assert stops["scalar"][t] == sim.first_crossing(scalar, xs, gammas)[0]
+    for rule in ("matrix", "scalar"):
+        assert 0 < np.count_nonzero(stops[rule]) < trials
+
+
+def test_sequential_test_stops_memory_stays_below_the_path_stack():
+    # stacking the block's per-trial paths peaked at 79 MB here: two copies
+    # of a (1024, 200, 5, 5) stack
+    gen, m0, v, gammas = _stop_inputs("GAUSSIAN_SCALED", 5, 200)
+    peak = _block_peak_bytes(lambda: sim.sequential_test_stops(gen, m0, v, gammas, 0.05, 1024, 3))
     assert peak < 16 * 2**20
 
 
