@@ -33,7 +33,8 @@ variance, and (where finite) p-th moments:
 Sampling has two parts.  :meth:`GeneratorSpec.draw` draws a block's
 random numbers (the scalar ``t`` or the vectors above) and builds no
 matrix; indexing the :class:`Draws` it returns over trials and steps
-builds just those matrices.  :meth:`GeneratorSpec.sample_batch` is the
+builds just those matrices, and :meth:`Draws.steps` builds a run of
+consecutive steps step-major.  :meth:`GeneratorSpec.sample_batch` is the
 whole stack, ``draw(...)[:, :]``, so each law is written once, and a
 slice built from the draws equals the same slice of the stack exactly.
 """
@@ -331,23 +332,44 @@ class Draws:
         return (self.coef if self.vec is None else self.vec).shape[:2] + (d, d)
 
     def __getitem__(self, key) -> np.ndarray:
+        return self._build(lambda part: part[key])
+
+    def steps(self, lo: int, hi: int) -> np.ndarray:
+        """The matrices of steps ``lo..hi-1`` of every trial, step-major:
+        shape ``(hi - lo, trials, dim, dim)``, C-contiguous, and equal to
+        ``self[:, lo:hi]`` with its first two axes swapped."""
+        return self._build(lambda part: np.ascontiguousarray(np.swapaxes(part[:, lo:hi], 0, 1)))
+
+    def _build(self, take) -> np.ndarray:
+        """The matrices of the draws that ``take`` selects from each field.
+
+        Built in place, each by the elementwise expression of the kind,
+        so the bits do not depend on the selection or its layout (IEEE
+        addition commutes, so ``out = t C; out += M`` is ``M + t C``).
+        """
         g = self.spec
-        if g.kind in ("RADEMACHER_SCALED", "GAUSSIAN_SCALED"):
-            return g.m + self.coef[key][..., None, None] * g.c
-        if g.kind == "BOUNDED_PSD":
-            return g.m + self.coef[key][..., None, None] * g._spread
-        if g.kind == "SYMMETRIC_HEAVY":
-            return g.m + self.coef[key][..., None, None] * g.d_dir
-        if g.kind == "EXCHANGEABLE_MIXTURE":
-            t = self.shift[key][..., None, None]
-            return g.m + t * g.d_dir + self.coef[key][..., None, None] * g.c
-        v = self.vec[key]
-        outer = np.einsum("...i,...j->...ij", v, v)
+        if self.vec is None:
+            coef = take(self.coef)[..., None, None]
+            if g.kind == "EXCHANGEABLE_MIXTURE":
+                out = take(self.shift)[..., None, None] * g.d_dir
+                out += g.m
+                out += coef * g.c
+                return out
+            if g.kind == "BOUNDED_PSD":
+                out = coef * g._spread
+            else:
+                out = coef * (g.d_dir if g.kind == "SYMMETRIC_HEAVY" else g.c)
+            out += g.m
+            return out
+        v = take(self.vec)
+        out = np.einsum("...i,...j->...ij", v, v)
         if g.kind == "IID_WISHART_LIKE":
-            return g.m + g.scale * (outer - np.eye(g.dim))
-        if g.kind == "HEAVY_PSD":
-            return g.scale * self.coef[key][..., None, None] * outer
-        return outer
+            out -= np.eye(g.dim)
+            out *= g.scale
+            out += g.m
+        elif g.kind == "HEAVY_PSD":
+            out *= g.scale * take(self.coef)[..., None, None]
+        return out
 
 
 def generate_path(g: GeneratorSpec, n: int, seed: int | None = None) -> np.ndarray:

@@ -22,7 +22,9 @@ The per-step kernels (:func:`factor_pair`,
 :meth:`MatSupermartingaleState.advance`, :func:`exceeds`,
 :func:`scan_exceeds`) take stacks ``(..., d, d)`` of independent paths;
 the Monte Carlo harness and the CLI run them, and the per-sample
-functions here are their batch-of-one wrappers.  :func:`exceeds` lives
+functions here are their batch-of-one wrappers.  :func:`factor_pair`,
+which does not depend on the process state, also takes a block of
+consecutive steps with one step size each.  :func:`exceeds` lives
 in :mod:`matconc.symmat`, so that :mod:`matconc.fixed_bounds` can use it
 too, and keeps its name here.  :func:`ville_event` is the fixed-time
 Markov event :func:`~matconc.fixed_bounds.ummi_event` at a stopping time.
@@ -116,6 +118,22 @@ def betting_gamma_interval(m: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     return lo, hi
 
 
+def _per_step(gamma, f, *ndims):
+    """The tuple of scalars ``f(gamma)`` for one step size; for a list of
+    step sizes (Python floats), the same tuple with entry ``i`` an array of
+    one ``f(g)[i]`` per step, shaped ``(k,) + (1,) * ndims[i]`` to broadcast
+    against a block's per-step stacks.
+
+    A block's scalars are thus the very Python-float expressions of its
+    single steps (never numpy ``**`` on an array of step sizes), so every
+    matrix that they scale equals the single step's bit for bit.
+    """
+    if not isinstance(gamma, list):
+        return f(gamma)
+    cols = np.array([f(g) for g in gamma]).T
+    return tuple(col.reshape((-1,) + (1,) * nd) for col, nd in zip(cols, ndims))
+
+
 def factor_pair(kind, dev, gamma, *, mgf=None, v=None, root=False):
     """``(A_n, E_n)`` for a stack of deviations ``dev = X_n - M`` of shape ``(..., d, d)``.
 
@@ -127,17 +145,33 @@ def factor_pair(kind, dev, gamma, *, mgf=None, v=None, root=False):
     and its spectral maps take the stacks it builds as trusted (they are
     symmetrized, since ``dev @ dev`` need not be bitwise symmetric, but
     not re-checked for finiteness).
+
+    ``gamma`` may also be a list of ``k`` step sizes, with ``dev`` a
+    block ``(k, ..., d, d)`` of ``k`` steps on its leading axis: ``E_n``
+    is then shaped like ``dev`` and ``A_n`` is a ``(k, d, d)`` stack (or
+    None), one spectral call each for the whole block.  Every step's
+    scalars are the Python-float expressions of a single step, broadcast,
+    so each matrix equals that step's own call bit for bit.
     """
+    nd = dev.ndim - 1
     if kind == "BETTING":
-        e = np.eye(dev.shape[-1]) + gamma * dev
+        (g,) = _per_step(gamma, lambda g: (g,), nd)
+        e = np.eye(dev.shape[-1]) + g * dev
         return None, (sm.mat_sqrt(e, trusted=True) if root else e)
     # the exponential builders: A_n = exp(log_a), E_n = exp(log_e)
     if kind == "MGF":
-        log_a, log_e = -_mgf_log_growth(mgf, gamma), gamma * dev
+        (g,) = _per_step(gamma, lambda g: (g,), nd)
+        if isinstance(gamma, list):
+            log_a = np.stack([-_mgf_log_growth(mgf, g) for g in gamma])
+        else:
+            log_a = -_mgf_log_growth(mgf, gamma)
+        log_e = g * dev
     elif kind == "SELF_NORMALIZED":
-        log_a, log_e = -(gamma**2 / 3.0) * v, gamma * dev - (gamma**2 / 6.0) * (dev @ dev)
+        g, c_a, c_e = _per_step(gamma, lambda g: (g, -(g**2 / 3.0), g**2 / 6.0), nd, 2, nd)
+        log_a, log_e = c_a * v, g * dev - c_e * (dev @ dev)
     else:  # SYMMETRIC_DIST
-        log_a, log_e = None, gamma * dev - (gamma**2 / 2.0) * (dev @ dev)
+        g, c_e = _per_step(gamma, lambda g: (g, g**2 / 2.0), nd, nd)
+        log_a, log_e = None, g * dev - c_e * (dev @ dev)
     half = 0.5 if root else 1.0
     a = None if log_a is None else sm.mat_exp(half * log_a, trusted=True)
     return a, sm.mat_exp(half * log_e, trusted=True)
@@ -328,7 +362,8 @@ def scan_exceeds(kind: str, xbar, m, a, p: float | None = None) -> np.ndarray:
     ``sum_i |w_i|^p <= max(1, d^{1 - p/2}) ||D||_F^p`` (Hoelder for
     ``p <= 2``, ``l_p <= l_2`` above) leaves within the margin of
     :func:`~matconc.symmat.screened` below ``a^p``, so the events equal
-    those of the eigenvalue rule on every row.
+    those of the eigenvalue rule on every row.  A matrix with a non-finite
+    entry is crossed, as in :func:`exceeds`.
     """
     if kind == "DOOB":
         return exceeds(xbar - m, a, np.square)
@@ -340,8 +375,11 @@ def scan_exceeds(kind: str, xbar, m, a, p: float | None = None) -> np.ndarray:
         dev = xbar - m
         ap, c = a**p, max(1.0, dev.shape[-1] ** (1.0 - p / 2.0))
 
-        def exact(ys, rows_ap):
+        def rule(ys, rows_ap):
             return (np.abs(np.linalg.eigvalsh(ys)) ** p).sum(axis=-1) >= rows_ap
+
+        def exact(ys, rows_ap):
+            return sm._finite_rule(rule, ys, rows_ap, 0)
 
         return sm.screened(dev, ap, exact, p, c)
     raise ParamMismatch(f"unknown scan kind {kind!r}")

@@ -17,7 +17,8 @@ it with the variance replaced by the square-deviation bound ``B_n`` —
 the Hoeffding e-process and its stopped closed-form threshold.
 
 The state takes stacks ``(..., d, d)`` of independent processes: the
-kernels :func:`sn_advance`, :meth:`TraceExpState.log_value`,
+kernels :func:`sn_increments` (also on a block of consecutive steps),
+:func:`sn_advance`, :meth:`TraceExpState.log_value`,
 :func:`log_hoeffding_eprocess_value` and :func:`log_level` serve the
 Monte Carlo harness and the CLI, and the per-sample functions are their
 batch-of-one wrappers.
@@ -53,6 +54,7 @@ __all__ = [
     "TraceExpState",
     "TestConfig",
     "te_step",
+    "sn_increments",
     "sn_advance",
     "sn_process_step",
     "log_level",
@@ -182,15 +184,15 @@ def log_level(d: int, alpha: float, u=1.0):
     return math.log(d / alpha) + np.log(u)
 
 
-def _advance(state: TraceExpState, z, c_sum, gamma: float, psi, b=None) -> TraceExpState:
-    """Kahan-compensated step, stack-aware: ``+ gamma z`` to the tilt,
-    ``+ psi(gamma) c_sum`` to the compensator (unless ``c_sum`` is None)
-    and, with ``b``, ``+ gamma^2 b`` to ``sum_gamma_sq_b``."""
-    gz, gz_carry = _kahan_add(state.gz, state.gz_carry, gamma * z)
+def _advance(state: TraceExpState, gamma: float, dz, dc=None, db=None) -> TraceExpState:
+    """Kahan-compensated step, stack-aware: ``+ dz`` to the tilt, ``+ dc``
+    to the compensator and ``+ db`` to ``sum_gamma_sq_b`` (each unless
+    None), ``+ gamma`` to ``sum_gamma``."""
+    gz, gz_carry = _kahan_add(state.gz, state.gz_carry, dz)
     pc, pc_carry = state.pc, state.pc_carry
-    if c_sum is not None:
-        pc, pc_carry = _kahan_add(pc, pc_carry, float(psi(gamma)) * c_sum)
-    sum_b = state.sum_gamma_sq_b if b is None else state.sum_gamma_sq_b + gamma**2 * b
+    if dc is not None:
+        pc, pc_carry = _kahan_add(pc, pc_carry, dc)
+    sum_b = state.sum_gamma_sq_b if db is None else state.sum_gamma_sq_b + db
     return TraceExpState(gz, gz_carry, pc, pc_carry, state.sum_gamma + gamma, sum_b, state.n + 1)
 
 
@@ -218,7 +220,25 @@ def te_step(
     c = sm.symmat(c, copy=False)
     c_prime = sm.symmat(c_prime, copy=False)
     _check_step(state, gamma, z, c, c_prime)
-    return _advance(state, z, c + c_prime, gamma, psi)
+    return _advance(state, gamma, gamma * z, float(psi(gamma)) * (c + c_prime))
+
+
+def sn_increments(dev, v, gamma, b: np.ndarray | None = None):
+    """The state-free part of self-normalized steps on deviations ``dev = X - M``.
+
+    Returns the tilt increment ``gamma dev``, the compensator increment
+    ``(gamma^2/6)(dev^2 + 2V)``, written ``psi(gamma)(dev^2/3 + 2V/3)``,
+    and ``gamma^2 B``; the second is None without ``v`` (the Hoeffding
+    e-process reads only the tilt and ``sum_gamma_sq_b``), the third
+    None without ``b``.  ``gamma`` is one step's size with a stack ``dev``
+    of shape ``(..., d, d)``, or ``k`` step sizes with a block ``(k, ...,
+    d, d)`` whose leading axis is the step; each step's scalars are those
+    of a single step (see :func:`~matconc.martingales.factor_pair`).
+    """
+    nd = dev.ndim - 1
+    g, psi, g_sq = mg._per_step(gamma, lambda g: (g, float(PSI_QUADRATIC(g)), g**2), nd, nd, 2)
+    dc = None if v is None else psi * ((dev @ dev) / 3.0 + (2.0 / 3.0) * v)
+    return g * dev, dc, None if b is None else g_sq * b
 
 
 def sn_advance(
@@ -226,13 +246,9 @@ def sn_advance(
 ) -> TraceExpState:
     """Self-normalized step for a stack of deviations ``dev = X - M``; no validation.
 
-    Adds ``gamma dev`` to the tilt and ``(gamma^2/6)(dev^2 + 2V)`` to the
-    compensator; with ``b``, also ``gamma^2 B`` to ``sum_gamma_sq_b``.
-    ``v`` None skips the compensator: the Hoeffding e-process reads only
-    the tilt and ``sum_gamma_sq_b``.
+    Adds the increments of :func:`sn_increments` to the state.
     """
-    c_sum = None if v is None else (dev @ dev) / 3.0 + (2.0 / 3.0) * v
-    return _advance(state, dev, c_sum, gamma, PSI_QUADRATIC, b)
+    return _advance(state, gamma, *sn_increments(dev, v, gamma, b))
 
 
 def sn_process_step(

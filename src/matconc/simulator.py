@@ -14,10 +14,11 @@ the trial count and the data shape, never on the worker count, so a run
 is bit-for-bit reproducible no matter how it is parallelized.
 
 A block keeps its random numbers (:meth:`GeneratorSpec.draw`), not the
-``(block, n, d, d)`` stack they stand for: a path run builds each step's
-matrices when it takes that step, and a fixed-time event on the mean of
-``n`` draws receives means built a cache-sized chunk of trials at a time.
-Every matrix and every mean comes out as it would from the whole stack.
+``(block, n, d, d)`` stack they stand for: a path run builds a
+cache-sized run of consecutive steps at a time (:func:`first_crossing`),
+and a fixed-time event on the mean of ``n`` draws receives means built a
+cache-sized chunk of trials at a time.  Every matrix and every mean comes
+out as it would from the whole stack.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -58,7 +60,8 @@ __all__ = [
 # of the reproducibility contract, not a bound on memory (a block keeps
 # only its draws and builds its matrices a step or a chunk at a time).
 _CELL_BUDGET = 1 << 24
-# Cells of the matrices built at once for the mean of a fixed-time block.
+# Cells of the matrices built at once: for the mean of a fixed-time block,
+# and for the block of consecutive steps a path run takes (first_crossing).
 _MEAN_CHUNK_CELLS = 1 << 16
 _FIXED_BLOCK_CAP = 8192
 _PATH_BLOCK_CAP = 1024
@@ -821,17 +824,42 @@ def _fixed_block(plan, gen, size, seed, tag, block_idx) -> int:
 class _Process:
     """A sequential statistic on a stack of paths (or on one path).
 
-    ``step(x, gamma)`` absorbs each trial's next observation with step
-    size ``gamma`` and returns the crossing event per trial.  ``value``
-    is the statistic per trial, formed when it is read and kept until the
-    next step; ``freeze(rows)`` forms it on those trials only and copies
-    it into ``at_stop`` (see :func:`first_crossing`).  A stack of trials
-    decides most rows from an exact norm bound, without the statistic:
-    only rows near the level, rows that stop and the last step need it.
+    A process takes its steps a block at a time.  ``_prepare(xs, gammas)``
+    does the block's work that does not depend on the process state, one
+    kernel call for the whole block, and returns its stacks, each with one
+    entry per step (or None); ``_absorb(gamma, *entries)`` does the stateful
+    part of one step from that step's entries and returns its crossing
+    event per trial.  A block holds each trial's next ``k`` observations
+    step-major, ``xs`` of shape ``(k, trials, d, d)`` (``(k, d, d)`` for
+    one path), with ``gammas`` the list of their ``k`` step sizes (None
+    entries for the scans).  :meth:`step` takes one step through the
+    same code, in the single-step form that the kernels also take: ``x``
+    is the step's ``(trials, d, d)`` stack (``(d, d)`` for one path) and
+    ``gamma`` its float step size, so that a lone step carries no step
+    axis (an axis of length one makes every small numpy call dearer).
+    Between two steps the caller may ``freeze`` rows; the next step sees
+    the frozen state.  ``value`` is the statistic per trial, formed when it
+    is read and kept until the next step; ``freeze(rows)`` forms it on
+    those trials only and copies it into ``at_stop`` (see
+    :func:`first_crossing`).  A stack of trials decides most rows from an
+    exact norm bound, without the statistic: only rows near the level,
+    rows that stop and the last step need it.
     """
 
     at_stop = None
     _value = None
+
+    def _prepare(self, xs, gammas):
+        """The state-free work of the steps ``xs``: stacks with one entry per step."""
+        raise NotImplementedError
+
+    def _absorb(self, gamma, *entries):
+        """The stateful part of one step; returns its crossing events."""
+        raise NotImplementedError
+
+    def step(self, x, gamma=None):
+        """Absorb one observation per trial; returns the crossing events."""
+        return self._absorb(gamma, *self._prepare(x, gamma))
 
     @property
     def value(self):
@@ -884,9 +912,11 @@ class FactorProcess(_Process):
             a = a[0, 0]
         self._level = None if a.ndim else a
 
-    def step(self, x, gamma):
-        roots = mg.factor_pair(self.builder, x - self.m, gamma, root=True, **self.params)
-        self.state = self.state.advance(*roots)
+    def _prepare(self, xs, gammas):
+        return mg.factor_pair(self.builder, xs - self.m, gammas, root=True, **self.params)
+
+    def _absorb(self, gamma, sqrt_a, sqrt_e):
+        self.state = self.state.advance(sqrt_a, sqrt_e)
         return self.decide()
 
     def decide(self):
@@ -936,8 +966,11 @@ class TraceExpProcess(_Process):
         self.state = se.TraceExpState.start(m.shape[0])
         self.level = se.log_level(m.shape[0], alpha)
 
-    def step(self, x, gamma):
-        self.state = se.sn_advance(self.state, x - self.m, self.v, gamma, self.b)
+    def _prepare(self, xs, gammas):
+        return se.sn_increments(xs - self.m, self.v, gammas, self.b)
+
+    def _absorb(self, gamma, dz, dc, db):
+        self.state = se._advance(self.state, gamma, dz, dc, db)
         return self.decide()
 
     def decide(self):
@@ -973,36 +1006,83 @@ class TraceExpProcess(_Process):
 
 class _MeanScan(_Process):
     """Running means ``Xbar_n`` tested by :func:`~matconc.martingales.scan_exceeds`
-    from ``n_start`` on; the value is the crossing event itself."""
+    from ``n_start`` on; the value is the crossing event itself.
+
+    It takes blocks only, and overwrites each with its running sums:
+    :meth:`step` hands it a copy of ``x`` as a one-step block.
+    """
 
     def __init__(self, kind, m, a, p=None, n_start=1):
         self.kind, self.m, self.a, self.p, self.n_start = kind, m, a, p, n_start
         self.total, self.n = 0.0, 0
 
     def step(self, x, gamma=None):
-        self.total, self.n = self.total + x, self.n + 1
-        if self.n < self.n_start:
-            self._value = np.zeros(x.shape[0], dtype=bool)
+        (events,) = self._prepare(np.array(x, dtype=np.float64)[None], None)
+        return self._absorb(None, events[0])
+
+    def _prepare(self, xs, gammas):
+        # running sums in step order, in place: + the total so far (0.0 at
+        # first, which turns a -0.0 into 0.0 as 0.0 + x does), then each
+        # step's slice plus the one before
+        xs[0] += self.total
+        for j in range(1, len(xs)):
+            xs[j] += xs[j - 1]
+        self.total = xs[-1]
+        # steps before n_start are not tested
+        first = max(self.n + 1, self.n_start)
+        counts = np.arange(first, self.n + len(xs) + 1)
+        live = len(xs) - len(counts)
+        self.n += len(xs)
+        events = np.zeros(xs.shape[:-2], dtype=bool)
+        if len(counts):
+            means = xs[live:] / counts.reshape((-1,) + (1,) * (xs.ndim - 1))
+            events[live:] = mg.scan_exceeds(self.kind, means, self.m, self.a, self.p)
+        return (events,)
+
+    def _absorb(self, gamma, events):
+        self._value = events
+        return events
+
+
+def _step_blocks(proc: _Process, xs, gammas, horizon: int):
+    """Every step's crossing events of ``proc`` along ``xs`` up to ``horizon``,
+    taken a block of ``k`` steps at a time, ``k`` sized by ``_MEAN_CHUNK_CELLS``."""
+    size, d = xs.shape[0], xs.shape[-1]
+    k = max(1, _MEAN_CHUNK_CELLS // (size * d * d))
+    for lo in range(0, horizon, k):
+        hi = min(lo + k, horizon)
+        if isinstance(xs, Draws):
+            block = xs.steps(lo, hi)
         else:
-            self._value = mg.scan_exceeds(self.kind, self.total / self.n, self.m, self.a, self.p)
-        return self._value
+            block = np.array(np.swapaxes(xs[:, lo:hi], 0, 1), order="C")
+        gs = [None] * (hi - lo) if gammas is None else [float(g) for g in gammas[lo:hi]]
+        stacks = proc._prepare(block, gs)
+        for gamma, *entries in zip(gs, *(repeat(None) if s is None else s for s in stacks)):
+            yield proc._absorb(gamma, *entries)
 
 
 def first_crossing(proc: _Process, xs, gammas=None, taus=None) -> np.ndarray:
     """Step ``proc`` along stacked paths ``xs`` of shape (trials, horizon, d, d).
 
     ``xs`` is the stack or the :class:`~matconc.generators.Draws` that
-    stand for it; step ``n`` reads (and so builds) only ``xs[:, n - 1]``.
-    Step ``n`` uses ``gammas[n - 1]``.  A trial stops at its first
-    crossing, or at its entry of ``taus`` when given.  Returns each
-    trial's stopping step, 0 for a trial that never stopped;
+    stand for it.  The steps go to ``proc`` in blocks of ``k`` consecutive
+    steps, ``k = max(1, _MEAN_CHUNK_CELLS // (trials d^2))``: a block is
+    built step-major, ``(k, trials, d, d)``
+    (:meth:`~matconc.generators.Draws.steps`), and the process does its
+    state-free work on the whole block before taking its steps one by one
+    (see :class:`_Process`); every value equals that of stepping one
+    observation at a time, bit for bit.  Step ``n`` uses ``gammas[n - 1]``.
+    A trial stops at its first crossing, or at its entry of ``taus`` (in
+    ``1..horizon``) when given; a stopped trial is frozen before the next
+    step is taken.
+    Returns each trial's stopping step, 0 for a trial that never stopped;
     ``proc.at_stop`` then holds the value at the stopping step, or at
     the last step run for trials that never stopped.
     """
-    size, horizon = xs.shape[:2]
-    stop = np.zeros(size, dtype=np.int64)
-    for n in range(1, horizon + 1):
-        crossed = proc.step(xs[:, n - 1], None if gammas is None else float(gammas[n - 1]))
+    # every trial has stopped by the largest of taus: no block runs past it
+    horizon = xs.shape[1] if taus is None else min(xs.shape[1], int(taus.max()))
+    stop = np.zeros(xs.shape[0], dtype=np.int64)
+    for n, crossed in enumerate(_step_blocks(proc, xs, gammas, horizon), start=1):
         newly = (stop == 0) & (crossed if taus is None else taus == n)
         if newly.any():
             stop[newly] = n

@@ -508,6 +508,29 @@ def screened(y, a, exact, power: float = 1.0, scale: float = 1.0):
     return unsettled_events(settled, rest)
 
 
+def _finite_rule(rule, y, a, a_ndim: int):
+    """``rule(y, a)`` on the matrices of ``y`` whose entries are all finite;
+    a matrix with a non-finite entry is crossed, without LAPACK seeing it.
+
+    LAPACK's eigenvalues of a non-finite matrix are garbage (numpy 2.4.6
+    gives ``[0, -0]`` for ``[[nan, 0], [0, 0]]``), so a trial whose state
+    turned non-finite would be decided by chance.  ``a`` is the threshold,
+    per matrix (``a_ndim = 0``) or a matrix per matrix (``a_ndim = 2``),
+    broadcast against the stack of ``y``.
+    """
+    if np.isfinite(y).all():
+        return rule(y, a)
+    ok = np.isfinite(y).all(axis=(-2, -1))
+    a = np.asarray(a)
+    shape = np.broadcast_shapes(ok.shape, a.shape[: a.ndim - a_ndim])
+    ok = np.broadcast_to(ok, shape)
+    out = np.ones(shape, dtype=bool)
+    if ok.any():
+        ys = np.broadcast_to(y, shape + y.shape[-2:])[ok]
+        out[ok] = rule(ys, np.broadcast_to(a, shape + a.shape[a.ndim - a_ndim :])[ok])
+    return out[()]
+
+
 def exceeds(y, a, f=None) -> np.ndarray:
     """Event ``f(Y) not <= a`` for each matrix of a stack ``y`` (..., d, d).
 
@@ -524,22 +547,29 @@ def exceeds(y, a, f=None) -> np.ndarray:
     ``eigvalsh`` of ``a - f(Y)``; :func:`exceeds_scaled` screens the
     thresholds ``t B``.  ``f`` is an eigenvalue map (``np.abs``,
     ``np.square``) applied through the spectrum.  Ties count as ordered,
-    as in :func:`loewner_leq`.
+    as in :func:`loewner_leq`.  A matrix with a non-finite entry is
+    crossed: no norm bound settles it, and it never reaches LAPACK.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim == 2 and np.array_equal(a, a[0, 0] * np.eye(a.shape[0])):
         a = a[0, 0]
     if a.ndim < 2:
 
-        def exact(ys, rows_a):
+        def rule(ys, rows_a):
             w = np.linalg.eigvalsh(ys)
             w = w if f is None else f(w)
             return np.logical_not(spectrum_is_psd(rows_a[..., None] - w))
 
+        def exact(ys, rows_a):
+            return _finite_rule(rule, ys, rows_a, 0)
+
         power = _SCREEN_POWER.get(f)
         return exact(y, a) if power is None else screened(y, a, exact, power)
-    fy = y if f is None else apply_spectral(f, y)
-    return np.logical_not(loewner_leq(fy, a))
+
+    def loewner_rule(ys, rows_a):
+        return np.logical_not(loewner_leq(ys if f is None else apply_spectral(f, ys), rows_a))
+
+    return _finite_rule(loewner_rule, y, a, 2)
 
 
 def exceeds_scaled(y, t, b, f=None):
@@ -563,7 +593,7 @@ def exceeds_scaled(y, t, b, f=None):
     ``t lambda_min(B)`` when ``B`` is ill-conditioned.  A ``B`` with
     ``beta = 0`` (and a ``t <= 0``) settles nothing.  The rows left get the
     call ``exceeds(y, t B, f)`` would make on them, so the events equal it
-    on every matrix.
+    on every matrix: a matrix with a non-finite entry is crossed.
     """
     t = np.asarray(t, dtype=np.float64)
     power = _SCREEN_POWER.get(f)

@@ -253,3 +253,42 @@ def test_joined_draws_build_the_stacked_paths(kind, d):
     assert joined.shape == paths.shape == (9, n, d, d)
     for step in range(n):
         assert joined[:, step].tobytes() == np.ascontiguousarray(paths[:, step]).tobytes()
+
+
+def _built_by_expression(draws, key):
+    """The matrices of ``draws[key]`` by each kind's elementwise expression,
+    through temporaries, as indexing built them before it built in place."""
+    g = draws.spec
+    if g.kind in ("RADEMACHER_SCALED", "GAUSSIAN_SCALED"):
+        return g.m + draws.coef[key][..., None, None] * g.c
+    if g.kind == "BOUNDED_PSD":
+        return g.m + draws.coef[key][..., None, None] * g._spread
+    if g.kind == "SYMMETRIC_HEAVY":
+        return g.m + draws.coef[key][..., None, None] * g.d_dir
+    if g.kind == "EXCHANGEABLE_MIXTURE":
+        t = draws.shift[key][..., None, None]
+        return g.m + t * g.d_dir + draws.coef[key][..., None, None] * g.c
+    v = draws.vec[key]
+    outer = np.einsum("...i,...j->...ij", v, v)
+    if g.kind == "IID_WISHART_LIKE":
+        return g.m + g.scale * (outer - np.eye(g.dim))
+    if g.kind == "HEAVY_PSD":
+        return g.scale * draws.coef[key][..., None, None] * outer
+    return outer
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_in_place_build_is_bitwise_the_expression(kind, d):
+    """Indexing and ``steps`` build in place (``out = t C; out += M``): the
+    bits of ``M + t C``, since IEEE addition commutes, in C order."""
+    spec = _spec(kind, d)
+    draws = spec.draw(substream(64, d), 11, 9)
+    for key in ((slice(None), 4), (slice(None), slice(None)), (slice(2, 8), slice(3, 7)), (5, 0)):
+        got, want = draws[key], _built_by_expression(draws, key)
+        assert got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
+    for lo, hi in ((0, 1), (3, 7), (8, 9), (0, 9)):
+        got = draws.steps(lo, hi)
+        want = np.swapaxes(_built_by_expression(draws, (slice(None), slice(lo, hi))), 0, 1)
+        assert got.flags.c_contiguous and got.shape == (hi - lo, 11, d, d)
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()

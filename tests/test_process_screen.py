@@ -39,10 +39,26 @@ def ref_value(left):
     return (y + np.swapaxes(y, -1, -2)) / 2.0
 
 
+def ref_rows(rule, y, a, a_ndim):
+    """``rule(y, a)`` on the finite matrices of ``y``; a matrix with a
+    non-finite entry is crossed, whatever LAPACK would say of it."""
+    a = np.asarray(a, dtype=np.float64)
+    shape = np.broadcast_shapes(y.shape[:-2], a.shape[: a.ndim - a_ndim])
+    ys = np.broadcast_to(y, shape + y.shape[-2:])
+    rows_a = np.broadcast_to(a, shape + a.shape[a.ndim - a_ndim :])
+    ok = np.isfinite(ys).all(axis=(-2, -1))
+    out = np.ones(shape, dtype=bool)
+    out[ok] = rule(ys[ok], rows_a[ok])
+    return out[()]
+
+
 def ref_exceeds(y, a):
     """Eigenvalue rule of ``Y not <= a I``, on every row."""
-    w = np.linalg.eigvalsh(y)
-    return np.logical_not(sm.spectrum_is_psd(np.asarray(a)[..., None] - w))
+
+    def rule(ys, rows_a):
+        return np.logical_not(sm.spectrum_is_psd(rows_a[..., None] - np.linalg.eigvalsh(ys)))
+
+    return ref_rows(rule, y, a, 0)
 
 
 def ref_log_value(s):
@@ -58,9 +74,12 @@ def ref_hoeffding(g, b):
 
 def ref_exceeds_scaled(y, t, b, f=None):
     """``f(Y) not <= t B`` with one ``eigvalsh`` of ``t B - f(Y)`` per row."""
-    thr = np.asarray(t, dtype=np.float64)[..., None, None] * b
-    fy = y if f is None else sm.apply_spectral(f, y)
-    return np.logical_not(sm.spectrum_is_psd(np.linalg.eigvalsh(sm.symmat_stack(thr - fy))))
+
+    def rule(ys, thr):
+        fy = ys if f is None else sm.apply_spectral(f, ys)
+        return np.logical_not(sm.spectrum_is_psd(np.linalg.eigvalsh(sm.symmat_stack(thr - fy))))
+
+    return ref_rows(rule, y, np.asarray(t, dtype=np.float64)[..., None, None] * b, 2)
 
 
 # --- processes set to a chosen state -----------------------------------------
@@ -361,8 +380,10 @@ def test_scaled_threshold_zero_tiny_huge_non_finite_and_one_matrix():
                 assert_same(
                     lambda: sm.exceeds_scaled(good, t, b, f), lambda: ref_exceeds_scaled(good, t, b, f)
                 )
-        with pytest.raises(DomainError):  # a non-finite row reaches the validating rule
-            sm.exceeds_scaled(y, np.ones(6), b, f)
+        # a non-finite row is crossed without reaching LAPACK or the validating rule
+        got = sm.exceeds_scaled(y, np.ones(6), b, f)
+        assert got[3] and got[4]
+        np.testing.assert_array_equal(got, ref_exceeds_scaled(y, np.ones(6), b, f))
         # one matrix with a scalar scale is the plain call, a numpy.bool_
         for t in (0.001, 1.0):
             got = sm.exceeds_scaled(y[5], t, b, f)

@@ -1,28 +1,68 @@
-"""Report bytes are pinned: the default suite at small sizes reproduces a fixture.
+"""Report bytes are pinned: the default suite and the simulated sequential
+tests at small sizes reproduce stored fixtures.
 
 Speed-ups of the simulator are meant to be exact, so every
 ``McReport.to_dict()`` of the default verification matrix must equal the
-stored one field for field, floats bit for bit.  A change that alters
-the reports a seed produces must say so and regenerate the fixture with
+stored one field for field, floats bit for bit, and every stopping step
+of ``sequential_test_stops`` (the paths of ``power-compare``) must equal
+the stored one.  A change that alters what a seed produces must say so
+and regenerate the fixtures with
 
     PYTHONPATH=src python tests/test_report_identity.py
 """
 
 import json
+import math
 import os
 import sys
 
-from matconc.simulator import run_default_suite
+import numpy as np
+import pytest
 
-FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "report_identity_seed101.json")
+from matconc.simulator import default_generator, run_default_suite, sequential_test_stops
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+FIXTURE = os.path.join(FIXTURES, "report_identity_seed101.json")
+STOPS_FIXTURE = os.path.join(FIXTURES, "sequential_stops_seed101.json")
 SIZES = {"dims": (1, 2, 5), "trials_fixed": 10000, "trials_path": 512, "horizon": 150}
 SEED = 101
+
+#: (generator kind, dim, mean shift): the null, a shift where some trials
+#: reject and one where every trial does, so stops fall inside step blocks
+STOP_CASES = [
+    (kind, d, shift)
+    for kind, d, mid in (
+        ("GAUSSIAN_SCALED", 2, -0.15),
+        ("GAUSSIAN_SCALED", 5, -0.2),
+        ("IID_WISHART_LIKE", 2, -0.3),
+    )
+    for shift in (0.0, mid, -0.5)
+]
+STOP_TRIALS, STOP_HORIZON, STOP_ALPHA = 64, 200, 0.05
 
 
 def _reports() -> list[dict]:
     reports = run_default_suite(**SIZES, workers=1, base_seed=SEED)
     # through JSON, as the CLI writes them: tuples become lists
     return json.loads(json.dumps([r.to_dict() for r in reports]))
+
+
+def _stops(kind: str, d: int, shift: float) -> dict:
+    """``sequential_test_stops`` as ``power-compare`` calls it (gamma scale 0.5)."""
+    gen = default_generator("URSN", kind, d)
+    v = gen.variance()
+    lam_v = max(math.sqrt(np.linalg.eigvalsh(v)[-1]), 1e-12)
+    gammas = 0.5 / (lam_v * np.sqrt(np.arange(1, STOP_HORIZON + 1)))
+    m0 = gen.mean() + shift * np.eye(d)
+    stops = sequential_test_stops(gen, m0, v, gammas, STOP_ALPHA, STOP_TRIALS, SEED)
+    return {rule: s.tolist() for rule, s in stops.items()}
+
+
+def _all_stops() -> list[dict]:
+    return [
+        {"generator": kind, "dim": d, "shift": shift, "stops": _stops(kind, d, shift)}
+        for kind, d, shift in STOP_CASES
+    ]
 
 
 def test_default_suite_reports_match_fixture():
@@ -34,8 +74,18 @@ def test_default_suite_reports_match_fixture():
         assert rep == exp, rep["name"]
 
 
+@pytest.mark.parametrize("case", range(len(STOP_CASES)))
+def test_sequential_test_stops_match_fixture(case):
+    with open(STOPS_FIXTURE) as fh:
+        expected = json.load(fh)[case]
+    kind, d, shift = STOP_CASES[case]
+    assert (expected["generator"], expected["dim"], expected["shift"]) == (kind, d, shift)
+    assert _stops(kind, d, shift) == expected["stops"]
+
+
 if __name__ == "__main__":
-    with open(FIXTURE, "w") as fh:
-        json.dump(_reports(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    for path, make in ((FIXTURE, _reports), (STOPS_FIXTURE, _all_stops)):
+        with open(path, "w") as fh:
+            json.dump(make(), fh, indent=1, sort_keys=True)
+            fh.write("\n")
     sys.exit(0)

@@ -1,0 +1,238 @@
+"""The block path of the sequential processes equals stepping one observation at a time.
+
+``first_crossing`` hands a process ``k`` consecutive steps at a time, and
+the process does the block's state-free work (deviations, factor pairs,
+trace-exp increments, running sums and scan tests) in one call before it
+takes the steps.  These tests force ``k`` to 1, to 3 (ragged: the horizon
+is not a multiple of 3) and to the whole horizon, and compare the stops
+and the values at the stops, bit for bit, with a per-step reference loop:
+the stepping code as it was before blocks, copied here.  The kernels'
+block forms (``factor_pair``, ``sn_increments``) are compared with their
+per-step calls on their own.
+"""
+
+import numpy as np
+import pytest
+
+from matconc import martingales as mg
+from matconc import scalar_e as se
+from matconc import simulator as sim
+from matconc.fixed_bounds import MGF_KINDS, MgfSpec
+from matconc.rng import substream
+
+TRIALS, HORIZON = 24, 25
+
+
+# --- the per-step reference ---------------------------------------------------
+
+
+def ref_step(proc, x, gamma):
+    """One step of ``proc``, as the processes took it before blocks."""
+    if isinstance(proc, sim.FactorProcess):
+        roots = mg.factor_pair(proc.builder, x - proc.m, gamma, root=True, **proc.params)
+        proc.state = proc.state.advance(*roots)
+        return proc.decide()
+    if isinstance(proc, sim.TraceExpProcess):
+        proc.state = se.sn_advance(proc.state, x - proc.m, proc.v, gamma, proc.b)
+        return proc.decide()
+    proc.total, proc.n = proc.total + x, proc.n + 1
+    if proc.n < proc.n_start:
+        proc._value = np.zeros(x.shape[0], dtype=bool)
+    else:
+        proc._value = mg.scan_exceeds(proc.kind, proc.total / proc.n, proc.m, proc.a, proc.p)
+    return proc._value
+
+
+def ref_first_crossing(proc, xs, gammas=None, taus=None):
+    """``first_crossing`` as it was before blocks: one ``xs[:, n - 1]`` per step."""
+    size, horizon = xs.shape[:2]
+    stop = np.zeros(size, dtype=np.int64)
+    for n in range(1, horizon + 1):
+        crossed = ref_step(proc, xs[:, n - 1], None if gammas is None else float(gammas[n - 1]))
+        newly = (stop == 0) & (crossed if taus is None else taus == n)
+        if newly.any():
+            stop[newly] = n
+            proc.freeze(newly)
+        if stop.all():
+            break
+    proc.freeze(stop == 0)
+    return stop
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+# --- first_crossing on blocks ---------------------------------------------------
+
+#: (bound, generator kind, dim, params): the UMVI builders with every
+#: stopping rule, MVI, URSN, USMHI and the five scans; levels low enough
+#: that trials stop (and restart) inside blocks
+CASES = [
+    ("UMVI_MGF", "RADEMACHER_SCALED", 2, {"alpha": 0.99, "gamma_scale": 1.5}),
+    ("UMVI_MGF", "GAUSSIAN_SCALED", 1, {"alpha": 0.5, "stopping": {"kind": "geometric", "q": 0.1}}),
+    ("UMVI_MGF", "GAUSSIAN_SCALED", 5, {"alpha": 0.99, "gamma_scale": 2.0}),
+    ("UMVI_MGF", "BOUNDED_PSD", 2, {"alpha": 0.5, "stopping": {"kind": "fixed", "n": 10}}),
+    ("UMVI_BETTING", "BOUNDED_PSD", 2, {"alpha": 0.99, "gamma_scale": 0.8}),
+    ("UMVI_SELF_NORMALIZED", "GAUSSIAN_SCALED", 2, {"alpha": 0.99}),
+    ("UMVI_SELF_NORMALIZED", "IID_WISHART_LIKE", 5, {"alpha": 0.5, "stopping": {"kind": "fixed", "n": 8}}),
+    ("UMVI_SYMMETRIC", "SYMMETRIC_HEAVY", 2, {"alpha": 0.5, "stopping": {"kind": "fixed", "n": 7}}),
+    ("UMVI_SYMMETRIC", "RADEMACHER_SCALED", 1, {"alpha": 0.5, "stopping": {"kind": "geometric", "q": 0.2}}),
+    ("MVI", "BOUNDED_PSD", 2, {"alpha": 0.9, "gamma_scale": 0.8}),
+    ("URSN", "GAUSSIAN_SCALED", 2, {"alpha": 0.5}),
+    ("URSN", "IID_WISHART_LIKE", 5, {"alpha": 0.5, "stopping": {"kind": "geometric", "q": 0.1}}),
+    ("USMHI", "RADEMACHER_SCALED", 2, {"alpha": 0.99, "gamma_scale": 1.0}),
+    ("USMHI", "BOUNDED_PSD", 1, {"alpha": 0.5, "stopping": {"kind": "fixed", "n": 11}}),
+    ("DOOB", "GAUSSIAN_SCALED", 2, {"n": HORIZON, "target": 0.9}),
+    ("XMCI", "EXCHANGEABLE_MIXTURE", 2, {"n_max": HORIZON, "target": 0.9}),
+    # n_start = 5 falls inside the second block of three steps
+    ("XMCI2", "GAUSSIAN_SCALED", 2, {"n_max": HORIZON, "n_start": 5, "target": 0.9}),
+    ("XMCI2", "RADEMACHER_SCALED", 5, {"n_max": HORIZON, "n_start": 4, "target": 0.9}),
+    ("XMPCI", "HEAVY_PSD", 2, {"n_max": HORIZON, "target": 0.9}),
+    ("TRACE_PCHEB", "SYMMETRIC_HEAVY", 2, {"n_max": HORIZON, "target": 0.9}),
+    ("TRACE_PCHEB", "GAUSSIAN_SCALED", 1, {"n_max": HORIZON, "p": 1.2, "target": 0.9}),
+]
+
+
+def _taus(plan, horizon, g):
+    stopping = plan.get("stopping", {"kind": "first_crossing"})
+    if stopping["kind"] == "geometric":
+        return np.minimum(g.geometric(stopping["q"], TRIALS), horizon)
+    if stopping["kind"] == "fixed":
+        return np.full(TRIALS, stopping["n"])
+    return None
+
+
+@pytest.mark.parametrize("k", [1, 3, HORIZON])
+@pytest.mark.parametrize("bound,kind,d,params", CASES)
+def test_block_stops_and_values_match_a_per_step_loop(bound, kind, d, params, k, monkeypatch):
+    entry = sim._entry(bound)
+    gen = sim.default_generator(bound, kind, d)
+    plan = entry.prepare(params, gen, sim.McConfig(trials=TRIALS, horizon=HORIZON))
+    horizon = plan["horizon"]
+    draws = gen.draw(substream(4242, entry.tag, d), TRIALS, horizon)
+    taus = _taus(plan, horizon, substream(4242, entry.tag, 7))
+    monkeypatch.setattr(sim, "_MEAN_CHUNK_CELLS", k * TRIALS * d * d)
+    blocked, ref = sim._path_process(plan), sim._path_process(plan)
+    stop = sim.first_crossing(blocked, draws, plan.get("gammas"), taus)
+    want = ref_first_crossing(ref, draws[:, :], plan.get("gammas"), taus)
+    assert_bitwise(stop, want)
+    assert_bitwise(blocked.at_stop, ref.at_stop)
+    # the comparison must see trials stop, some of them inside a block of three
+    assert 0 < np.count_nonzero(stop)
+    assert any(n % 3 for n in stop if n)
+
+
+def test_no_block_runs_past_the_last_stopping_time(monkeypatch):
+    gen = sim.default_generator("UMVI_SYMMETRIC", "SYMMETRIC_HEAVY", 1)
+    params = {"stopping": {"kind": "fixed", "n": 7}}
+    plan = sim._entry("UMVI_SYMMETRIC").prepare(params, gen, sim.McConfig(trials=TRIALS, horizon=HORIZON))
+    draws = gen.draw(substream(6, 1), TRIALS, HORIZON)
+    built = []
+    monkeypatch.setattr(type(draws), "steps", lambda self, lo, hi: built.append(hi) or draws[:, lo:hi].swapaxes(0, 1).copy())
+    stop = sim.first_crossing(sim._path_process(plan), draws, plan["gammas"], np.full(TRIALS, 7))
+    assert stop.tolist() == [7] * TRIALS and built == [7]
+
+
+def test_a_stack_of_matrices_steps_like_its_draws(monkeypatch):
+    """``first_crossing`` on an ndarray stack takes the same blocks as on draws."""
+    gen = sim.default_generator("URSN", "GAUSSIAN_SCALED", 2)
+    plan = sim._entry("URSN").prepare({"alpha": 0.5}, gen, sim.McConfig(trials=TRIALS, horizon=HORIZON))
+    draws = gen.draw(substream(5, 1), TRIALS, HORIZON)
+    monkeypatch.setattr(sim, "_MEAN_CHUNK_CELLS", 4 * TRIALS * 4)
+    stack = draws[:, :]
+    before = stack.copy()
+    a, b = sim._path_process(plan), sim._path_process(plan)
+    assert_bitwise(sim.first_crossing(a, stack, plan["gammas"]), sim.first_crossing(b, draws, plan["gammas"]))
+    assert_bitwise(a.at_stop, b.at_stop)
+    assert_bitwise(stack, before)  # the caller's stack is not overwritten
+
+
+def _lone_processes():
+    """Every process ``matconc test`` can run, on a BOUNDED_PSD law at d = 2."""
+    gen = sim.default_generator("UMVI_MGF", "BOUNDED_PSD", 2)
+    m, v, b = gen.mean(), gen.variance(), gen.sq_dev_bound()
+    params = {"MGF": {"mgf": MgfSpec("SYM_HOEFFDING", b)}, "SELF_NORMALIZED": {"v": v}}
+    makers = [lambda bl=bl: sim.FactorProcess(bl, m, 4.0, **params.get(bl, {})) for bl in mg.BUILDER_KINDS]
+    makers += [lambda: sim.TraceExpProcess(m, v, 0.5), lambda: sim.TraceExpProcess(m, None, 0.5, b)]
+    return gen, makers
+
+
+def test_lone_step_matches_the_per_step_reference():
+    """``step`` (what ``matconc test`` calls) is the per-step reference on one path."""
+    gen, makers = _lone_processes()
+    path = gen.sample_path(substream(9, 9), 30)
+    for make in makers:
+        proc, ref = make(), make()
+        for n, x in enumerate(path, start=1):
+            gamma = 0.4 / n**0.5
+            assert_bitwise(proc.step(x, gamma), ref_step(ref, x, gamma))
+            assert_bitwise(proc.value, ref.value)
+
+
+def test_scan_step_does_not_overwrite_its_observation():
+    scan = sim._MeanScan("XMCI", np.zeros((2, 2)), 1.0)
+    x = np.full((3, 2, 2), -0.0)
+    scan.step(x)
+    scan.step(x)
+    assert_bitwise(x, np.full((3, 2, 2), -0.0))
+    assert_bitwise(scan.total, np.zeros((3, 2, 2)))  # 0.0 + (-0.0) + (-0.0)
+
+
+# --- the kernels' block forms -----------------------------------------------------
+
+
+def _devs(rng, k, trials, d, scale):
+    g = rng.standard_normal((k, trials, d, d))
+    return scale * (g + np.swapaxes(g, -1, -2)) / 2
+
+
+def _psd(rng, d):
+    g = rng.standard_normal((d, d))
+    return g @ g.T / d + 0.1 * np.eye(d)
+
+
+#: (builder, MGF kind): the four builders, MGF with each family of the menu
+BUILDERS = [(b, None) for b in mg.BUILDER_KINDS if b != "MGF"] + [("MGF", kind) for kind in MGF_KINDS]
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("builder,mgf_kind", BUILDERS)
+def test_factor_pair_block_equals_per_step_calls(builder, mgf_kind, d):
+    rng = np.random.default_rng(d)
+    kw = {}
+    if builder == "MGF":
+        kw["mgf"] = MgfSpec(mgf_kind, _psd(rng, d))
+    elif builder == "SELF_NORMALIZED":
+        kw["v"] = _psd(rng, d)
+    for k, trials in ((4, 6), (1, 6), (3, None)):
+        shape = (k, d, d) if trials is None else (k, trials, d, d)
+        dev = _devs(rng, k, trials or 1, d, 0.2).reshape(shape)
+        gammas = list(0.9 / np.sqrt(np.arange(1.0, k + 1.0)))
+        for root in (True, False):
+            a, e = mg.factor_pair(builder, dev, gammas, root=root, **kw)
+            assert e.shape == dev.shape
+            assert (a is None) == (builder in ("BETTING", "SYMMETRIC_DIST"))
+            for j, gamma in enumerate(gammas):
+                a_j, e_j = mg.factor_pair(builder, dev[j], gamma, root=root, **kw)
+                assert_bitwise(e[j], e_j)
+                if a is not None:
+                    assert a.shape == (k, d, d)
+                    assert_bitwise(a[j], a_j)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_sn_increments_block_equals_per_step_calls(d):
+    rng = np.random.default_rng(10 + d)
+    v, b = _psd(rng, d), _psd(rng, d)
+    dev = _devs(rng, 5, 7, d, 0.5)
+    gammas = list(0.7 / np.sqrt(np.arange(1.0, 6.0)))
+    for vv, bb in ((v, None), (None, b), (v, b)):
+        block = se.sn_increments(dev, vv, gammas, bb)
+        for j, gamma in enumerate(gammas):
+            for got, want in zip(block, se.sn_increments(dev[j], vv, gamma, bb)):
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert_bitwise(got[j], want)
