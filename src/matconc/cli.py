@@ -104,10 +104,12 @@ def _write_atomic(path: str | None, text: str) -> None:
 
 def _load_config(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid UTF-8 (byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -140,6 +142,8 @@ def _generator_from_json(obj) -> GeneratorSpec:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials is not None and args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     cfg = _load_config(args.config) if args.config else {"suite": "default"}
     seed = args.seed
     reports = []
@@ -172,7 +176,7 @@ def _cmd_verify(args) -> int:
         reports = run_default_suite(
             dims=tuple(dims),
             trials_fixed=_num(cfg, "trials_fixed", args.trials or 100_000, int),
-            trials_path=_num(cfg, "trials_path", max(1, args.trials or 10_000), int),
+            trials_path=_num(cfg, "trials_path", args.trials or 10_000, int),
             horizon=_num(cfg, "horizon", 200, int),
             workers=args.workers,
             base_seed=seed,
@@ -199,13 +203,21 @@ def _cmd_verify(args) -> int:
 
 
 def _iter_frames(path: str):
-    """Yield (line_number, matrix) from a stream of one-JSON-per-line."""
+    """Yield (line_number, matrix) from a stream of one-JSON-per-line.
+
+    The stream is read as bytes and each line decoded on its own, so
+    invalid UTF-8 is reported with the number of its line.
+    """
     try:
-        fh = open(path) if path != "-" else sys.stdin
+        fh = open(path, "rb") if path != "-" else sys.stdin.buffer
     except OSError as exc:
         raise ConfigError(f"cannot read data {path}: {exc}") from exc
     with fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ConfigError(f"data line {lineno}: not valid UTF-8") from None
             if not line.strip():
                 continue
             try:
@@ -415,7 +427,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--config", default=None, help="JSON run config")
     p_verify.add_argument("--trials", type=int, default=None, help="trials per run")
-    p_verify.add_argument("--workers", type=int, default=1, help="parallel workers")
+    p_verify.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="parallel workers, capped at the CPUs available; one pool per "
+        "process, reused across runs",
+    )
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_test = sub.add_parser(

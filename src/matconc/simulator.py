@@ -23,7 +23,9 @@ out as it would from the whole stack.
 
 from __future__ import annotations
 
+import atexit
 import math
+import os
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
@@ -1165,6 +1167,60 @@ def _block_task(args) -> int:
     return runner(plan, gen, size, seed, tag, block_idx)
 
 
+def _pool_size(workers: int) -> int:
+    """Workers a run gets: ``workers``, capped at the CPUs this process may use."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(workers, cpus)
+
+
+class _WorkerPool:
+    """The process's one pool of block workers, kept alive across runs.
+
+    The pool starts on first use and is reused by every later run of the
+    same size; a run of another size shuts it down (joining its manager
+    thread) before the new one starts.  A pool found broken (a worker
+    died, even while idle) is discarded and the run's blocks are mapped
+    once more on a fresh pool: blocks are pure functions of
+    ``(seed, tag, block_idx)``, so the counts are the same.  A second
+    break propagates.  At interpreter exit ``concurrent.futures`` joins
+    the workers and :meth:`close` drops the pool while the modules it
+    needs are still loaded.
+    """
+
+    def __init__(self):
+        self._pool = None
+        self._size = 0
+
+    def map(self, fn, tasks, size: int) -> list:
+        # imported on demand: the pool's modules add about 2 MB to every
+        # process, and serial runs, `test` and `power-compare` never use them
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        for retry in (False, True):
+            if self._pool is None or self._size != size:
+                self.close()
+                self._pool, self._size = ProcessPoolExecutor(max_workers=size), size
+            try:
+                return list(self._pool.map(fn, tasks))
+            except BrokenProcessPool:
+                self.close()
+                if retry:
+                    raise
+
+    def close(self) -> None:
+        if self._pool is not None:
+            pool, self._pool = self._pool, None
+            pool.shutdown(wait=True)
+
+
+_POOL = _WorkerPool()
+atexit.register(_POOL.close)
+
+
 # ---------------------------------------------------------------------------
 # public run entry points
 
@@ -1179,6 +1235,14 @@ def run_coverage(
 
     All validation happens up front: unknown bounds, incompatible
     pairings, and malformed parameters raise before any sampling.
+
+    With ``mc.workers > 1`` the blocks go to the process's one worker
+    pool (:class:`_WorkerPool`) of ``min(mc.workers, CPUs available)``
+    workers, started on first use and reused by later runs of that size.
+    Where the pool forks its workers (the default on Linux), they are
+    forked once and run the module state of the moment the pool
+    started: a module attribute patched later is not seen by them.  The
+    counts never depend on the worker count.
     """
     mc = mc or McConfig()
     entry = _entry(bound)
@@ -1195,15 +1259,11 @@ def run_coverage(
         (entry.family, plan, gen, size, seed, entry.tag, idx)
         for idx, size in enumerate(sizes)
     ]
-    if mc.workers == 1:
+    pool_size = _pool_size(mc.workers)
+    if pool_size == 1:
         counts = [_block_task(t) for t in tasks]
     else:
-        # imported on demand: the pool's modules add about 2 MB to every
-        # process, and serial runs, `test` and `power-compare` never use them
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=mc.workers) as pool:
-            counts = list(pool.map(_block_task, tasks))
+        counts = _POOL.map(_block_task, tasks, pool_size)
     hits = int(sum(counts))
     name = f"{bound}[{gen.kind},d={gen.dim}]"
     meta = {

@@ -75,6 +75,20 @@ def test_verify_rejects_bad_config(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: 'dim' must be a number")
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_trials_below_one(tmp_path, capsys, trials):
+    run = {"bound": "UMCI1", "generator": {"kind": "GAUSSIAN_SCALED", "dim": 1, "c": [[0.5]]}}
+    runs = write_json(tmp_path / "runs.json", {"runs": [run]})
+    # the path runs of this suite take their trials from --trials
+    suite = write_json(tmp_path / "suite.json", {"dims": [1], "trials_fixed": 64, "horizon": 5})
+    out = tmp_path / "reports.json"
+    for cfg in (runs, suite):
+        rc = main(["verify", "--config", cfg, "--trials", trials, "--output", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: --trials must be >= 1, got {trials}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "bound,generator,params,key",
     [
@@ -221,6 +235,27 @@ def test_sequential_test_bad_frames(tmp_path, capsys):
     assert "data line 1" in capsys.readouterr().err
 
 
+def test_invalid_utf8_exits_2_with_its_line(tmp_path, capsys):
+    cfg = write_json(tmp_path / "t.json", {"mode": "scalar", "m": [[0.0]], "v": [[1.0]]})
+    out = tmp_path / "out.ndjson"
+    bad = tmp_path / "bad.ndjson"
+    bad.write_bytes(b'[[0.1]]\r\n\n{"x": [[0.2]], "note": "\xc3\xa9"}\n[[0.\xff]]\n[[0.3]]\n')
+    rc = main(["test", "--config", cfg, "--data", str(bad), "--output", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: data line 4: not valid UTF-8\n"
+    assert not out.exists()
+    # the same stream up to the bad line is read as before
+    bad.write_bytes(bad.read_bytes().split(b"[[0.\xff]]")[0])
+    assert main(["test", "--config", cfg, "--data", str(bad), "--output", str(out)]) == 0
+    assert json.loads(out.read_text().splitlines()[-1])["frames"] == 2
+    # a config that is not UTF-8
+    bad_cfg = tmp_path / "bad.json"
+    bad_cfg.write_bytes(b'{"mode": "scalar", "m": [[0.0]], "v": [[1.0]], "note": "\xe9"}')
+    for argv in (["test", "--data", str(bad)], ["verify"]):
+        assert main([*argv, "--config", str(bad_cfg)]) == 2
+        assert capsys.readouterr().err == f"error: config {bad_cfg} is not valid UTF-8 (byte 56)\n"
+
+
 def test_sequential_test_missing_config_keys(tmp_path, capsys):
     cfg = write_json(tmp_path / "t.json", {"mode": "matrix", "m": [[0.0]]})
     data = write_frames(tmp_path / "d.ndjson", [np.zeros((1, 1))])
@@ -294,19 +329,40 @@ def test_output_goes_to_stdout_without_flag(tmp_path, capsys):
     assert rec["d"] == 1
 
 
+def run_module(*argv):
+    """``python -m matconc *argv`` in a fresh interpreter, with a timeout."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "matconc", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     cfg = write_json(
         tmp_path / "t.json", {"mode": "scalar", "m": [[0.0]], "v": [[1.0]]}
     )
     data = write_frames(tmp_path / "d.ndjson", [np.array([[0.1]]), np.array([[-0.2]])])
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "matconc", "test", "--config", cfg, "--data", data],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_module("test", "--config", cfg, "--data", data)
     assert proc.returncode == 0, proc.stderr
     lines = [json.loads(s) for s in proc.stdout.splitlines()]
     assert [f["n"] for f in lines[:-1]] == [1, 2]
     assert lines[-1]["frames"] == 2
     assert lines[-1]["decision"] == "continue"
+
+
+def test_verify_with_a_worker_pool_exits_and_matches_one_worker(tmp_path):
+    # two runs of three path blocks each share the pool, which must not
+    # keep the interpreter from exiting
+    run = {"bound": "URSN", "trials": 2500, "horizon": 40,
+           "generator": {"kind": "GAUSSIAN_SCALED", "dim": 2, "c": [[0.5, 0.0], [0.0, 0.5]]}}
+    cfg = write_json(tmp_path / "runs.json", {"runs": [run, dict(run, horizon=30)]})
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"workers{workers}.json"
+        proc = run_module("verify", "--config", cfg, "--seed", "5", "--workers", workers,
+                          "--output", str(out))
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

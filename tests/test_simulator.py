@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -94,6 +98,97 @@ def test_determinism_across_worker_counts():
     assert r1.to_dict() == r3.to_dict()
     r_other = run_coverage("UMCI1", gen, McConfig(trials=4000, base_seed=12))
     assert r_other.event_freq != r1.event_freq
+
+
+# three path blocks of at most 1024 paths, so both workers get work
+POOL_RUN = dict(trials=2500, horizon=40, base_seed=13)
+POOL_GEN = default_generator("URSN", "GAUSSIAN_SCALED", 2)
+needs_two_cpus = pytest.mark.skipif(sim._pool_size(2) < 2, reason="a pool needs two CPUs")
+
+
+def _pool_report(workers: int) -> dict:
+    return run_coverage("URSN", POOL_GEN, McConfig(**POOL_RUN, workers=workers)).to_dict()
+
+
+def _pool_pids() -> list[int]:
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+def test_pool_size_is_capped_at_the_cpus_available(monkeypatch):
+    cpus = len(os.sched_getaffinity(0))
+    assert sim._pool_size(1) == 1
+    assert sim._pool_size(cpus) == cpus
+    assert sim._pool_size(5000) == cpus
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert sim._pool_size(5000) == 3
+
+
+def test_run_coverage_asks_for_the_capped_pool(monkeypatch):
+    # a stand-in pool runs the blocks in process: no worker is started
+    sizes = []
+
+    class InlinePool:
+        def map(self, fn, tasks, size):
+            sizes.append(size)
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(sim, "_POOL", InlinePool())
+    cpus = sim._pool_size(5000)
+    assert _pool_report(5000) == _pool_report(1)
+    assert sizes == ([cpus] if cpus > 1 else [])
+
+
+def test_a_second_broken_pool_propagates(monkeypatch):
+    from concurrent import futures
+    from concurrent.futures.process import BrokenProcessPool
+
+    made = []
+
+    class BrokenExecutor:
+        def __init__(self, max_workers):
+            self.closed = False
+            made.append(self)
+
+        def map(self, fn, tasks):
+            raise BrokenProcessPool("a worker died")
+
+        def shutdown(self, wait):
+            self.closed = wait
+
+    futures.ProcessPoolExecutor  # resolve the lazy attribute before patching it
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", BrokenExecutor)
+    with pytest.raises(BrokenProcessPool):
+        sim._WorkerPool().map(abs, [1], 2)
+    assert len(made) == 2
+    assert all(e.closed for e in made)
+
+
+@needs_two_cpus
+def test_runs_of_one_size_reuse_the_worker_pool():
+    serial = _pool_report(1)
+    sim._POOL.close()
+    first = _pool_report(2)
+    pids = _pool_pids()
+    second = _pool_report(2)
+    assert len(pids) == 2
+    assert _pool_pids() == pids
+    assert first == second == serial
+
+
+@needs_two_cpus
+def test_a_worker_killed_while_idle_does_not_fail_the_next_run():
+    serial = _pool_report(1)
+    _pool_report(2)
+    victim = _pool_pids()[0]
+    os.kill(victim, signal.SIGKILL)
+    deadline = time.monotonic() + 30.0
+    while victim in _pool_pids() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert victim not in _pool_pids()
+    assert _pool_report(2) == serial
+    pids = _pool_pids()
+    assert len(pids) == 2 and victim not in pids
 
 
 def test_path_bound_runs_and_holds():
