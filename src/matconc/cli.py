@@ -234,16 +234,25 @@ def _iter_frames(path: str):
                 raise ConfigError(f"data line {lineno}: {exc}") from exc
 
 
+def _step_size(raw, name: str) -> float:
+    """``raw`` as a step size, a positive finite float; a ConfigError naming ``name``."""
+    try:
+        g = float(raw)
+    except (TypeError, ValueError, OverflowError):
+        g = math.nan
+    if not (math.isfinite(g) and g > 0.0):
+        raise ConfigError(f"{name} must be a positive finite number, got {raw!r}")
+    return g
+
+
 def _gamma_fn(raw):
     if raw is None:
         return mg.default_gamma_schedule(1.0)
     if isinstance(raw, (int, float)):
-        g = float(raw)
-        if g <= 0.0:
-            raise ConfigError(f"gamma must be positive, got {g}")
+        g = _step_size(raw, "'gamma'")
         return lambda n: g
     if isinstance(raw, dict) and "scale" in raw:
-        return mg.default_gamma_schedule(_num(raw, "scale", None))
+        return mg.default_gamma_schedule(_step_size(raw["scale"], "'gamma' scale"))
     raise ConfigError("'gamma' must be a positive number or {\"scale\": s}")
 
 
@@ -352,7 +361,7 @@ def _cmd_power_compare(args) -> int:
     horizon = _num(cfg, "horizon", 200, int)
     if trials < 1 or horizon < 1:
         raise ConfigError("trials and horizon must be positive")
-    gamma_scale = _num(cfg, "gamma_scale", 0.5)
+    gamma_scale = _step_size(cfg.get("gamma_scale", 0.5), "'gamma_scale'")
     # the hypothesized mean: the truth plus an optional shift, so
     # shift = 0 measures size and shift != 0 measures power
     m0 = gen.mean()

@@ -170,9 +170,9 @@ def log_trace_exp(s: np.ndarray) -> np.ndarray:
     return top + np.log(np.exp(w - top[..., None]).sum(axis=-1))
 
 
-def _kahan_add(total: np.ndarray, carry: np.ndarray, delta: np.ndarray):
+def _kahan_add(total: np.ndarray, carry: np.ndarray, delta: np.ndarray, out=None):
     y = delta - carry
-    t = total + y
+    t = np.add(total, y, out=out)
     return t, (t - total) - y
 
 

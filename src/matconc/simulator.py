@@ -28,7 +28,6 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import repeat
 
 import numpy as np
 
@@ -826,26 +825,30 @@ def _fixed_block(plan, gen, size, seed, tag, block_idx) -> int:
 class _Process:
     """A sequential statistic on a stack of paths (or on one path).
 
-    A process takes its steps a block at a time.  ``_prepare(xs, gammas)``
-    does the block's work that does not depend on the process state, one
-    kernel call for the whole block, and returns its stacks, each with one
-    entry per step (or None); ``_absorb(gamma, *entries)`` does the stateful
-    part of one step from that step's entries and returns its crossing
-    event per trial.  A block holds each trial's next ``k`` observations
-    step-major, ``xs`` of shape ``(k, trials, d, d)`` (``(k, d, d)`` for
-    one path), with ``gammas`` the list of their ``k`` step sizes (None
-    entries for the scans).  :meth:`step` takes one step through the
-    same code, in the single-step form that the kernels also take: ``x``
-    is the step's ``(trials, d, d)`` stack (``(d, d)`` for one path) and
-    ``gamma`` its float step size, so that a lone step carries no step
-    axis (an axis of length one makes every small numpy call dearer).
-    Between two steps the caller may ``freeze`` rows; the next step sees
-    the frozen state.  ``value`` is the statistic per trial, formed when it
-    is read and kept until the next step; ``freeze(rows)`` forms it on
-    those trials only and copies it into ``at_stop`` (see
-    :func:`first_crossing`).  A stack of trials decides most rows from an
-    exact norm bound, without the statistic: only rows near the level,
-    rows that stop and the last step need it.
+    :meth:`step` takes one step: ``x`` is the step's ``(trials, d, d)``
+    stack (``(d, d)`` for one path) and ``gamma`` its float step size.  It
+    advances the state and returns :meth:`decide`, the crossing event of
+    each trial's current state.  Between two steps the caller may
+    ``freeze`` rows; the next step sees the frozen state.  ``value`` is
+    the statistic per trial, formed when it is read and kept until the
+    next step; ``freeze(rows)`` forms it on those trials only and copies
+    it into ``at_stop``.  A stack of trials decides most rows from an
+    exact norm bound, without the statistic: only rows near the level and
+    rows that stop need it.
+
+    :func:`first_crossing` takes ``k`` steps at a time in two parts.
+    ``_block(xs, gammas)`` runs the recurrence: one kernel call does the
+    state-free work of the ``k`` steps (``_prepare``), then the state
+    advances step by step and each step's state goes into a step-major
+    buffer.  ``xs`` holds each trial's next ``k`` observations,
+    ``(k, trials, d, d)``, and ``gammas`` their ``k`` step sizes (None
+    entries for the scans).  It returns the block: a tuple of arrays
+    shaped ``(n, trials, ...)`` (or None), the states of the first ``n``
+    steps.  ``n`` is ``k`` unless a state has a non-finite entry, and then
+    the block ends just before it.  ``_events(*states)`` is the decision
+    rule, one call on any stack of states, and ``_values(*states)`` forms
+    the statistic of the states it is given.  Every event and value equals
+    that of stepping one observation at a time, bit for bit.
     """
 
     at_stop = None
@@ -855,13 +858,21 @@ class _Process:
         """The state-free work of the steps ``xs``: stacks with one entry per step."""
         raise NotImplementedError
 
-    def _absorb(self, gamma, *entries):
-        """The stateful part of one step; returns its crossing events."""
+    def _block(self, xs, gammas):
+        """Advance through the steps ``xs``; returns the block of their states."""
         raise NotImplementedError
 
-    def step(self, x, gamma=None):
-        """Absorb one observation per trial; returns the crossing events."""
-        return self._absorb(gamma, *self._prepare(x, gamma))
+    def _events(self, *states):
+        """Crossing events of a stack of states."""
+        raise NotImplementedError
+
+    def _values(self, *states):
+        """The statistic of a stack of states."""
+        raise NotImplementedError
+
+    def _stop(self, block, steps, rows):
+        """Record in ``at_stop`` the value of trial ``rows[i]`` at block step ``steps[i]``."""
+        self._keep(rows, self._values(*(s if s is None else s[steps, rows] for s in block)), block[0].shape[1])
 
     @property
     def value(self):
@@ -876,11 +887,13 @@ class _Process:
     def _rows(self, rows):
         return self._form(rows) if self._value is None else self._value[rows]
 
-    def freeze(self, rows) -> None:
-        frozen = self._rows(rows)
+    def _keep(self, rows, frozen, size: int) -> None:
         if self.at_stop is None:
-            self.at_stop = np.empty(rows.shape + frozen.shape[1:], dtype=frozen.dtype)
+            self.at_stop = np.empty((size,) + frozen.shape[1:], dtype=frozen.dtype)
         self.at_stop[rows] = frozen
+
+    def freeze(self, rows) -> None:
+        self._keep(rows, self._rows(rows), len(rows))
 
 
 class FactorProcess(_Process):
@@ -903,6 +916,12 @@ class FactorProcess(_Process):
     value ``matconc test`` reads at every step, is decided on ``Y``, and
     raises DomainError when ``Y`` holds a NaN.  In a stack, a non-finite
     trial is never settled and takes the rule on ``Y`` as before.
+
+    The block of :func:`first_crossing` holds ``L_n`` of every step.  A
+    trial that stops inside a block keeps multiplying to the block's end
+    and restarts there, so its product may overflow: the recurrence and
+    the rule run with overflow warnings off, and a non-finite trial is
+    crossed in any case.
     """
 
     def __init__(self, builder, m, a, mgf=None, v=None):
@@ -917,30 +936,61 @@ class FactorProcess(_Process):
     def _prepare(self, xs, gammas):
         return mg.factor_pair(self.builder, xs - self.m, gammas, root=True, **self.params)
 
-    def _absorb(self, gamma, sqrt_a, sqrt_e):
-        self.state = self.state.advance(sqrt_a, sqrt_e)
+    def step(self, x, gamma=None):
+        """Absorb one observation per trial; returns the crossing events."""
+        self.state = self.state.advance(*self._prepare(x, gamma))
         return self.decide()
+
+    def _block(self, xs, gammas):
+        sqrt_a, lefts = self._prepare(xs, gammas)
+        left = self.state.left
+        with np.errstate(over="ignore", invalid="ignore"):
+            # each step's L_n takes the place of its factor E_n^{1/2}: a
+            # block allocates no buffer of its own
+            for j, sqrt_e in enumerate(lefts):
+                step = sqrt_e if sqrt_a is None else sqrt_a[j] @ sqrt_e
+                left = np.matmul(left, step, out=sqrt_e)
+        self.state = mg.MatSupermartingaleState(left, self.state.n + len(lefts))
+        self._value = None
+        return (lefts,)
 
     def decide(self):
         """Crossing event of each trial's current state."""
         self._value = None
         left, level = self.state.left, self._level
-        if left.ndim == 2 and np.isnan(self.value).any():
+        if left.ndim > 2:
+            return self._events(left)
+        if np.isnan(self.value).any():
             # the kernels do not re-validate their stacks: a non-finite
             # exponent shows as NaN in the factors
             raise DomainError("process state is not finite")
-        if level is None or left.ndim == 2:
-            return mg.exceeds(self.value, self.a if level is None else level)
+        return mg.exceeds(self.value, self.a if level is None else level)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _events(self, left):
+        level = self._level
+        if level is None:
+            return mg.exceeds(self._values(left), self.a)
         sq = np.einsum("...ij,...ij->...", left, left)
         settled = sm.settles(sq, level, left.shape[-1], power=2.0)
-        return sm.unsettled_events(settled, lambda rows: mg.exceeds(self._rows(rows), level))
+        return sm.unsettled_events(settled, lambda rows: mg.exceeds(self._values(left[rows]), level))
+
+    def _values(self, left):
+        return mg.MatSupermartingaleState(left).value()
 
     def _form(self, rows):
         left = self.state.left
-        return mg.MatSupermartingaleState(left if rows is None else left[rows]).value()
+        return self._values(left if rows is None else left[rows])
+
+    def _stop(self, block, steps, rows):
+        super()._stop(block, steps, rows)
+        self._restart(rows)
 
     def freeze(self, rows) -> None:
         super().freeze(rows)
+        self._restart(rows)
+
+    def _restart(self, rows):
         # a stopped trial's value is recorded; restarting it keeps its product bounded
         self.state.left[rows] = np.eye(self.m.shape[0])
         self._value = None
@@ -954,14 +1004,18 @@ class TraceExpProcess(_Process):
     exact bound allows.  The trace-exp value obeys ``log tr e^S <= log d +
     lambda_max(S) <= log d + ||S||_F``; the Hoeffding value
     ``lambda_max(G) - lambda_max(B_n) / 2`` (``G`` the tilt, ``B_n = sum
-    gamma_i^2 B_i`` shared by all trials, one ``eigvalsh`` per step) obeys
-    ``lambda_max(G) <= ||G||_F``.  A trial whose bound sits below the
-    level by the margin of :func:`~matconc.symmat.settles` has not
-    crossed: the margin also covers the rounding of ``log d`` and of the
-    shifted log-sum-exp.  The statistic is formed on the other trials
-    only.  A lone trial is decided on its value.  A state with a
-    non-finite entry raises DomainError, as the validated kernels did.
+    gamma_i^2 B_i`` shared by all trials, one ``eigvalsh`` per step, or per
+    block of steps) obeys ``lambda_max(G) <= ||G||_F``.  A trial whose
+    bound sits below the level by the margin of
+    :func:`~matconc.symmat.settles` has not crossed: the margin also covers
+    the rounding of ``log d`` and of the shifted log-sum-exp.  The
+    statistic is formed on the other trials only.  A lone trial is decided
+    on its value.  A state with a non-finite entry raises DomainError, as
+    the validated kernels did; in :func:`first_crossing`, only when no
+    step before it stopped every trial.
     """
+
+    _half_top_b = None
 
     def __init__(self, m, v, alpha, b=None):
         self.m, self.v, self.b = m, v, b
@@ -971,38 +1025,87 @@ class TraceExpProcess(_Process):
     def _prepare(self, xs, gammas):
         return se.sn_increments(xs - self.m, self.v, gammas, self.b)
 
-    def _absorb(self, gamma, dz, dc, db):
-        self.state = se._advance(self.state, gamma, dz, dc, db)
+    def step(self, x, gamma=None):
+        """Absorb one observation per trial; returns the crossing events."""
+        self.state = se._advance(self.state, gamma, *self._prepare(x, gamma))
         return self.decide()
+
+    def _block(self, xs, gammas):
+        mats, dc, db = self._prepare(xs, gammas)
+        st, hoeffding = self.state, self.b is not None
+        sum_b, half = st.sum_gamma_sq_b, None
+        if db is not None:
+            db[0] += sum_b
+            sums = np.add.accumulate(db, axis=0, out=db)
+            sum_b, half = sums[-1], 0.5 * se._top(sums)
+        sum_gamma = st.sum_gamma
+        for gamma in gammas:
+            sum_gamma += gamma
+        gz, gz_carry, pc, pc_carry = st.gz, st.gz_carry, st.pc, st.pc_carry
+        # the states after the last trial's stop are formed too, unread
+        with np.errstate(over="ignore", invalid="ignore"):
+            # each step's exponent S (the tilt G for Hoeffding), before
+            # symmetrizing, takes the place of its tilt increment
+            for j, dz in enumerate(mats):
+                gz, gz_carry = se._kahan_add(gz, gz_carry, dz, out=dz if hoeffding else None)
+                if dc is not None:
+                    pc, pc_carry = se._kahan_add(pc, pc_carry, dc[j])
+                if not hoeffding:
+                    np.subtract(gz, pc, out=dz)
+            mat = sm.symmat_stack(mats, trusted=True)
+            sq = sm._eig_frobenius_sq(mat)
+        self.state = se.TraceExpState(gz, gz_carry, pc, pc_carry, sum_gamma, sum_b, st.n + len(mats))
+        self._value, self._mat = None, mat[-1]
+        if half is not None:
+            self._half_top_b = half[-1]
+            half = np.broadcast_to(half[:, None], sq.shape)
+        n = len(mat)
+        bad = ~np.isfinite(sq).all(axis=1)
+        if bad.any():
+            # a stack is finite where ||S||_F^2 is, short of overflowing squares
+            bad[bad] = ~np.isfinite(mat[bad]).all(axis=(1, 2, 3))
+            if bad.any():
+                n = int(bad.argmax())
+        return mat[:n], None if half is None else half[:n], sq[:n]
 
     def decide(self):
         """Crossing event of each trial's current state."""
         self._value = None
-        d = self.m.shape[0]
         if self.b is None:
             self._mat = self.state.exponent()
-            level, offset = self.level, math.log(d)
         else:
             # the symmetric tilt that the eigenvalue rule reads, so that the norm bounds it
             self._mat = sm.symmat_stack(self.state.gz, trusted=True)
             self._half_top_b = 0.5 * se._top(self.state.sum_gamma_sq_b)
-            level, offset = self.level + self._half_top_b, 0.0
-        lone = self._mat.ndim == 2
-        sq = None if lone else sm._eig_frobenius_sq(self._mat)
-        # a stack is finite where ||S||_F^2 is, short of overflowing squares
-        if (lone or not np.isfinite(sq).all()) and not np.isfinite(self._mat).all():
-            raise DomainError("matrix entries must be finite")
-        if lone:
+        if self._mat.ndim == 2:
+            if not np.isfinite(self._mat).all():
+                raise DomainError("matrix entries must be finite")
             return self.value >= self.level
+        sq = sm._eig_frobenius_sq(self._mat)
+        # a stack is finite where ||S||_F^2 is, short of overflowing squares
+        if not np.isfinite(sq).all() and not np.isfinite(self._mat).all():
+            raise DomainError("matrix entries must be finite")
+        return self._events(self._mat, self._half_top_b, sq)
+
+    def _events(self, mat, half, sq):
+        d = mat.shape[-1]
+        if self.b is None:
+            level, offset = self.level, math.log(d)
+        else:
+            half = np.broadcast_to(half, sq.shape)
+            level, offset = self.level + half, 0.0
         settled = sm.settles(sq, level, d, offset=offset)
-        return sm.unsettled_events(settled, lambda rows: self._rows(rows) >= self.level)
+        return sm.unsettled_events(
+            settled, lambda rows: self._values(mat[rows], None if half is None else half[rows]) >= self.level
+        )
+
+    def _values(self, mat, half, sq=None):
+        if self.b is None:
+            return se.log_trace_exp(mat)
+        return np.linalg.eigvalsh(mat)[..., -1] - half
 
     def _form(self, rows):
-        mat = self._mat if rows is None else self._mat[rows]
-        if self.b is None:
-            stat = se.log_trace_exp(mat)
-        else:
-            stat = np.linalg.eigvalsh(mat)[..., -1] - self._half_top_b
+        stat = self._values(self._mat if rows is None else self._mat[rows], self._half_top_b)
         return se._float_or_stack(stat) if rows is None else stat
 
 
@@ -1010,8 +1113,10 @@ class _MeanScan(_Process):
     """Running means ``Xbar_n`` tested by :func:`~matconc.martingales.scan_exceeds`
     from ``n_start`` on; the value is the crossing event itself.
 
-    It takes blocks only, and overwrites each with its running sums:
-    :meth:`step` hands it a copy of ``x`` as a one-step block.
+    Its state-free work already decides: the block's running sums and the
+    scan test of every step are one call, which overwrites the block with
+    its running sums (:meth:`step` hands it a copy of ``x`` as a one-step
+    block).
     """
 
     def __init__(self, kind, m, a, p=None, n_start=1):
@@ -1020,7 +1125,8 @@ class _MeanScan(_Process):
 
     def step(self, x, gamma=None):
         (events,) = self._prepare(np.array(x, dtype=np.float64)[None], None)
-        return self._absorb(None, events[0])
+        self._value = events[0]
+        return self._value
 
     def _prepare(self, xs, gammas):
         # running sums in step order, in place: + the total so far (0.0 at
@@ -1041,26 +1147,31 @@ class _MeanScan(_Process):
             events[live:] = mg.scan_exceeds(self.kind, means, self.m, self.a, self.p)
         return (events,)
 
-    def _absorb(self, gamma, events):
-        self._value = events
+    def _block(self, xs, gammas):
+        block = self._prepare(xs, gammas)
+        self._value = block[0][-1]
+        return block
+
+    def _events(self, events):
         return events
+
+    _values = _events
 
 
 def _step_blocks(proc: _Process, xs, gammas, horizon: int):
-    """Every step's crossing events of ``proc`` along ``xs`` up to ``horizon``,
-    taken a block of ``k`` steps at a time, ``k`` sized by ``_MEAN_CHUNK_CELLS``."""
+    """The blocks of ``proc`` along ``xs`` up to ``horizon``, ``k`` steps each,
+    ``k`` sized by ``_MEAN_CHUNK_CELLS``: yields ``(lo, hi, block)`` for
+    the steps ``lo + 1 .. hi`` (see :class:`_Process`)."""
     size, d = xs.shape[0], xs.shape[-1]
     k = max(1, _MEAN_CHUNK_CELLS // (size * d * d))
     for lo in range(0, horizon, k):
         hi = min(lo + k, horizon)
         if isinstance(xs, Draws):
-            block = xs.steps(lo, hi)
+            steps = xs.steps(lo, hi)
         else:
-            block = np.array(np.swapaxes(xs[:, lo:hi], 0, 1), order="C")
+            steps = np.array(np.swapaxes(xs[:, lo:hi], 0, 1), order="C")
         gs = [None] * (hi - lo) if gammas is None else [float(g) for g in gammas[lo:hi]]
-        stacks = proc._prepare(block, gs)
-        for gamma, *entries in zip(gs, *(repeat(None) if s is None else s for s in stacks)):
-            yield proc._absorb(gamma, *entries)
+        yield lo, hi, proc._block(steps, gs)
 
 
 def first_crossing(proc: _Process, xs, gammas=None, taus=None) -> np.ndarray:
@@ -1070,13 +1181,19 @@ def first_crossing(proc: _Process, xs, gammas=None, taus=None) -> np.ndarray:
     stand for it.  The steps go to ``proc`` in blocks of ``k`` consecutive
     steps, ``k = max(1, _MEAN_CHUNK_CELLS // (trials d^2))``: a block is
     built step-major, ``(k, trials, d, d)``
-    (:meth:`~matconc.generators.Draws.steps`), and the process does its
-    state-free work on the whole block before taking its steps one by one
-    (see :class:`_Process`); every value equals that of stepping one
-    observation at a time, bit for bit.  Step ``n`` uses ``gammas[n - 1]``.
-    A trial stops at its first crossing, or at its entry of ``taus`` (in
-    ``1..horizon``) when given; a stopped trial is frozen before the next
-    step is taken.
+    (:meth:`~matconc.generators.Draws.steps`), the process runs its
+    recurrence through the block and keeps each step's state, and one call
+    of its decision rule gives the events of all ``k * trials`` states
+    (see :class:`_Process`).  Step ``n`` uses ``gammas[n - 1]``.  A trial
+    stops at its first crossing, or at its entry of ``taus`` (in
+    ``1..horizon``) when given, found with one ``argmax`` over the block's
+    steps; with ``taus`` no event is computed.  ``at_stop`` takes the
+    value of the state at the stopping step.  A stopped trial keeps running
+    to the end of its block, where a :class:`FactorProcess` restarts it.
+    Every stop and value equals that of stepping one observation at a time
+    and freezing each stopped trial before the next step, bit for bit; a
+    state with a non-finite entry raises DomainError only at a step that
+    such stepping would reach.
     Returns each trial's stopping step, 0 for a trial that never stopped;
     ``proc.at_stop`` then holds the value at the stopping step, or at
     the last step run for trials that never stopped.
@@ -1084,13 +1201,22 @@ def first_crossing(proc: _Process, xs, gammas=None, taus=None) -> np.ndarray:
     # every trial has stopped by the largest of taus: no block runs past it
     horizon = xs.shape[1] if taus is None else min(xs.shape[1], int(taus.max()))
     stop = np.zeros(xs.shape[0], dtype=np.int64)
-    for n, crossed in enumerate(_step_blocks(proc, xs, gammas, horizon), start=1):
-        newly = (stop == 0) & (crossed if taus is None else taus == n)
+    for lo, hi, block in _step_blocks(proc, xs, gammas, horizon):
+        n = len(block[0])
+        if taus is None:
+            crossed = proc._events(*block)
+        else:
+            crossed = taus == np.arange(lo + 1, lo + n + 1)[:, None]
+        newly = (stop == 0) & crossed.any(axis=0)
         if newly.any():
-            stop[newly] = n
-            proc.freeze(newly)
-        if stop.all():
-            break
+            rows = np.flatnonzero(newly)
+            steps = crossed[:, rows].argmax(axis=0)
+            stop[rows] = lo + 1 + steps
+            proc._stop(block, steps, rows)
+            if stop.all():
+                break
+        if n < hi - lo:
+            raise DomainError("matrix entries must be finite")
     proc.freeze(stop == 0)
     return stop
 
@@ -1187,7 +1313,8 @@ class _WorkerPool:
     ``(seed, tag, block_idx)``, so the counts are the same.  A second
     break propagates.  At interpreter exit ``concurrent.futures`` joins
     the workers and :meth:`close` drops the pool while the modules it
-    needs are still loaded.
+    needs are still loaded.  :meth:`close` terminates the workers before
+    the shutdown, so that one that died just before cannot hang it.
     """
 
     def __init__(self):
@@ -1214,6 +1341,11 @@ class _WorkerPool:
     def close(self) -> None:
         if self._pool is not None:
             pool, self._pool = self._pool, None
+            # an idle worker waits for work holding the call queue's read
+            # lock; if another one died just before, the shutdown could join
+            # a worker that never gets the lock: stop them all first
+            for worker in list((getattr(pool, "_processes", None) or {}).values()):
+                worker.terminate()
             pool.shutdown(wait=True)
 
 

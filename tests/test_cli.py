@@ -295,6 +295,49 @@ def test_power_compare(tmp_path):
     assert res["scalar"]["mean_stop"] <= res["matrix"]["mean_stop"] + 1e-9
 
 
+BAD_STEP_SIZES = [0, -0.5, float("nan"), float("inf"), float("-inf"), "x"]
+
+
+@pytest.mark.parametrize("value", BAD_STEP_SIZES)
+def test_power_compare_rejects_a_bad_gamma_scale(tmp_path, capsys, value):
+    cfg = write_json(
+        tmp_path / "pc.json",
+        {
+            "generator": {"kind": "GAUSSIAN_SCALED", "dim": 2, "c": [[0.4, 0.0], [0.0, 0.4]]},
+            "trials": 5,
+            "horizon": 10,
+            "gamma_scale": value,
+        },
+    )
+    out = tmp_path / "pc_out.json"
+    assert main(["power-compare", "--config", cfg, "--seed", "2", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: 'gamma_scale' must be a positive finite number, got {value!r}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", BAD_STEP_SIZES)
+@pytest.mark.parametrize("scale", [False, True])
+def test_sequential_test_rejects_a_bad_gamma_before_reading_data(tmp_path, capsys, value, scale):
+    gamma, name = ({"scale": value}, "'gamma' scale") if scale else (value, "'gamma'")
+    if value == "x" and not scale:
+        gamma, name = "x", None  # not a number or a schedule: the generic message
+    cfg = write_json(
+        tmp_path / "t.json", {"mode": "scalar", "m": [[0.0]], "v": [[1.0]], "gamma": gamma}
+    )
+    out = tmp_path / "out.ndjson"
+    # the data file does not exist: reading it would be a different error
+    missing = str(tmp_path / "missing.ndjson")
+    assert main(["test", "--config", cfg, "--data", missing, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    if name is None:
+        assert err.startswith("error: 'gamma' must be a positive number")
+    else:
+        assert err == f"error: {name} must be a positive finite number, got {value!r}\n"
+    assert not out.exists()
+
+
 def test_falsify_record_output(tmp_path):
     out = tmp_path / "falsify.json"
     rc = main(["falsify", "--p", "2.0", "--d", "2", "--instances", "10",

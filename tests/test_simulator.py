@@ -1,6 +1,8 @@
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -189,6 +191,38 @@ def test_a_worker_killed_while_idle_does_not_fail_the_next_run():
     assert _pool_report(2) == serial
     pids = _pool_pids()
     assert len(pids) == 2 and victim not in pids
+
+
+#: kills an idle worker and closes the pool at once, twenty times over
+KILL_THEN_CLOSE = """
+import os, signal
+from matconc import simulator as sim
+for _ in range(20):
+    pool = sim._WorkerPool()
+    assert pool.map(abs, [-1, -2], 2) == [1, 2]
+    os.kill(next(iter(pool._pool._processes)), signal.SIGKILL)
+    pool.close()
+print("closed")
+"""
+
+
+def test_closing_just_after_a_worker_died_does_not_hang():
+    """A close right after a worker's death could join the surviving idle
+    worker forever; it runs in a fresh interpreter and session, so a hang
+    is a timeout that kills the interpreter and its workers."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.Popen(
+        [sys.executable, "-c", KILL_THEN_CLOSE],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, start_new_session=True,
+    )
+    try:
+        out, err = child.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        raise
+    assert (child.returncode, out, err) == (0, "closed\n", "")
 
 
 def test_path_bound_runs_and_holds():

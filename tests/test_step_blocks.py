@@ -9,7 +9,15 @@ and the values at the stops, bit for bit, with a per-step reference loop:
 the stepping code as it was before blocks, copied here.  The kernels'
 block forms (``factor_pair``, ``sn_increments``) are compared with their
 per-step calls on their own.
+
+A block's events come from one decision over all of its states, after the
+recurrence has run to the block's end, so the edge cases of that order
+are pinned too: trials that stop inside a block and keep running to its
+end, a non-finite state the per-step loop would or would not reach, every
+trial stopping in the first block, and stopping times given in advance.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +25,8 @@ import pytest
 from matconc import martingales as mg
 from matconc import scalar_e as se
 from matconc import simulator as sim
+from matconc import symmat as sm
+from matconc.errors import DomainError
 from matconc.fixed_bounds import MGF_KINDS, MgfSpec
 from matconc.rng import substream
 
@@ -236,3 +246,140 @@ def test_sn_increments_block_equals_per_step_calls(d):
                 assert (got is None) == (want is None)
                 if want is not None:
                     assert_bitwise(got[j], want)
+
+
+# --- edge cases of deciding a block in one call -----------------------------------
+
+KS = [1, 3, HORIZON]
+
+
+def _shifted_paths(kind, d, shifts, seed=77):
+    """Draws of the default ``kind`` law at ``d``, each trial's path moved by ``shifts[t] I``."""
+    gen = sim.default_generator("UMVI_MGF", kind, d)
+    xs = gen.draw(substream(seed, 1), len(shifts), HORIZON)[:, :]
+    return gen, xs + np.asarray(shifts, dtype=float)[:, None, None, None] * np.eye(d)
+
+
+def _blocked(monkeypatch, k, xs, make, *args):
+    d = xs.shape[-1]
+    monkeypatch.setattr(sim, "_MEAN_CHUNK_CELLS", k * xs.shape[0] * d * d)
+    proc = make()
+    return proc, sim.first_crossing(proc, xs, *args)
+
+
+@pytest.mark.parametrize("k", KS)
+def test_a_product_that_overflows_after_its_stop_neither_raises_nor_warns(k, monkeypatch):
+    """Every trial crosses by step 2; the per-step loop stops there, while a
+    block keeps multiplying its stopped trials to its end, past float range
+    (``Y`` at step 3, ``L`` from step 5 on)."""
+    d = 2
+    gen, xs = _shifted_paths("RADEMACHER_SCALED", d, np.where(np.arange(TRIALS) % 2, 300.0, 200.0))
+    gammas = np.ones(HORIZON)
+
+    def make():
+        return sim.FactorProcess("MGF", np.zeros((d, d)), float(np.exp(250.0)), mgf=MgfSpec("RADEMACHER", gen.c))
+
+    ref = make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = ref_first_crossing(ref, xs, gammas)
+        proc, stop = _blocked(monkeypatch, k, xs, make, gammas)
+    assert sorted(set(want.tolist())) == [1, 2]
+    assert_bitwise(stop, want)
+    assert_bitwise(proc.at_stop, ref.at_stop)
+    # stopped trials restart at the end of their block
+    assert np.isfinite(proc.state.left).all()
+
+
+def _trace_exp_maker(b_kind):
+    gen = sim.default_generator("USMHI", "RADEMACHER_SCALED", 2)
+    m, v, b = gen.mean(), gen.variance(), gen.sq_dev_bound()
+    if b_kind == "URSN":
+        return lambda: sim.TraceExpProcess(m, v, 0.5)
+    return lambda: sim.TraceExpProcess(m, None, 0.5, b)
+
+
+@pytest.mark.parametrize("k", KS)
+@pytest.mark.parametrize("rule", ["URSN", "USMHI"])
+def test_a_non_finite_trace_exp_state_raises_only_where_steps_would_reach_it(rule, k, monkeypatch):
+    make = _trace_exp_maker(rule)
+    _, xs = _shifted_paths("RADEMACHER_SCALED", 2, np.linspace(1.0, 3.0, TRIALS))
+    gammas = 0.8 / np.sqrt(np.arange(1.0, HORIZON + 1))
+    clean = ref_first_crossing(make(), xs, gammas)
+    last = int(clean.max())
+    assert clean.all() and 3 < last < HORIZON - 1
+    # a NaN observation makes trial 0's state non-finite from its step on:
+    # stepping never reaches the step after the last stop, but does reach the last stop
+    bad = xs.copy()
+    bad[0, last] = np.nan
+    ref = make()
+    want = ref_first_crossing(ref, bad, gammas)
+    proc, stop = _blocked(monkeypatch, k, bad, make, gammas)
+    assert_bitwise(stop, want)
+    assert_bitwise(proc.at_stop, ref.at_stop)
+    bad = xs.copy()
+    bad[0, last - 1] = np.nan
+    with pytest.raises(DomainError):
+        ref_first_crossing(make(), bad, gammas)
+    with pytest.raises(DomainError):
+        _blocked(monkeypatch, k, bad, make, gammas)
+
+
+@pytest.mark.parametrize("k", [3, HORIZON])
+@pytest.mark.parametrize("rule", ["MGF", "URSN", "USMHI"])
+def test_every_trial_stops_in_the_first_block(rule, k, monkeypatch):
+    gen, xs = _shifted_paths("RADEMACHER_SCALED", 2, np.linspace(2.0, 8.0, TRIALS))
+    if rule == "MGF":
+
+        def make():
+            return sim.FactorProcess("MGF", gen.mean(), 4.0, mgf=MgfSpec("RADEMACHER", gen.c))
+
+    else:
+        make = _trace_exp_maker(rule)
+    gammas = 0.8 / np.sqrt(np.arange(1.0, HORIZON + 1))
+    ref = make()
+    want = ref_first_crossing(ref, xs, gammas)
+    # trials stop at different steps, all inside the first block of three
+    assert 0 < want.min() < want.max() <= 3
+    blocks = []
+
+    def counted():
+        proc = make()
+        block = proc._block
+        proc._block = lambda *args: blocks.append(1) or block(*args)
+        return proc
+
+    proc, stop = _blocked(monkeypatch, k, xs, counted, gammas)
+    assert_bitwise(stop, want)
+    assert_bitwise(proc.at_stop, ref.at_stop)
+    assert len(blocks) == 1
+
+
+@pytest.mark.parametrize("k", KS)
+@pytest.mark.parametrize(
+    "bound,kind,params",
+    [
+        ("UMVI_MGF", "RADEMACHER_SCALED", {"alpha": 0.99, "gamma_scale": 1.5}),
+        ("UMVI_SELF_NORMALIZED", "GAUSSIAN_SCALED", {"alpha": 0.99}),
+        ("URSN", "GAUSSIAN_SCALED", {"alpha": 0.5}),
+        ("USMHI", "RADEMACHER_SCALED", {"alpha": 0.99, "gamma_scale": 1.0}),
+    ],
+)
+@pytest.mark.parametrize("stopping", [{"kind": "geometric", "q": 0.15}, {"kind": "fixed", "n": 11}])
+def test_taus_stop_without_computing_events(bound, kind, params, stopping, k, monkeypatch):
+    d = 2
+    entry = sim._entry(bound)
+    gen = sim.default_generator(bound, kind, d)
+    plan = entry.prepare({**params, "stopping": stopping}, gen, sim.McConfig(trials=TRIALS, horizon=HORIZON))
+    draws = gen.draw(substream(4243, entry.tag, d), TRIALS, HORIZON)
+    taus = _taus(plan, HORIZON, substream(4243, entry.tag, 8))
+    ref = sim._path_process(plan)
+    want = ref_first_crossing(ref, draws[:, :], plan["gammas"], taus)
+
+    def no_screen(*args, **kwargs):
+        raise AssertionError("an event was computed")
+
+    monkeypatch.setattr(sm, "settles", no_screen)
+    proc, stop = _blocked(monkeypatch, k, draws, lambda: sim._path_process(plan), plan["gammas"], taus)
+    assert_bitwise(stop, want)
+    assert_bitwise(proc.at_stop, ref.at_stop)
