@@ -63,17 +63,29 @@ def _dump_json(obj) -> str:
 
 
 def _num(obj: dict, key: str, default, kind=float):
-    """``kind(obj[key])``, or of ``default`` when absent; a ConfigError naming the key."""
+    """``kind(obj[key])``, or of ``default`` when absent; a ConfigError naming the key.
+
+    A boolean is not a number, and an ``int`` field takes only integral
+    values (``2`` or ``2.0``, not ``2.7``).
+    """
     raw = obj.get(key, default)
     try:
-        return kind(raw)
+        if isinstance(raw, bool):
+            raise TypeError
+        val = kind(raw)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key!r} must be a number, got {raw!r}") from None
+    if kind is int and isinstance(raw, float) and val != raw:
+        raise ConfigError(f"{key!r} must be an integer, got {raw!r}")
+    return val
 
 
-def _matrix(obj: dict, key: str, d: int | None, missing: str | None = None) -> np.ndarray:
-    """The matrix literal under ``key``, checked to be ``d x d`` unless ``d`` is None;
-    ``missing`` is the error when absent."""
+def _matrix(
+    obj: dict, key: str, d: int | None, missing: str | None = None, psd: bool = False
+) -> np.ndarray:
+    """The matrix literal under ``key``, checked to be ``d x d`` unless ``d`` is None
+    and, with ``psd``, positive semidefinite (``symmat.is_psd``); ``missing`` is the
+    error when absent."""
     if key not in obj:
         raise ConfigError(missing or f"config needs {key!r}")
     try:
@@ -82,6 +94,10 @@ def _matrix(obj: dict, key: str, d: int | None, missing: str | None = None) -> n
         raise ConfigError(f"{key!r}: {exc}") from None
     if d is not None and mat.shape[0] != d:
         raise ConfigError(f"{key!r} has dimension {mat.shape[0]}, expected {d}")
+    if psd and not sm.is_psd(mat):
+        raise ConfigError(
+            f"{key!r} must be positive semidefinite, smallest eigenvalue {sm.lambda_min(mat):g}"
+        )
     return mat
 
 
@@ -170,7 +186,7 @@ def _cmd_verify(args) -> int:
     elif cfg.get("suite", "default") == "default":
         dims = cfg.get("dims", [1, 2, 5])
         if not isinstance(dims, list) or not all(
-            isinstance(d, int) and d >= 1 for d in dims
+            isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims
         ):
             raise ConfigError("'dims' must be a list of positive integers")
         reports = run_default_suite(
@@ -286,7 +302,9 @@ def _cmd_test(args) -> int:
             )
         params = {}
         if builder == "SELF_NORMALIZED":
-            params["v"] = _matrix(cfg, "v", d, "SELF_NORMALIZED needs 'v', the variance bound")
+            params["v"] = _matrix(
+                cfg, "v", d, "SELF_NORMALIZED needs 'v', the variance bound", psd=True
+            )
         elif builder == "BETTING":
             b = _matrix(cfg, "b", d, "BETTING needs 'b', the upper bound matrix")
             # raises unless gamma_1 is admissible; gamma_n <= gamma_1 on every schedule
@@ -301,7 +319,7 @@ def _cmd_test(args) -> int:
         proc = FactorProcess(builder, m, a_thresh, **params)
         key = "trace"
     else:
-        v = _matrix(cfg, "v", d, "scalar mode needs 'v', the variance bound")
+        v = _matrix(cfg, "v", d, "scalar mode needs 'v', the variance bound", psd=True)
         proc = TraceExpProcess(m, v, alpha)
         key = "log_value"
 

@@ -33,8 +33,9 @@ variance, and (where finite) p-th moments:
 Sampling has two parts.  :meth:`GeneratorSpec.draw` draws a block's
 random numbers (the scalar ``t`` or the vectors above) and builds no
 matrix; indexing the :class:`Draws` it returns over trials and steps
-builds just those matrices, and :meth:`Draws.steps` builds a run of
-consecutive steps step-major.  :meth:`GeneratorSpec.sample_batch` is the
+builds just those matrices, :meth:`Draws.steps` builds a run of
+consecutive steps step-major, and :meth:`Draws.entry` one entry of
+every matrix.  :meth:`GeneratorSpec.sample_batch` is the
 whole stack, ``draw(...)[:, :]``, so each law is written once, and a
 slice built from the draws equals the same slice of the stack exactly.
 """
@@ -130,6 +131,10 @@ class GeneratorSpec:
                 setattr(self, name, mat)
         if self.m is None and "m" in allowed:
             self.m = np.zeros((self.dim, self.dim))
+        for name in ("tail_index", "tau", "scale"):
+            val = getattr(self, name)
+            if val is not None and not math.isfinite(val):
+                raise ConfigError(f"{name!r} must be finite, got {val!r}")
         if self.tail_index is not None and self.tail_index <= 1.0:
             raise ConfigError("tail_index must exceed 1 (finite mean needed)")
         if self.tau is not None and self.tau < 0.0:
@@ -304,7 +309,8 @@ class Draws:
 
     ``shape`` is that of the stack, ``(trials, n, dim, dim)``; indexing
     it over trials and steps (``draws[rows, steps]``) builds only those
-    matrices, each by the elementwise expression of the kind.  ``coef``
+    matrices, each by the elementwise expression of the kind, and
+    ``entry(a, b)`` builds the ``(a, b)`` entry of every matrix.  ``coef``
     is the scalar of the ``M + t C`` kinds or the weight of HEAVY_PSD,
     ``vec`` the vectors of the rank-one kinds (``x`` itself for
     ELLIPSOID_RANK1), ``shift`` the per-path latent of
@@ -340,35 +346,64 @@ class Draws:
         ``self[:, lo:hi]`` with its first two axes swapped."""
         return self._build(lambda part: np.ascontiguousarray(np.swapaxes(part[:, lo:hi], 0, 1)))
 
-    def _build(self, take) -> np.ndarray:
-        """The matrices of the draws that ``take`` selects from each field.
+    def transposed(self, lo: int, hi: int) -> "Draws":
+        """Trials ``lo..hi-1`` step-major: the draws of ``self[lo:hi]``
+        with their first two axes swapped, each field C-contiguous."""
 
-        Built in place, each by the elementwise expression of the kind,
-        so the bits do not depend on the selection or its layout (IEEE
-        addition commutes, so ``out = t C; out += M`` is ``M + t C``).
+        def swap(part):
+            return None if part is None else np.ascontiguousarray(np.swapaxes(part[lo:hi], 0, 1))
+
+        return Draws(self.spec, swap(self.coef), swap(self.vec), swap(self.shift))
+
+    def entry(self, a: int, b: int) -> np.ndarray:
+        """Entry ``(a, b)`` of every matrix, shape ``self.shape[:2]``: the
+        kind's law with each matrix operand replaced by its ``(a, b)``
+        entry, equal to ``self[:, :][..., a, b]`` bit for bit."""
+        v = self.vec
+        outer = None if v is None else v[..., a] * v[..., b]
+        return self._law(self.coef, self.shift, outer, lambda op: op[a, b])
+
+    def _build(self, take) -> np.ndarray:
+        """The matrices of the draws that ``take`` selects from each field."""
+
+        def field(part):
+            return None if part is None else take(part)[..., None, None]
+
+        v = None if self.vec is None else take(self.vec)
+        outer = None if v is None else np.einsum("...i,...j->...ij", v, v)
+        return self._law(field(self.coef), field(self.shift), outer, lambda op: op)
+
+    def _law(self, coef, shift, outer, op) -> np.ndarray:
+        """The kind's elementwise law on broadcastable draws.
+
+        ``coef`` and ``shift`` are the scalar fields, ``outer`` the
+        products ``v_a v_b`` of the rank-one kinds (the result is formed
+        in it), and ``op`` maps each matrix operand of the spec to the
+        part of it the draws stand for: the whole matrix, or one entry.
+        Each result is formed by the same sequence of IEEE operations, so
+        its bits do not depend on the selection or its layout (addition
+        commutes, so ``out = t C; out += M`` is ``M + t C``).
         """
         g = self.spec
-        if self.vec is None:
-            coef = take(self.coef)[..., None, None]
+        if outer is None:
             if g.kind == "EXCHANGEABLE_MIXTURE":
-                out = take(self.shift)[..., None, None] * g.d_dir
-                out += g.m
-                out += coef * g.c
+                out = shift * op(g.d_dir)
+                out += op(g.m)
+                out += coef * op(g.c)
                 return out
             if g.kind == "BOUNDED_PSD":
-                out = coef * g._spread
+                out = coef * op(g._spread)
             else:
-                out = coef * (g.d_dir if g.kind == "SYMMETRIC_HEAVY" else g.c)
-            out += g.m
+                out = coef * op(g.d_dir if g.kind == "SYMMETRIC_HEAVY" else g.c)
+            out += op(g.m)
             return out
-        v = take(self.vec)
-        out = np.einsum("...i,...j->...ij", v, v)
+        out = outer
         if g.kind == "IID_WISHART_LIKE":
-            out -= np.eye(g.dim)
+            out -= op(np.eye(g.dim))
             out *= g.scale
-            out += g.m
+            out += op(g.m)
         elif g.kind == "HEAVY_PSD":
-            out *= g.scale * take(self.coef)[..., None, None]
+            out *= g.scale * coef
         return out
 
 

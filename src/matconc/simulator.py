@@ -61,8 +61,9 @@ __all__ = [
 # of the reproducibility contract, not a bound on memory (a block keeps
 # only its draws and builds its matrices a step or a chunk at a time).
 _CELL_BUDGET = 1 << 24
-# Cells of the matrices built at once: for the mean of a fixed-time block,
-# and for the block of consecutive steps a path run takes (first_crossing).
+# Cells built at once: the step-major draws of a chunk of trials whose
+# means are summed (_block_means), and the matrices of the block of
+# consecutive steps a path run takes (first_crossing).
 _MEAN_CHUNK_CELLS = 1 << 16
 _FIXED_BLOCK_CAP = 8192
 _PATH_BLOCK_CAP = 1024
@@ -803,12 +804,48 @@ def _block_size(n_per: int, d: int, cap: int) -> int:
 
 
 def _block_means(draws) -> np.ndarray:
-    """Mean of each trial's ``n`` matrices, built a chunk of trials at a time."""
+    """Mean of each trial's ``n`` matrices, summed a chunk of trials at a time.
+
+    At ``d >= 2`` a chunk of ``rows`` trials is taken step-major once
+    (``Draws.transposed``; ``n * rows * d`` cells for the vectors of the
+    rank-one kinds) and summed one upper-triangle entry ``(a, b)`` at a
+    time: the step-major ``(n, rows)`` plane of that entry
+    (``Draws.entry``) is summed over the steps in step order
+    (:func:`_sum_steps`) into ``(a, b)``, which is mirrored to ``(b, a)``
+    (every drawn matrix is exactly symmetric) before all is divided by
+    ``n``.  At ``d = 1`` the chunk is built trial-major, ``(rows, n)``,
+    and each trial's steps are summed pairwise, as ``np.mean`` sums a
+    contiguous axis.  Either way the result is
+    ``np.mean(draws[:, :], axis=1)`` bit for bit.
+    """
     size, n, d = draws.shape[:3]
-    rows = max(1, _MEAN_CHUNK_CELLS // (n * d * d))
-    return np.concatenate([
-        np.mean(draws[lo:lo + rows], axis=1) for lo in range(0, size, rows)
-    ])
+    rows = max(1, _MEAN_CHUNK_CELLS // (n * d))
+    out = np.empty((size, d, d))
+    upper = np.triu_indices(d)
+    for lo in range(0, size, rows):
+        hi = min(size, lo + rows)
+        if d == 1:
+            np.add.reduce(draws[lo:hi][:, :, 0, 0], axis=1, out=out[lo:hi, 0, 0])
+            continue
+        chunk = draws.transposed(lo, hi)
+        for a, b in zip(*upper):
+            _sum_steps(chunk.entry(a, b), out[lo:hi, a, b])
+    out[:, upper[1], upper[0]] = out[:, upper[0], upper[1]]
+    out /= n
+    return out
+
+
+def _sum_steps(plane: np.ndarray, out: np.ndarray) -> None:
+    """Sum of a step-major ``(n, rows)`` plane over its steps, in step order.
+
+    ``np.add.reduce`` adds step after step across a row of several trials
+    but sums a one-trial column pairwise; ``np.add.accumulate`` keeps step
+    order there.
+    """
+    if plane.shape[1] > 1:
+        np.add.reduce(plane, axis=0, out=out)
+    else:
+        out[:] = np.add.accumulate(plane, axis=0)[-1]
 
 
 def _fixed_block(plan, gen, size, seed, tag, block_idx) -> int:

@@ -409,3 +409,112 @@ def test_verify_with_a_worker_pool_exits_and_matches_one_worker(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "bound,generator,field,value",
+    [
+        ("XMCI", {"kind": "EXCHANGEABLE_MIXTURE", "dim": 2, "d_dir": [[1.0, 0.0], [0.0, 1.0]],
+                  "c": [[0.5, 0.0], [0.0, 0.5]]}, "tau", float("nan")),
+        ("TRACE_PCHEB", {"kind": "SYMMETRIC_HEAVY", "dim": 2,
+                         "d_dir": [[1.0, 0.0], [0.0, 1.0]]}, "tail_index", float("nan")),
+        ("DOOB", {"kind": "IID_WISHART_LIKE", "dim": 2}, "scale", float("nan")),
+        ("DOOB", {"kind": "IID_WISHART_LIKE", "dim": 2}, "scale", float("inf")),
+    ],
+)
+def test_verify_rejects_a_non_finite_generator_scalar(tmp_path, capsys, bound, generator,
+                                                     field, value):
+    # a config error, not a coverage FAIL against a bound of nan
+    run = {"bound": bound, "generator": {**generator, field: value}, "trials": 100}
+    cfg = write_json(tmp_path / "cfg.json", {"runs": [run]})
+    assert main(["verify", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: '{field}' must be finite, got {value!r}\n"
+
+
+FIXED_RUN = {"bound": "UMCI1", "generator": {"kind": "GAUSSIAN_SCALED", "dim": 2,
+                                              "c": [[0.5, 0.0], [0.0, 0.5]]}, "trials": 200}
+
+
+def _run_with(path, where, key, value):
+    """A one-run verify config with ``key`` set to ``value`` in the run or its generator."""
+    run = json.loads(json.dumps(FIXED_RUN))
+    (run if where == "run" else run["generator"])[key] = value
+    return write_json(path, {"runs": [run]})
+
+
+@pytest.mark.parametrize("value", [2.7, True, False, 1e400])
+@pytest.mark.parametrize("where,key", [("generator", "dim"), ("generator", "seed"),
+                                       ("run", "trials"), ("run", "horizon")])
+def test_verify_rejects_an_integer_field_that_is_not_an_integer(tmp_path, capsys, where, key,
+                                                               value):
+    cfg = _run_with(tmp_path / "cfg.json", where, key, value)
+    assert main(["verify", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    kind = "an integer" if value == 2.7 else "a number"
+    assert captured.err == f"error: {key!r} must be {kind}, got {value!r}\n"
+
+
+@pytest.mark.parametrize("key", ["trials_fixed", "trials_path", "horizon"])
+def test_verify_suite_rejects_fractional_sizes(tmp_path, capsys, key):
+    sizes = {"dims": [1], "trials_fixed": 64, "trials_path": 64, "horizon": 5}
+    for value in (64.5, True):
+        cfg = write_json(tmp_path / "suite.json", {**sizes, key: value})
+        assert main(["verify", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key!r} must be")
+    cfg = write_json(tmp_path / "suite.json", {**sizes, "dims": [True]})
+    assert main(["verify", "--config", cfg]) == 2
+    assert "'dims' must be a list of positive integers" in capsys.readouterr().err
+
+
+def test_integral_floats_run_as_their_integers(tmp_path):
+    outs = []
+    for i, (dim, trials) in enumerate(((2, 200), (2.0, 200.0))):
+        run = json.loads(json.dumps(FIXED_RUN))
+        run["generator"]["dim"], run["trials"] = dim, trials
+        cfg = write_json(tmp_path / f"cfg{i}.json", {"runs": [run]})
+        out = tmp_path / f"out{i}.json"
+        assert main(["verify", "--config", cfg, "--seed", "3", "--output", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("key", ["trials", "horizon"])
+def test_power_compare_rejects_fractional_sizes(tmp_path, capsys, key):
+    base = {"generator": {"kind": "GAUSSIAN_SCALED", "dim": 2, "c": [[0.4, 0.0], [0.0, 0.4]]},
+            "trials": 5, "horizon": 10}
+    out = tmp_path / "pc_out.json"
+    for value, kind in ((7.5, "an integer"), (True, "a number")):
+        cfg = write_json(tmp_path / "pc.json", {**base, key: value})
+        assert main(["power-compare", "--config", cfg, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {key!r} must be {kind}, got {value!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["matrix", "scalar"])
+def test_sequential_test_rejects_a_variance_bound_that_is_not_psd(tmp_path, capsys, mode):
+    cfg = write_json(
+        tmp_path / "t.json", {"mode": mode, "m": [[0.0, 0.0], [0.0, 0.0]], "v": [[-1, 0], [0, 1]]}
+    )
+    out = tmp_path / "out.ndjson"
+    # the data file does not exist: reading it would be a different error
+    missing = str(tmp_path / "missing.ndjson")
+    assert main(["test", "--config", cfg, "--data", missing, "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: 'v' must be positive semidefinite")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["matrix", "scalar"])
+def test_sequential_test_takes_a_variance_bound_psd_within_tolerance(tmp_path, mode):
+    # -1e-12 is a tie under TOL_PSD, as symmat.is_psd rules
+    v = [[-1e-12, 0.0], [0.0, 1.0]]
+    cfg = write_json(tmp_path / "t.json", {"mode": mode, "m": [[0.0, 0.0], [0.0, 0.0]], "v": v})
+    xs = GeneratorSpec(kind="GAUSSIAN_SCALED", dim=2, c=0.3 * np.eye(2)).sample_path(
+        substream(5, 0), 8
+    )
+    data = write_frames(tmp_path / "d.ndjson", xs)
+    out = tmp_path / "out.ndjson"
+    assert main(["test", "--config", cfg, "--data", data, "--output", str(out)]) == 0
+    assert json.loads(out.read_text().splitlines()[-1])["frames"] == 8

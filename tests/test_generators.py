@@ -8,6 +8,8 @@ from matconc.generators import GENERATOR_KINDS, Draws, GeneratorSpec, generate_p
 from matconc.rng import substream
 from matconc.symmat import is_psd, loewner_leq, spectral_norm
 
+from conftest import spec_of_kind
+
 
 def mc_mean(spec, trials=60_000, seed=101):
     xs = spec.sample_batch(substream(seed, 0), trials, 1)[:, 0]
@@ -194,25 +196,6 @@ def test_batch_matches_path_layout():
     assert np.array_equal(batch, np.swapaxes(batch, -1, -2))
 
 
-def _spec(kind, d):
-    """A spec of ``kind`` with non-diagonal, non-commuting parameters."""
-    rng = np.random.default_rng(d)
-    raw = rng.standard_normal((3, d, d))
-    m, c, d_dir = (raw + np.swapaxes(raw, -1, -2)) / 4.0
-    spd = raw[0] @ raw[0].T + d * np.eye(d)
-    params = {
-        "RADEMACHER_SCALED": {"m": m, "c": c},
-        "GAUSSIAN_SCALED": {"m": m, "c": c},
-        "BOUNDED_PSD": {"m": spd, "b": 3.0 * spd},
-        "SYMMETRIC_HEAVY": {"m": m, "d_dir": d_dir, "tail_index": 2.5},
-        "EXCHANGEABLE_MIXTURE": {"m": m, "d_dir": d_dir, "tau": 0.5, "c": c},
-        "IID_WISHART_LIKE": {"m": m, "scale": 0.5},
-        "HEAVY_PSD": {"scale": 1.0, "tail_index": 1.5},
-        "ELLIPSOID_RANK1": {"a": spd},
-    }[kind]
-    return GeneratorSpec(kind=kind, dim=d, **params)
-
-
 def _same_state(a, b):
     """Equal bit-generator states (nested dicts holding arrays)."""
     if isinstance(a, dict):
@@ -223,7 +206,7 @@ def _same_state(a, b):
 @pytest.mark.parametrize("d", [1, 2, 5])
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
 def test_draw_builds_exact_slices_of_sample_batch(kind, d):
-    spec = _spec(kind, d)
+    spec = spec_of_kind(kind, d)
     trials, n, rows = 23, 7, 5
     g_batch, g_draw = substream(61, d), substream(61, d)
     stack = spec.sample_batch(g_batch, trials, n)
@@ -246,7 +229,7 @@ def test_draw_builds_exact_slices_of_sample_batch(kind, d):
 @pytest.mark.parametrize("kind", GENERATOR_KINDS)
 def test_joined_draws_build_the_stacked_paths(kind, d):
     """Per-trial draws joined into one block build each trial's own path, bitwise."""
-    spec = _spec(kind, d)
+    spec = spec_of_kind(kind, d)
     n = 6
     joined = Draws.join([spec.draw(substream(63, t), 1, n) for t in range(9)])
     paths = np.stack([spec.sample_path(substream(63, t), n) for t in range(9)])
@@ -282,7 +265,7 @@ def _built_by_expression(draws, key):
 def test_in_place_build_is_bitwise_the_expression(kind, d):
     """Indexing and ``steps`` build in place (``out = t C; out += M``): the
     bits of ``M + t C``, since IEEE addition commutes, in C order."""
-    spec = _spec(kind, d)
+    spec = spec_of_kind(kind, d)
     draws = spec.draw(substream(64, d), 11, 9)
     for key in ((slice(None), 4), (slice(None), slice(None)), (slice(2, 8), slice(3, 7)), (5, 0)):
         got, want = draws[key], _built_by_expression(draws, key)
@@ -292,3 +275,19 @@ def test_in_place_build_is_bitwise_the_expression(kind, d):
         want = np.swapaxes(_built_by_expression(draws, (slice(None), slice(lo, hi))), 0, 1)
         assert got.flags.c_contiguous and got.shape == (hi - lo, 11, d, d)
         assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "kind,params,field",
+    [
+        ("SYMMETRIC_HEAVY", {"d_dir": np.eye(2)}, "tail_index"),
+        ("HEAVY_PSD", {"scale": 1.0}, "tail_index"),
+        ("EXCHANGEABLE_MIXTURE", {"d_dir": np.eye(2), "c": np.eye(2)}, "tau"),
+        ("IID_WISHART_LIKE", {}, "scale"),
+        ("HEAVY_PSD", {"tail_index": 2.5}, "scale"),
+    ],
+)
+def test_non_finite_scalars_are_rejected(kind, params, field, value):
+    with pytest.raises(ConfigError, match=f"'{field}' must be finite"):
+        GeneratorSpec(kind=kind, dim=2, **params, **{field: value})

@@ -332,7 +332,7 @@ def test_fixed_block_means_over_chunks_match_the_full_stack(bound, kind, params,
     assert plan["averaged"]
     n = plan["n_per"]
     # three full chunks of trials and a partial fourth
-    rows = sim._MEAN_CHUNK_CELLS // (n * d * d)
+    rows = sim._MEAN_CHUNK_CELLS // (n * d)
     trials = 3 * rows + rows // 2
     seed, block_idx = 808, 2
     count = sim._fixed_block(plan, gen, trials, seed, entry.tag, block_idx)
