@@ -65,12 +65,12 @@ def _dump_json(obj) -> str:
 def _num(obj: dict, key: str, default, kind=float):
     """``kind(obj[key])``, or of ``default`` when absent; a ConfigError naming the key.
 
-    A boolean is not a number, and an ``int`` field takes only integral
-    values (``2`` or ``2.0``, not ``2.7``).
+    A boolean or a string is not a number, and an ``int`` field takes only
+    integral values (``2`` or ``2.0``, not ``2.7``).
     """
     raw = obj.get(key, default)
     try:
-        if isinstance(raw, bool):
+        if isinstance(raw, (bool, str)):
             raise TypeError
         val = kind(raw)
     except (TypeError, ValueError, OverflowError):
@@ -78,6 +78,13 @@ def _num(obj: dict, key: str, default, kind=float):
     if kind is int and isinstance(raw, float) and val != raw:
         raise ConfigError(f"{key!r} must be an integer, got {raw!r}")
     return val
+
+
+def _known_keys(obj: dict, allowed, where: str) -> None:
+    """A ConfigError naming the first key of ``obj`` that is not in ``allowed``."""
+    extra = sorted(set(obj) - set(allowed))
+    if extra:
+        raise ConfigError(f"{where}: unknown key {extra[0]!r}; expected one of {sorted(allowed)}")
 
 
 def _matrix(
@@ -157,6 +164,10 @@ def _generator_from_json(obj) -> GeneratorSpec:
 # verify
 
 
+_RUN_KEYS = ("bound", "generator", "trials", "horizon", "params")
+_SUITE_KEYS = ("suite", "dims", "trials_fixed", "trials_path", "horizon")
+
+
 def _cmd_verify(args) -> int:
     if args.trials is not None and args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
@@ -164,12 +175,14 @@ def _cmd_verify(args) -> int:
     seed = args.seed
     reports = []
     if "runs" in cfg:
+        _known_keys(cfg, ("runs",), "config")
         runs = cfg["runs"]
         if not isinstance(runs, list) or not runs:
             raise ConfigError("'runs' must be a non-empty list")
         for i, run in enumerate(runs):
             if not isinstance(run, dict):
                 raise ConfigError(f"run {i}: must be a JSON object")
+            _known_keys(run, _RUN_KEYS, f"run {i}")
             if "bound" not in run or "generator" not in run:
                 raise ConfigError(f"run {i}: needs 'bound' and 'generator'")
             gen = _generator_from_json(run["generator"])
@@ -183,7 +196,10 @@ def _cmd_verify(args) -> int:
             if params is not None and not isinstance(params, dict):
                 raise ConfigError(f"run {i}: 'params' must be an object")
             reports.append(run_coverage(run["bound"], gen, mc, params))
-    elif cfg.get("suite", "default") == "default":
+    elif "suite" not in cfg:
+        raise ConfigError("config needs 'runs' (a list of runs) or 'suite' (\"default\")")
+    elif cfg["suite"] == "default":
+        _known_keys(cfg, _SUITE_KEYS, "config")
         dims = cfg.get("dims", [1, 2, 5])
         if not isinstance(dims, list) or not all(
             isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims
@@ -253,7 +269,7 @@ def _iter_frames(path: str):
 def _step_size(raw, name: str) -> float:
     """``raw`` as a step size, a positive finite float; a ConfigError naming ``name``."""
     try:
-        g = float(raw)
+        g = math.nan if isinstance(raw, (bool, str)) else float(raw)
     except (TypeError, ValueError, OverflowError):
         g = math.nan
     if not (math.isfinite(g) and g > 0.0):
@@ -268,12 +284,17 @@ def _gamma_fn(raw):
         g = _step_size(raw, "'gamma'")
         return lambda n: g
     if isinstance(raw, dict) and "scale" in raw:
+        _known_keys(raw, ("scale",), "'gamma'")
         return mg.default_gamma_schedule(_step_size(raw["scale"], "'gamma' scale"))
     raise ConfigError("'gamma' must be a positive number or {\"scale\": s}")
 
 
+_TEST_KEYS = ("mode", "alpha", "m", "v", "a", "b", "mgf", "builder", "gamma", "randomizer")
+
+
 def _cmd_test(args) -> int:
     cfg = _load_config(args.config)
+    _known_keys(cfg, _TEST_KEYS, "config")
     mode = cfg.get("mode", "matrix")
     if mode not in ("matrix", "scalar"):
         raise ConfigError(f"mode must be 'matrix' or 'scalar', got {mode!r}")
@@ -288,6 +309,7 @@ def _cmd_test(args) -> int:
     if rand_cfg is not None:
         if not isinstance(rand_cfg, dict):
             raise ConfigError("'randomizer' must be an object")
+        _known_keys(rand_cfg, ("kind", "seed"), "'randomizer'")
         seed = rand_cfg.get("seed", args.seed)
         randomizer = ScalarRandomizer(
             rand_cfg.get("kind", "uniform01"),
@@ -313,6 +335,7 @@ def _cmd_test(args) -> int:
             row = cfg.get("mgf")
             if not isinstance(row, dict) or "kind" not in row or "matrix" not in row:
                 raise ConfigError("MGF needs 'mgf': {\"kind\":..., \"matrix\":...}")
+            _known_keys(row, ("kind", "matrix"), "'mgf'")
             params["mgf"] = MgfSpec(row["kind"], _matrix(row, "matrix", d))
         a_thresh = _matrix(cfg, "a", d) if "a" in cfg else (d / alpha) * np.eye(d)
         a_thresh = se.TestConfig(alpha=alpha, a_thresh=a_thresh).a_thresh
@@ -366,8 +389,12 @@ def _cmd_test(args) -> int:
 # power-compare
 
 
+_POWER_COMPARE_KEYS = ("generator", "alpha", "trials", "horizon", "gamma_scale", "mean_shift")
+
+
 def _cmd_power_compare(args) -> int:
     cfg = _load_config(args.config)
+    _known_keys(cfg, _POWER_COMPARE_KEYS, "config")
     if "generator" not in cfg:
         raise ConfigError("config needs 'generator'")
     gen = _generator_from_json(cfg["generator"])

@@ -146,6 +146,15 @@ def factor_pair(kind, dev, gamma, *, mgf=None, v=None, root=False):
     symmetrized, since ``dev @ dev`` need not be bitwise symmetric, but
     not re-checked for finiteness).
 
+    The maps are :func:`~matconc.symmat.factor_exp` and
+    :func:`~matconc.symmat.factor_sqrt`.  At ``d = 1`` they are elementwise
+    and bitwise equal to the ``eigh`` route; at ``d = 2`` they use the
+    closed-form eigenpair, within a few ulps of it times
+    ``max(1, max |lambda|)``; at ``d >= 3`` they are ``mat_exp`` and
+    ``mat_sqrt`` through ``eigh``.  The root is the symmetric one on every
+    route: ``Y_n`` depends on the factor chosen, and a Cholesky factor of
+    ``E_n`` would change it from step 2 on.
+
     ``gamma`` may also be a list of ``k`` step sizes, with ``dev`` a
     block ``(k, ..., d, d)`` of ``k`` steps on its leading axis: ``E_n``
     is then shaped like ``dev`` and ``A_n`` is a ``(k, d, d)`` stack (or
@@ -157,7 +166,7 @@ def factor_pair(kind, dev, gamma, *, mgf=None, v=None, root=False):
     if kind == "BETTING":
         (g,) = _per_step(gamma, lambda g: (g,), nd)
         e = np.eye(dev.shape[-1]) + g * dev
-        return None, (sm.mat_sqrt(e, trusted=True) if root else e)
+        return None, (sm.factor_sqrt(e) if root else e)
     # the exponential builders: A_n = exp(log_a), E_n = exp(log_e)
     if kind == "MGF":
         (g,) = _per_step(gamma, lambda g: (g,), nd)
@@ -173,8 +182,8 @@ def factor_pair(kind, dev, gamma, *, mgf=None, v=None, root=False):
         g, c_e = _per_step(gamma, lambda g: (g, g**2 / 2.0), nd, nd)
         log_a, log_e = None, g * dev - c_e * (dev @ dev)
     half = 0.5 if root else 1.0
-    a = None if log_a is None else sm.mat_exp(half * log_a, trusted=True)
-    return a, sm.mat_exp(half * log_e, trusted=True)
+    a = None if log_a is None else sm.factor_exp(half * log_a)
+    return a, sm.factor_exp(half * log_e)
 
 
 def build_factors(

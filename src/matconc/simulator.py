@@ -112,9 +112,10 @@ _NUMBER_PARAMS = {
 
 
 def _number(val, key: str, kind=float):
-    """``kind(val)`` for a finite number, or a ConfigError naming the parameter ``key``."""
+    """``kind(val)`` for a finite number, or a ConfigError naming the parameter
+    ``key``; a string or a boolean is not a number."""
     try:
-        out = kind(val)
+        out = math.nan if isinstance(val, (bool, str)) else kind(val)
     except (TypeError, ValueError, OverflowError):
         out = math.nan
     if not math.isfinite(out):

@@ -8,7 +8,13 @@ constructor: it validates the input and returns the symmetric part
 
 Matrix functions (exp, log, sqrt, abs, powers) are applied through the
 eigendecomposition: for ``A = Q diag(w) Q.T`` the image is
-``Q diag(f(w)) Q.T``.  Order comparisons use the Loewner partial order:
+``Q diag(f(w)) Q.T``.  The one exception is the square roots of the
+sequential factor step, :func:`factor_exp` and :func:`factor_sqrt`: at
+``d = 1`` they are elementwise (bitwise equal to the ``eigh`` route) and
+at ``d = 2`` a closed-form eigenpair, with no LAPACK call; from ``d = 3``
+on they are :func:`mat_exp` and :func:`mat_sqrt`.  Every event and
+threshold rule keeps ``eigh``/``eigvalsh``.  Order comparisons use the
+Loewner partial order:
 ``A <= B`` iff ``B - A`` is positive semidefinite, tested with a relative
 eigenvalue tolerance.
 
@@ -47,6 +53,8 @@ __all__ = [
     "eigh_decomp",
     "apply_spectral",
     "mat_exp",
+    "factor_exp",
+    "factor_sqrt",
     "mat_log",
     "mat_sqrt",
     "mat_abs",
@@ -243,9 +251,14 @@ def apply_spectral(
     fw = np.asarray(f(w), dtype=np.float64)
     if fw.shape != w.shape:
         raise DomainError("spectral map must return one value per eigenvalue")
-    if not np.all(np.isfinite(fw)):
+    return _recompose(q, _finite(fw))
+
+
+def _finite(fw):
+    """``fw``, the image of a spectrum; DomainError if any value is not finite."""
+    if not np.isfinite(fw).all():
         raise DomainError("spectral map produced non-finite values")
-    return _recompose(q, fw)
+    return fw
 
 
 def _eig_scale(w: np.ndarray) -> np.ndarray:
@@ -275,18 +288,24 @@ def mat_log(a: np.ndarray, *, floor: float = LOG_EIG_FLOOR) -> np.ndarray:
     return _recompose(dec.eigenvectors, np.log(dec.eigenvalues))
 
 
+def _check_psd(lo, scale, tol_psd: float) -> None:
+    """DomainError unless every smallest eigenvalue ``lo`` is at least
+    ``-tol_psd * scale``, ``scale`` being ``max(1, max |w|)`` of its matrix."""
+    slack = tol_psd * scale
+    bad = lo < -slack
+    if bad.any():
+        raise DomainError(
+            f"matrix is not positive semidefinite: smallest eigenvalue "
+            f"{lo[bad].min():.6e} below -{slack[bad].min():.3e}"
+        )
+
+
 def _clamped_nonneg(w: np.ndarray, tol_psd: float) -> np.ndarray:
     """Clamp eigenvalues in ``[-tol, 0)`` to zero; reject anything lower.
 
     ``w`` holds ascending eigenvalue rows, one per matrix of a stack.
     """
-    slack = tol_psd * _eig_scale(w)
-    bad = w[..., 0] < -slack
-    if np.any(bad):
-        raise DomainError(
-            f"matrix is not positive semidefinite: smallest eigenvalue "
-            f"{w[..., 0][bad].min():.6e} below -{slack[bad].min():.3e}"
-        )
+    _check_psd(w[..., 0], _eig_scale(w), tol_psd)
     return np.maximum(w, 0.0)
 
 
@@ -299,6 +318,85 @@ def mat_sqrt(a: np.ndarray, *, tol_psd: float = TOL_PSD, trusted: bool = False) 
     """
     w, q = np.linalg.eigh(symmat_stack(a, trusted=trusted))
     return _recompose(q, np.sqrt(_clamped_nonneg(w, tol_psd)))
+
+
+def _small_spectral(a: np.ndarray, sqrt: bool) -> np.ndarray:
+    """``exp`` (or, with ``sqrt``, the clamped square root) of each matrix of
+    a trusted stack ``(..., d, d)`` with ``d <= 2``, without LAPACK.
+
+    At ``d = 1`` every operation is one that the ``eigh`` route makes
+    (``eigh`` of a 1 x 1 matrix returns its entry and the eigenvector 1),
+    so the result is bitwise equal.  At ``d = 2``, with ``a, c`` the
+    diagonal and ``b`` the symmetrized off-diagonal, ``m = (a + c)/2``,
+    ``delta = (a - c)/2`` and ``s = hypot(delta, b)``, the eigenvalues are
+    ``m -+ s`` and the image is ``f(m - s) I + (f(m + s) - f(m - s)) P``.
+    ``P`` is the projector on the top eigenvector, formed without
+    cancellation: ``(|delta| + s)/(2s)`` on the diagonal entry of the
+    larger of ``a, c``, ``b^2 / (2s (|delta| + s))`` on the other and
+    ``b / (2s)`` off the diagonal.  At ``s = 0`` both eigenvalues are ``m``,
+    the gap is exactly 0 and ``P`` only has to be finite: ``s`` is raised
+    to the least subnormal there, which gives ``P = diag(1/2, 0)``.
+
+    The eigenvalues pass the checks of the ``eigh`` route, with the same
+    outcome: ``exp`` raises unless ``exp(m + s)``, the larger value, is
+    finite (a NaN eigenvalue makes both NaN), and the root clamps and
+    raises as :func:`_clamped_nonneg`, whose scale ``max(1, max |w|)`` is
+    ``max(1, |m| + s)`` bit for bit.
+
+    ``eigh`` rescales a tiny matrix and this form does not: at ``d = 2``
+    a root of a matrix whose entries are all subnormal (below ``2^-1022``)
+    is accurate only to the subnormal spacing.  The factor step never
+    meets one: its roots are of ``I + gamma dev`` and of exponentials,
+    and ``exp`` of a tiny matrix is ``I`` to full precision.
+    """
+    if a.shape[-1] == 1:
+        w = ((a + a) / 2.0)[..., 0]
+        fw = np.sqrt(_clamped_nonneg(w, TOL_PSD)) if sqrt else _finite(np.exp(w))
+        return ((fw + fw) / 2.0)[..., None]
+    b = (a[..., 0, 1] + a[..., 1, 0]) / 2.0
+    m, delta = (a[..., 0, 0] + a[..., 1, 1]) / 2.0, (a[..., 0, 0] - a[..., 1, 1]) / 2.0
+    s = np.hypot(delta, b)
+    lo, hi = m - s, m + s
+    if sqrt:
+        _check_psd(lo, np.maximum(1.0, abs(m) + s), TOL_PSD)
+        f_lo, f_hi = np.sqrt(np.maximum(lo, 0.0)), np.sqrt(np.maximum(hi, 0.0))
+    else:
+        f_lo, f_hi = np.exp(lo), _finite(np.exp(hi))
+    gap = f_hi - f_lo
+    s = np.maximum(s, _F64.smallest_subnormal)
+    r = abs(delta) + s
+    big = r / (2.0 * s)
+    off = b / (2.0 * s)
+    small = off * (b / r)
+    first = delta >= 0.0
+    out = np.empty(a.shape)
+    out[..., 0, 0] = f_lo + gap * np.where(first, big, small)
+    out[..., 1, 1] = f_lo + gap * np.where(first, small, big)
+    out[..., 0, 1] = out[..., 1, 0] = gap * off
+    return out
+
+
+def factor_exp(a: np.ndarray) -> np.ndarray:
+    """:func:`mat_exp` of a trusted stack, the map of the factor step.
+
+    At ``d <= 2`` it is computed without LAPACK (see
+    :func:`_small_spectral`): bitwise equal to :func:`mat_exp` at ``d = 1``,
+    and within a few ulps times ``max(1, max |lambda|)`` of the norm at
+    ``d = 2``.  Larger matrices take :func:`mat_exp` itself.  Raises
+    DomainError as :func:`mat_exp` does.
+    """
+    if a.shape[-1] > 2:
+        return mat_exp(a, trusted=True)
+    return _small_spectral(a, sqrt=False)
+
+
+def factor_sqrt(a: np.ndarray) -> np.ndarray:
+    """:func:`mat_sqrt` of a trusted stack, the map of the factor step; routes
+    and accuracy as in :func:`factor_exp`, with the clamp and the
+    DomainError of :func:`mat_sqrt`."""
+    if a.shape[-1] > 2:
+        return mat_sqrt(a, trusted=True)
+    return _small_spectral(a, sqrt=True)
 
 
 def mat_abs(a: np.ndarray) -> np.ndarray:

@@ -459,7 +459,7 @@ def test_verify_rejects_an_integer_field_that_is_not_an_integer(tmp_path, capsys
 
 @pytest.mark.parametrize("key", ["trials_fixed", "trials_path", "horizon"])
 def test_verify_suite_rejects_fractional_sizes(tmp_path, capsys, key):
-    sizes = {"dims": [1], "trials_fixed": 64, "trials_path": 64, "horizon": 5}
+    sizes = {"suite": "default", "dims": [1], "trials_fixed": 64, "trials_path": 64, "horizon": 5}
     for value in (64.5, True):
         cfg = write_json(tmp_path / "suite.json", {**sizes, key: value})
         assert main(["verify", "--config", cfg]) == 2
@@ -518,3 +518,143 @@ def test_sequential_test_takes_a_variance_bound_psd_within_tolerance(tmp_path, m
     out = tmp_path / "out.ndjson"
     assert main(["test", "--config", cfg, "--data", data, "--output", str(out)]) == 0
     assert json.loads(out.read_text().splitlines()[-1])["frames"] == 8
+
+
+# ---------------------------------------------------------------------------
+# configs fail loudly: strings are not numbers, and every key is known
+
+GAUSS2 = {"kind": "GAUSSIAN_SCALED", "dim": 2, "c": [[0.4, 0.0], [0.0, 0.4]]}
+PC_BASE = {"generator": GAUSS2, "trials": 5, "horizon": 10}
+TEST_BASE = {"mode": "matrix", "m": [[0.0, 0.0], [0.0, 0.0]], "v": [[0.09, 0.0], [0.0, 0.09]]}
+
+
+def _verify_run(**changes):
+    run = json.loads(json.dumps(FIXED_RUN))
+    for key, val in changes.items():
+        if key == "dim":
+            run["generator"]["dim"] = val
+        else:
+            run[key] = val
+    return {"runs": [run]}
+
+
+def _run_cli(tmp_path, command, cfg_obj):
+    """Exit code of ``command`` on ``cfg_obj``; ``test`` gets a data file that
+    does not exist, so a config error is the only way to exit 2 before reading it."""
+    cfg = write_json(tmp_path / "cfg.json", cfg_obj)
+    out = tmp_path / "out.json"
+    argv = [command, "--config", cfg, "--output", str(out)]
+    if command == "test":
+        argv += ["--data", str(tmp_path / "missing.ndjson")]
+    rc = main(argv)
+    assert not out.exists()
+    return rc
+
+
+@pytest.mark.parametrize(
+    "command,cfg_obj,message",
+    [
+        ("verify", _verify_run(dim="2"), "'dim' must be a number, got '2'"),
+        ("verify", _verify_run(trials="200"), "'trials' must be a number, got '200'"),
+        ("verify", _verify_run(horizon="50"), "'horizon' must be a number, got '50'"),
+        ("verify", {"suite": "default", "dims": [1], "trials_fixed": "64"},
+         "'trials_fixed' must be a number, got '64'"),
+        ("verify", _verify_run(bound="TRACE_PCHEB", params={"p": "1.5"}),
+         "parameter 'p' must be a finite number, got '1.5'"),
+        ("power-compare", {**PC_BASE, "alpha": "0.05"}, "'alpha' must be a number, got '0.05'"),
+        ("power-compare", {**PC_BASE, "trials": "200"}, "'trials' must be a number, got '200'"),
+        ("power-compare", {**PC_BASE, "gamma_scale": "0.5"},
+         "'gamma_scale' must be a positive finite number, got '0.5'"),
+        ("test", {**TEST_BASE, "alpha": "0.05"}, "'alpha' must be a number, got '0.05'"),
+        ("test", {**TEST_BASE, "gamma": {"scale": "1.0"}},
+         "'gamma' scale must be a positive finite number, got '1.0'"),
+        ("test", {**TEST_BASE, "randomizer": {"seed": "3"}}, "'seed' must be a number, got '3'"),
+    ],
+)
+def test_a_json_string_is_not_a_number(tmp_path, capsys, command, cfg_obj, message):
+    assert _run_cli(tmp_path, command, cfg_obj) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command,cfg_obj,message",
+    [
+        ("verify", {"dims": [1], "trials_fixed": 64},
+         "config needs 'runs' (a list of runs) or 'suite' (\"default\")"),
+        ("verify", {}, "config needs 'runs' (a list of runs) or 'suite' (\"default\")"),
+        ("verify", {**_verify_run(), "dims": [1]}, "config: unknown key 'dims'"),
+        ("verify", {**_verify_run(), "suite": "default"}, "config: unknown key 'suite'"),
+        ("verify", {"suite": "default", "dim": [1]}, "config: unknown key 'dim'"),
+        ("verify", _verify_run(trails=200), "run 0: unknown key 'trails'"),
+        ("power-compare", {**PC_BASE, "mean_shfit": [[0.1, 0.0], [0.0, 0.1]]},
+         "config: unknown key 'mean_shfit'"),
+        ("test", {**TEST_BASE, "alhpa": 0.1}, "config: unknown key 'alhpa'"),
+        ("test", {**TEST_BASE, "randomizer": {"kind": "uniform01", "sede": 1}},
+         "'randomizer': unknown key 'sede'"),
+        ("test", {**TEST_BASE, "gamma": {"scale": 1.0, "decay": 0.5}},
+         "'gamma': unknown key 'decay'"),
+        ("test", {**TEST_BASE, "builder": "MGF",
+                  "mgf": {"kind": "RADEMACHER", "matrix": [[1.0, 0.0], [0.0, 1.0]], "gamma": 1}},
+         "'mgf': unknown key 'gamma'"),
+    ],
+)
+def test_a_config_with_an_unknown_or_missing_key_exits_2(tmp_path, capsys, command, cfg_obj,
+                                                          message):
+    assert _run_cli(tmp_path, command, cfg_obj) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def _readme_configs():
+    """The JSON config examples of the README, in order."""
+    text = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    return [json.loads(block.split("```")[0]) for block in text.split("```json\n")[1:]]
+
+
+def test_the_readme_configs_run(tmp_path):
+    configs = _readme_configs()
+    assert [sorted(c)[0] for c in configs] == ["runs", "alpha", "generator"]
+    runs, test_cfg, pc = configs
+    for run in runs["runs"]:
+        run["trials"] = 2000  # smaller than the README's, with every key kept
+    assert main(["verify", "--config", write_json(tmp_path / "runs.json", runs), "--seed", "3",
+                 "--output", str(tmp_path / "reports.json")]) == 0
+    xs = GeneratorSpec(kind="GAUSSIAN_SCALED", dim=2, c=0.3 * np.eye(2)).sample_path(
+        substream(5, 0), 20
+    )
+    assert main(["test", "--config", write_json(tmp_path / "test.json", test_cfg),
+                 "--data", write_frames(tmp_path / "d.ndjson", xs),
+                 "--output", str(tmp_path / "out.ndjson")]) == 0
+    pc.update(trials=50, horizon=20)
+    assert main(["power-compare", "--config", write_json(tmp_path / "pc.json", pc), "--seed", "2",
+                 "--output", str(tmp_path / "pc_out.json")]) == 0
+
+
+BENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+
+
+def test_the_benchmark_configs_run(tmp_path):
+    # the pinned suite, at a few trials per run
+    with open(os.path.join(BENCH, "data", "suite_runs.json")) as fh:
+        suite = json.load(fh)
+    for run in suite["runs"]:
+        run["trials"] = 16
+    assert main(["verify", "--config", write_json(tmp_path / "suite.json", suite), "--seed", "3",
+                 "--output", str(tmp_path / "reports.json")]) in (0, 1)
+    assert len(json.loads((tmp_path / "reports.json").read_text())) == len(suite["runs"])
+    # the generated power-compare and stream configs, made by the benchmark's own code
+    script = (
+        "import json, sys; from pathlib import Path; sys.path.insert(0, sys.argv[1]); import run; "
+        "prog = run.import_matconc(); "
+        "pc = run.load_inputs(prog, 'power_compare', 1, run.SIZES['tiny'], Path(sys.argv[2])); "
+        "st = run.load_inputs(prog, 'stream_test', 1, run.SIZES['tiny'], Path(sys.argv[2])); "
+        "print(json.dumps([pc.pc_config, st.data, [c for _, c in st.test_configs]]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, BENCH, str(tmp_path / "bench")],
+                          capture_output=True, text=True, check=True)
+    pc_config, data, test_configs = json.loads(proc.stdout)
+    assert main(["power-compare", "--config", pc_config, "--seed", "1",
+                 "--output", str(tmp_path / "pc.json")]) == 0
+    assert len(test_configs) == 2
+    for i, cfg in enumerate(test_configs):
+        assert main(["test", "--config", cfg, "--data", data,
+                     "--output", str(tmp_path / f"t{i}.ndjson")]) == 0
