@@ -3,8 +3,9 @@
 Semidefinite-order Markov, Chebyshev, and Chernoff bounds sharpened by
 an external randomizer; supermartingale versions for matrix-valued
 processes with optional stopping; exchangeable running-mean bounds; a
-scalar trace-exponential e-process; and a Monte Carlo harness that
-verifies every stated bound empirically.
+scalar trace-exponential e-process; the sequential processes that step
+them along paths (:mod:`matconc.processes`); and a Monte Carlo harness
+that verifies every stated bound empirically.
 """
 
 from .errors import (
@@ -20,14 +21,10 @@ from .errors import (
 )
 from .symmat import (
     TOL_PSD,
-    anticommutator,
-    curlyvee,
     eigh_decomp,
     lambda_max,
     lambda_min,
-    loewner_geq,
     loewner_leq,
-    load_matrix,
     mat_abs,
     mat_exp,
     mat_inv,
@@ -63,33 +60,22 @@ from .fixed_bounds import (
     sum_pth_moment_bound,
     ummi_bound,
     ummi_event,
-    vec_pcheb_event,
     vector_pcheb_bound,
 )
 from .martingales import (
-    DEFAULT_N_MAX,
-    FactorStream,
     MatSupermartingaleState,
     betting_gamma_interval,
     build_factors,
     default_gamma_schedule,
     doob_bound,
-    doob_event,
-    eprocess_min,
-    mvi_event,
     trace_pcheb_bound,
-    trace_pcheb_event,
     ville_bound,
     ville_event,
     xmci2_bound,
-    xmci2_event,
     xmci_bound,
-    xmci_event,
     xmpci_bound,
-    xmpci_event,
 )
 from .scalar_e import (
-    TestConfig,
     TraceExpState,
     hoeffding_eprocess_value,
     matrix_test_decide,
@@ -97,12 +83,18 @@ from .scalar_e import (
     oracle_A_choice,
     scalar_test_decide,
     sn_process_step,
-    te_step,
     ursn_event,
     usmhi_event,
     usmhi_threshold,
 )
-from .generators import GENERATOR_KINDS, GeneratorSpec, generate_path
+from .generators import GENERATOR_KINDS, GeneratorSpec
+from .processes import (
+    FactorProcess,
+    MeanScan,
+    TraceExpProcess,
+    first_crossing,
+    sequential_test_stops,
+)
 from .simulator import (
     FalsifyRecord,
     McConfig,

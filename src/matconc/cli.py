@@ -39,16 +39,9 @@ from . import symmat as sm
 from .errors import ConfigError, MatconcError
 from .fixed_bounds import MgfSpec
 from .generators import GeneratorSpec
+from .processes import FactorProcess, TraceExpProcess, sequential_test_stops
 from .randomizers import ScalarRandomizer
-from .simulator import (
-    FactorProcess,
-    McConfig,
-    TraceExpProcess,
-    falsify_conjecture,
-    run_coverage,
-    run_default_suite,
-    sequential_test_stops,
-)
+from .simulator import McConfig, falsify_conjecture, run_coverage, run_default_suite
 
 __all__ = ["main"]
 
@@ -338,7 +331,7 @@ def _cmd_test(args) -> int:
             _known_keys(row, ("kind", "matrix"), "'mgf'")
             params["mgf"] = MgfSpec(row["kind"], _matrix(row, "matrix", d))
         a_thresh = _matrix(cfg, "a", d) if "a" in cfg else (d / alpha) * np.eye(d)
-        a_thresh = se.TestConfig(alpha=alpha, a_thresh=a_thresh).a_thresh
+        a_thresh = se.calibrated_threshold(alpha, a_thresh)
         proc = FactorProcess(builder, m, a_thresh, **params)
         key = "trace"
     else:
@@ -346,7 +339,8 @@ def _cmd_test(args) -> int:
         proc = TraceExpProcess(m, v, alpha)
         key = "log_value"
 
-    # each frame advances a batch of one through the path kernels
+    # each frame advances a batch of one through the processes of
+    # matconc.processes, the ones power-compare and the path runs step
     frames_out = []
     rejected_at = None
     n = 0
@@ -356,7 +350,10 @@ def _cmd_test(args) -> int:
                 f"data line {lineno}: dimension {x.shape[0]} != mean dimension {d}"
             )
         n += 1
-        reject = bool(proc.step(x, gamma_fn(n)))
+        try:
+            reject = bool(proc.step(x, gamma_fn(n)))
+        except MatconcError as exc:
+            raise ConfigError(f"data line {lineno}: {exc}") from exc
         value = sm.trace(proc.value) if mode == "matrix" else float(proc.value)
         frames_out.append({"n": n, key: value, "reject": reject})
         if reject:

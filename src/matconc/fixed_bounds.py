@@ -68,7 +68,6 @@ __all__ = [
     "chernoff_hoeffding_bound",
     "sum_pth_moment_bound",
     "vector_pcheb_bound",
-    "vec_pcheb_event",
     "spectral_pcheb_moment_bound",
     "MGF_KINDS",
 ]
@@ -337,15 +336,6 @@ def vector_pcheb_bound(vp: float, d: int, n: int, p: float, a_scalar: float) -> 
     if a_scalar <= 0.0:
         raise DomainError(f"scalar threshold must be positive, got {a_scalar}")
     return 2.0 ** (2.0 - p) * float(d) ** (1.0 - p) * vp / (float(n) ** (p - 1.0) * a_scalar**p)
-
-
-def vec_pcheb_event(xs, mu, a_scalar: float) -> bool:
-    """Vector-mean tail event ``||xbar_n - mu|| >= a``."""
-    arr = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    mu = np.asarray(mu, dtype=np.float64)
-    if arr.shape[1] != mu.shape[0]:
-        raise DimMismatch("observations and mean have different dimensions")
-    return bool(np.linalg.norm(arr.mean(axis=0) - mu) >= a_scalar)
 
 
 def spectral_pcheb_moment_bound(vp_spec: float, d: int, n: int, p: float) -> float:

@@ -47,11 +47,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng as _rng
 from . import symmat as sm
 from .errors import ConfigError
 
-__all__ = ["GENERATOR_KINDS", "Draws", "GeneratorSpec", "generate_path"]
+__all__ = ["GENERATOR_KINDS", "Draws", "GeneratorSpec"]
 
 GENERATOR_KINDS = (
     "RADEMACHER_SCALED",
@@ -405,11 +404,3 @@ class Draws:
         elif g.kind == "HEAVY_PSD":
             out *= g.scale * coef
         return out
-
-
-def generate_path(g: GeneratorSpec, n: int, seed: int | None = None) -> np.ndarray:
-    """Draw one path of ``n`` observations from a generator spec."""
-    if n < 1:
-        raise ConfigError(f"path length must be >= 1, got {n}")
-    base = seed if seed is not None else (g.seed if g.seed is not None else _rng.default_seed())
-    return g.sample_path(_rng.substream(base, 0xDA7A), n)

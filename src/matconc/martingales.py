@@ -10,9 +10,9 @@ the left factor ``L_n`` is stored; ``Y_n`` is materialized on demand.
 
 Four factor builders ship: an MGF tilt, a betting (linear) factor, a
 self-normalized exponential, and a symmetric-deviations exponential.
-On top of the process sit the threshold events: the stopped randomized
-Ville event, the time-uniform (unrandomized) Ville event, the e-process
-minimum fold, the finite-horizon Doob event for submartingales, and the
+On top of the process sit the threshold rules and their bounds: the
+stopped randomized Ville event, the time-uniform (unrandomized) Ville
+event, the finite-horizon Doob event for submartingales, and the
 running-average events for exchangeable sequences.
 
 The time-uniform ``exists n`` forms are never randomized: randomization
@@ -21,8 +21,10 @@ is sound only for the value at a stopping time, not for the supremum.
 The per-step kernels (:func:`factor_pair`,
 :meth:`MatSupermartingaleState.advance`, :func:`exceeds`,
 :func:`scan_exceeds`) take stacks ``(..., d, d)`` of independent paths;
-the Monte Carlo harness and the CLI run them, and the per-sample
-functions here are their batch-of-one wrappers.  :func:`factor_pair`,
+the processes of :mod:`matconc.processes` step them along paths to a
+stopping time, and :func:`build_factors` and
+:meth:`MatSupermartingaleState.step` are their validated per-sample
+forms.  :func:`factor_pair`,
 which does not depend on the process state, also takes a block of
 consecutive steps with one step size each.  :func:`exceeds` lives
 in :mod:`matconc.symmat`, so that :mod:`matconc.fixed_bounds` can use it
@@ -33,8 +35,8 @@ Markov event :func:`~matconc.fixed_bounds.ummi_event` at a stopping time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -45,8 +47,6 @@ from .symmat import exceeds
 
 __all__ = [
     "BUILDER_KINDS",
-    "DEFAULT_N_MAX",
-    "FactorStream",
     "MatSupermartingaleState",
     "default_gamma_schedule",
     "mgf_growth_matrix",
@@ -57,26 +57,14 @@ __all__ = [
     "scan_exceeds",
     "ville_event",
     "ville_bound",
-    "mvi_event",
-    "eprocess_min",
-    "doob_event",
     "doob_bound",
-    "xmci_event",
     "xmci_bound",
-    "xmci2_event",
     "xmci2_bound",
-    "xmpci_event",
     "xmpci_bound",
-    "trace_pcheb_event",
     "trace_pcheb_bound",
-    "exchangeable_conditional_mean",
 ]
 
 BUILDER_KINDS = ("MGF", "BETTING", "SELF_NORMALIZED", "SYMMETRIC_DIST")
-
-#: Truncation horizon for "exists n" event scans; the infinite-horizon
-#: claims are monotone in the horizon, so truncation is conservative.
-DEFAULT_N_MAX = 500
 
 
 def default_gamma_schedule(scale: float = 1.0) -> Callable[[int], float]:
@@ -256,69 +244,6 @@ def build_factors(
 
 
 @dataclass
-class FactorStream:
-    """Factory turning a stream of observations into factor pairs.
-
-    Parameters
-    ----------
-    kind : str
-        Builder kind, see :func:`build_factors`.
-    m : ndarray
-        Hypothesized conditional mean, constant across steps.
-    gamma : float, sequence of float, or callable, optional
-        Constant, per-step list, or schedule ``n -> gamma_n`` (n from 1).
-        Defaults to ``1/sqrt(n)``, scaled for BETTING so the bet stays
-        inside its admissible interval.
-    mgf, v, b :
-        Kind parameters as in :func:`build_factors`.
-    """
-
-    kind: str
-    m: np.ndarray
-    gamma: float | Sequence[float] | Callable[[int], float] | None = None
-    mgf: MgfSpec | None = None
-    v: np.ndarray | None = None
-    b: np.ndarray | None = None
-    n: int = field(default=0, init=False)
-
-    def __post_init__(self):
-        if self.kind not in BUILDER_KINDS:
-            raise ParamMismatch(f"unknown builder kind {self.kind!r}")
-        self.m = sm.symmat(self.m)
-        if self.v is not None:
-            self.v = sm.symmat(self.v)
-        if self.b is not None:
-            self.b = sm.symmat(self.b)
-        if self.gamma is None:
-            if self.kind == "BETTING":
-                if self.b is None:
-                    raise ParamMismatch("BETTING builder needs the upper bound b")
-                hi = betting_gamma_interval(self.m, self.b)[1]
-                scale = 0.5 * hi if math.isfinite(hi) else 1.0
-            else:
-                scale = 1.0
-            self.gamma = default_gamma_schedule(scale)
-
-    def gamma_at(self, n: int) -> float:
-        if callable(self.gamma):
-            return float(self.gamma(n))
-        if isinstance(self.gamma, (int, float)):
-            return float(self.gamma)
-        try:
-            return float(self.gamma[n - 1])
-        except IndexError:
-            raise GammaOutOfRange(f"gamma list exhausted at step {n}") from None
-
-    def next_factors(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Consume one observation, emit its ``(E_n, A_n)``."""
-        self.n += 1
-        g = self.gamma_at(self.n)
-        return build_factors(
-            self.kind, x, self.m, g, mgf=self.mgf, v=self.v, b=self.b
-        )
-
-
-@dataclass
 class MatSupermartingaleState:
     """Incremental state of the factor-product supermartingale.
 
@@ -372,7 +297,8 @@ def scan_exceeds(kind: str, xbar, m, a, p: float | None = None) -> np.ndarray:
     ``p <= 2``, ``l_p <= l_2`` above) leaves within the margin of
     :func:`~matconc.symmat.screened` below ``a^p``, so the events equal
     those of the eigenvalue rule on every row.  A matrix with a non-finite
-    entry is crossed, as in :func:`exceeds`.
+    entry is crossed, as in :func:`exceeds`.  ``first_crossing(MeanScan(...),
+    xs)`` (:mod:`matconc.processes`) runs the scan along whole paths.
     """
     if kind == "DOOB":
         return exceeds(xbar - m, a, np.square)
@@ -405,58 +331,9 @@ def ville_bound(y0_mean: np.ndarray, a: np.ndarray) -> float:
     return ummi_bound(y0_mean, a)
 
 
-def mvi_event(history, a: np.ndarray) -> bool:
-    """Time-uniform event ``exists n: Y_n not <= A`` — never randomized."""
-    a = sm.symmat(a, copy=False)
-    ys = [sm.symmat(y, copy=False) for y in history]
-    return bool(ys) and bool(exceeds(np.stack(ys), a).any())
-
-
-def eprocess_min(processes) -> np.ndarray:
-    """Left fold of the matrix minimum over current process values.
-
-    Accepts states or plain matrices.  The result is a common Loewner
-    lower bound of all inputs, hence itself dominated by a supermartingale
-    under the union of the nulls.
-    """
-    values = [
-        p.value() if isinstance(p, MatSupermartingaleState) else sm.symmat(p, copy=False)
-        for p in processes
-    ]
-    if not values:
-        raise DomainError("need at least one process")
-    out = values[0]
-    for v in values[1:]:
-        if v.shape != out.shape:
-            raise DimMismatch("processes have different dimensions")
-        out = sm.curlyvee(out, v)
-    return out
-
-
-def doob_event(history, a: np.ndarray) -> bool:
-    """Finite-horizon event ``exists n <= N: Y_n not <= A``."""
-    return mvi_event(history, a)
-
-
 def doob_bound(ey_last: np.ndarray, a: np.ndarray) -> float:
     """Submartingale maximal bound ``tr((E Y_N) A^{-1})``."""
     return ummi_bound(ey_last, a)
-
-
-def _scan_event(kind, xs, m, a, n_lo, n_max, p=None) -> bool:
-    """Whether scan ``kind`` crosses at some ``n`` with ``n_lo <= n <= n_max``."""
-    arr = np.asarray(xs, dtype=np.float64)
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-        raise DimMismatch("expected a stack of square matrices")
-    counts = np.arange(1, arr.shape[0] + 1, dtype=np.float64)
-    means = sm.symmat_stack(np.cumsum(arr, axis=0) / counts[:, None, None])
-    return bool(scan_exceeds(kind, means[n_lo - 1 : n_max], m, a, p).any())
-
-
-def xmci_event(xs, m, a, n_max: int = DEFAULT_N_MAX) -> bool:
-    """Exchangeable Chebyshev event ``exists n: abs(Xbar_n - M) not <= A``."""
-    a = _require_pd(a)
-    return _scan_event("XMCI", xs, sm.symmat(m, copy=False), a, 1, n_max)
 
 
 def xmci_bound(v, a) -> float:
@@ -464,18 +341,10 @@ def xmci_bound(v, a) -> float:
     return sm.trace_product(sm.symmat(v, copy=False), sm.mat_pow(_require_pd(a), -2.0))
 
 
-def xmci2_event(xs, m, a, n_start: int, n_max: int = DEFAULT_N_MAX) -> bool:
-    """Late-start variant scanning only ``n >= n_start``."""
-    if n_start < 1:
-        raise DomainError(f"n_start must be >= 1, got {n_start}")
-    a = _require_pd(a)
-    return _scan_event("XMCI2", xs, sm.symmat(m, copy=False), a, n_start, n_max)
-
-
 def xmci2_bound(v, a, n_start: int) -> float:
     """Late-start bound ``tr(V A^{-2}) / N``.
 
-    Needs the zero-anticommutator condition across distinct deviations;
+    Needs ``E[D_i D_j + D_j D_i] = 0`` for distinct deviations ``D_i, D_j``;
     i.i.d. sampling suffices.
     """
     if n_start < 1:
@@ -483,25 +352,10 @@ def xmci2_bound(v, a, n_start: int) -> float:
     return xmci_bound(v, a) / n_start
 
 
-def xmpci_event(xs, a, p: float, n_max: int = DEFAULT_N_MAX) -> bool:
-    """PSD running-average event ``exists n: Xbar_n not <= A``."""
-    _check_p(p)
-    return _scan_event("XMPCI", xs, None, _require_pd(a), 1, n_max)
-
-
 def xmpci_bound(vp_raw, a, p: float) -> float:
     """Raw-moment bound ``tr(V_p A^{-p})`` for PSD exchangeable streams."""
     _check_p(p)
     return sm.trace_product(sm.symmat(vp_raw, copy=False), sm.mat_pow(_require_pd(a), -p))
-
-
-def trace_pcheb_event(xs, m, a_scalar: float, p: float, n_max: int = DEFAULT_N_MAX) -> bool:
-    """Trace event ``exists n: tr(abs(Xbar_n - M)^p) >= a^p``."""
-    if p < 1.0:
-        raise DomainError(f"p must be >= 1, got {p}")
-    if a_scalar <= 0.0:
-        raise DomainError(f"scalar threshold must be positive, got {a_scalar}")
-    return _scan_event("TRACE_PCHEB", xs, sm.symmat(m, copy=False), a_scalar, 1, n_max, p)
 
 
 def trace_pcheb_bound(tr_vp: float, a_scalar: float, p: float) -> float:
@@ -511,33 +365,3 @@ def trace_pcheb_bound(tr_vp: float, a_scalar: float, p: float) -> float:
     if a_scalar <= 0.0:
         raise DomainError(f"scalar threshold must be positive, got {a_scalar}")
     return tr_vp / a_scalar**p
-
-
-def exchangeable_conditional_mean(
-    xs,
-    m,
-    p: float,
-    gen: np.random.Generator,
-    n_perms: int = 200,
-) -> np.ndarray:
-    """Permutation estimate of ``E[(Xbar_n - M)^p | exchangeable sigma-field]``.
-
-    Given the first ``n + 1`` observations, averages ``(Xbar_n - M)^p``
-    over ``n_perms`` uniformly sampled permutations of them (each
-    permutation keeps its first ``n`` entries).  Diagnostic estimator
-    for property tests only — never used in bound evaluation.
-    """
-    arr = np.asarray(xs, dtype=np.float64)
-    if arr.ndim != 3 or arr.shape[0] < 2:
-        raise DimMismatch("need at least two stacked square matrices")
-    m = sm.symmat(m, copy=False)
-    k = arr.shape[0]
-    acc = np.zeros_like(m)
-    for _ in range(n_perms):
-        idx = gen.permutation(k)[: k - 1]
-        dev = sm.symmat(arr[idx].mean(axis=0), copy=False) - m
-        if float(p).is_integer():
-            acc += np.linalg.matrix_power(dev, int(p))
-        else:
-            acc += sm.mat_pow(dev, p)
-    return sm.symmat(acc / n_perms, copy=False)

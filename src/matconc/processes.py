@@ -1,0 +1,489 @@
+"""Sequential processes: matrix supermartingales, trace-exp e-processes and
+running-mean scans, stepped along a stack of paths to a stopping time.
+
+A process holds the state of one path or of a stack of independent
+paths.  :meth:`~FactorProcess.step` absorbs one observation per path and
+returns each path's crossing event, and ``value`` is the statistic it
+decides on.  :func:`first_crossing` runs a process along whole paths in
+blocks of consecutive steps and stops each path at its first crossing or
+at a given stopping time; :func:`sequential_test_stops` runs the MATRIX
+and SCALAR sequential mean tests on simulated paths.  ``matconc test``
+steps one observation at a time, ``matconc power-compare`` and the path
+runs of :mod:`matconc.simulator` run whole stacks; all take the same
+steps.
+
+- :class:`FactorProcess`: ``Y_n = L_n L_n^T`` from one factor builder of
+  :mod:`matconc.martingales`, crossing when ``Y_n`` is not below the
+  threshold (UMVI at a stopping time, MVI over the horizon).
+- :class:`TraceExpProcess`: the self-normalized trace-exp process of
+  :mod:`matconc.scalar_e` in log space, or the Hoeffding e-process
+  derived from it (URSN, USMHI).
+- :class:`MeanScan`: the running means ``Xbar_n`` tested by
+  :func:`~matconc.martingales.scan_exceeds` (DOOB, XMCI, XMCI2, XMPCI,
+  TRACE_PCHEB); ``first_crossing(MeanScan(...), xs)`` is the "exists n"
+  scan of a stack of paths.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from . import martingales as mg
+from . import rng as _rng
+from . import scalar_e as se
+from . import symmat as sm
+from .errors import DomainError
+from .generators import Draws
+
+__all__ = [
+    "FactorProcess",
+    "TraceExpProcess",
+    "MeanScan",
+    "first_crossing",
+    "sequential_test_stops",
+]
+
+# Cells of the (block, n, d, d) stack a block stands for.  It sets the
+# block boundaries, and so which substream draws each trial: it is part
+# of the reproducibility contract, not a bound on memory (a block keeps
+# only its draws and builds its matrices a step or a chunk at a time).
+_CELL_BUDGET = 1 << 24
+# Cells built at once: the step-major draws of a chunk of trials whose
+# means are summed (simulator._block_means), and the matrices of the block of
+# consecutive steps a path run takes (first_crossing).
+_MEAN_CHUNK_CELLS = 1 << 16
+_PATH_BLOCK_CAP = 1024
+
+
+def _block_size(n_per: int, d: int, cap: int) -> int:
+    per_trial = max(1, n_per * d * d)
+    return max(64, min(cap, _CELL_BUDGET // per_trial))
+
+
+class _Process:
+    """A sequential statistic on a stack of paths (or on one path).
+
+    :meth:`step` takes one step: ``x`` is the step's ``(trials, d, d)``
+    stack (``(d, d)`` for one path) and ``gamma`` its float step size.  It
+    advances the state and returns :meth:`decide`, the crossing event of
+    each trial's current state.  Between two steps the caller may
+    ``freeze`` rows; the next step sees the frozen state.  ``value`` is
+    the statistic per trial, formed when it is read and kept until the
+    next step; ``freeze(rows)`` forms it on those trials only and copies
+    it into ``at_stop``.  A stack of trials decides most rows from an
+    exact norm bound, without the statistic: only rows near the level and
+    rows that stop need it.
+
+    :func:`first_crossing` takes ``k`` steps at a time in two parts.
+    ``_block(xs, gammas)`` runs the recurrence: one kernel call does the
+    state-free work of the ``k`` steps (``_prepare``), then the state
+    advances step by step and each step's state goes into a step-major
+    buffer.  ``xs`` holds each trial's next ``k`` observations,
+    ``(k, trials, d, d)``, and ``gammas`` their ``k`` step sizes (None
+    entries for the scans).  It returns the block: a tuple of arrays
+    shaped ``(n, trials, ...)`` (or None), the states of the first ``n``
+    steps.  ``n`` is ``k`` unless a state has a non-finite entry, and then
+    the block ends just before it.  ``_events(*states)`` is the decision
+    rule, one call on any stack of states, and ``_values(*states)`` forms
+    the statistic of the states it is given.  Every event and value equals
+    that of stepping one observation at a time, bit for bit.
+    """
+
+    at_stop = None
+    _value = None
+
+    def _prepare(self, xs, gammas):
+        """The state-free work of the steps ``xs``: stacks with one entry per step."""
+        raise NotImplementedError
+
+    def _block(self, xs, gammas):
+        """Advance through the steps ``xs``; returns the block of their states."""
+        raise NotImplementedError
+
+    def _events(self, *states):
+        """Crossing events of a stack of states."""
+        raise NotImplementedError
+
+    def _values(self, *states):
+        """The statistic of a stack of states."""
+        raise NotImplementedError
+
+    def _stop(self, block, steps, rows):
+        """Record in ``at_stop`` the value of trial ``rows[i]`` at block step ``steps[i]``."""
+        self._keep(rows, self._values(*(s if s is None else s[steps, rows] for s in block)), block[0].shape[1])
+
+    @property
+    def value(self):
+        if self._value is None:
+            self._value = self._form(None)
+        return self._value
+
+    def _form(self, rows):
+        """The statistic of every trial (``rows`` None) or of the trials at ``rows``."""
+        raise NotImplementedError
+
+    def _rows(self, rows):
+        return self._form(rows) if self._value is None else self._value[rows]
+
+    def _keep(self, rows, frozen, size: int) -> None:
+        if self.at_stop is None:
+            self.at_stop = np.empty((size,) + frozen.shape[1:], dtype=frozen.dtype)
+        self.at_stop[rows] = frozen
+
+    def freeze(self, rows) -> None:
+        self._keep(rows, self._rows(rows), len(rows))
+
+
+class FactorProcess(_Process):
+    """``Y_n = L_n L_n^T`` from one factor builder; crosses when ``Y_n`` is not <= ``a``.
+
+    ``a`` is a threshold matrix or a scalar standing for ``a I``; ``mgf``
+    and ``v`` are the builder's parameters (see
+    :func:`~matconc.martingales.factor_pair`).
+
+    A stack of trials with a threshold ``a I`` is decided without ``Y``
+    where an exact bound allows: ``lambda_max(Y) = ||L||_2^2 <= ||L||_F^2
+    = tr Y``, so a trial whose ``||L||_F^2`` sits below ``a`` by the
+    margin of :func:`~matconc.symmat.settles` at ``power = 2`` has not
+    crossed.  The margin covers the rounding of the ``d^2`` squares, of
+    the product ``L L^T`` (``d`` ulps of ``||L||_F^2``) and LAPACK's error
+    in the eigenvalues of ``Y``, so the rule on ``Y`` would find that trial
+    ordered too.  ``Y`` is formed only on the other trials, each matrix
+    bitwise as in the whole stack's product, and decided by
+    :func:`~matconc.martingales.exceeds` as before.  A lone trial, whose
+    value ``matconc test`` reads at every step, is decided on ``Y``, and
+    raises DomainError when ``Y`` holds a NaN.  In a stack, a non-finite
+    trial is never settled and takes the rule on ``Y`` as before.
+
+    The block of :func:`first_crossing` holds ``L_n`` of every step.  A
+    trial that stops inside a block keeps multiplying to the block's end
+    and restarts there, so its product may overflow: the recurrence and
+    the rule run with overflow warnings off, and a non-finite trial is
+    crossed in any case.
+    """
+
+    def __init__(self, builder, m, a, mgf=None, v=None):
+        self.builder, self.m, self.a = builder, m, a
+        self.params = {"mgf": mgf, "v": v}
+        self.state = mg.MatSupermartingaleState.start(m.shape[0])
+        a = np.asarray(a, dtype=np.float64)
+        if a.ndim == 2 and np.array_equal(a, a[0, 0] * np.eye(a.shape[0])):
+            a = a[0, 0]
+        self._level = None if a.ndim else a
+
+    def _prepare(self, xs, gammas):
+        return mg.factor_pair(self.builder, xs - self.m, gammas, root=True, **self.params)
+
+    def step(self, x, gamma=None):
+        """Absorb one observation per trial; returns the crossing events."""
+        self.state = self.state.advance(*self._prepare(x, gamma))
+        return self.decide()
+
+    def _block(self, xs, gammas):
+        sqrt_a, lefts = self._prepare(xs, gammas)
+        left = self.state.left
+        with np.errstate(over="ignore", invalid="ignore"):
+            # each step's L_n takes the place of its factor E_n^{1/2}: a
+            # block allocates no buffer of its own
+            for j, sqrt_e in enumerate(lefts):
+                step = sqrt_e if sqrt_a is None else sqrt_a[j] @ sqrt_e
+                left = np.matmul(left, step, out=sqrt_e)
+        self.state = mg.MatSupermartingaleState(left, self.state.n + len(lefts))
+        self._value = None
+        return (lefts,)
+
+    def decide(self):
+        """Crossing event of each trial's current state."""
+        self._value = None
+        left, level = self.state.left, self._level
+        if left.ndim > 2:
+            return self._events(left)
+        if np.isnan(self.value).any():
+            # the kernels do not re-validate their stacks: a non-finite
+            # exponent shows as NaN in the factors
+            raise DomainError("process state is not finite")
+        return mg.exceeds(self.value, self.a if level is None else level)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _events(self, left):
+        level = self._level
+        if level is None:
+            return mg.exceeds(self._values(left), self.a)
+        sq = np.einsum("...ij,...ij->...", left, left)
+        settled = sm.settles(sq, level, left.shape[-1], power=2.0)
+        return sm.unsettled_events(settled, lambda rows: mg.exceeds(self._values(left[rows]), level))
+
+    def _values(self, left):
+        return mg.MatSupermartingaleState(left).value()
+
+    def _form(self, rows):
+        left = self.state.left
+        return self._values(left if rows is None else left[rows])
+
+    def _stop(self, block, steps, rows):
+        super()._stop(block, steps, rows)
+        self._restart(rows)
+
+    def freeze(self, rows) -> None:
+        super().freeze(rows)
+        self._restart(rows)
+
+    def _restart(self, rows):
+        # a stopped trial's value is recorded; restarting it keeps its product bounded
+        self.state.left[rows] = np.eye(self.m.shape[0])
+        self._value = None
+
+
+class TraceExpProcess(_Process):
+    """The self-normalized trace-exp process in log space, or with ``b`` the
+    Hoeffding e-process derived from it; crosses at ``log(d / alpha)``.
+
+    A stack of trials is decided without an eigenvalue per trial where an
+    exact bound allows.  The trace-exp value obeys ``log tr e^S <= log d +
+    lambda_max(S) <= log d + ||S||_F``; the Hoeffding value
+    ``lambda_max(G) - lambda_max(B_n) / 2`` (``G`` the tilt, ``B_n = sum
+    gamma_i^2 B_i`` shared by all trials, one ``eigvalsh`` per step, or per
+    block of steps) obeys ``lambda_max(G) <= ||G||_F``.  A trial whose
+    bound sits below the level by the margin of
+    :func:`~matconc.symmat.settles` has not crossed: the margin also covers
+    the rounding of ``log d`` and of the shifted log-sum-exp.  The
+    statistic is formed on the other trials only.  A lone trial is decided
+    on its value.  A state with a non-finite entry raises DomainError, as
+    the validated kernels did; in :func:`first_crossing`, only when no
+    step before it stopped every trial.
+    """
+
+    _half_top_b = None
+
+    def __init__(self, m, v, alpha, b=None):
+        self.m, self.v, self.b = m, v, b
+        self.state = se.TraceExpState.start(m.shape[0])
+        self.level = se.log_level(m.shape[0], alpha)
+
+    def _prepare(self, xs, gammas):
+        return se.sn_increments(xs - self.m, self.v, gammas, self.b)
+
+    def step(self, x, gamma=None):
+        """Absorb one observation per trial; returns the crossing events."""
+        self.state = se._advance(self.state, gamma, *self._prepare(x, gamma))
+        return self.decide()
+
+    def _block(self, xs, gammas):
+        mats, dc, db = self._prepare(xs, gammas)
+        st, hoeffding = self.state, self.b is not None
+        sum_b, half = st.sum_gamma_sq_b, None
+        if db is not None:
+            db[0] += sum_b
+            sums = np.add.accumulate(db, axis=0, out=db)
+            sum_b, half = sums[-1], 0.5 * se._top(sums)
+        sum_gamma = st.sum_gamma
+        for gamma in gammas:
+            sum_gamma += gamma
+        gz, gz_carry, pc, pc_carry = st.gz, st.gz_carry, st.pc, st.pc_carry
+        # the states after the last trial's stop are formed too, unread
+        with np.errstate(over="ignore", invalid="ignore"):
+            # each step's exponent S (the tilt G for Hoeffding), before
+            # symmetrizing, takes the place of its tilt increment
+            for j, dz in enumerate(mats):
+                gz, gz_carry = se._kahan_add(gz, gz_carry, dz, out=dz if hoeffding else None)
+                if dc is not None:
+                    pc, pc_carry = se._kahan_add(pc, pc_carry, dc[j])
+                if not hoeffding:
+                    np.subtract(gz, pc, out=dz)
+            mat = sm.symmat_stack(mats, trusted=True)
+            sq = sm._eig_frobenius_sq(mat)
+        self.state = se.TraceExpState(gz, gz_carry, pc, pc_carry, sum_gamma, sum_b, st.n + len(mats))
+        self._value, self._mat = None, mat[-1]
+        if half is not None:
+            self._half_top_b = half[-1]
+            half = np.broadcast_to(half[:, None], sq.shape)
+        n = len(mat)
+        bad = ~np.isfinite(sq).all(axis=1)
+        if bad.any():
+            # a stack is finite where ||S||_F^2 is, short of overflowing squares
+            bad[bad] = ~np.isfinite(mat[bad]).all(axis=(1, 2, 3))
+            if bad.any():
+                n = int(bad.argmax())
+        return mat[:n], None if half is None else half[:n], sq[:n]
+
+    def decide(self):
+        """Crossing event of each trial's current state."""
+        self._value = None
+        if self.b is None:
+            self._mat = self.state.exponent()
+        else:
+            # the symmetric tilt that the eigenvalue rule reads, so that the norm bounds it
+            self._mat = sm.symmat_stack(self.state.gz, trusted=True)
+            self._half_top_b = 0.5 * se._top(self.state.sum_gamma_sq_b)
+        if self._mat.ndim == 2:
+            if not np.isfinite(self._mat).all():
+                raise DomainError("matrix entries must be finite")
+            return self.value >= self.level
+        sq = sm._eig_frobenius_sq(self._mat)
+        # a stack is finite where ||S||_F^2 is, short of overflowing squares
+        if not np.isfinite(sq).all() and not np.isfinite(self._mat).all():
+            raise DomainError("matrix entries must be finite")
+        return self._events(self._mat, self._half_top_b, sq)
+
+    def _events(self, mat, half, sq):
+        d = mat.shape[-1]
+        if self.b is None:
+            level, offset = self.level, math.log(d)
+        else:
+            half = np.broadcast_to(half, sq.shape)
+            level, offset = self.level + half, 0.0
+        settled = sm.settles(sq, level, d, offset=offset)
+        return sm.unsettled_events(
+            settled, lambda rows: self._values(mat[rows], None if half is None else half[rows]) >= self.level
+        )
+
+    def _values(self, mat, half, sq=None):
+        if self.b is None:
+            return se.log_trace_exp(mat)
+        return np.linalg.eigvalsh(mat)[..., -1] - half
+
+    def _form(self, rows):
+        stat = self._values(self._mat if rows is None else self._mat[rows], self._half_top_b)
+        return se._float_or_stack(stat) if rows is None else stat
+
+
+class MeanScan(_Process):
+    """Running means ``Xbar_n`` tested by :func:`~matconc.martingales.scan_exceeds`
+    from ``n_start`` on; the value is the crossing event itself.
+
+    Its state-free work already decides: the block's running sums and the
+    scan test of every step are one call, which overwrites the block with
+    its running sums (:meth:`step` hands it a copy of ``x`` as a one-step
+    block).
+    """
+
+    def __init__(self, kind, m, a, p=None, n_start=1):
+        self.kind, self.m, self.a, self.p, self.n_start = kind, m, a, p, n_start
+        self.total, self.n = 0.0, 0
+
+    def step(self, x, gamma=None):
+        (events,) = self._prepare(np.array(x, dtype=np.float64)[None], None)
+        self._value = events[0]
+        return self._value
+
+    def _prepare(self, xs, gammas):
+        # running sums in step order, in place: + the total so far (0.0 at
+        # first, which turns a -0.0 into 0.0 as 0.0 + x does), then each
+        # step's slice plus the one before
+        xs[0] += self.total
+        for j in range(1, len(xs)):
+            xs[j] += xs[j - 1]
+        self.total = xs[-1]
+        # steps before n_start are not tested
+        first = max(self.n + 1, self.n_start)
+        counts = np.arange(first, self.n + len(xs) + 1)
+        live = len(xs) - len(counts)
+        self.n += len(xs)
+        events = np.zeros(xs.shape[:-2], dtype=bool)
+        if len(counts):
+            means = xs[live:] / counts.reshape((-1,) + (1,) * (xs.ndim - 1))
+            events[live:] = mg.scan_exceeds(self.kind, means, self.m, self.a, self.p)
+        return (events,)
+
+    def _block(self, xs, gammas):
+        block = self._prepare(xs, gammas)
+        self._value = block[0][-1]
+        return block
+
+    def _events(self, events):
+        return events
+
+    _values = _events
+
+
+def _step_blocks(proc: _Process, xs, gammas, horizon: int):
+    """The blocks of ``proc`` along ``xs`` up to ``horizon``, ``k`` steps each,
+    ``k`` sized by ``_MEAN_CHUNK_CELLS``: yields ``(lo, hi, block)`` for
+    the steps ``lo + 1 .. hi`` (see :class:`_Process`)."""
+    size, d = xs.shape[0], xs.shape[-1]
+    k = max(1, _MEAN_CHUNK_CELLS // (size * d * d))
+    for lo in range(0, horizon, k):
+        hi = min(lo + k, horizon)
+        if isinstance(xs, Draws):
+            steps = xs.steps(lo, hi)
+        else:
+            steps = np.array(np.swapaxes(xs[:, lo:hi], 0, 1), order="C")
+        gs = [None] * (hi - lo) if gammas is None else [float(g) for g in gammas[lo:hi]]
+        yield lo, hi, proc._block(steps, gs)
+
+
+def first_crossing(proc: _Process, xs, gammas=None, taus=None) -> np.ndarray:
+    """Step ``proc`` along stacked paths ``xs`` of shape (trials, horizon, d, d).
+
+    ``xs`` is the stack or the :class:`~matconc.generators.Draws` that
+    stand for it.  The steps go to ``proc`` in blocks of ``k`` consecutive
+    steps, ``k = max(1, _MEAN_CHUNK_CELLS // (trials d^2))``: a block is
+    built step-major, ``(k, trials, d, d)``
+    (:meth:`~matconc.generators.Draws.steps`), the process runs its
+    recurrence through the block and keeps each step's state, and one call
+    of its decision rule gives the events of all ``k * trials`` states
+    (see :class:`_Process`).  Step ``n`` uses ``gammas[n - 1]``.  A trial
+    stops at its first crossing, or at its entry of ``taus`` (in
+    ``1..horizon``) when given, found with one ``argmax`` over the block's
+    steps; with ``taus`` no event is computed.  ``at_stop`` takes the
+    value of the state at the stopping step.  A stopped trial keeps running
+    to the end of its block, where a :class:`FactorProcess` restarts it.
+    Every stop and value equals that of stepping one observation at a time
+    and freezing each stopped trial before the next step, bit for bit; a
+    state with a non-finite entry raises DomainError only at a step that
+    such stepping would reach.
+    Returns each trial's stopping step, 0 for a trial that never stopped;
+    ``proc.at_stop`` then holds the value at the stopping step, or at
+    the last step run for trials that never stopped.
+    """
+    # every trial has stopped by the largest of taus: no block runs past it
+    horizon = xs.shape[1] if taus is None else min(xs.shape[1], int(taus.max()))
+    stop = np.zeros(xs.shape[0], dtype=np.int64)
+    for lo, hi, block in _step_blocks(proc, xs, gammas, horizon):
+        n = len(block[0])
+        if taus is None:
+            crossed = proc._events(*block)
+        else:
+            crossed = taus == np.arange(lo + 1, lo + n + 1)[:, None]
+        newly = (stop == 0) & crossed.any(axis=0)
+        if newly.any():
+            rows = np.flatnonzero(newly)
+            steps = crossed[:, rows].argmax(axis=0)
+            stop[rows] = lo + 1 + steps
+            proc._stop(block, steps, rows)
+            if stop.all():
+                break
+        if n < hi - lo:
+            raise DomainError("matrix entries must be finite")
+    proc.freeze(stop == 0)
+    return stop
+
+
+def sequential_test_stops(gen, m, v, gammas, alpha: float, trials: int, seed: int) -> dict:
+    """Stopping steps of the MATRIX and SCALAR sequential tests on simulated paths.
+
+    Trial ``t`` draws its path from ``substream(seed, 0xC0DE, t)``, with
+    the RNG calls of :meth:`~matconc.generators.GeneratorSpec.sample_path`;
+    the draws of a block of trials, sized by the cell budget, are joined
+    into one :class:`~matconc.generators.Draws`, and each step builds only
+    its own matrices.  Both rules run the
+    self-normalized process with variance bound ``v`` against the
+    hypothesized mean ``m`` with step sizes ``gammas``: MATRIX rejects
+    when ``Y_n`` escapes ``(d / alpha) I``, SCALAR when ``L_n`` reaches
+    ``d / alpha``.  Returns ``{"matrix": steps, "scalar": steps}``, a
+    step of 0 marking a trial that never rejected.
+    """
+    d, horizon = gen.dim, len(gammas)
+    block = _block_size(horizon, d, _PATH_BLOCK_CAP)
+    stops = {"matrix": [], "scalar": []}
+    for lo in range(0, trials, block):
+        xs = Draws.join([
+            gen.draw(_rng.substream(seed, 0xC0DE, t), 1, horizon)
+            for t in range(lo, min(trials, lo + block))
+        ])
+        matrix = FactorProcess("SELF_NORMALIZED", m, d / alpha, v=v)
+        stops["matrix"].append(first_crossing(matrix, xs, gammas))
+        stops["scalar"].append(first_crossing(TraceExpProcess(m, v, alpha), xs, gammas))
+    return {rule: np.concatenate(s) for rule, s in stops.items()}

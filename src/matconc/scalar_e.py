@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,13 +47,10 @@ from .errors import (
     DomainError,
     PreconditionFailed,
 )
-from .randomizers import ScalarRandomizer
 
 __all__ = [
     "PSI_QUADRATIC",
     "TraceExpState",
-    "TestConfig",
-    "te_step",
     "sn_increments",
     "sn_advance",
     "sn_process_step",
@@ -68,6 +65,7 @@ __all__ = [
     "mhi_threshold",
     "matrix_test_decide",
     "scalar_test_decide",
+    "calibrated_threshold",
     "oracle_A_choice",
 ]
 
@@ -201,26 +199,6 @@ def _check_step(state: TraceExpState, gamma: float, *mats: np.ndarray) -> None:
         raise DomainError(f"gamma must be positive, got {gamma}")
     if any(a.shape != (state.dim, state.dim) for a in mats):
         raise DimMismatch("increment dimensions do not match the state")
-
-
-def te_step(
-    state: TraceExpState,
-    z: np.ndarray,
-    c: np.ndarray,
-    c_prime: np.ndarray,
-    gamma: float,
-    psi: Callable[[float], float] = PSI_QUADRATIC,
-) -> TraceExpState:
-    """Advance the master process by one increment.
-
-    ``c_prime`` must be predictable — decided before ``z`` is observed;
-    the call order is the only enforcement a library can offer.
-    """
-    z = sm.symmat(z, copy=False)
-    c = sm.symmat(c, copy=False)
-    c_prime = sm.symmat(c_prime, copy=False)
-    _check_step(state, gamma, z, c, c_prime)
-    return _advance(state, gamma, gamma * z, float(psi(gamma)) * (c + c_prime))
 
 
 def sn_increments(dev, v, gamma, b: np.ndarray | None = None):
@@ -385,36 +363,24 @@ def scalar_test_decide(l_value: float, d: int, alpha: float, u: float = 1.0) -> 
     return l_value >= d * u / alpha
 
 
-@dataclass
-class TestConfig:
-    """Calibrated configuration of the sequential matrix-mean test.
-
-    The threshold matrix is rescaled on construction so that
+def calibrated_threshold(alpha: float, a: np.ndarray) -> np.ndarray:
+    """The threshold matrix of the MATRIX rule, rescaled so that
     ``tr(A^{-1}) == alpha`` (exactly, up to float rounding); inputs
     already within ``1e-10`` are kept as given.
     """
-
-    __test__ = False  # keep pytest from collecting this as a test class
-
-    alpha: float
-    a_thresh: np.ndarray
-    randomizer: ScalarRandomizer | None = None
-    gamma: float | Sequence[float] | Callable[[int], float] | None = None
-
-    def __post_init__(self):
-        _check_alpha(self.alpha)
-        a = sm.symmat(self.a_thresh)
-        if sm.lambda_min(a) <= 0.0:
-            raise ConfigError("threshold matrix must be positive definite")
-        t = sm.trace(sm.mat_inv(a))
-        if abs(t - self.alpha) > ALPHA_CAL_TOL:
-            a = (t / self.alpha) * a
-            t2 = sm.trace(sm.mat_inv(a))
-            if abs(t2 - self.alpha) > ALPHA_CAL_TOL:
-                raise ConfigError(
-                    f"could not calibrate threshold: tr(A^-1) = {t2!r} vs alpha = {self.alpha!r}"
-                )
-        self.a_thresh = a
+    _check_alpha(alpha)
+    a = sm.symmat(a)
+    if sm.lambda_min(a) <= 0.0:
+        raise ConfigError("threshold matrix must be positive definite")
+    t = sm.trace(sm.mat_inv(a))
+    if abs(t - alpha) > ALPHA_CAL_TOL:
+        a = (t / alpha) * a
+        t2 = sm.trace(sm.mat_inv(a))
+        if abs(t2 - alpha) > ALPHA_CAL_TOL:
+            raise ConfigError(
+                f"could not calibrate threshold: tr(A^-1) = {t2!r} vs alpha = {alpha!r}"
+            )
+    return a
 
 
 def oracle_A_choice(y1_known: np.ndarray, alpha: float, epsilon: float) -> np.ndarray:

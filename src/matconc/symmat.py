@@ -35,7 +35,6 @@ which are symmetrized but not re-validated.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -48,7 +47,6 @@ __all__ = [
     "SpectralDecomp",
     "symmat",
     "symmat_stack",
-    "load_matrix",
     "parse_matrix_json",
     "eigh_decomp",
     "apply_spectral",
@@ -66,9 +64,7 @@ __all__ = [
     "lambda_max",
     "lambda_min",
     "spectral_norm",
-    "anticommutator",
     "loewner_leq",
-    "loewner_geq",
     "exceeds",
     "exceeds_scaled",
     "screened",
@@ -76,8 +72,6 @@ __all__ = [
     "unsettled_events",
     "is_psd",
     "spectrum_is_psd",
-    "curlyvee",
-    "identity_like",
 ]
 
 #: Relative tolerance used by all positive-semidefiniteness checks.
@@ -199,15 +193,6 @@ def parse_matrix_json(obj) -> np.ndarray:
             f"matrix is asymmetric beyond tolerance ({gap:.3e} relative to {scale:.3e})"
         )
     return symmat(a, copy=False)
-
-
-def load_matrix(text: str) -> np.ndarray:
-    """Parse a JSON string containing one matrix literal."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"invalid JSON: {exc}") from None
-    return parse_matrix_json(obj)
 
 
 def _require_square(a: np.ndarray, name: str = "matrix") -> None:
@@ -483,13 +468,6 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(max(abs(w[0]), abs(w[-1])))
 
 
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``AB + BA``, symmetric whenever A and B are."""
-    _require_same_shape(a, b)
-    out = a @ b + b @ a
-    return (out + out.T) / 2.0
-
-
 def spectrum_is_psd(w: np.ndarray, *, tol_psd: float = TOL_PSD) -> np.ndarray:
     """The PSD rule on eigenvalue rows ``(..., d)``, in any order.
 
@@ -518,11 +496,6 @@ def loewner_leq(a: np.ndarray, b: np.ndarray, *, tol_psd: float = TOL_PSD):
     if a.shape[-2:] != b.shape[-2:]:
         raise DimMismatch(f"operands have different shapes {a.shape} and {b.shape}")
     return is_psd(b - a, tol_psd=tol_psd)
-
-
-def loewner_geq(a: np.ndarray, b: np.ndarray, *, tol_psd: float = TOL_PSD) -> bool:
-    """Loewner comparison ``A >= B``."""
-    return loewner_leq(b, a, tol_psd=tol_psd)
 
 
 #: Screen margin in ulps per unit of dimension; see :func:`settles`.
@@ -708,25 +681,3 @@ def exceeds_scaled(y, t, b, f=None):
         return exceeds(ys, np.broadcast_to(t, settled.shape)[rows][..., None, None] * b, f)
 
     return unsettled_events(settled, rest)
-
-
-def curlyvee(a: np.ndarray, b: np.ndarray, *, tol_psd: float = TOL_PSD) -> np.ndarray:
-    """Matrix minimum: ``A`` when ``A <= B``, else ``A - lambda_max(A-B) I``.
-
-    The result is always below both arguments in the Loewner order: the
-    shift makes ``A - lambda_max(A - B) I <= B`` hold exactly, since the
-    smallest eigenvalue of ``B - A`` equals ``-lambda_max(A - B)``.
-    Within-tolerance comparisons resolve to the first branch, so a
-    near-tie returns ``A`` unchanged.
-    """
-    _require_same_shape(a, b)
-    if loewner_leq(a, b, tol_psd=tol_psd):
-        return np.array(a, dtype=np.float64)
-    shift = lambda_max(a - b)
-    return a - shift * np.eye(a.shape[0])
-
-
-def identity_like(a: np.ndarray) -> np.ndarray:
-    """Identity matrix with the dimension of ``a``."""
-    _require_square(a)
-    return np.eye(a.shape[0])

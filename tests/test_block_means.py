@@ -10,6 +10,7 @@ be the matching entry of the built stack.
 import numpy as np
 import pytest
 
+from matconc import processes as pr
 from matconc import simulator as sim
 from matconc.generators import GENERATOR_KINDS
 from matconc.rng import substream
@@ -19,7 +20,7 @@ from conftest import spec_of_kind
 
 def _rows(n, d):
     """Trials in one chunk of ``_block_means``."""
-    return max(1, sim._MEAN_CHUNK_CELLS // (n * d))
+    return max(1, pr._MEAN_CHUNK_CELLS // (n * d))
 
 
 def _assert_mean_of_stack(draws):
@@ -42,7 +43,7 @@ def test_block_means_are_numpy_means_of_the_stack_bit_for_bit(kind, d, n):
 def test_block_means_of_one_trial_chunks_keep_the_summation_order(kind, d):
     # n above the chunk budget: every chunk holds one trial, whose steps a
     # reduction over a one-trial plane would sum pairwise
-    n = sim._MEAN_CHUNK_CELLS + 1
+    n = pr._MEAN_CHUNK_CELLS + 1
     assert _rows(n, d) == 1
     _assert_mean_of_stack(spec_of_kind(kind, d).draw(substream(72, d), 3, n))
 

@@ -235,6 +235,33 @@ def test_sequential_test_bad_frames(tmp_path, capsys):
     assert "data line 1" in capsys.readouterr().err
 
 
+#: (config, frame on data line 2, message): a frame that the process cannot step
+STEP_ERRORS = [
+    ({"mode": "scalar", "v": [[1.0, 0.0], [0.0, 1.0]]}, [[1e300, 0], [0, 0.5]],
+     "matrix entries must be finite"),
+    ({"mode": "matrix", "v": [[1.0, 0.0], [0.0, 1.0]]}, [[1e300, 0], [0, 0.5]],
+     "spectral map produced non-finite values"),
+    ({"mode": "matrix", "builder": "SYMMETRIC_DIST"}, [[1e300, 0], [0, 0.5]],
+     "spectral map produced non-finite values"),
+    ({"mode": "matrix", "builder": "BETTING", "b": [[2.0, 0.0], [0.0, 2.0]]}, [[-5, 0], [0, 0.5]],
+     "matrix is not positive semidefinite"),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on the overflowing frame
+@pytest.mark.parametrize("cfg_obj,frame,message", STEP_ERRORS,
+                         ids=["scalar", "self_normalized", "symmetric_dist", "betting"])
+def test_a_frame_that_cannot_be_stepped_exits_2_with_its_line(tmp_path, capsys, cfg_obj, frame,
+                                                              message):
+    cfg = write_json(tmp_path / "t.json", {"m": [[0.0, 0.0], [0.0, 0.0]], **cfg_obj})
+    data = tmp_path / "d.ndjson"
+    data.write_text(f"[[0.1, 0], [0, 0.1]]\n{json.dumps(frame)}\n[[0.1, 0], [0, 0.1]]\n")
+    out = tmp_path / "out.ndjson"
+    assert main(["test", "--config", cfg, "--data", str(data), "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: data line 2: {message}")
+    assert not out.exists()
+
+
 def test_invalid_utf8_exits_2_with_its_line(tmp_path, capsys):
     cfg = write_json(tmp_path / "t.json", {"mode": "scalar", "m": [[0.0]], "v": [[1.0]]})
     out = tmp_path / "out.ndjson"

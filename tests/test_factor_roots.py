@@ -18,7 +18,7 @@ from matconc import martingales as mg
 from matconc import symmat as sm
 from matconc.errors import DomainError
 from matconc.fixed_bounds import MgfSpec
-from matconc.simulator import FactorProcess
+from matconc.processes import FactorProcess
 
 EPS = np.finfo(np.float64).eps
 

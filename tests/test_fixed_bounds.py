@@ -22,7 +22,6 @@ from matconc.fixed_bounds import (
     sum_pth_moment_bound,
     ummi_bound,
     ummi_event,
-    vec_pcheb_event,
     vector_pcheb_bound,
 )
 from matconc.randomizers import MatrixRandomizer
@@ -194,14 +193,6 @@ def test_vector_pcheb_bound_values():
     assert vector_pcheb_bound(1.0, d=4, n=1, p=1.0, a_scalar=2.0) == pytest.approx(1.0)
     with pytest.raises(DomainError):
         vector_pcheb_bound(1.0, d=2, n=1, p=1.5, a_scalar=0.0)
-
-
-def test_vec_pcheb_event():
-    xs = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert vec_pcheb_event(xs, np.zeros(2), 0.5)
-    assert not vec_pcheb_event(xs, np.array([0.5, 0.5]), 0.5)
-    with pytest.raises(DimMismatch):
-        vec_pcheb_event(xs, np.zeros(3), 0.5)
 
 
 def test_spectral_pcheb_moment_bound_values():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from matconc.errors import ConfigError
-from matconc.generators import GENERATOR_KINDS, Draws, GeneratorSpec, generate_path
+from matconc.generators import GENERATOR_KINDS, Draws, GeneratorSpec
 from matconc.rng import substream
 from matconc.symmat import is_psd, loewner_leq, spectral_norm
 
@@ -172,18 +172,6 @@ def test_betting_upper_only_for_bounded():
     with pytest.raises(ConfigError):
         other.betting_upper()
     assert not GeneratorSpec(kind="HEAVY_PSD", dim=2, scale=1.0, tail_index=2.0).deviations_symmetric()
-
-
-def test_generate_path_seeding():
-    spec = GeneratorSpec(kind="GAUSSIAN_SCALED", dim=2, c=np.eye(2), seed=42)
-    p1 = generate_path(spec, 5)
-    p2 = generate_path(spec, 5)
-    assert np.array_equal(p1, p2)
-    p3 = generate_path(spec, 5, seed=43)
-    assert not np.array_equal(p1, p3)
-    assert p1.shape == (5, 2, 2)
-    with pytest.raises(ConfigError):
-        generate_path(spec, 0)
 
 
 def test_batch_matches_path_layout():

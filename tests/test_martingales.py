@@ -6,32 +6,28 @@ import pytest
 from matconc.errors import DimMismatch, DomainError, GammaOutOfRange, ParamMismatch
 from matconc.fixed_bounds import MgfSpec
 from matconc.martingales import (
-    DEFAULT_N_MAX,
-    FactorStream,
     MatSupermartingaleState,
     betting_gamma_interval,
     build_factors,
     default_gamma_schedule,
     doob_bound,
-    doob_event,
-    eprocess_min,
-    exchangeable_conditional_mean,
     mgf_growth_matrix,
-    mvi_event,
     trace_pcheb_bound,
-    trace_pcheb_event,
     ville_bound,
     ville_event,
     xmci2_bound,
-    xmci2_event,
     xmci_bound,
-    xmci_event,
     xmpci_bound,
-    xmpci_event,
 )
-from matconc.symmat import is_psd, loewner_leq, mat_sqrt
+from matconc.processes import FactorProcess, MeanScan, first_crossing
+from matconc.symmat import is_psd, mat_sqrt
 
-from conftest import random_psd, random_symmetric
+from conftest import random_psd
+
+
+def crosses(proc, path):
+    """Whether ``proc`` crosses somewhere along one path ``(n, d, d)``."""
+    return bool(first_crossing(proc, np.asarray(path, dtype=np.float64)[None])[0])
 
 
 def test_default_gamma_schedule():
@@ -156,32 +152,6 @@ def test_state_validation():
         state.step(np.eye(2), np.diag([1.0, 0.0]))
 
 
-def test_factor_stream_gamma_handling():
-    fs = FactorStream(kind="SYMMETRIC_DIST", m=np.zeros((2, 2)))
-    assert fs.gamma_at(1) == 1.0
-    assert fs.gamma_at(4) == 0.5
-    fs = FactorStream(kind="SYMMETRIC_DIST", m=np.zeros((2, 2)), gamma=[0.3, 0.2])
-    assert fs.gamma_at(2) == 0.2
-    with pytest.raises(GammaOutOfRange):
-        fs.gamma_at(3)
-    fs = FactorStream(kind="SYMMETRIC_DIST", m=np.zeros((2, 2)), gamma=0.7)
-    assert fs.gamma_at(9) == 0.7
-    with pytest.raises(ParamMismatch):
-        FactorStream(kind="MARKOV", m=np.zeros((2, 2)))
-    with pytest.raises(ParamMismatch):
-        FactorStream(kind="BETTING", m=np.eye(2))
-
-
-def test_factor_stream_betting_default_stays_admissible():
-    m = 0.5 * np.eye(2)
-    fs = FactorStream(kind="BETTING", m=m, b=np.eye(2))
-    # interval is (-2, 2); the default schedule starts at half the cap
-    assert fs.gamma_at(1) == 1.0
-    e, _ = fs.next_factors(np.eye(2))
-    assert is_psd(e)
-    assert fs.n == 1
-
-
 def test_ville_event_and_bound():
     y = np.array([[0.5]])
     a = np.array([[1.0]])
@@ -191,48 +161,29 @@ def test_ville_event_and_bound():
 
 
 def test_mvi_and_doob_events():
-    low = 0.3 * np.eye(2)
-    high = 1.5 * np.eye(2)
-    a = np.eye(2)
-    assert not mvi_event([low, low], a)
-    assert mvi_event([low, high, low], a)
-    assert doob_event([low, high], a)
+    # BETTING at gamma = 1 against M = 0 on 0.3 I: Y_1 = 1.3 I, Y_2 = 1.69 I
+    path = [0.3 * np.eye(2)] * 2
+    for n, want in ((1, 0), (2, 2)):
+        mvi = FactorProcess("BETTING", np.zeros((2, 2)), 1.5 * np.eye(2))
+        assert first_crossing(mvi, np.stack(path[:n])[None], np.ones(n)).tolist() == [want]
+    # DOOB scans the squared mean deviation: 1.5^2 >= 1 at n = 1, 0.3^2 < 1
+    assert crosses(MeanScan("DOOB", np.zeros((2, 2)), np.eye(2)), [1.5 * np.eye(2), -0.3 * np.eye(2)])
+    assert not crosses(MeanScan("DOOB", np.zeros((2, 2)), np.eye(2)), [-0.3 * np.eye(2)])
     assert doob_bound(np.diag([1.0, 2.0]), np.diag([2.0, 4.0])) == pytest.approx(1.0)
-
-
-def test_eprocess_min_is_common_lower_bound(gen):
-    for _ in range(20):
-        mats = [random_symmetric(gen, 3) for _ in range(4)]
-        low = eprocess_min(mats)
-        for m in mats:
-            assert loewner_leq(low, m)
-    # ordered pair folds to the smaller one
-    assert np.allclose(eprocess_min([np.eye(2), 2.0 * np.eye(2)]), np.eye(2))
-
-
-def test_eprocess_min_accepts_states_and_validates():
-    state = MatSupermartingaleState.start(2)
-    out = eprocess_min([state, 0.5 * np.eye(2)])
-    assert loewner_leq(out, np.eye(2))
-    with pytest.raises(DomainError):
-        eprocess_min([])
-    with pytest.raises(DimMismatch):
-        eprocess_min([np.eye(2), np.eye(3)])
 
 
 def test_xmci_event_scans_running_means():
     m = np.zeros((1, 1))
     a = np.array([[1.0]])
     quiet = np.array([[[0.5]], [[-0.5]], [[0.2]]])
-    assert not xmci_event(quiet, m, a)
+    assert not crosses(MeanScan("XMCI", m, a), quiet)
     # first observation exceeds the threshold; later averages do not
     loud = np.array([[[1.5]], [[-1.5]], [[0.0]]])
-    assert xmci_event(loud, m, a)
-    # crossing beyond the truncation horizon is not seen
+    assert first_crossing(MeanScan("XMCI", m, a), loud[None]).tolist() == [1]
+    # a crossing beyond the horizon is not seen
     late = np.array([[[0.5]], [[0.5]], [[9.0]]])
-    assert xmci_event(late, m, a, n_max=2) is False
-    assert xmci_event(late, m, a, n_max=3) is True
-    assert DEFAULT_N_MAX == 500
+    assert not crosses(MeanScan("XMCI", m, a), late[:2])
+    assert first_crossing(MeanScan("XMCI", m, a), late[None]).tolist() == [3]
 
 
 def test_xmci_bound_value():
@@ -243,11 +194,9 @@ def test_xmci2_skips_early_steps():
     m = np.zeros((1, 1))
     a = np.array([[1.0]])
     xs = np.array([[[3.0]], [[-3.0]], [[0.0]]])
-    assert xmci2_event(xs, m, a, n_start=1)
-    assert not xmci2_event(xs, m, a, n_start=2)
+    assert crosses(MeanScan("XMCI2", m, a, n_start=1), xs)
+    assert not crosses(MeanScan("XMCI2", m, a, n_start=2), xs)
     assert xmci2_bound(np.array([[2.0]]), a, n_start=4) == pytest.approx(0.5)
-    with pytest.raises(DomainError):
-        xmci2_event(xs, m, a, n_start=0)
     with pytest.raises(DomainError):
         xmci2_bound(np.array([[2.0]]), a, n_start=0)
 
@@ -255,11 +204,11 @@ def test_xmci2_skips_early_steps():
 def test_xmpci_event_and_bound():
     a = np.array([[1.0]])
     xs = np.array([[[0.5]], [[0.9]], [[0.1]]])
-    assert not xmpci_event(xs, a, 1.5)
-    assert xmpci_event(np.array([[[2.0]], [[0.0]]]), a, 1.5)
+    assert not crosses(MeanScan("XMPCI", None, a, 1.5), xs)
+    assert crosses(MeanScan("XMPCI", None, a, 1.5), np.array([[[2.0]], [[0.0]]]))
     assert xmpci_bound(np.array([[0.5]]), np.array([[2.0]]), 2.0) == pytest.approx(0.125)
     with pytest.raises(DomainError):
-        xmpci_event(xs, a, 2.5)
+        xmpci_bound(np.array([[0.5]]), a, 2.5)
     with pytest.raises(DomainError):
         xmpci_bound(np.array([[0.5]]), a, 0.5)
 
@@ -267,20 +216,12 @@ def test_xmpci_event_and_bound():
 def test_trace_pcheb_event_by_hand():
     m = np.zeros((2, 2))
     xs = np.stack([np.diag([0.9, -0.9]), np.diag([0.9, 0.9])])
-    # n=1: 2 * 0.9^1.5 = 1.707...; n=2: 0.9^1.5 + 0 after averaging
-    assert trace_pcheb_event(xs, m, a_scalar=1.4, p=1.5)
-    assert not trace_pcheb_event(xs, m, a_scalar=1.8, p=1.5)
+    # n=1: 2 * 0.9^1.5 = 1.707... >= a^1.5 at a = 1.4 (1.656...), not at
+    # a = 1.8 (2.414...); n=2: 0.9^1.5 + 0 after averaging
+    assert crosses(MeanScan("TRACE_PCHEB", m, 1.4, 1.5), xs)
+    assert not crosses(MeanScan("TRACE_PCHEB", m, 1.8, 1.5), xs)
     assert trace_pcheb_bound(3.0, 2.0, 1.5) == pytest.approx(3.0 / 2.0**1.5)
     with pytest.raises(DomainError):
-        trace_pcheb_event(xs, m, a_scalar=0.0, p=1.5)
+        trace_pcheb_bound(3.0, 0.0, 1.5)
     with pytest.raises(DomainError):
         trace_pcheb_bound(3.0, 2.0, 0.5)
-
-
-def test_exchangeable_conditional_mean_is_psd_for_even_power(gen):
-    xs = np.stack([random_symmetric(gen, 2) for _ in range(6)])
-    est = exchangeable_conditional_mean(xs, np.zeros((2, 2)), 2.0, gen, n_perms=50)
-    assert est.shape == (2, 2)
-    assert is_psd(est)
-    with pytest.raises(DimMismatch):
-        exchangeable_conditional_mean(xs[:1], np.zeros((2, 2)), 2.0, gen)

@@ -1,9 +1,12 @@
 """Differential test: batched kernels against the public per-sample API.
 
 The coverage harness and ``power-compare`` run every sequential bound on
-stacks of paths; ``matconc test`` and library users step one observation
-at a time through the public functions.  Both must decide the same
-events on the same draws.  The fixed-time bounds run the public
+stacks of paths through :mod:`matconc.processes`.  Here each trial is
+stepped one observation at a time through the validated per-sample
+functions (``build_factors``, ``MatSupermartingaleState.step``,
+``sn_process_step``, the decision rules), and the running-mean scans are
+formed by ``np.cumsum`` and tested by ``scan_exceeds``: both must decide
+the same events on the same draws.  The fixed-time bounds run the public
 ``fixed_bounds`` events on a whole block of trials, with the randomizer
 ``u I`` given as one scalar per trial; called one trial at a time with
 the matrix ``U``, the same events must count the same hits.
@@ -17,15 +20,10 @@ import pytest
 from matconc import fixed_bounds as fb
 from matconc import martingales as mg
 from matconc import scalar_e as se
+from matconc import symmat as sm
+from matconc.processes import sequential_test_stops
 from matconc.rng import spawn_pair, substream
-from matconc.simulator import (
-    McConfig,
-    _entry,
-    _fixed_block,
-    _path_events,
-    default_generator,
-    sequential_test_stops,
-)
+from matconc.simulator import McConfig, _entry, _fixed_block, _path_events, default_generator
 
 TRIALS = 48
 
@@ -82,7 +80,7 @@ def _umvi_event(plan, gen, path, tau, u):
         if plan["kind"] == "UMVI" and (n == tau if tau is not None else se.matrix_test_decide(history[-1], a)):
             break
     if plan["kind"] == "MVI":
-        return mg.mvi_event(history, a)
+        return bool(mg.exceeds(np.stack(history), a).any())
     u_mat = u * np.eye(d)
     if plan["shift"] is not None:
         u_mat = u_mat + plan["shift"]
@@ -109,20 +107,16 @@ def _trace_exp_event(plan, gen, path, tau, u):
     return rejects(state, u)
 
 
-def _scan_event(plan, gen, path):
-    kind, d = plan["kind"], gen.dim
-    a = plan["a_scalar"] * np.eye(d)
-    n_max = plan["horizon"]
+def _running_mean_event(plan, gen, path):
+    """Whether the running means of ``path`` cross from ``n_start`` on."""
+    kind = plan["kind"]
+    a = plan["a_scalar"] if kind == "TRACE_PCHEB" else plan["a_scalar"] * np.eye(gen.dim)
+    means = np.cumsum(path, axis=0) / np.arange(1, len(path) + 1)[:, None, None]
     if kind == "DOOB":
-        means = np.cumsum(path, axis=0) / np.arange(1, len(path) + 1)[:, None, None]
-        return mg.doob_event([(xb - plan["m"]) @ (xb - plan["m"]) for xb in means], a)
-    if kind == "XMCI":
-        return mg.xmci_event(path, plan["m"], a, n_max)
-    if kind == "XMCI2":
-        return mg.xmci2_event(path, plan["m"], a, plan["n_start"], n_max)
-    if kind == "XMPCI":
-        return mg.xmpci_event(path, a, plan["p"], n_max)
-    return mg.trace_pcheb_event(path, plan["m"], plan["a_scalar"], plan["p"], n_max)
+        devs = [(xb - plan["m"]) @ (xb - plan["m"]) for xb in means]
+        return bool(mg.exceeds(np.stack(devs), a).any())
+    means = sm.symmat_stack(means)[plan.get("n_start", 1) - 1 :]
+    return bool(mg.scan_exceeds(kind, means, plan.get("m"), a, plan.get("p")).any())
 
 
 @pytest.mark.parametrize("bound,params", CASES)
@@ -142,7 +136,7 @@ def test_batched_path_events_match_per_sample_api(bound, params):
         elif plan["kind"] in ("URSN", "USMHI"):
             expected.append(_trace_exp_event(plan, gen, xs[t], tau, us[t]))
         else:
-            expected.append(_scan_event(plan, gen, xs[t]))
+            expected.append(_running_mean_event(plan, gen, xs[t]))
     assert batched.tolist() == expected
     # the comparison must see both outcomes to mean anything
     if params is not None:

@@ -24,7 +24,8 @@ from matconc import martingales as mg
 from matconc import scalar_e as se
 from matconc import symmat as sm
 from matconc.errors import DomainError
-from matconc.simulator import FactorProcess, McConfig, TraceExpProcess, default_generator, run_coverage
+from matconc.processes import FactorProcess, TraceExpProcess
+from matconc.simulator import McConfig, default_generator, run_coverage
 
 EPS = np.finfo(np.float64).eps
 ULPS = np.arange(-6, 7)

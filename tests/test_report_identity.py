@@ -19,7 +19,8 @@ import sys
 import numpy as np
 import pytest
 
-from matconc.simulator import default_generator, run_default_suite, sequential_test_stops
+from matconc.processes import sequential_test_stops
+from matconc.simulator import default_generator, run_default_suite
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 FIXTURE = os.path.join(FIXTURES, "report_identity_seed101.json")

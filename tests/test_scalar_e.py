@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,11 +11,10 @@ from matconc.errors import (
     DomainError,
     PreconditionFailed,
 )
-from matconc.randomizers import ScalarRandomizer
 from matconc.scalar_e import (
     PSI_QUADRATIC,
-    TestConfig,
     TraceExpState,
+    calibrated_threshold,
     hoeffding_eprocess_value,
     log_hoeffding_eprocess_value,
     matrix_test_decide,
@@ -22,7 +22,6 @@ from matconc.scalar_e import (
     oracle_A_choice,
     scalar_test_decide,
     sn_process_step,
-    te_step,
     ursn_event,
     usmhi_event,
     usmhi_threshold,
@@ -42,17 +41,17 @@ def test_start_value_is_dimension():
         TraceExpState.start(0)
 
 
-def test_te_step_one_dimensional_closed_form():
+def test_sn_step_one_dimensional_closed_form():
     state = TraceExpState.start(1)
-    state = te_step(state, np.array([[0.5]]), np.array([[0.1]]), np.array([[0.2]]), 2.0)
-    # exponent: 2 * 0.5 - (4/2) * 0.3 = 0.4
-    assert state.value() == pytest.approx(math.exp(0.4), rel=1e-14)
+    state = sn_process_step(state, np.array([[1.0]]), np.array([[0.5]]), np.array([[0.1]]), 2.0)
+    # exponent: 2 * 0.5 - (4/6) * (0.5^2 + 2 * 0.1) = 1.0 - 0.3 = 0.7
+    assert state.value() == pytest.approx(math.exp(0.7), rel=1e-14)
     assert state.n == 1
     assert state.sum_gamma == 2.0
     with pytest.raises(DomainError):
-        te_step(state, np.eye(1), np.eye(1), np.eye(1), 0.0)
+        sn_process_step(state, np.eye(1), np.eye(1), np.eye(1), 0.0)
     with pytest.raises(DimMismatch):
-        te_step(state, np.eye(2), np.eye(2), np.eye(2), 1.0)
+        sn_process_step(state, np.eye(2), np.eye(2), np.eye(2), 1.0)
 
 
 def test_psi_quadratic():
@@ -60,14 +59,14 @@ def test_psi_quadratic():
 
 
 def test_kahan_accumulation_survives_tiny_steps():
-    # 1e6 increments of 1e-8 each; naive summation in float32-scale error
-    # would show up well above the tolerance here
-    state = TraceExpState.start(1)
-    z = np.array([[1e-8]])
+    # after a first step of 1, each increment of 3e-17 is below half an
+    # ulp of the tilt: a plain sum would drop every one of them
     zero = np.zeros((1, 1))
+    state = sn_process_step(TraceExpState.start(1), np.eye(1), zero, zero, 1.0)
+    x = np.array([[3e-17]])
     for _ in range(100_000):
-        state = te_step(state, z, zero, zero, 1.0)
-    assert state.gz[0, 0] == pytest.approx(1e-3, rel=1e-12)
+        state = sn_process_step(state, x, zero, zero, 1.0)
+    assert state.gz[0, 0] - 1.0 == pytest.approx(3e-12, rel=1e-3)
 
 
 def test_sn_step_compensator():
@@ -112,8 +111,7 @@ def test_zero_deviation_stream_shrinks():
 
 
 def test_ursn_event_log_space():
-    state = TraceExpState.start(1)
-    state = te_step(state, np.array([[3.0]]), np.zeros((1, 1)), np.zeros((1, 1)), 1.0)
+    state = dataclasses.replace(TraceExpState.start(1), gz=np.array([[3.0]]))
     # L = e^3 ~ 20.09 against d u / alpha = 20
     assert ursn_event(state, alpha=0.05, u=1.0)
     assert not ursn_event(state, alpha=0.04, u=1.0)
@@ -125,10 +123,7 @@ def test_ursn_event_log_space():
 
 
 def test_value_survives_huge_exponents():
-    state = TraceExpState.start(2)
-    state = te_step(
-        state, np.diag([800.0, -5.0]), np.zeros((2, 2)), np.zeros((2, 2)), 1.0
-    )
+    state = dataclasses.replace(TraceExpState.start(2), gz=np.diag([800.0, -5.0]))
     assert state.log_value() == pytest.approx(800.0, abs=1e-9)
     assert math.isinf(state.value()) or state.value() > 1e300
 
@@ -210,19 +205,16 @@ def test_decision_rules():
     assert scalar_test_decide(36.1, d=2, alpha=0.05, u=0.9)
 
 
-def test_test_config_calibration():
-    cfg = TestConfig(alpha=0.05, a_thresh=np.eye(2))
-    assert trace(mat_inv(cfg.a_thresh)) == pytest.approx(0.05, abs=1e-10)
+def test_threshold_calibration():
+    assert trace(mat_inv(calibrated_threshold(0.05, np.eye(2)))) == pytest.approx(0.05, abs=1e-10)
     # already-calibrated input is kept bit-for-bit
     a = np.diag([40.0, 40.0])
-    cfg = TestConfig(alpha=0.05, a_thresh=a)
-    assert np.array_equal(cfg.a_thresh, a)
+    assert np.array_equal(calibrated_threshold(0.05, a), a)
     with pytest.raises(ConfigError):
-        TestConfig(alpha=0.05, a_thresh=np.diag([1.0, -1.0]))
+        calibrated_threshold(0.05, np.diag([1.0, -1.0]))
     with pytest.raises(DomainError):
-        TestConfig(alpha=0.0, a_thresh=np.eye(2))
-    cfg = TestConfig(alpha=0.1, a_thresh=np.eye(3), randomizer=ScalarRandomizer())
-    assert trace(mat_inv(cfg.a_thresh)) == pytest.approx(0.1, abs=1e-10)
+        calibrated_threshold(0.0, np.eye(2))
+    assert trace(mat_inv(calibrated_threshold(0.1, np.eye(3)))) == pytest.approx(0.1, abs=1e-10)
 
 
 def test_oracle_choice_two_dimensional_worked_case():

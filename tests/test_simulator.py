@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from matconc import processes as pr
 from matconc import simulator as sim
 from matconc.errors import ConfigError, IncompatiblePair
 from matconc.generators import GeneratorSpec
@@ -196,6 +197,7 @@ def test_a_worker_killed_while_idle_does_not_fail_the_next_run():
 #: kills an idle worker and closes the pool at once, twenty times over
 KILL_THEN_CLOSE = """
 import os, signal
+from matconc import processes as pr
 from matconc import simulator as sim
 for _ in range(20):
     pool = sim._WorkerPool()
@@ -332,7 +334,7 @@ def test_fixed_block_means_over_chunks_match_the_full_stack(bound, kind, params,
     assert plan["averaged"]
     n = plan["n_per"]
     # three full chunks of trials and a partial fourth
-    rows = sim._MEAN_CHUNK_CELLS // (n * d)
+    rows = pr._MEAN_CHUNK_CELLS // (n * d)
     trials = 3 * rows + rows // 2
     seed, block_idx = 808, 2
     count = sim._fixed_block(plan, gen, trials, seed, entry.tag, block_idx)
@@ -383,13 +385,13 @@ def _stop_inputs(kind, d, horizon):
 def test_sequential_test_stops_match_a_per_trial_loop(kind):
     d, alpha, trials, seed = 5, 0.05, 40, 17
     gen, m0, v, gammas = _stop_inputs(kind, d, 60)
-    stops = sim.sequential_test_stops(gen, m0, v, gammas, alpha, trials, seed)
+    stops = pr.sequential_test_stops(gen, m0, v, gammas, alpha, trials, seed)
     for t in range(trials):
         xs = gen.sample_path(substream(seed, 0xC0DE, t), len(gammas))[None]
-        matrix = sim.FactorProcess("SELF_NORMALIZED", m0, d / alpha, v=v)
-        scalar = sim.TraceExpProcess(m0, v, alpha)
-        assert stops["matrix"][t] == sim.first_crossing(matrix, xs, gammas)[0]
-        assert stops["scalar"][t] == sim.first_crossing(scalar, xs, gammas)[0]
+        matrix = pr.FactorProcess("SELF_NORMALIZED", m0, d / alpha, v=v)
+        scalar = pr.TraceExpProcess(m0, v, alpha)
+        assert stops["matrix"][t] == pr.first_crossing(matrix, xs, gammas)[0]
+        assert stops["scalar"][t] == pr.first_crossing(scalar, xs, gammas)[0]
     for rule in ("matrix", "scalar"):
         assert 0 < np.count_nonzero(stops[rule]) < trials
 
@@ -398,7 +400,7 @@ def test_sequential_test_stops_memory_stays_below_the_path_stack():
     # stacking the block's per-trial paths peaked at 79 MB here: two copies
     # of a (1024, 200, 5, 5) stack
     gen, m0, v, gammas = _stop_inputs("GAUSSIAN_SCALED", 5, 200)
-    peak = _block_peak_bytes(lambda: sim.sequential_test_stops(gen, m0, v, gammas, 0.05, 1024, 3))
+    peak = _block_peak_bytes(lambda: pr.sequential_test_stops(gen, m0, v, gammas, 0.05, 1024, 3))
     assert peak < 16 * 2**20
 
 

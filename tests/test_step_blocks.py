@@ -6,7 +6,8 @@ trace-exp increments, running sums and scan tests) in one call before it
 takes the steps.  These tests force ``k`` to 1, to 3 (ragged: the horizon
 is not a multiple of 3) and to the whole horizon, and compare the stops
 and the values at the stops, bit for bit, with a per-step reference loop:
-the stepping code as it was before blocks, copied here.  The kernels'
+the stepping code as it was before blocks, copied here.  Each test that
+forces ``k`` also checks that ``first_crossing`` ran blocks of ``k`` steps.  The kernels'
 block forms (``factor_pair``, ``sn_increments``) are compared with their
 per-step calls on their own.
 
@@ -23,6 +24,7 @@ import numpy as np
 import pytest
 
 from matconc import martingales as mg
+from matconc import processes as pr
 from matconc import scalar_e as se
 from matconc import simulator as sim
 from matconc import symmat as sm
@@ -38,11 +40,11 @@ TRIALS, HORIZON = 24, 25
 
 def ref_step(proc, x, gamma):
     """One step of ``proc``, as the processes took it before blocks."""
-    if isinstance(proc, sim.FactorProcess):
+    if isinstance(proc, pr.FactorProcess):
         roots = mg.factor_pair(proc.builder, x - proc.m, gamma, root=True, **proc.params)
         proc.state = proc.state.advance(*roots)
         return proc.decide()
-    if isinstance(proc, sim.TraceExpProcess):
+    if isinstance(proc, pr.TraceExpProcess):
         proc.state = se.sn_advance(proc.state, x - proc.m, proc.v, gamma, proc.b)
         return proc.decide()
     proc.total, proc.n = proc.total + x, proc.n + 1
@@ -67,6 +69,18 @@ def ref_first_crossing(proc, xs, gammas=None, taus=None):
             break
     proc.freeze(stop == 0)
     return stop
+
+
+def record_blocks(proc):
+    """The number of steps of each block that ``proc`` is handed, in order."""
+    sizes, block = [], proc._block
+    proc._block = lambda xs, gammas: sizes.append(len(xs)) or block(xs, gammas)
+    return sizes
+
+
+def assert_blocks_of(sizes, k):
+    """Every block but the last has ``k`` steps, the last at most ``k``."""
+    assert sizes and all(n == k for n in sizes[:-1]) and sizes[-1] <= k
 
 
 def assert_bitwise(got, want):
@@ -124,10 +138,12 @@ def test_block_stops_and_values_match_a_per_step_loop(bound, kind, d, params, k,
     horizon = plan["horizon"]
     draws = gen.draw(substream(4242, entry.tag, d), TRIALS, horizon)
     taus = _taus(plan, horizon, substream(4242, entry.tag, 7))
-    monkeypatch.setattr(sim, "_MEAN_CHUNK_CELLS", k * TRIALS * d * d)
+    monkeypatch.setattr(pr, "_MEAN_CHUNK_CELLS", k * TRIALS * d * d)
     blocked, ref = sim._path_process(plan), sim._path_process(plan)
-    stop = sim.first_crossing(blocked, draws, plan.get("gammas"), taus)
+    sizes = record_blocks(blocked)
+    stop = pr.first_crossing(blocked, draws, plan.get("gammas"), taus)
     want = ref_first_crossing(ref, draws[:, :], plan.get("gammas"), taus)
+    assert_blocks_of(sizes, k)
     assert_bitwise(stop, want)
     assert_bitwise(blocked.at_stop, ref.at_stop)
     # the comparison must see trials stop, some of them inside a block of three
@@ -142,7 +158,7 @@ def test_no_block_runs_past_the_last_stopping_time(monkeypatch):
     draws = gen.draw(substream(6, 1), TRIALS, HORIZON)
     built = []
     monkeypatch.setattr(type(draws), "steps", lambda self, lo, hi: built.append(hi) or draws[:, lo:hi].swapaxes(0, 1).copy())
-    stop = sim.first_crossing(sim._path_process(plan), draws, plan["gammas"], np.full(TRIALS, 7))
+    stop = pr.first_crossing(sim._path_process(plan), draws, plan["gammas"], np.full(TRIALS, 7))
     assert stop.tolist() == [7] * TRIALS and built == [7]
 
 
@@ -151,11 +167,14 @@ def test_a_stack_of_matrices_steps_like_its_draws(monkeypatch):
     gen = sim.default_generator("URSN", "GAUSSIAN_SCALED", 2)
     plan = sim._entry("URSN").prepare({"alpha": 0.5}, gen, sim.McConfig(trials=TRIALS, horizon=HORIZON))
     draws = gen.draw(substream(5, 1), TRIALS, HORIZON)
-    monkeypatch.setattr(sim, "_MEAN_CHUNK_CELLS", 4 * TRIALS * 4)
+    monkeypatch.setattr(pr, "_MEAN_CHUNK_CELLS", 4 * TRIALS * 4)
     stack = draws[:, :]
     before = stack.copy()
     a, b = sim._path_process(plan), sim._path_process(plan)
-    assert_bitwise(sim.first_crossing(a, stack, plan["gammas"]), sim.first_crossing(b, draws, plan["gammas"]))
+    sizes_a, sizes_b = record_blocks(a), record_blocks(b)
+    assert_bitwise(pr.first_crossing(a, stack, plan["gammas"]), pr.first_crossing(b, draws, plan["gammas"]))
+    assert_blocks_of(sizes_a, 4)
+    assert sizes_b == sizes_a
     assert_bitwise(a.at_stop, b.at_stop)
     assert_bitwise(stack, before)  # the caller's stack is not overwritten
 
@@ -165,8 +184,8 @@ def _lone_processes():
     gen = sim.default_generator("UMVI_MGF", "BOUNDED_PSD", 2)
     m, v, b = gen.mean(), gen.variance(), gen.sq_dev_bound()
     params = {"MGF": {"mgf": MgfSpec("SYM_HOEFFDING", b)}, "SELF_NORMALIZED": {"v": v}}
-    makers = [lambda bl=bl: sim.FactorProcess(bl, m, 4.0, **params.get(bl, {})) for bl in mg.BUILDER_KINDS]
-    makers += [lambda: sim.TraceExpProcess(m, v, 0.5), lambda: sim.TraceExpProcess(m, None, 0.5, b)]
+    makers = [lambda bl=bl: pr.FactorProcess(bl, m, 4.0, **params.get(bl, {})) for bl in mg.BUILDER_KINDS]
+    makers += [lambda: pr.TraceExpProcess(m, v, 0.5), lambda: pr.TraceExpProcess(m, None, 0.5, b)]
     return gen, makers
 
 
@@ -183,7 +202,7 @@ def test_lone_step_matches_the_per_step_reference():
 
 
 def test_scan_step_does_not_overwrite_its_observation():
-    scan = sim._MeanScan("XMCI", np.zeros((2, 2)), 1.0)
+    scan = pr.MeanScan("XMCI", np.zeros((2, 2)), 1.0)
     x = np.full((3, 2, 2), -0.0)
     scan.step(x)
     scan.step(x)
@@ -262,9 +281,12 @@ def _shifted_paths(kind, d, shifts, seed=77):
 
 def _blocked(monkeypatch, k, xs, make, *args):
     d = xs.shape[-1]
-    monkeypatch.setattr(sim, "_MEAN_CHUNK_CELLS", k * xs.shape[0] * d * d)
+    monkeypatch.setattr(pr, "_MEAN_CHUNK_CELLS", k * xs.shape[0] * d * d)
     proc = make()
-    return proc, sim.first_crossing(proc, xs, *args)
+    sizes = record_blocks(proc)
+    stop = pr.first_crossing(proc, xs, *args)
+    assert_blocks_of(sizes, k)
+    return proc, stop
 
 
 @pytest.mark.parametrize("k", KS)
@@ -277,7 +299,7 @@ def test_a_product_that_overflows_after_its_stop_neither_raises_nor_warns(k, mon
     gammas = np.ones(HORIZON)
 
     def make():
-        return sim.FactorProcess("MGF", np.zeros((d, d)), float(np.exp(250.0)), mgf=MgfSpec("RADEMACHER", gen.c))
+        return pr.FactorProcess("MGF", np.zeros((d, d)), float(np.exp(250.0)), mgf=MgfSpec("RADEMACHER", gen.c))
 
     ref = make()
     with warnings.catch_warnings():
@@ -295,8 +317,8 @@ def _trace_exp_maker(b_kind):
     gen = sim.default_generator("USMHI", "RADEMACHER_SCALED", 2)
     m, v, b = gen.mean(), gen.variance(), gen.sq_dev_bound()
     if b_kind == "URSN":
-        return lambda: sim.TraceExpProcess(m, v, 0.5)
-    return lambda: sim.TraceExpProcess(m, None, 0.5, b)
+        return lambda: pr.TraceExpProcess(m, v, 0.5)
+    return lambda: pr.TraceExpProcess(m, None, 0.5, b)
 
 
 @pytest.mark.parametrize("k", KS)
@@ -332,7 +354,7 @@ def test_every_trial_stops_in_the_first_block(rule, k, monkeypatch):
     if rule == "MGF":
 
         def make():
-            return sim.FactorProcess("MGF", gen.mean(), 4.0, mgf=MgfSpec("RADEMACHER", gen.c))
+            return pr.FactorProcess("MGF", gen.mean(), 4.0, mgf=MgfSpec("RADEMACHER", gen.c))
 
     else:
         make = _trace_exp_maker(rule)

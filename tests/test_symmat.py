@@ -9,16 +9,11 @@ from hypothesis import strategies as st
 
 from matconc.errors import DimMismatch, DomainError
 from matconc.symmat import (
-    anticommutator,
     apply_spectral,
-    curlyvee,
     eigh_decomp,
-    identity_like,
     is_psd,
     lambda_max,
     lambda_min,
-    load_matrix,
-    loewner_geq,
     loewner_leq,
     mat_abs,
     mat_exp,
@@ -93,13 +88,6 @@ def test_parse_matrix_json():
     eps = 1e-9
     a = parse_matrix_json([[1.0, eps], [0.0, 1.0]])
     assert a[0, 1] == a[1, 0]
-
-
-def test_load_matrix_rejects_bad_json():
-    with pytest.raises(DomainError):
-        load_matrix("[[1, 2], [2,")
-    a = load_matrix("[[2.0, 0.0], [0.0, 3.0]]")
-    assert trace(a) == 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -234,17 +222,6 @@ def test_lambda_extremes_and_norm(gen):
     assert np.isclose(spectral_norm(np.outer(v, v)), v @ v, rtol=1e-12)
 
 
-def test_anticommutator_direct(gen):
-    a = random_symmetric(gen, 4)
-    b = random_symmetric(gen, 4)
-    got = anticommutator(a, b)
-    want = a @ b + b @ a
-    assert np.allclose(got, want, atol=1e-12)
-    assert np.array_equal(got, got.T)
-    with pytest.raises(DimMismatch):
-        anticommutator(np.eye(2), np.eye(3))
-
-
 # ---------------------------------------------------------------------------
 # order predicates
 
@@ -254,7 +231,6 @@ def test_loewner_basics(gen):
     assert loewner_leq(a, a)
     bump = random_psd(gen, 3)
     assert loewner_leq(a, a + bump)
-    assert loewner_geq(a + bump, a)
     assert not loewner_leq(a + np.eye(3), a)
 
 
@@ -301,28 +277,6 @@ def test_square_counterexamples_are_easy_to_find():
     assert hits > 0
 
 
-def test_curlyvee_is_a_common_lower_bound(gen):
-    for _ in range(200):
-        d = int(gen.integers(1, 5))
-        a = random_symmetric(gen, d)
-        b = random_symmetric(gen, d)
-        low = curlyvee(a, b)
-        assert loewner_leq(low, a)
-        assert loewner_leq(low, b)
-
-
-def test_curlyvee_branches():
-    a = np.diag([1.0, 1.0])
-    b = np.diag([2.0, 3.0])
-    assert np.array_equal(curlyvee(a, b), a)  # already ordered: returns a
-    # incomparable pair: shift pushes a below b exactly
-    a = np.diag([2.0, 0.0])
-    b = np.diag([1.0, 1.0])
-    low = curlyvee(a, b)
-    assert np.allclose(low, np.diag([1.0, -1.0]))
-    assert lambda_min(b - low) >= -1e-12
-
-
 def test_apply_spectral_validates():
     with pytest.raises(DomainError):
         apply_spectral(lambda w: w[:1], np.eye(2))
@@ -341,10 +295,6 @@ def test_eigh_decomp_contract(gen):
         recon = (q * dec.eigenvalues) @ q.T
         scale = max(1.0, np.abs(a).max())
         assert np.abs(recon - a).max() <= 1e-9 * scale
-
-
-def test_identity_like():
-    assert np.array_equal(identity_like(np.zeros((3, 3))), np.eye(3))
 
 
 # ---------------------------------------------------------------------------
