@@ -36,7 +36,7 @@ from . import martingales as mg
 from . import rng as _rng
 from . import scalar_e as se
 from . import symmat as sm
-from .errors import ConfigError, MatconcError
+from .errors import ConfigError, MatconcError, config_number
 from .fixed_bounds import MgfSpec
 from .generators import GeneratorSpec
 from .processes import FactorProcess, TraceExpProcess, sequential_test_stops
@@ -56,21 +56,9 @@ def _dump_json(obj) -> str:
 
 
 def _num(obj: dict, key: str, default, kind=float):
-    """``kind(obj[key])``, or of ``default`` when absent; a ConfigError naming the key.
-
-    A boolean or a string is not a number, and an ``int`` field takes only
-    integral values (``2`` or ``2.0``, not ``2.7``).
-    """
-    raw = obj.get(key, default)
-    try:
-        if isinstance(raw, (bool, str)):
-            raise TypeError
-        val = kind(raw)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key!r} must be a number, got {raw!r}") from None
-    if kind is int and isinstance(raw, float) and val != raw:
-        raise ConfigError(f"{key!r} must be an integer, got {raw!r}")
-    return val
+    """``obj[key]``, or ``default`` when absent, as a number of ``kind``
+    (see :func:`~matconc.errors.config_number`)."""
+    return config_number(obj.get(key, default), repr(key), kind)
 
 
 def _known_keys(obj: dict, allowed, where: str) -> None:
@@ -262,10 +250,10 @@ def _iter_frames(path: str):
 def _step_size(raw, name: str) -> float:
     """``raw`` as a step size, a positive finite float; a ConfigError naming ``name``."""
     try:
-        g = math.nan if isinstance(raw, (bool, str)) else float(raw)
-    except (TypeError, ValueError, OverflowError):
+        g = config_number(raw, name)
+    except ConfigError:
         g = math.nan
-    if not (math.isfinite(g) and g > 0.0):
+    if not g > 0.0:
         raise ConfigError(f"{name} must be a positive finite number, got {raw!r}")
     return g
 
@@ -339,8 +327,8 @@ def _cmd_test(args) -> int:
         proc = TraceExpProcess(m, v, alpha)
         key = "log_value"
 
-    # each frame advances a batch of one through the processes of
-    # matconc.processes, the ones power-compare and the path runs step
+    # each frame is one step of a matconc.processes process on its one
+    # path: the step first_crossing takes for power-compare and path runs
     frames_out = []
     rejected_at = None
     n = 0

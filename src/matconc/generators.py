@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symmat as sm
-from .errors import ConfigError
+from .errors import ConfigError, config_number
 
 __all__ = ["GENERATOR_KINDS", "Draws", "GeneratorSpec"]
 
@@ -131,9 +131,8 @@ class GeneratorSpec:
         if self.m is None and "m" in allowed:
             self.m = np.zeros((self.dim, self.dim))
         for name in ("tail_index", "tau", "scale"):
-            val = getattr(self, name)
-            if val is not None and not math.isfinite(val):
-                raise ConfigError(f"{name!r} must be finite, got {val!r}")
+            if getattr(self, name) is not None:
+                config_number(getattr(self, name), repr(name))
         if self.tail_index is not None and self.tail_index <= 1.0:
             raise ConfigError("tail_index must exceed 1 (finite mean needed)")
         if self.tau is not None and self.tau < 0.0:

@@ -1,16 +1,15 @@
 """Sequential processes: matrix supermartingales, trace-exp e-processes and
-running-mean scans, stepped along a stack of paths to a stopping time.
+running-mean scans, stepped to a stopping time.
 
-A process holds the state of one path or of a stack of independent
-paths.  :meth:`~FactorProcess.step` absorbs one observation per path and
-returns each path's crossing event, and ``value`` is the statistic it
-decides on.  :func:`first_crossing` runs a process along whole paths in
+A process runs in one of two ways.  One path: :meth:`~FactorProcess.step`
+absorbs one observation, forms the statistic ``value`` and returns the
+crossing event; ``matconc test`` decides its frames this way.  A stack
+of paths: :func:`first_crossing` runs the process along whole paths in
 blocks of consecutive steps and stops each path at its first crossing or
-at a given stopping time; :func:`sequential_test_stops` runs the MATRIX
-and SCALAR sequential mean tests on simulated paths.  ``matconc test``
-steps one observation at a time, ``matconc power-compare`` and the path
-runs of :mod:`matconc.simulator` run whole stacks; all take the same
-steps.
+at a given stopping time; the path runs of :mod:`matconc.simulator` and
+:func:`sequential_test_stops` (the MATRIX and SCALAR sequential mean
+tests of ``matconc power-compare``) run this way.  Both take the same
+steps, bit for bit.
 
 - :class:`FactorProcess`: ``Y_n = L_n L_n^T`` from one factor builder of
   :mod:`matconc.martingales`, crossing when ``Y_n`` is not below the
@@ -63,40 +62,34 @@ def _block_size(n_per: int, d: int, cap: int) -> int:
 
 
 class _Process:
-    """A sequential statistic on a stack of paths (or on one path).
+    """A sequential statistic, run on one path or on a stack of paths.
 
-    :meth:`step` takes one step: ``x`` is the step's ``(trials, d, d)``
-    stack (``(d, d)`` for one path) and ``gamma`` its float step size.  It
-    advances the state and returns :meth:`decide`, the crossing event of
-    each trial's current state.  Between two steps the caller may
-    ``freeze`` rows; the next step sees the frozen state.  ``value`` is
-    the statistic per trial, formed when it is read and kept until the
-    next step; ``freeze(rows)`` forms it on those trials only and copies
-    it into ``at_stop``.  A stack of trials decides most rows from an
-    exact norm bound, without the statistic: only rows near the level and
-    rows that stop need it.
+    One path: :meth:`step` (on :class:`FactorProcess` and
+    :class:`TraceExpProcess`) takes one observation ``x``, ``(d, d)``, and
+    its float step size ``gamma``, advances the state and returns
+    :meth:`decide`: that forms ``value``, the statistic of the current
+    state, and compares it with the level.
 
-    :func:`first_crossing` takes ``k`` steps at a time in two parts.
-    ``_block(xs, gammas)`` runs the recurrence: one kernel call does the
-    state-free work of the ``k`` steps (``_prepare``), then the state
-    advances step by step and each step's state goes into a step-major
-    buffer.  ``xs`` holds each trial's next ``k`` observations,
-    ``(k, trials, d, d)``, and ``gammas`` their ``k`` step sizes (None
-    entries for the scans).  It returns the block: a tuple of arrays
-    shaped ``(n, trials, ...)`` (or None), the states of the first ``n``
-    steps.  ``n`` is ``k`` unless a state has a non-finite entry, and then
-    the block ends just before it.  ``_events(*states)`` is the decision
-    rule, one call on any stack of states, and ``_values(*states)`` forms
-    the statistic of the states it is given.  Every event and value equals
-    that of stepping one observation at a time, bit for bit.
+    A stack of paths runs only through :func:`first_crossing`, ``k`` steps
+    at a time in two parts.  ``_block(xs, gammas)`` runs the recurrence:
+    one kernel call does the state-free work of the ``k`` steps
+    (``_prepare``), then the state advances step by step and each step's
+    state goes into a step-major buffer.  ``xs`` holds each trial's next
+    ``k`` observations, ``(k, trials, d, d)``, and ``gammas`` their ``k``
+    step sizes (None entries for the scans).  It returns the block: a
+    tuple of arrays shaped ``(n, trials, ...)`` (or None), the states of
+    the first ``n`` steps.  ``n`` is ``k`` unless a state has a non-finite
+    entry, and then the block ends just before it.  ``_events(*states)``
+    is the decision rule, one call on any stack of states; it decides most
+    rows from an exact norm bound, without the statistic, which only rows
+    near the level need.  ``_values(*states)`` forms the statistic of the
+    states it is given, and ``_stop`` records it in ``at_stop``: at each
+    trial's stop, or at the last step for a trial that never stopped.
+    Every event and value equals that of stepping each path one
+    observation at a time, bit for bit.
     """
 
     at_stop = None
-    _value = None
-
-    def _prepare(self, xs, gammas):
-        """The state-free work of the steps ``xs``: stacks with one entry per step."""
-        raise NotImplementedError
 
     def _block(self, xs, gammas):
         """Advance through the steps ``xs``; returns the block of their states."""
@@ -112,28 +105,10 @@ class _Process:
 
     def _stop(self, block, steps, rows):
         """Record in ``at_stop`` the value of trial ``rows[i]`` at block step ``steps[i]``."""
-        self._keep(rows, self._values(*(s if s is None else s[steps, rows] for s in block)), block[0].shape[1])
-
-    @property
-    def value(self):
-        if self._value is None:
-            self._value = self._form(None)
-        return self._value
-
-    def _form(self, rows):
-        """The statistic of every trial (``rows`` None) or of the trials at ``rows``."""
-        raise NotImplementedError
-
-    def _rows(self, rows):
-        return self._form(rows) if self._value is None else self._value[rows]
-
-    def _keep(self, rows, frozen, size: int) -> None:
+        values = self._values(*(s if s is None else s[steps, rows] for s in block))
         if self.at_stop is None:
-            self.at_stop = np.empty((size,) + frozen.shape[1:], dtype=frozen.dtype)
-        self.at_stop[rows] = frozen
-
-    def freeze(self, rows) -> None:
-        self._keep(rows, self._rows(rows), len(rows))
+            self.at_stop = np.empty((block[0].shape[1],) + values.shape[1:], dtype=values.dtype)
+        self.at_stop[rows] = values
 
 
 class FactorProcess(_Process):
@@ -141,7 +116,9 @@ class FactorProcess(_Process):
 
     ``a`` is a threshold matrix or a scalar standing for ``a I``; ``mgf``
     and ``v`` are the builder's parameters (see
-    :func:`~matconc.martingales.factor_pair`).
+    :func:`~matconc.martingales.factor_pair`).  One path's ``value`` is
+    ``Y_n``, decided by :func:`~matconc.martingales.exceeds`; a ``Y_n``
+    holding a NaN raises DomainError.
 
     A stack of trials with a threshold ``a I`` is decided without ``Y``
     where an exact bound allows: ``lambda_max(Y) = ||L||_2^2 <= ||L||_F^2
@@ -152,10 +129,8 @@ class FactorProcess(_Process):
     in the eigenvalues of ``Y``, so the rule on ``Y`` would find that trial
     ordered too.  ``Y`` is formed only on the other trials, each matrix
     bitwise as in the whole stack's product, and decided by
-    :func:`~matconc.martingales.exceeds` as before.  A lone trial, whose
-    value ``matconc test`` reads at every step, is decided on ``Y``, and
-    raises DomainError when ``Y`` holds a NaN.  In a stack, a non-finite
-    trial is never settled and takes the rule on ``Y`` as before.
+    :func:`~matconc.martingales.exceeds`.  In a stack, a non-finite trial
+    is never settled and is crossed.
 
     The block of :func:`first_crossing` holds ``L_n`` of every step.  A
     trial that stops inside a block keeps multiplying to the block's end
@@ -176,8 +151,9 @@ class FactorProcess(_Process):
     def _prepare(self, xs, gammas):
         return mg.factor_pair(self.builder, xs - self.m, gammas, root=True, **self.params)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def step(self, x, gamma=None):
-        """Absorb one observation per trial; returns the crossing events."""
+        """Absorb one observation of the path; returns its crossing event."""
         self.state = self.state.advance(*self._prepare(x, gamma))
         return self.decide()
 
@@ -191,20 +167,16 @@ class FactorProcess(_Process):
                 step = sqrt_e if sqrt_a is None else sqrt_a[j] @ sqrt_e
                 left = np.matmul(left, step, out=sqrt_e)
         self.state = mg.MatSupermartingaleState(left, self.state.n + len(lefts))
-        self._value = None
         return (lefts,)
 
     def decide(self):
-        """Crossing event of each trial's current state."""
-        self._value = None
-        left, level = self.state.left, self._level
-        if left.ndim > 2:
-            return self._events(left)
+        """Crossing event of the path's current state; sets ``value`` to its ``Y_n``."""
+        self.value = self._values(self.state.left)
         if np.isnan(self.value).any():
             # the kernels do not re-validate their stacks: a non-finite
             # exponent shows as NaN in the factors
             raise DomainError("process state is not finite")
-        return mg.exceeds(self.value, self.a if level is None else level)
+        return mg.exceeds(self.value, self.a if self._level is None else self._level)
 
     @np.errstate(over="ignore", invalid="ignore")
     def _events(self, left):
@@ -218,44 +190,30 @@ class FactorProcess(_Process):
     def _values(self, left):
         return mg.MatSupermartingaleState(left).value()
 
-    def _form(self, rows):
-        left = self.state.left
-        return self._values(left if rows is None else left[rows])
-
     def _stop(self, block, steps, rows):
         super()._stop(block, steps, rows)
-        self._restart(rows)
-
-    def freeze(self, rows) -> None:
-        super().freeze(rows)
-        self._restart(rows)
-
-    def _restart(self, rows):
         # a stopped trial's value is recorded; restarting it keeps its product bounded
         self.state.left[rows] = np.eye(self.m.shape[0])
-        self._value = None
 
 
 class TraceExpProcess(_Process):
     """The self-normalized trace-exp process in log space, or with ``b`` the
     Hoeffding e-process derived from it; crosses at ``log(d / alpha)``.
 
+    One path's ``value`` is the float ``log tr e^S``, or ``lambda_max(G) -
+    lambda_max(B_n) / 2`` (``G`` the tilt, ``B_n = sum gamma_i^2 B_i``).
     A stack of trials is decided without an eigenvalue per trial where an
     exact bound allows.  The trace-exp value obeys ``log tr e^S <= log d +
-    lambda_max(S) <= log d + ||S||_F``; the Hoeffding value
-    ``lambda_max(G) - lambda_max(B_n) / 2`` (``G`` the tilt, ``B_n = sum
-    gamma_i^2 B_i`` shared by all trials, one ``eigvalsh`` per step, or per
-    block of steps) obeys ``lambda_max(G) <= ||G||_F``.  A trial whose
-    bound sits below the level by the margin of
-    :func:`~matconc.symmat.settles` has not crossed: the margin also covers
-    the rounding of ``log d`` and of the shifted log-sum-exp.  The
-    statistic is formed on the other trials only.  A lone trial is decided
-    on its value.  A state with a non-finite entry raises DomainError, as
-    the validated kernels did; in :func:`first_crossing`, only when no
-    step before it stopped every trial.
+    lambda_max(S) <= log d + ||S||_F``; the Hoeffding value, with
+    ``B_n`` shared by all trials (one ``eigvalsh`` per step of a block),
+    obeys ``lambda_max(G) <= ||G||_F``.  A trial whose bound sits below the
+    level by the margin of :func:`~matconc.symmat.settles` has not crossed:
+    the margin also covers the rounding of ``log d`` and of the shifted
+    log-sum-exp.  The statistic is formed on the other trials only.  A
+    state with a non-finite entry raises DomainError; in
+    :func:`first_crossing`, only when no step before it stopped every
+    trial.
     """
-
-    _half_top_b = None
 
     def __init__(self, m, v, alpha, b=None):
         self.m, self.v, self.b = m, v, b
@@ -265,8 +223,9 @@ class TraceExpProcess(_Process):
     def _prepare(self, xs, gammas):
         return se.sn_increments(xs - self.m, self.v, gammas, self.b)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def step(self, x, gamma=None):
-        """Absorb one observation per trial; returns the crossing events."""
+        """Absorb one observation of the path; returns its crossing event."""
         self.state = se._advance(self.state, gamma, *self._prepare(x, gamma))
         return self.decide()
 
@@ -295,9 +254,7 @@ class TraceExpProcess(_Process):
             mat = sm.symmat_stack(mats, trusted=True)
             sq = sm._eig_frobenius_sq(mat)
         self.state = se.TraceExpState(gz, gz_carry, pc, pc_carry, sum_gamma, sum_b, st.n + len(mats))
-        self._value, self._mat = None, mat[-1]
         if half is not None:
-            self._half_top_b = half[-1]
             half = np.broadcast_to(half[:, None], sq.shape)
         n = len(mat)
         bad = ~np.isfinite(sq).all(axis=1)
@@ -309,30 +266,23 @@ class TraceExpProcess(_Process):
         return mat[:n], None if half is None else half[:n], sq[:n]
 
     def decide(self):
-        """Crossing event of each trial's current state."""
-        self._value = None
+        """Crossing event of the path's current state; sets ``value`` to its statistic."""
         if self.b is None:
-            self._mat = self.state.exponent()
+            mat, half = self.state.exponent(), None
         else:
-            # the symmetric tilt that the eigenvalue rule reads, so that the norm bounds it
-            self._mat = sm.symmat_stack(self.state.gz, trusted=True)
-            self._half_top_b = 0.5 * se._top(self.state.sum_gamma_sq_b)
-        if self._mat.ndim == 2:
-            if not np.isfinite(self._mat).all():
-                raise DomainError("matrix entries must be finite")
-            return self.value >= self.level
-        sq = sm._eig_frobenius_sq(self._mat)
-        # a stack is finite where ||S||_F^2 is, short of overflowing squares
-        if not np.isfinite(sq).all() and not np.isfinite(self._mat).all():
+            # the symmetric tilt that the eigenvalue rule reads
+            mat = sm.symmat_stack(self.state.gz, trusted=True)
+            half = 0.5 * se._top(self.state.sum_gamma_sq_b)
+        if not np.isfinite(mat).all():
             raise DomainError("matrix entries must be finite")
-        return self._events(self._mat, self._half_top_b, sq)
+        self.value = se._float_or_stack(self._values(mat, half))
+        return self.value >= self.level
 
     def _events(self, mat, half, sq):
         d = mat.shape[-1]
         if self.b is None:
             level, offset = self.level, math.log(d)
         else:
-            half = np.broadcast_to(half, sq.shape)
             level, offset = self.level + half, 0.0
         settled = sm.settles(sq, level, d, offset=offset)
         return sm.unsettled_events(
@@ -344,10 +294,6 @@ class TraceExpProcess(_Process):
             return se.log_trace_exp(mat)
         return np.linalg.eigvalsh(mat)[..., -1] - half
 
-    def _form(self, rows):
-        stat = self._values(self._mat if rows is None else self._mat[rows], self._half_top_b)
-        return se._float_or_stack(stat) if rows is None else stat
-
 
 class MeanScan(_Process):
     """Running means ``Xbar_n`` tested by :func:`~matconc.martingales.scan_exceeds`
@@ -355,20 +301,14 @@ class MeanScan(_Process):
 
     Its state-free work already decides: the block's running sums and the
     scan test of every step are one call, which overwrites the block with
-    its running sums (:meth:`step` hands it a copy of ``x`` as a one-step
-    block).
+    its running sums.
     """
 
     def __init__(self, kind, m, a, p=None, n_start=1):
         self.kind, self.m, self.a, self.p, self.n_start = kind, m, a, p, n_start
         self.total, self.n = 0.0, 0
 
-    def step(self, x, gamma=None):
-        (events,) = self._prepare(np.array(x, dtype=np.float64)[None], None)
-        self._value = events[0]
-        return self._value
-
-    def _prepare(self, xs, gammas):
+    def _block(self, xs, gammas):
         # running sums in step order, in place: + the total so far (0.0 at
         # first, which turns a -0.0 into 0.0 as 0.0 + x does), then each
         # step's slice plus the one before
@@ -386,11 +326,6 @@ class MeanScan(_Process):
             means = xs[live:] / counts.reshape((-1,) + (1,) * (xs.ndim - 1))
             events[live:] = mg.scan_exceeds(self.kind, means, self.m, self.a, self.p)
         return (events,)
-
-    def _block(self, xs, gammas):
-        block = self._prepare(xs, gammas)
-        self._value = block[0][-1]
-        return block
 
     def _events(self, events):
         return events
@@ -430,10 +365,11 @@ def first_crossing(proc: _Process, xs, gammas=None, taus=None) -> np.ndarray:
     steps; with ``taus`` no event is computed.  ``at_stop`` takes the
     value of the state at the stopping step.  A stopped trial keeps running
     to the end of its block, where a :class:`FactorProcess` restarts it.
-    Every stop and value equals that of stepping one observation at a time
-    and freezing each stopped trial before the next step, bit for bit; a
-    state with a non-finite entry raises DomainError only at a step that
-    such stepping would reach.
+    Every stop and value equals that of a loop that takes one observation
+    of every trial at a time, applies the decision rule to each state and
+    stops at the first step that crosses, bit for bit; a state with a
+    non-finite entry raises DomainError only at a step that such a loop
+    would reach.
     Returns each trial's stopping step, 0 for a trial that never stopped;
     ``proc.at_stop`` then holds the value at the stopping step, or at
     the last step run for trials that never stopped.
@@ -457,7 +393,9 @@ def first_crossing(proc: _Process, xs, gammas=None, taus=None) -> np.ndarray:
                 break
         if n < hi - lo:
             raise DomainError("matrix entries must be finite")
-    proc.freeze(stop == 0)
+    rows = np.flatnonzero(stop == 0)
+    if len(rows):
+        proc._stop(block, np.full(len(rows), n - 1), rows)
     return stop
 
 

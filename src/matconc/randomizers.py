@@ -154,6 +154,19 @@ class MatrixRandomizer:
         g = gen if gen is not None else self._own_gen()
         return self.sample_given(_uniform_open(g))
 
+    def _us(self, gen: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` scalars ``u`` at once, as :meth:`sample` draws them one at a
+        time; all 1 for ``identity``, which reads nothing of ``gen``."""
+        return np.ones(size) if self.kind == "identity" else 1.0 - gen.random(size)
+
+    def draw(self, gen: np.random.Generator, size: int) -> np.ndarray:
+        """``U`` for each of ``size`` trials: one ``u`` per trial standing for
+        ``u I``, or the stack ``u I + Y`` for ``shifted``."""
+        us = self._us(gen, size)
+        if self.kind != "shifted":
+            return us
+        return us[:, None, None] * np.eye(self.dim) + self.y
+
 
 def verify_trace_superuniform(
     randomizer: MatrixRandomizer,
@@ -196,10 +209,7 @@ def verify_trace_superuniform(
         # is the PSD rule on those shifted spectra.
         shift = randomizer.y if randomizer.kind == "shifted" else np.zeros_like(y)
         w = np.linalg.eigvalsh(shift - y)
-        if randomizer.kind == "identity":
-            us = np.ones(trials)
-        else:
-            us = 1.0 - gen.random(trials)
+        us = randomizer._us(gen, trials)
         hits = int(np.count_nonzero(~sm.spectrum_is_psd(us[:, None] + w)))
         bound = sm.trace(y)
         p = hits / trials

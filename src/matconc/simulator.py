@@ -39,8 +39,9 @@ from . import processes as pr
 from . import rng as _rng
 from . import scalar_e as se
 from . import symmat as sm
-from .errors import ConfigError, IncompatiblePair, MatconcError
+from .errors import ConfigError, DomainError, IncompatiblePair, MatconcError, config_number
 from .generators import GeneratorSpec
+from .randomizers import MatrixRandomizer
 from .report import McReport
 
 __all__ = [
@@ -101,15 +102,8 @@ _NUMBER_PARAMS = {
 
 
 def _number(val, key: str, kind=float):
-    """``kind(val)`` for a finite number, or a ConfigError naming the parameter
-    ``key``; a string or a boolean is not a number."""
-    try:
-        out = math.nan if isinstance(val, (bool, str)) else kind(val)
-    except (TypeError, ValueError, OverflowError):
-        out = math.nan
-    if not math.isfinite(out):
-        raise ConfigError(f"parameter {key!r} must be a finite number, got {val!r}")
-    return out
+    """The parameter ``key`` as a number (see :func:`~matconc.errors.config_number`)."""
+    return config_number(val, f"parameter {key!r}", kind)
 
 
 def _matrix(val, key: str, dim: int) -> np.ndarray:
@@ -167,7 +161,7 @@ def _norm_stopping(raw, horizon: int) -> dict:
     return out
 
 
-def _norm_randomizer(raw, dim: int) -> tuple[str, np.ndarray | None]:
+def _norm_randomizer(raw, dim: int) -> MatrixRandomizer:
     if raw is None:
         raw = "scaled_identity"
     if isinstance(raw, str):
@@ -177,27 +171,12 @@ def _norm_randomizer(raw, dim: int) -> tuple[str, np.ndarray | None]:
         shift = raw.get("y")
     else:
         raise ConfigError(f"randomizer must be a kind name or an object, got {raw!r}")
-    if kind not in ("identity", "scaled_identity", "shifted"):
-        raise ConfigError(f"unsupported randomizer kind {kind!r}")
-    if kind == "shifted":
-        if shift is None:
-            raise ConfigError("shifted randomizer needs the offset matrix y")
+    if kind == "shifted" and shift is not None:
         shift = _matrix(shift, "y", dim)
-        if not sm.is_psd(shift):
-            raise ConfigError("randomizer offset must be PSD")
-    else:
-        shift = None
-    return kind, shift
-
-
-def _draw_us(plan: dict, g_rand: np.random.Generator, size: int) -> np.ndarray:
-    """Randomizer draws: one ``u`` per trial standing for ``u I``, or the
-    stack ``u I + Y`` for the shifted randomizer."""
-    us = np.ones(size) if plan["rand_kind"] == "identity" else 1.0 - g_rand.random(size)
-    shift = plan.get("shift")
-    if shift is None:
-        return us
-    return us[:, None, None] * np.eye(shift.shape[0]) + shift
+    try:
+        return MatrixRandomizer(kind, dim, shift)
+    except DomainError as exc:
+        raise ConfigError(f"randomizer: {exc}") from None
 
 
 def _gamma_array(scale: float, horizon: int) -> np.ndarray:
@@ -275,12 +254,10 @@ def _prep_ummi(params, gen, mc):
         a = gen.a.copy()  # the supporting ellipsoid: equality case
     else:
         a = (sm.trace(mean_x) / p["target"]) * np.eye(gen.dim)
-    rand_kind, shift = _norm_randomizer(p["randomizer"], gen.dim)
     return {
         "event": partial(fb.ummi_event, a=a),
         "n_per": 1,
-        "rand_kind": rand_kind,
-        "shift": shift,
+        "randomizer": _norm_randomizer(p["randomizer"], gen.dim),
         "bound": fb.ummi_bound(mean_x, a),
     }
 
@@ -297,13 +274,11 @@ def _prep_cheb(params, gen, mc, n_fixed):
         a = _matrix(p["a"], "a", gen.dim)
     else:
         a = math.sqrt(sm.trace(v) / (p["target"] * n)) * np.eye(gen.dim)
-    rand_kind, shift = _norm_randomizer(p["randomizer"], gen.dim)
     return {
         "event": partial(fb.chebyshev_n_event, m=gen.mean(), a=a),
         "averaged": True,
         "n_per": n,
-        "rand_kind": rand_kind,
-        "shift": shift,
+        "randomizer": _norm_randomizer(p["randomizer"], gen.dim),
         "bound": fb.chebyshev_n_bound(v, a, n),
     }
 
@@ -354,13 +329,11 @@ def _prep_pcheb1(params, gen, mc):
         a = _matrix(p["a"], "a", gen.dim)
     else:
         a = (sm.trace(vp) / p["target"]) ** (1.0 / pw) * np.eye(gen.dim)
-    rand_kind, shift = _norm_randomizer(p["randomizer"], gen.dim)
     return {
         "event": partial(fb.pcheb1_event, m=gen.mean(), a=a, p=pw),
         "n_per": 1,
         "p": pw,
-        "rand_kind": rand_kind,
-        "shift": shift,
+        "randomizer": _norm_randomizer(p["randomizer"], gen.dim),
         "bound": fb.pcheb1_bound(vp, a, pw),
     }
 
@@ -388,13 +361,11 @@ def _prep_chernoff1(params, gen, mc):
         a = _matrix(p["a"], "a", gen.dim)
     else:
         a = (math.log(sm.trace(exp_moment) / p["target"]) / two_g) * np.eye(gen.dim)
-    rand_kind, shift = _norm_randomizer(p["randomizer"], gen.dim)
     return {
         "event": partial(fb.chernoff1_event, a=a, gamma=gamma),
         "n_per": 1,
         "gamma": gamma,
-        "rand_kind": rand_kind,
-        "shift": shift,
+        "randomizer": _norm_randomizer(p["randomizer"], gen.dim),
         "bound": fb.chernoff1_bound(exp_moment, a, gamma),
     }
 
@@ -464,7 +435,6 @@ def _prep_ch(params, gen, mc):
         else 2.0 * math.log(gen.dim / alpha0) / gamma
     )
     spec = fb.MgfSpec(mgf_kind, row_mat)
-    rand_kind, shift = _norm_randomizer(p["randomizer"], gen.dim)
     return {
         "event": partial(
             fb.chernoff_hoeffding_event, m=gen.mean(), a_scalar=a_scalar, gamma=gamma
@@ -473,8 +443,7 @@ def _prep_ch(params, gen, mc):
         "n_per": n,
         "gamma": gamma,
         "a_scalar": a_scalar,
-        "rand_kind": rand_kind,
-        "shift": shift,
+        "randomizer": _norm_randomizer(p["randomizer"], gen.dim),
         "bound": fb.chernoff_hoeffding_bound(spec, gamma, n, a_scalar),
         "mgf_kind": mgf_kind,
     }
@@ -508,7 +477,7 @@ def _umvi_common(params, gen, mc, builder):
         "bound": alpha,
         "stopping": _norm_stopping(p["stopping"], horizon),
     }
-    plan["rand_kind"], plan["shift"] = _norm_randomizer(p["randomizer"], d)
+    plan["randomizer"] = _norm_randomizer(p["randomizer"], d)
     if builder == "MGF":
         row_kind = {
             "RADEMACHER_SCALED": "RADEMACHER",
@@ -596,8 +565,7 @@ def _prep_mvi(params, gen, mc):
     # "exists n" scans are never randomized: the threshold would have to
     # be known before the scan starts for the crossing to define a
     # stopping time, so the plain version is the honest one.
-    plan["rand_kind"] = "identity"
-    plan["shift"] = None
+    plan["randomizer"] = MatrixRandomizer("identity", gen.dim)
     plan["stopping"] = {"kind": "first_crossing"}
     return plan
 
@@ -627,7 +595,7 @@ def _prep_doob(params, gen, mc):
         "m": gen.mean(),
         "a_scalar": float(a_scalar),
         "bound": sm.trace(v) / float(a_scalar),
-        "rand_kind": "identity",
+        "randomizer": MatrixRandomizer("identity", gen.dim),
     }
 
 
@@ -636,7 +604,7 @@ def _scan_common(params, gen, mc, kind, default_target):
     n_max = p["n_max"]
     if n_max < 1:
         raise ConfigError(f"n_max must be >= 1, got {n_max}")
-    plan = {"kind": kind, "horizon": n_max, "rand_kind": "identity"}
+    plan = {"kind": kind, "horizon": n_max, "randomizer": MatrixRandomizer("identity", gen.dim)}
     if kind in ("XMCI", "XMCI2"):
         v = _moment(gen, "variance")
         tr_ref = sm.trace(v)
@@ -752,8 +720,8 @@ def _trace_exp_common(params, gen, mc, kind, moment, scale_coeff, what):
     )
     if scale <= 0.0:
         raise ConfigError(f"gamma_scale must be positive, got {scale}")
-    rand_kind, _ = _norm_randomizer(p["randomizer"], gen.dim)
-    if rand_kind == "shifted":
+    randomizer = _norm_randomizer(p["randomizer"], gen.dim)
+    if randomizer.kind == "shifted":
         raise ConfigError(f"the {what} test uses a scalar randomizer")
     return {
         "kind": kind,
@@ -764,7 +732,7 @@ def _trace_exp_common(params, gen, mc, kind, moment, scale_coeff, what):
         "alpha": alpha,
         "gammas": _gamma_array(scale, mc.horizon),
         "stopping": _norm_stopping(p["stopping"], mc.horizon),
-        "rand_kind": rand_kind,
+        "randomizer": randomizer,
         "bound": alpha,
     }
 
@@ -837,7 +805,7 @@ def _fixed_block(plan, gen, size, seed, tag, block_idx) -> int:
     """Events of a fixed-time bound: its ``fixed_bounds`` predicate on a block of trials."""
     g_data, g_rand = _rng.spawn_pair(seed, tag, block_idx)
     draws = gen.draw(g_data, size, plan["n_per"])
-    u = _draw_us(plan, g_rand, size)
+    u = plan["randomizer"].draw(g_rand, size)
     # an event on the average of n observations gets each trial's mean
     # as its one observation: the mean of one matrix is that matrix
     x = _block_means(draws)[:, None] if plan.get("averaged") else draws[:, 0]
@@ -870,7 +838,7 @@ def _path_events(plan, xs, g_rand: np.random.Generator) -> np.ndarray:
     if kind not in ("UMVI", "URSN", "USMHI"):
         # "exists n" scans: the crossing itself is the event, never randomized
         return stop > 0
-    us = _draw_us(plan, g_rand, size)
+    us = plan["randomizer"].draw(g_rand, size)
     if kind != "UMVI":
         return proc.at_stop >= se.log_level(d, plan["alpha"], us)
     return mg.ville_event(proc.at_stop, plan["a_scalar"] * np.eye(d), us)
@@ -998,7 +966,7 @@ def run_coverage(
         "generator": gen.kind,
         "dim": gen.dim,
         "seed": seed,
-        "randomizer": plan.get("rand_kind", "identity"),
+        "randomizer": plan["randomizer"].kind,
     }
     for key in ("p", "gamma", "a_scalar", "alpha", "n_per", "horizon", "mgf_kind"):
         if key in plan and np.isscalar(plan[key]):

@@ -256,27 +256,27 @@ def mat_exp(a: np.ndarray, *, trusted: bool = False) -> np.ndarray:
     return apply_spectral(np.exp, a, trusted=trusted)
 
 
-def mat_log(a: np.ndarray, *, floor: float = LOG_EIG_FLOOR) -> np.ndarray:
+def mat_log(a: np.ndarray) -> np.ndarray:
     """Matrix logarithm of a symmetric positive definite matrix.
 
     Raises
     ------
     DomainError
-        If any eigenvalue is below ``floor`` (default ``1e-30``).
+        If any eigenvalue is below ``LOG_EIG_FLOOR``.
     """
     dec = eigh_decomp(a)
-    if dec.eigenvalues[0] < floor:
+    if dec.eigenvalues[0] < LOG_EIG_FLOOR:
         raise DomainError(
-            f"matrix log needs eigenvalues >= {floor:g}, smallest is "
+            f"matrix log needs eigenvalues >= {LOG_EIG_FLOOR:g}, smallest is "
             f"{dec.eigenvalues[0]:.6e}"
         )
     return _recompose(dec.eigenvectors, np.log(dec.eigenvalues))
 
 
-def _check_psd(lo, scale, tol_psd: float) -> None:
+def _check_psd(lo, scale) -> None:
     """DomainError unless every smallest eigenvalue ``lo`` is at least
-    ``-tol_psd * scale``, ``scale`` being ``max(1, max |w|)`` of its matrix."""
-    slack = tol_psd * scale
+    ``-TOL_PSD * scale``, ``scale`` being ``max(1, max |w|)`` of its matrix."""
+    slack = TOL_PSD * scale
     bad = lo < -slack
     if bad.any():
         raise DomainError(
@@ -285,24 +285,24 @@ def _check_psd(lo, scale, tol_psd: float) -> None:
         )
 
 
-def _clamped_nonneg(w: np.ndarray, tol_psd: float) -> np.ndarray:
+def _clamped_nonneg(w: np.ndarray) -> np.ndarray:
     """Clamp eigenvalues in ``[-tol, 0)`` to zero; reject anything lower.
 
     ``w`` holds ascending eigenvalue rows, one per matrix of a stack.
     """
-    _check_psd(w[..., 0], _eig_scale(w), tol_psd)
+    _check_psd(w[..., 0], _eig_scale(w))
     return np.maximum(w, 0.0)
 
 
-def mat_sqrt(a: np.ndarray, *, tol_psd: float = TOL_PSD, trusted: bool = False) -> np.ndarray:
+def mat_sqrt(a: np.ndarray, *, trusted: bool = False) -> np.ndarray:
     """Principal square root of a symmetric PSD matrix (or of each in a stack).
 
-    Eigenvalues within ``-tol_psd * scale`` of zero are clamped to zero
+    Eigenvalues within ``-TOL_PSD * scale`` of zero are clamped to zero
     before the root is taken; more negative spectra raise ``DomainError``.
     ``trusted`` is as in :func:`apply_spectral`.
     """
     w, q = np.linalg.eigh(symmat_stack(a, trusted=trusted))
-    return _recompose(q, np.sqrt(_clamped_nonneg(w, tol_psd)))
+    return _recompose(q, np.sqrt(_clamped_nonneg(w)))
 
 
 def _small_spectral(a: np.ndarray, sqrt: bool) -> np.ndarray:
@@ -336,14 +336,14 @@ def _small_spectral(a: np.ndarray, sqrt: bool) -> np.ndarray:
     """
     if a.shape[-1] == 1:
         w = ((a + a) / 2.0)[..., 0]
-        fw = np.sqrt(_clamped_nonneg(w, TOL_PSD)) if sqrt else _finite(np.exp(w))
+        fw = np.sqrt(_clamped_nonneg(w)) if sqrt else _finite(np.exp(w))
         return ((fw + fw) / 2.0)[..., None]
     b = (a[..., 0, 1] + a[..., 1, 0]) / 2.0
     m, delta = (a[..., 0, 0] + a[..., 1, 1]) / 2.0, (a[..., 0, 0] - a[..., 1, 1]) / 2.0
     s = np.hypot(delta, b)
     lo, hi = m - s, m + s
     if sqrt:
-        _check_psd(lo, np.maximum(1.0, abs(m) + s), TOL_PSD)
+        _check_psd(lo, np.maximum(1.0, abs(m) + s))
         f_lo, f_hi = np.sqrt(np.maximum(lo, 0.0)), np.sqrt(np.maximum(hi, 0.0))
     else:
         f_lo, f_hi = np.exp(lo), _finite(np.exp(hi))
@@ -389,7 +389,7 @@ def mat_abs(a: np.ndarray) -> np.ndarray:
     return apply_spectral(np.abs, a)
 
 
-def mat_pow(a: np.ndarray, k: float, *, tol_psd: float = TOL_PSD) -> np.ndarray:
+def mat_pow(a: np.ndarray, k: float) -> np.ndarray:
     """Matrix power ``A^k`` through the spectrum (of each matrix in a stack).
 
     Integer ``k >= 0`` works for any symmetric matrix.  Non-integer
@@ -421,7 +421,7 @@ def mat_pow(a: np.ndarray, k: float, *, tol_psd: float = TOL_PSD) -> np.ndarray:
     elif float(k).is_integer():
         pw = w ** float(k)
     else:
-        pw = _clamped_nonneg(w, tol_psd) ** float(k)
+        pw = _clamped_nonneg(w) ** float(k)
     return _recompose(q, pw)
 
 
@@ -442,12 +442,12 @@ def trace_product(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("ij,ji->", a, b))
 
 
-def tr_log(a: np.ndarray, *, floor: float = LOG_EIG_FLOOR) -> float:
-    """``tr log A`` as the sum of log eigenvalues."""
+def tr_log(a: np.ndarray) -> float:
+    """``tr log A`` as the sum of log eigenvalues (at least ``LOG_EIG_FLOOR``)."""
     w = eigh_decomp(a).eigenvalues
-    if w[0] < floor:
+    if w[0] < LOG_EIG_FLOOR:
         raise DomainError(
-            f"trace-log needs eigenvalues >= {floor:g}, smallest is {w[0]:.6e}"
+            f"trace-log needs eigenvalues >= {LOG_EIG_FLOOR:g}, smallest is {w[0]:.6e}"
         )
     return float(np.sum(np.log(w)))
 
@@ -468,34 +468,34 @@ def spectral_norm(a: np.ndarray) -> float:
     return float(max(abs(w[0]), abs(w[-1])))
 
 
-def spectrum_is_psd(w: np.ndarray, *, tol_psd: float = TOL_PSD) -> np.ndarray:
+def spectrum_is_psd(w: np.ndarray) -> np.ndarray:
     """The PSD rule on eigenvalue rows ``(..., d)``, in any order.
 
     True per row iff its smallest value is at least
-    ``-tol_psd * max(1, max |w|)``.
+    ``-TOL_PSD * max(1, max |w|)``.
     """
-    return w.min(axis=-1) >= -tol_psd * _eig_scale(w)
+    return w.min(axis=-1) >= -TOL_PSD * _eig_scale(w)
 
 
-def is_psd(a: np.ndarray, *, tol_psd: float = TOL_PSD):
+def is_psd(a: np.ndarray):
     """Positive semidefinite up to the relative eigenvalue tolerance.
 
     A bool for one matrix, a bool array for a stack ``(..., d, d)``.
     """
-    ok = spectrum_is_psd(np.linalg.eigvalsh(symmat_stack(a)), tol_psd=tol_psd)
+    ok = spectrum_is_psd(np.linalg.eigvalsh(symmat_stack(a)))
     return bool(ok) if ok.ndim == 0 else ok
 
 
-def loewner_leq(a: np.ndarray, b: np.ndarray, *, tol_psd: float = TOL_PSD):
+def loewner_leq(a: np.ndarray, b: np.ndarray):
     """Loewner comparison ``A <= B``, matrix by matrix for stacks.
 
     True iff the smallest eigenvalue of ``B - A`` is at least
-    ``-tol_psd * max(1, ||B - A||)``, so exact ties and rounding noise
+    ``-TOL_PSD * max(1, ||B - A||)``, so exact ties and rounding noise
     count as ordered.  Stacks broadcast against each other.
     """
     if a.shape[-2:] != b.shape[-2:]:
         raise DimMismatch(f"operands have different shapes {a.shape} and {b.shape}")
-    return is_psd(b - a, tol_psd=tol_psd)
+    return is_psd(b - a)
 
 
 #: Screen margin in ulps per unit of dimension; see :func:`settles`.

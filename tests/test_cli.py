@@ -244,11 +244,11 @@ STEP_ERRORS = [
     ({"mode": "matrix", "builder": "SYMMETRIC_DIST"}, [[1e300, 0], [0, 0.5]],
      "spectral map produced non-finite values"),
     ({"mode": "matrix", "builder": "BETTING", "b": [[2.0, 0.0], [0.0, 2.0]]}, [[-5, 0], [0, 0.5]],
-     "matrix is not positive semidefinite"),
+     "matrix is not positive semidefinite: smallest eigenvalue -2.535534e+00 below -2.536e-08"),
 ]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on the overflowing frame
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy must not warn before the error
 @pytest.mark.parametrize("cfg_obj,frame,message", STEP_ERRORS,
                          ids=["scalar", "self_normalized", "symmetric_dist", "betting"])
 def test_a_frame_that_cannot_be_stepped_exits_2_with_its_line(tmp_path, capsys, cfg_obj, frame,
@@ -258,7 +258,7 @@ def test_a_frame_that_cannot_be_stepped_exits_2_with_its_line(tmp_path, capsys, 
     data.write_text(f"[[0.1, 0], [0, 0.1]]\n{json.dumps(frame)}\n[[0.1, 0], [0, 0.1]]\n")
     out = tmp_path / "out.ndjson"
     assert main(["test", "--config", cfg, "--data", str(data), "--output", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: data line 2: {message}")
+    assert capsys.readouterr().err == f"error: data line 2: {message}\n"
     assert not out.exists()
 
 
@@ -365,6 +365,22 @@ def test_sequential_test_rejects_a_bad_gamma_before_reading_data(tmp_path, capsy
     assert not out.exists()
 
 
+def test_betting_rejects_an_inadmissible_gamma_before_reading_data(tmp_path, capsys):
+    """BETTING needs ``I + gamma (X - M)`` PSD for every ``X <= B``: with
+    ``M = I`` and ``B = 3 I`` that is ``gamma`` in ``(-1/2, 1)``."""
+    cfg = write_json(
+        tmp_path / "t.json",
+        {"mode": "matrix", "builder": "BETTING", "m": [[1.0, 0.0], [0.0, 1.0]],
+         "b": [[3.0, 0.0], [0.0, 3.0]], "gamma": 5},
+    )
+    out = tmp_path / "out.ndjson"
+    # the data file does not exist: reading it would be a different error
+    missing = str(tmp_path / "missing.ndjson")
+    assert main(["test", "--config", cfg, "--data", missing, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "error: gamma 5.0 outside the open interval (-0.5, 1)\n"
+    assert not out.exists()
+
+
 def test_falsify_record_output(tmp_path):
     out = tmp_path / "falsify.json"
     rc = main(["falsify", "--p", "2.0", "--d", "2", "--instances", "10",
@@ -457,7 +473,7 @@ def test_verify_rejects_a_non_finite_generator_scalar(tmp_path, capsys, bound, g
     assert main(["verify", "--config", cfg]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: '{field}' must be finite, got {value!r}\n"
+    assert captured.err == f"error: '{field}' must be a number, got {value!r}\n"
 
 
 FIXED_RUN = {"bound": "UMCI1", "generator": {"kind": "GAUSSIAN_SCALED", "dim": 2,
@@ -587,7 +603,7 @@ def _run_cli(tmp_path, command, cfg_obj):
         ("verify", {"suite": "default", "dims": [1], "trials_fixed": "64"},
          "'trials_fixed' must be a number, got '64'"),
         ("verify", _verify_run(bound="TRACE_PCHEB", params={"p": "1.5"}),
-         "parameter 'p' must be a finite number, got '1.5'"),
+         "parameter 'p' must be a number, got '1.5'"),
         ("power-compare", {**PC_BASE, "alpha": "0.05"}, "'alpha' must be a number, got '0.05'"),
         ("power-compare", {**PC_BASE, "trials": "200"}, "'trials' must be a number, got '200'"),
         ("power-compare", {**PC_BASE, "gamma_scale": "0.5"},
@@ -600,6 +616,20 @@ def _run_cli(tmp_path, command, cfg_obj):
 )
 def test_a_json_string_is_not_a_number(tmp_path, capsys, command, cfg_obj, message):
     assert _run_cli(tmp_path, command, cfg_obj) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "cfg_obj,message",
+    [
+        (_verify_run(bound="UMCI_N", params={"n": 2.7}), "parameter 'n' must be an integer, got 2.7"),
+        (_verify_run(bound="UMVI_MGF", params={"stopping": {"kind": "fixed", "n": 3.9}}),
+         "parameter 'n' must be an integer, got 3.9"),
+    ],
+)
+def test_a_fractional_integer_parameter_exits_2(tmp_path, capsys, cfg_obj, message):
+    """An integer bound parameter is not truncated: 2.7 is not the sample size 2."""
+    assert _run_cli(tmp_path, "verify", cfg_obj) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 
 

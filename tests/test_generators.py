@@ -277,5 +277,5 @@ def test_in_place_build_is_bitwise_the_expression(kind, d):
     ],
 )
 def test_non_finite_scalars_are_rejected(kind, params, field, value):
-    with pytest.raises(ConfigError, match=f"'{field}' must be finite"):
+    with pytest.raises(ConfigError, match=f"'{field}' must be a number"):
         GeneratorSpec(kind=kind, dim=2, **params, **{field: value})

@@ -54,7 +54,7 @@ def _draws(plan, g_rand, horizon):
         taus = np.minimum(g_rand.geometric(stopping["q"], TRIALS), horizon)
     elif stopping["kind"] == "fixed":
         taus = np.full(TRIALS, stopping["n"])
-    if plan["rand_kind"] == "identity":
+    if plan["randomizer"].kind == "identity":
         us = np.ones(TRIALS)
     else:
         us = 1.0 - g_rand.random(TRIALS)
@@ -82,8 +82,8 @@ def _umvi_event(plan, gen, path, tau, u):
     if plan["kind"] == "MVI":
         return bool(mg.exceeds(np.stack(history), a).any())
     u_mat = u * np.eye(d)
-    if plan["shift"] is not None:
-        u_mat = u_mat + plan["shift"]
+    if plan["randomizer"].y is not None:
+        u_mat = u_mat + plan["randomizer"].y
     return mg.ville_event(history[-1], a, u_mat)
 
 
@@ -201,7 +201,7 @@ def test_fixed_block_counts_match_per_trial_events(bound, kind, event, params, r
     g_data, g_rand = spawn_pair(seed, entry.tag, block_idx)
     xs = gen.sample_batch(g_data, TRIALS, plan["n_per"])
     us = np.ones(TRIALS) if randomizer == "identity" else 1.0 - g_rand.random(TRIALS)
-    shift = np.zeros((2, 2)) if plan["shift"] is None else plan["shift"]
+    shift = np.zeros((2, 2)) if plan["randomizer"].y is None else plan["randomizer"].y
     hits = []
     for t in range(TRIALS):
         x = xs[t] if event in AVERAGED else xs[t, 0]

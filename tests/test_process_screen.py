@@ -24,7 +24,7 @@ from matconc import martingales as mg
 from matconc import scalar_e as se
 from matconc import symmat as sm
 from matconc.errors import DomainError
-from matconc.processes import FactorProcess, TraceExpProcess
+from matconc.processes import FactorProcess, TraceExpProcess, first_crossing
 from matconc.simulator import McConfig, default_generator, run_coverage
 
 EPS = np.finfo(np.float64).eps
@@ -87,18 +87,36 @@ def ref_exceeds_scaled(y, t, b, f=None):
 
 
 def factor_events(left, a):
+    """Events of the factor states ``left``: the stack's decision rule, or
+    ``decide`` for one path."""
     proc = FactorProcess("BETTING", np.zeros(left.shape[-2:]), a)
+    if left.ndim > 2:
+        return proc._events(left)
     proc.state = mg.MatSupermartingaleState(left)
     return proc.decide()
 
 
 def trace_exp_process(s, alpha, b=None):
+    """A process at the state ``s`` (the exponent, or the tilt with ``b``)."""
     d = s.shape[-1]
     zero = np.zeros(s.shape)
     proc = TraceExpProcess(np.zeros((d, d)), None if b is not None else np.eye(d), alpha, b)
     sum_b = np.zeros((d, d)) if b is None else b
     proc.state = se.TraceExpState(s, zero, zero, zero, 1.0, sum_b, 1)
     return proc
+
+
+def trace_exp_events(s, alpha, b=None):
+    """Events of a stack of states ``s``, as ``first_crossing`` decides them.
+
+    The process starts at ``s``, with no ``B`` summed yet, and takes one
+    step on a zero deviation with ``gamma = 1`` and a zero variance bound
+    (or ``B`` once): the state after it is ``s``."""
+    d = s.shape[-1]
+    zero = np.zeros(s.shape)
+    proc = TraceExpProcess(np.zeros((d, d)), None if b is not None else np.zeros((d, d)), alpha, b)
+    proc.state = se.TraceExpState(s, zero, zero, zero, 0.0, np.zeros((d, d)), 0)
+    return first_crossing(proc, np.zeros((len(s), 1, d, d)), [1.0]) == 1
 
 
 def assert_same(got, ref):
@@ -200,10 +218,9 @@ def test_y_on_a_row_subset_is_bitwise_the_full_product(d):
     rng = np.random.default_rng(d)
     left = rng.standard_normal((257, d, d)) * np.exp(rng.uniform(-5, 5, (257, 1, 1)))
     proc = FactorProcess("BETTING", np.zeros((d, d)), 1.0)
-    proc.state = mg.MatSupermartingaleState(left)
-    full = proc._form(None)
+    full = proc._values(left)
     for rows in (rng.random(257) < 0.03, rng.random(257) < 0.5, np.arange(257) == 7, np.ones(257, bool)):
-        sub = proc._form(rows)
+        sub = proc._values(left[rows])
         assert sub.tobytes() == full[rows].tobytes()
 
 
@@ -220,10 +237,10 @@ def _exponents(rng, n, d):
 
 
 def _check_trace_exp(s, alpha):
-    proc = trace_exp_process(s, alpha)
+    events = trace_exp_events(s, alpha)
     level = se.log_level(s.shape[-1], alpha)
-    np.testing.assert_array_equal(proc.decide(), ref_log_value(s) >= level)
-    return proc
+    np.testing.assert_array_equal(events, ref_log_value(s) >= level)
+    return events
 
 
 @settings(max_examples=30, deadline=None)
@@ -250,8 +267,8 @@ def test_trace_exp_screen_in_one_dimension(alpha):
     """At ``d = 1`` the value is ``s`` itself and the bound ``|s|``: the tightest case."""
     level = se.log_level(1, alpha)
     rows = _near([level, -level, 2 * level])[:, None, None]
-    proc = _check_trace_exp(rows, alpha)
-    assert proc.decide()[: len(ULPS)].tolist() == [k >= 0 for k in ULPS]
+    events = _check_trace_exp(rows, alpha)
+    assert events[: len(ULPS)].tolist() == [k >= 0 for k in ULPS]
 
 
 def test_trace_exp_screen_on_zero_tiny_huge_and_non_finite_rows():
@@ -268,11 +285,9 @@ def test_trace_exp_screen_on_zero_tiny_huge_and_non_finite_rows():
             level = se.log_level(d, alpha)
             for pick in ([0, 1, 2, 3, 6], [4], [5], slice(None)):
                 r = rows[pick]
+                assert_same(lambda: trace_exp_events(r, alpha), lambda: ref_log_value(r) >= level)
                 assert_same(
-                    lambda: trace_exp_process(r, alpha).decide(), lambda: ref_log_value(r) >= level
-                )
-                assert_same(
-                    lambda: trace_exp_process(r, alpha, np.eye(d)).decide(),
+                    lambda: trace_exp_events(r, alpha, np.eye(d)),
                     lambda: ref_hoeffding(r, np.eye(d)) >= level,
                 )
 
@@ -290,8 +305,8 @@ def test_hoeffding_screen_matches_the_eigenvalue_rule(seed, d, alpha):
         room = np.full(len(unit), level + half)
         for scale in (room, room * _edge(d), room / np.maximum(lam, 1e-3), 0.5 * room):
             rows = np.repeat(unit, len(ULPS), axis=0) * _near(scale)[:, None, None]
-            proc = trace_exp_process(rows, alpha, b)
-            np.testing.assert_array_equal(proc.decide(), ref_hoeffding(rows, b) >= level)
+            events = trace_exp_events(rows, alpha, b)
+            np.testing.assert_array_equal(events, ref_hoeffding(rows, b) >= level)
 
 
 def test_trace_exp_lone_trial():
@@ -311,11 +326,12 @@ def test_trace_exp_lone_trial():
 def test_log_value_on_a_row_subset_is_bitwise_the_full_one(d, hoeffding):
     rng = np.random.default_rng(d)
     s = _exponents(rng, 100, d) * rng.uniform(0.1, 30.0, (200, 1, 1))
-    proc = trace_exp_process(s, 0.05, np.eye(d) if hoeffding else None)
-    proc.decide()
-    full = proc._form(None)
+    b = np.eye(d) if hoeffding else None
+    proc = TraceExpProcess(np.zeros((d, d)), None if hoeffding else np.eye(d), 0.05, b)
+    mat, half = sm.symmat_stack(s, trusted=True), None if b is None else np.full(200, 0.5)
+    full = proc._values(mat, half)
     for rows in (rng.random(200) < 0.05, np.arange(200) == 3, np.ones(200, bool)):
-        assert proc._form(rows).tobytes() == full[rows].tobytes()
+        assert proc._values(mat[rows], None if b is None else half[rows]).tobytes() == full[rows].tobytes()
     if not hoeffding:
         assert full.tobytes() == se.log_trace_exp(s).tobytes()
 

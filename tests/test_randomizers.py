@@ -47,6 +47,25 @@ def test_matrix_sample_given():
     assert np.allclose(sh.sample_given(0.5), 0.5 * np.eye(2) + y)
 
 
+@pytest.mark.parametrize("kind", ["identity", "scaled_identity", "shifted"])
+def test_matrix_draw_is_the_batch_of_samples(kind):
+    """``draw`` takes the draws ``sample`` takes one at a time from the same stream."""
+    y = np.array([[0.3, 0.1], [0.1, 0.2]]) if kind == "shifted" else None
+    r = MatrixRandomizer(kind=kind, dim=2, y=y)
+    gen_a, gen_b = substream(5, 1), substream(5, 1)
+    batch = r.draw(gen_a, 50)
+    one_by_one = np.array([r.sample(gen_b) for _ in range(50)])
+    if kind == "shifted":
+        assert batch.shape == (50, 2, 2)
+        np.testing.assert_array_equal(batch, one_by_one)
+    else:
+        # one u per trial, standing for u I
+        assert batch.shape == (50,)
+        np.testing.assert_array_equal(batch[:, None, None] * np.eye(2), one_by_one)
+    # identity reads nothing of the stream
+    assert (gen_a.random() == substream(5, 1).random()) == (kind == "identity")
+
+
 def test_matrix_randomizer_validation():
     with pytest.raises(ConfigError):
         MatrixRandomizer(kind="wishart", dim=2)

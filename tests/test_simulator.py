@@ -343,7 +343,7 @@ def test_fixed_block_means_over_chunks_match_the_full_stack(bound, kind, params,
     g_data, _ = spawn_pair(seed, entry.tag, block_idx)
     xs = gen.sample_batch(g_data, trials, n)
     assert np.array_equal(sim._block_means(draws), np.mean(xs, axis=1))
-    events = plan["event"](xs, u=sim._draw_us(plan, g_rand, trials))
+    events = plan["event"](xs, u=plan["randomizer"].draw(g_rand, trials))
     assert count == np.count_nonzero(events)
     assert 0 < count < trials
 

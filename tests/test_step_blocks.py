@@ -6,10 +6,12 @@ trace-exp increments, running sums and scan tests) in one call before it
 takes the steps.  These tests force ``k`` to 1, to 3 (ragged: the horizon
 is not a multiple of 3) and to the whole horizon, and compare the stops
 and the values at the stops, bit for bit, with a per-step reference loop:
-the stepping code as it was before blocks, copied here.  Each test that
-forces ``k`` also checks that ``first_crossing`` ran blocks of ``k`` steps.  The kernels'
-block forms (``factor_pair``, ``sn_increments``) are compared with their
-per-step calls on their own.
+the unscreened rule of each process on a state of its own, written here
+from the kernels of ``martingales`` and ``scalar_e``.  Each test that
+forces ``k`` also checks that ``first_crossing`` ran blocks of ``k`` steps.
+The kernels' block forms (``factor_pair``, ``sn_increments``) are compared
+with their per-step calls on their own, and the one-path ``step`` that
+``matconc test`` takes with the reference on one path.
 
 A block's events come from one decision over all of its states, after the
 recurrence has run to the block's end, so the edge cases of that order
@@ -38,37 +40,72 @@ TRIALS, HORIZON = 24, 25
 # --- the per-step reference ---------------------------------------------------
 
 
-def ref_step(proc, x, gamma):
-    """One step of ``proc``, as the processes took it before blocks."""
-    if isinstance(proc, pr.FactorProcess):
-        roots = mg.factor_pair(proc.builder, x - proc.m, gamma, root=True, **proc.params)
-        proc.state = proc.state.advance(*roots)
-        return proc.decide()
-    if isinstance(proc, pr.TraceExpProcess):
-        proc.state = se.sn_advance(proc.state, x - proc.m, proc.v, gamma, proc.b)
-        return proc.decide()
-    proc.total, proc.n = proc.total + x, proc.n + 1
-    if proc.n < proc.n_start:
-        proc._value = np.zeros(x.shape[0], dtype=bool)
-    else:
-        proc._value = mg.scan_exceeds(proc.kind, proc.total / proc.n, proc.m, proc.a, proc.p)
-    return proc._value
+class RefProcess:
+    """The unscreened per-step rule of ``proc`` on a state of its own.
+
+    Only ``proc``'s parameters are read; nothing of it is stepped.
+    :meth:`advance` takes one observation per trial, ``(trials, d, d)``
+    (or one ``(d, d)`` matrix), and returns each trial's crossing event
+    and statistic: ``exceeds`` on ``Y = L L^T`` for a factor process,
+    ``log tr e^S`` or the Hoeffding value against ``log(d / alpha)`` for
+    a trace-exp process, the scan test of the running mean for a scan.
+    """
+
+    def __init__(self, proc):
+        self.proc = proc
+        if isinstance(proc, pr.FactorProcess):
+            self.state = mg.MatSupermartingaleState.start(proc.m.shape[0])
+        elif isinstance(proc, pr.TraceExpProcess):
+            self.state = se.TraceExpState.start(proc.m.shape[0])
+        else:
+            self.total, self.n = 0.0, 0
+
+    def advance(self, x, gamma):
+        p = self.proc
+        if isinstance(p, pr.FactorProcess):
+            roots = mg.factor_pair(p.builder, x - p.m, gamma, root=True, **p.params)
+            self.state = self.state.advance(*roots)
+            y = self.state.value()
+            return mg.exceeds(y, p.a), y
+        if isinstance(p, pr.TraceExpProcess):
+            self.state = se.sn_advance(self.state, x - p.m, p.v, gamma, p.b)
+            s = self.state.exponent() if p.b is None else sm.symmat_stack(self.state.gz, trusted=True)
+            if not np.isfinite(s).all():
+                raise DomainError("matrix entries must be finite")
+            value = se.log_trace_exp(s) if p.b is None else se.log_hoeffding_eprocess_value(self.state)
+            return value >= p.level, value
+        self.total, self.n = self.total + x, self.n + 1
+        if self.n < p.n_start:
+            events = np.zeros(x.shape[:-2], dtype=bool)
+        else:
+            events = mg.scan_exceeds(p.kind, self.total / self.n, p.m, p.a, p.p)
+        return events, events
+
+    def restart(self, rows):
+        """Restart the products of stopped trials, which keeps them bounded."""
+        if isinstance(self.proc, pr.FactorProcess):
+            self.state.left[rows] = np.eye(self.proc.m.shape[0])
 
 
 def ref_first_crossing(proc, xs, gammas=None, taus=None):
-    """``first_crossing`` as it was before blocks: one ``xs[:, n - 1]`` per step."""
+    """``first_crossing`` one step at a time: ``(stops, at_stop)`` of :class:`RefProcess`."""
+    ref = RefProcess(proc)
     size, horizon = xs.shape[:2]
     stop = np.zeros(size, dtype=np.int64)
+    at_stop = None
     for n in range(1, horizon + 1):
-        crossed = ref_step(proc, xs[:, n - 1], None if gammas is None else float(gammas[n - 1]))
+        crossed, value = ref.advance(xs[:, n - 1], None if gammas is None else float(gammas[n - 1]))
+        if at_stop is None:
+            at_stop = np.empty_like(value)
         newly = (stop == 0) & (crossed if taus is None else taus == n)
-        if newly.any():
-            stop[newly] = n
-            proc.freeze(newly)
+        stop[newly] = n
+        at_stop[newly] = value[newly]
+        ref.restart(newly)
         if stop.all():
             break
-    proc.freeze(stop == 0)
-    return stop
+    live = stop == 0
+    at_stop[live] = value[live]
+    return stop, at_stop
 
 
 def record_blocks(proc):
@@ -139,13 +176,13 @@ def test_block_stops_and_values_match_a_per_step_loop(bound, kind, d, params, k,
     draws = gen.draw(substream(4242, entry.tag, d), TRIALS, horizon)
     taus = _taus(plan, horizon, substream(4242, entry.tag, 7))
     monkeypatch.setattr(pr, "_MEAN_CHUNK_CELLS", k * TRIALS * d * d)
-    blocked, ref = sim._path_process(plan), sim._path_process(plan)
+    blocked = sim._path_process(plan)
     sizes = record_blocks(blocked)
     stop = pr.first_crossing(blocked, draws, plan.get("gammas"), taus)
-    want = ref_first_crossing(ref, draws[:, :], plan.get("gammas"), taus)
+    want, want_at = ref_first_crossing(sim._path_process(plan), draws[:, :], plan.get("gammas"), taus)
     assert_blocks_of(sizes, k)
     assert_bitwise(stop, want)
-    assert_bitwise(blocked.at_stop, ref.at_stop)
+    assert_bitwise(blocked.at_stop, want_at)
     # the comparison must see trials stop, some of them inside a block of three
     assert 0 < np.count_nonzero(stop)
     assert any(n % 3 for n in stop if n)
@@ -194,19 +231,19 @@ def test_lone_step_matches_the_per_step_reference():
     gen, makers = _lone_processes()
     path = gen.sample_path(substream(9, 9), 30)
     for make in makers:
-        proc, ref = make(), make()
+        proc, ref = make(), RefProcess(make())
         for n, x in enumerate(path, start=1):
             gamma = 0.4 / n**0.5
-            assert_bitwise(proc.step(x, gamma), ref_step(ref, x, gamma))
-            assert_bitwise(proc.value, ref.value)
+            event, value = ref.advance(x, gamma)
+            assert_bitwise(proc.step(x, gamma), event)
+            assert_bitwise(proc.value, value)
 
 
-def test_scan_step_does_not_overwrite_its_observation():
+def test_a_scan_does_not_overwrite_its_paths():
     scan = pr.MeanScan("XMCI", np.zeros((2, 2)), 1.0)
-    x = np.full((3, 2, 2), -0.0)
-    scan.step(x)
-    scan.step(x)
-    assert_bitwise(x, np.full((3, 2, 2), -0.0))
+    xs = np.full((3, 2, 2, 2), -0.0)
+    assert_bitwise(pr.first_crossing(scan, xs), np.zeros(3, dtype=np.int64))
+    assert_bitwise(xs, np.full((3, 2, 2, 2), -0.0))
     assert_bitwise(scan.total, np.zeros((3, 2, 2)))  # 0.0 + (-0.0) + (-0.0)
 
 
@@ -301,14 +338,13 @@ def test_a_product_that_overflows_after_its_stop_neither_raises_nor_warns(k, mon
     def make():
         return pr.FactorProcess("MGF", np.zeros((d, d)), float(np.exp(250.0)), mgf=MgfSpec("RADEMACHER", gen.c))
 
-    ref = make()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        want = ref_first_crossing(ref, xs, gammas)
+        want, want_at = ref_first_crossing(make(), xs, gammas)
         proc, stop = _blocked(monkeypatch, k, xs, make, gammas)
     assert sorted(set(want.tolist())) == [1, 2]
     assert_bitwise(stop, want)
-    assert_bitwise(proc.at_stop, ref.at_stop)
+    assert_bitwise(proc.at_stop, want_at)
     # stopped trials restart at the end of their block
     assert np.isfinite(proc.state.left).all()
 
@@ -327,18 +363,17 @@ def test_a_non_finite_trace_exp_state_raises_only_where_steps_would_reach_it(rul
     make = _trace_exp_maker(rule)
     _, xs = _shifted_paths("RADEMACHER_SCALED", 2, np.linspace(1.0, 3.0, TRIALS))
     gammas = 0.8 / np.sqrt(np.arange(1.0, HORIZON + 1))
-    clean = ref_first_crossing(make(), xs, gammas)
+    clean, _ = ref_first_crossing(make(), xs, gammas)
     last = int(clean.max())
     assert clean.all() and 3 < last < HORIZON - 1
     # a NaN observation makes trial 0's state non-finite from its step on:
     # stepping never reaches the step after the last stop, but does reach the last stop
     bad = xs.copy()
     bad[0, last] = np.nan
-    ref = make()
-    want = ref_first_crossing(ref, bad, gammas)
+    want, want_at = ref_first_crossing(make(), bad, gammas)
     proc, stop = _blocked(monkeypatch, k, bad, make, gammas)
     assert_bitwise(stop, want)
-    assert_bitwise(proc.at_stop, ref.at_stop)
+    assert_bitwise(proc.at_stop, want_at)
     bad = xs.copy()
     bad[0, last - 1] = np.nan
     with pytest.raises(DomainError):
@@ -359,8 +394,7 @@ def test_every_trial_stops_in_the_first_block(rule, k, monkeypatch):
     else:
         make = _trace_exp_maker(rule)
     gammas = 0.8 / np.sqrt(np.arange(1.0, HORIZON + 1))
-    ref = make()
-    want = ref_first_crossing(ref, xs, gammas)
+    want, want_at = ref_first_crossing(make(), xs, gammas)
     # trials stop at different steps, all inside the first block of three
     assert 0 < want.min() < want.max() <= 3
     blocks = []
@@ -373,7 +407,7 @@ def test_every_trial_stops_in_the_first_block(rule, k, monkeypatch):
 
     proc, stop = _blocked(monkeypatch, k, xs, counted, gammas)
     assert_bitwise(stop, want)
-    assert_bitwise(proc.at_stop, ref.at_stop)
+    assert_bitwise(proc.at_stop, want_at)
     assert len(blocks) == 1
 
 
@@ -395,8 +429,7 @@ def test_taus_stop_without_computing_events(bound, kind, params, stopping, k, mo
     plan = entry.prepare({**params, "stopping": stopping}, gen, sim.McConfig(trials=TRIALS, horizon=HORIZON))
     draws = gen.draw(substream(4243, entry.tag, d), TRIALS, HORIZON)
     taus = _taus(plan, HORIZON, substream(4243, entry.tag, 8))
-    ref = sim._path_process(plan)
-    want = ref_first_crossing(ref, draws[:, :], plan["gammas"], taus)
+    want, want_at = ref_first_crossing(sim._path_process(plan), draws[:, :], plan["gammas"], taus)
 
     def no_screen(*args, **kwargs):
         raise AssertionError("an event was computed")
@@ -404,4 +437,4 @@ def test_taus_stop_without_computing_events(bound, kind, params, stopping, k, mo
     monkeypatch.setattr(sm, "settles", no_screen)
     proc, stop = _blocked(monkeypatch, k, draws, lambda: sim._path_process(plan), plan["gammas"], taus)
     assert_bitwise(stop, want)
-    assert_bitwise(proc.at_stop, ref.at_stop)
+    assert_bitwise(proc.at_stop, want_at)
