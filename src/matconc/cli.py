@@ -23,7 +23,6 @@ coverage FAIL verdict, 2 configuration or input error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -36,7 +35,7 @@ from . import martingales as mg
 from . import rng as _rng
 from . import scalar_e as se
 from . import symmat as sm
-from .errors import ConfigError, MatconcError, config_number
+from .errors import ConfigError, MatconcError, config_keys, config_number
 from .fixed_bounds import MgfSpec
 from .generators import GeneratorSpec
 from .processes import FactorProcess, TraceExpProcess, sequential_test_stops
@@ -61,27 +60,15 @@ def _num(obj: dict, key: str, default, kind=float):
     return config_number(obj.get(key, default), repr(key), kind)
 
 
-def _known_keys(obj: dict, allowed, where: str) -> None:
-    """A ConfigError naming the first key of ``obj`` that is not in ``allowed``."""
-    extra = sorted(set(obj) - set(allowed))
-    if extra:
-        raise ConfigError(f"{where}: unknown key {extra[0]!r}; expected one of {sorted(allowed)}")
-
-
 def _matrix(
     obj: dict, key: str, d: int | None, missing: str | None = None, psd: bool = False
 ) -> np.ndarray:
-    """The matrix literal under ``key``, checked to be ``d x d`` unless ``d`` is None
+    """The matrix literal under ``key`` (see :func:`~matconc.symmat.config_matrix`)
     and, with ``psd``, positive semidefinite (``symmat.is_psd``); ``missing`` is the
     error when absent."""
     if key not in obj:
         raise ConfigError(missing or f"config needs {key!r}")
-    try:
-        mat = sm.parse_matrix_json(obj[key])
-    except MatconcError as exc:
-        raise ConfigError(f"{key!r}: {exc}") from None
-    if d is not None and mat.shape[0] != d:
-        raise ConfigError(f"{key!r} has dimension {mat.shape[0]}, expected {d}")
+    mat = sm.config_matrix(obj[key], repr(key), d)
     if psd and not sm.is_psd(mat):
         raise ConfigError(
             f"{key!r} must be positive semidefinite, smallest eigenvalue {sm.lambda_min(mat):g}"
@@ -121,23 +108,21 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _generator_from_json(obj) -> GeneratorSpec:
+def _generator_from_json(obj, where: str) -> GeneratorSpec:
+    """The generator object ``obj``; errors in its fields name ``where``."""
     if not isinstance(obj, dict):
-        raise ConfigError("generator must be a JSON object")
-    extra = set(obj) - {f.name for f in dataclasses.fields(GeneratorSpec)}
-    if extra:
-        raise ConfigError(f"unknown generator fields: {sorted(extra)}")
+        raise ConfigError(f"{where} must be a JSON object")
+    matrices, scalars = ("m", "c", "b", "d_dir", "a"), ("tail_index", "tau", "scale")
+    config_keys(obj, ("kind", "dim") + matrices + scalars, where)
     if "kind" not in obj or "dim" not in obj:
-        raise ConfigError("generator needs at least 'kind' and 'dim'")
+        raise ConfigError(f"{where} needs at least 'kind' and 'dim'")
     kwargs = {"kind": obj["kind"], "dim": _num(obj, "dim", None, int)}
-    for field in ("m", "c", "b", "d_dir", "a"):
+    for field in matrices:
         if obj.get(field) is not None:
-            kwargs[field] = sm.parse_matrix_json(obj[field])
-    for field in ("tail_index", "tau", "scale"):
+            kwargs[field] = sm.config_matrix(obj[field], f"{where} {field!r}", kwargs["dim"])
+    for field in scalars:
         if obj.get(field) is not None:
             kwargs[field] = _num(obj, field, None)
-    if obj.get("seed") is not None:
-        kwargs["seed"] = _num(obj, "seed", None, int)
     return GeneratorSpec(**kwargs)
 
 
@@ -156,17 +141,17 @@ def _cmd_verify(args) -> int:
     seed = args.seed
     reports = []
     if "runs" in cfg:
-        _known_keys(cfg, ("runs",), "config")
+        config_keys(cfg, ("runs",), "config")
         runs = cfg["runs"]
         if not isinstance(runs, list) or not runs:
             raise ConfigError("'runs' must be a non-empty list")
         for i, run in enumerate(runs):
             if not isinstance(run, dict):
                 raise ConfigError(f"run {i}: must be a JSON object")
-            _known_keys(run, _RUN_KEYS, f"run {i}")
+            config_keys(run, _RUN_KEYS, f"run {i}")
             if "bound" not in run or "generator" not in run:
                 raise ConfigError(f"run {i}: needs 'bound' and 'generator'")
-            gen = _generator_from_json(run["generator"])
+            gen = _generator_from_json(run["generator"], f"run {i}: generator")
             mc = McConfig(
                 trials=_num(run, "trials", args.trials or 10_000, int),
                 horizon=_num(run, "horizon", 200, int),
@@ -180,14 +165,15 @@ def _cmd_verify(args) -> int:
     elif "suite" not in cfg:
         raise ConfigError("config needs 'runs' (a list of runs) or 'suite' (\"default\")")
     elif cfg["suite"] == "default":
-        _known_keys(cfg, _SUITE_KEYS, "config")
+        config_keys(cfg, _SUITE_KEYS, "config")
         dims = cfg.get("dims", [1, 2, 5])
-        if not isinstance(dims, list) or not all(
-            isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims
-        ):
+        if not isinstance(dims, list):
             raise ConfigError("'dims' must be a list of positive integers")
+        dims = tuple(config_number(d, f"'dims' entry {i}", int) for i, d in enumerate(dims))
+        if any(d < 1 for d in dims):
+            raise ConfigError(f"'dims' must be a list of positive integers, got {list(dims)}")
         reports = run_default_suite(
-            dims=tuple(dims),
+            dims=dims,
             trials_fixed=_num(cfg, "trials_fixed", args.trials or 100_000, int),
             trials_path=_num(cfg, "trials_path", args.trials or 10_000, int),
             horizon=_num(cfg, "horizon", 200, int),
@@ -241,10 +227,7 @@ def _iter_frames(path: str):
                 if "x" not in obj:
                     raise ConfigError(f"data line {lineno}: frame object needs key 'x'")
                 obj = obj["x"]
-            try:
-                yield lineno, sm.parse_matrix_json(obj)
-            except MatconcError as exc:
-                raise ConfigError(f"data line {lineno}: {exc}") from exc
+            yield lineno, sm.config_matrix(obj, f"data line {lineno}")
 
 
 def _step_size(raw, name: str) -> float:
@@ -265,20 +248,29 @@ def _gamma_fn(raw):
         g = _step_size(raw, "'gamma'")
         return lambda n: g
     if isinstance(raw, dict) and "scale" in raw:
-        _known_keys(raw, ("scale",), "'gamma'")
+        config_keys(raw, ("scale",), "'gamma'")
         return mg.default_gamma_schedule(_step_size(raw["scale"], "'gamma' scale"))
     raise ConfigError("'gamma' must be a positive number or {\"scale\": s}")
 
 
-_TEST_KEYS = ("mode", "alpha", "m", "v", "a", "b", "mgf", "builder", "gamma", "randomizer")
+_TEST_KEYS = ("mode", "alpha", "m", "gamma", "randomizer")
 
 
 def _cmd_test(args) -> int:
     cfg = _load_config(args.config)
-    _known_keys(cfg, _TEST_KEYS, "config")
     mode = cfg.get("mode", "matrix")
     if mode not in ("matrix", "scalar"):
         raise ConfigError(f"mode must be 'matrix' or 'scalar', got {mode!r}")
+    # the keys the rule reads: scalar mode's, or matrix mode's and its builder's
+    if mode == "scalar":
+        rule_keys = ("v",)
+    else:
+        builder = cfg.get("builder", "SELF_NORMALIZED")
+        if builder not in mg.BUILDER_KINDS:
+            raise ConfigError(f"builder must be one of {mg.BUILDER_KINDS}, got {builder!r}")
+        by_builder = {"SELF_NORMALIZED": ("v",), "BETTING": ("b",), "MGF": ("mgf",)}
+        rule_keys = ("builder", "a") + by_builder.get(builder, ())
+    config_keys(cfg, _TEST_KEYS + rule_keys, "config")
     alpha = _num(cfg, "alpha", 0.05)
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0,1), got {alpha}")
@@ -290,7 +282,7 @@ def _cmd_test(args) -> int:
     if rand_cfg is not None:
         if not isinstance(rand_cfg, dict):
             raise ConfigError("'randomizer' must be an object")
-        _known_keys(rand_cfg, ("kind", "seed"), "'randomizer'")
+        config_keys(rand_cfg, ("kind", "seed"), "'randomizer'")
         seed = rand_cfg.get("seed", args.seed)
         randomizer = ScalarRandomizer(
             rand_cfg.get("kind", "uniform01"),
@@ -298,11 +290,6 @@ def _cmd_test(args) -> int:
         )
 
     if mode == "matrix":
-        builder = cfg.get("builder", "SELF_NORMALIZED")
-        if builder not in mg.BUILDER_KINDS:
-            raise ConfigError(
-                f"builder must be one of {mg.BUILDER_KINDS}, got {builder!r}"
-            )
         params = {}
         if builder == "SELF_NORMALIZED":
             params["v"] = _matrix(
@@ -316,7 +303,7 @@ def _cmd_test(args) -> int:
             row = cfg.get("mgf")
             if not isinstance(row, dict) or "kind" not in row or "matrix" not in row:
                 raise ConfigError("MGF needs 'mgf': {\"kind\":..., \"matrix\":...}")
-            _known_keys(row, ("kind", "matrix"), "'mgf'")
+            config_keys(row, ("kind", "matrix"), "'mgf'")
             params["mgf"] = MgfSpec(row["kind"], _matrix(row, "matrix", d))
         a_thresh = _matrix(cfg, "a", d) if "a" in cfg else (d / alpha) * np.eye(d)
         a_thresh = se.calibrated_threshold(alpha, a_thresh)
@@ -379,10 +366,10 @@ _POWER_COMPARE_KEYS = ("generator", "alpha", "trials", "horizon", "gamma_scale",
 
 def _cmd_power_compare(args) -> int:
     cfg = _load_config(args.config)
-    _known_keys(cfg, _POWER_COMPARE_KEYS, "config")
+    config_keys(cfg, _POWER_COMPARE_KEYS, "config")
     if "generator" not in cfg:
         raise ConfigError("config needs 'generator'")
-    gen = _generator_from_json(cfg["generator"])
+    gen = _generator_from_json(cfg["generator"], "generator")
     d = gen.dim
     alpha = _num(cfg, "alpha", 0.05)
     if not 0.0 < alpha < 1.0:

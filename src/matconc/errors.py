@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the rule for numbers in configs."""
+"""Exception types shared across the package, and the rules for numbers and keys in configs."""
 
 import math
 
@@ -57,3 +57,10 @@ def config_number(raw, name: str, kind=float):
     if val != math.floor(val):
         raise ConfigError(f"{name} must be an integer, got {raw!r}")
     return int(raw)
+
+
+def config_keys(obj: dict, allowed, where: str) -> None:
+    """A ConfigError naming the first key of ``obj`` that is not in ``allowed``."""
+    extra = sorted(set(obj) - set(allowed))
+    if extra:
+        raise ConfigError(f"{where}: unknown key {extra[0]!r}; expected one of {sorted(allowed)}")

@@ -150,6 +150,18 @@ class GeneratorSpec:
                 raise ConfigError("ELLIPSOID_RANK1 needs a positive definite shape")
             self._a_root = sm.mat_sqrt(self.a)
 
+    @property
+    def spread(self) -> np.ndarray:
+        """The ``S`` of draws ``X = M + t S``: ``C`` of the scaled kinds, the
+        BOUNDED_PSD spread, ``D`` of SYMMETRIC_HEAVY."""
+        if self.kind in ("RADEMACHER_SCALED", "GAUSSIAN_SCALED"):
+            return self.c
+        if self.kind == "BOUNDED_PSD":
+            return self._spread
+        if self.kind == "SYMMETRIC_HEAVY":
+            return self.d_dir
+        raise ConfigError(f"{self.kind} draws are not of the form M + t S")
+
     # ------------------------------------------------------------------
     # sampling
 
@@ -285,6 +297,17 @@ class GeneratorSpec:
             return self._spread @ self._spread
         raise ConfigError(f"{self.kind} has unbounded deviations")
 
+    def mgf_row(self) -> tuple[str, np.ndarray]:
+        """The MGF row (an ``MgfSpec`` kind) that this law satisfies exactly,
+        with its matrix."""
+        if self.kind == "RADEMACHER_SCALED":
+            return "RADEMACHER", self.c
+        if self.kind == "GAUSSIAN_SCALED":
+            return "UNI_GAUSSIAN", self.c
+        if self.kind == "BOUNDED_PSD":
+            return "SYM_HOEFFDING", self.sq_dev_bound()
+        raise ConfigError(f"no exact MGF row for {self.kind}")
+
     def betting_upper(self) -> np.ndarray:
         """Almost-sure upper bound with ``0 <= X <= B`` for bounded PSD data."""
         if self.kind == "BOUNDED_PSD":
@@ -389,10 +412,7 @@ class Draws:
                 out += op(g.m)
                 out += coef * op(g.c)
                 return out
-            if g.kind == "BOUNDED_PSD":
-                out = coef * op(g._spread)
-            else:
-                out = coef * op(g.d_dir if g.kind == "SYMMETRIC_HEAVY" else g.c)
+            out = coef * op(g.spread)
             out += op(g.m)
             return out
         out = outer

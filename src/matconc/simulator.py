@@ -39,7 +39,7 @@ from . import processes as pr
 from . import rng as _rng
 from . import scalar_e as se
 from . import symmat as sm
-from .errors import ConfigError, DomainError, IncompatiblePair, MatconcError, config_number
+from .errors import ConfigError, DomainError, IncompatiblePair, config_keys, config_number
 from .generators import GeneratorSpec
 from .randomizers import MatrixRandomizer
 from .report import McReport
@@ -58,7 +58,8 @@ __all__ = [
 
 _FIXED_BLOCK_CAP = 8192
 
-_STOPPING_KINDS = ("first_crossing", "fixed", "geometric")
+#: the keys of a stopping object of each kind
+_STOPPING_KEYS = {"first_crossing": ("kind",), "fixed": ("kind", "n"), "geometric": ("kind", "q")}
 
 
 # ---------------------------------------------------------------------------
@@ -101,36 +102,17 @@ _NUMBER_PARAMS = {
 }
 
 
-def _number(val, key: str, kind=float):
-    """The parameter ``key`` as a number (see :func:`~matconc.errors.config_number`)."""
-    return config_number(val, f"parameter {key!r}", kind)
-
-
-def _matrix(val, key: str, dim: int) -> np.ndarray:
-    """The symmetric ``dim x dim`` matrix ``val``, or a ConfigError naming ``key``."""
-    try:
-        mat = sm.symmat(val)
-    except (TypeError, ValueError, MatconcError) as exc:
-        raise ConfigError(f"parameter {key!r} must be a symmetric matrix: {exc}") from None
-    if mat.shape[0] != dim:
-        raise ConfigError(f"parameter {key!r} has dimension {mat.shape[0]}, expected {dim}")
-    return mat
-
-
 def _take(params: dict | None, defaults: dict) -> dict:
-    """``params`` over ``defaults``, numeric ones cast (None keeps a None default)."""
-    if params is not None and not isinstance(params, dict):
+    """``params`` over ``defaults``, numeric ones cast (None keeps a None default);
+    a key outside ``defaults`` is an error."""
+    params = {} if params is None else params
+    if not isinstance(params, dict):
         raise ConfigError(f"params must be an object, got {params!r}")
-    merged = dict(defaults)
-    for key, val in (params or {}).items():
-        if key not in defaults:
-            raise ConfigError(
-                f"unknown parameter {key!r}; expected one of {sorted(defaults)}"
-            )
-        merged[key] = val
+    config_keys(params, defaults, "params")
+    merged = {**defaults, **params}
     for key, val in merged.items():
         if key in _NUMBER_PARAMS and not (val is None and defaults[key] is None):
-            merged[key] = _number(val, key, _NUMBER_PARAMS[key])
+            merged[key] = config_number(val, f"parameter {key!r}", _NUMBER_PARAMS[key])
     # every default threshold divides by its target tail probability
     if "target" in merged and merged["target"] <= 0.0:
         raise ConfigError(f"target must be positive, got {merged['target']}")
@@ -145,16 +127,19 @@ def _norm_stopping(raw, horizon: int) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"stopping must be a kind name or an object, got {raw!r}")
     kind = raw.get("kind")
-    if kind not in _STOPPING_KINDS:
-        raise ConfigError(f"stopping kind must be one of {_STOPPING_KINDS}, got {kind!r}")
+    if not isinstance(kind, str) or kind not in _STOPPING_KEYS:
+        raise ConfigError(
+            f"stopping kind must be one of {tuple(_STOPPING_KEYS)}, got {kind!r}"
+        )
+    config_keys(raw, _STOPPING_KEYS[kind], "stopping")
     out = {"kind": kind}
     if kind == "fixed":
-        n = _number(raw.get("n", horizon), "n", int)
+        n = config_number(raw.get("n", horizon), "parameter 'n'", int)
         if not 1 <= n <= horizon:
             raise ConfigError(f"fixed stopping time {n} outside 1..{horizon}")
         out["n"] = n
     elif kind == "geometric":
-        q = _number(raw.get("q", 0.02), "q")
+        q = config_number(raw.get("q", 0.02), "parameter 'q'")
         if not 0.0 < q < 1.0:
             raise ConfigError(f"geometric parameter must be in (0,1), got {q}")
         out["q"] = q
@@ -165,16 +150,15 @@ def _norm_randomizer(raw, dim: int) -> MatrixRandomizer:
     if raw is None:
         raw = "scaled_identity"
     if isinstance(raw, str):
-        kind, shift = raw, None
-    elif isinstance(raw, dict):
-        kind = raw.get("kind", "scaled_identity")
-        shift = raw.get("y")
-    else:
+        raw = {"kind": raw}
+    if not isinstance(raw, dict):
         raise ConfigError(f"randomizer must be a kind name or an object, got {raw!r}")
-    if kind == "shifted" and shift is not None:
-        shift = _matrix(shift, "y", dim)
+    config_keys(raw, ("kind", "y"), "randomizer")
+    shift = raw.get("y")
+    if shift is not None:
+        shift = sm.config_matrix(shift, "parameter 'y'", dim)
     try:
-        return MatrixRandomizer(kind, dim, shift)
+        return MatrixRandomizer(raw.get("kind", "scaled_identity"), dim, shift)
     except DomainError as exc:
         raise ConfigError(f"randomizer: {exc}") from None
 
@@ -249,7 +233,7 @@ def _prep_ummi(params, gen, mc):
     p = _take(params, {"a": None, "randomizer": None, "target": 0.5})
     mean_x = gen.mean()
     if p["a"] is not None:
-        a = _matrix(p["a"], "a", gen.dim)
+        a = sm.config_matrix(p["a"], "parameter 'a'", gen.dim)
     elif gen.kind == "ELLIPSOID_RANK1":
         a = gen.a.copy()  # the supporting ellipsoid: equality case
     else:
@@ -271,7 +255,7 @@ def _prep_cheb(params, gen, mc, n_fixed):
         raise IncompatiblePair("variance of the running mean needs independent draws")
     v = _moment(gen, "variance")
     if p["a"] is not None:
-        a = _matrix(p["a"], "a", gen.dim)
+        a = sm.config_matrix(p["a"], "parameter 'a'", gen.dim)
     else:
         a = math.sqrt(sm.trace(v) / (p["target"] * n)) * np.eye(gen.dim)
     return {
@@ -326,7 +310,7 @@ def _prep_pcheb1(params, gen, mc):
         raise ConfigError(f"p must lie in [1, 2], got {pw}")
     vp = _moment(gen, "pth_central", pw)
     if p["a"] is not None:
-        a = _matrix(p["a"], "a", gen.dim)
+        a = sm.config_matrix(p["a"], "parameter 'a'", gen.dim)
     else:
         a = (sm.trace(vp) / p["target"]) ** (1.0 / pw) * np.eye(gen.dim)
     return {
@@ -358,7 +342,7 @@ def _prep_chernoff1(params, gen, mc):
         exp_moment = sm.mat_exp(two_g * m + (two_g**2 / 2.0) * (c @ c))
     exp_moment = sm.symmat(exp_moment, copy=False)
     if p["a"] is not None:
-        a = _matrix(p["a"], "a", gen.dim)
+        a = sm.config_matrix(p["a"], "parameter 'a'", gen.dim)
     else:
         a = (math.log(sm.trace(exp_moment) / p["target"]) / two_g) * np.eye(gen.dim)
     return {
@@ -400,24 +384,19 @@ def _prep_ch(params, gen, mc):
     n = p["n"]
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    mgf_kind = p["mgf_kind"] or {
-        "RADEMACHER_SCALED": "RADEMACHER",
-        "GAUSSIAN_SCALED": "UNI_GAUSSIAN",
-        "BOUNDED_PSD": "SYM_HOEFFDING",
-    }[gen.kind]
+    mgf_kind = p["mgf_kind"] or gen.mgf_row()[0]
     if not isinstance(mgf_kind, str) or mgf_kind not in _CH_ROWS:
         raise ConfigError(f"unknown MGF family {mgf_kind!r}")
     if gen.kind not in _CH_ROWS[mgf_kind]:
         raise IncompatiblePair(f"{mgf_kind} assumptions do not hold for {gen.kind}")
-    scale_mat = gen.c if gen.kind in ("RADEMACHER_SCALED", "GAUSSIAN_SCALED") else gen._spread
     if mgf_kind in ("RADEMACHER", "UNI_GAUSSIAN"):
-        row_mat = scale_mat
+        row_mat = gen.spread
         lam = sm.spectral_norm(row_mat) ** 2
     elif mgf_kind == "SYM_HOEFFDING":
         row_mat = _moment(gen, "sq_dev_bound")
         lam = sm.lambda_max(row_mat)
     else:
-        if sm.spectral_norm(scale_mat) > 1.0 + sm.TOL_PSD:
+        if sm.spectral_norm(gen.spread) > 1.0 + sm.TOL_PSD:
             raise IncompatiblePair("one-sided Bernstein rows need deviations <= 1")
         row_mat = _moment(gen, "variance")
         if mgf_kind == "BENNETT_II":
@@ -452,19 +431,30 @@ def _prep_ch(params, gen, mc):
 # --- sequential entries ----------------------------------------------------
 
 
-def _umvi_common(params, gen, mc, builder):
-    p = _take(
-        params,
-        {
-            "alpha": 0.05,
-            "gamma_scale": None,
-            "randomizer": None,
-            "stopping": None,
-        },
-    )
-    alpha = p["alpha"]
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must be in (0,1), got {alpha}")
+def _sequential_params(params, gen, mc, randomized=True) -> dict:
+    """The ``alpha``, ``gamma_scale`` (None for the bound's default),
+    ``randomizer`` and ``stopping`` of a sequential bound.  Without
+    ``randomized`` the last two are not keys: the trial runs to its first
+    crossing and is tested with ``U = I``."""
+    defaults = {"alpha": 0.05, "gamma_scale": None}
+    if randomized:
+        defaults.update(randomizer=None, stopping=None)
+    p = _take(params, defaults)
+    if not 0.0 < p["alpha"] < 1.0:
+        raise ConfigError(f"alpha must be in (0,1), got {p['alpha']}")
+    if p["gamma_scale"] is not None and p["gamma_scale"] <= 0.0:
+        raise ConfigError(f"gamma_scale must be positive, got {p['gamma_scale']}")
+    if randomized:
+        p["randomizer"] = _norm_randomizer(p["randomizer"], gen.dim)
+        p["stopping"] = _norm_stopping(p["stopping"], mc.horizon)
+    else:
+        p["randomizer"] = MatrixRandomizer("identity", gen.dim)
+        p["stopping"] = {"kind": "first_crossing"}
+    return p
+
+
+def _umvi_common(params, gen, mc, builder, randomized=True):
+    p = _sequential_params(params, gen, mc, randomized)
     horizon = mc.horizon
     d = gen.dim
     m = gen.mean()
@@ -473,18 +463,13 @@ def _umvi_common(params, gen, mc, builder):
         "builder": builder,
         "horizon": horizon,
         "m": m,
-        "a_scalar": d / alpha,
-        "bound": alpha,
-        "stopping": _norm_stopping(p["stopping"], horizon),
+        "a_scalar": d / p["alpha"],
+        "bound": p["alpha"],
+        "stopping": p["stopping"],
+        "randomizer": p["randomizer"],
     }
-    plan["randomizer"] = _norm_randomizer(p["randomizer"], d)
     if builder == "MGF":
-        row_kind = {
-            "RADEMACHER_SCALED": "RADEMACHER",
-            "GAUSSIAN_SCALED": "UNI_GAUSSIAN",
-            "BOUNDED_PSD": "SYM_HOEFFDING",
-        }[gen.kind]
-        row_mat = gen.c if row_kind != "SYM_HOEFFDING" else _moment(gen, "sq_dev_bound")
+        row_kind, row_mat = _moment(gen, "mgf_row")
         scale_ref = (
             sm.spectral_norm(row_mat)
             if row_kind != "SYM_HOEFFDING"
@@ -504,16 +489,8 @@ def _umvi_common(params, gen, mc, builder):
     else:  # SYMMETRIC_DIST
         if not gen.deviations_symmetric():
             raise IncompatiblePair("needs conditionally symmetric deviations")
-        if gen.kind in ("RADEMACHER_SCALED", "GAUSSIAN_SCALED"):
-            ref = gen.c
-        elif gen.kind == "BOUNDED_PSD":
-            ref = gen._spread
-        else:
-            ref = gen.d_dir
-        default_scale = 0.3 / max(sm.spectral_norm(ref), 1e-12)
-    scale = p["gamma_scale"] if p["gamma_scale"] is not None else default_scale
-    if scale <= 0.0:
-        raise ConfigError(f"gamma_scale must be positive, got {scale}")
+        default_scale = 0.3 / max(sm.spectral_norm(gen.spread), 1e-12)
+    scale = default_scale if p["gamma_scale"] is None else p["gamma_scale"]
     plan["gammas"] = _gamma_array(scale, horizon)
     if builder == "BETTING" and plan["gammas"][0] >= plan["gamma_hi"]:
         raise ConfigError(
@@ -560,13 +537,11 @@ def _prep_umvi_sym(params, gen, mc):
 
 @_register("MVI", "path", ("BOUNDED_PSD",), "BOUNDED_PSD")
 def _prep_mvi(params, gen, mc):
-    plan = _umvi_common(params, gen, mc, "BETTING")
-    plan["kind"] = "MVI"
     # "exists n" scans are never randomized: the threshold would have to
     # be known before the scan starts for the crossing to define a
     # stopping time, so the plain version is the honest one.
-    plan["randomizer"] = MatrixRandomizer("identity", gen.dim)
-    plan["stopping"] = {"kind": "first_crossing"}
+    plan = _umvi_common(params, gen, mc, "BETTING", randomized=False)
+    plan["kind"] = "MVI"
     return plan
 
 
@@ -583,7 +558,7 @@ def _prep_doob(params, gen, mc):
         raise ConfigError(f"n must be >= 1, got {n}")
     v = _moment(gen, "variance")
     if p["a"] is not None:
-        a = _matrix(p["a"], "a", gen.dim)
+        a = sm.config_matrix(p["a"], "parameter 'a'", gen.dim)
         a_scalar = float(a[0, 0])
         if not np.array_equal(a, a_scalar * np.eye(gen.dim)):
             raise ConfigError("the squared-mean scan needs a scalar threshold a I")
@@ -600,61 +575,51 @@ def _prep_doob(params, gen, mc):
 
 
 def _scan_common(params, gen, mc, kind, default_target):
-    p = _take(params, {"a": None, "p": 1.5, "n_start": 10, "n_max": 300, "target": default_target})
+    """The running-mean scans: ``tr`` is the trace of the variance (XMCI,
+    XMCI2) or of the ``p``-th moment (XMPCI raw, TRACE_PCHEB central), and
+    the default threshold ``a = (tr / (target n_start))^(1/p)`` meets the
+    bound ``tr / (a^p n_start)`` at ``target`` (``p = 2`` for the variance
+    scans, ``n_start = 1`` unless XMCI2)."""
+    defaults = {"a": None, "n_max": 300, "target": default_target}
+    if kind == "XMCI2":
+        defaults["n_start"] = 10
+    if kind in ("XMPCI", "TRACE_PCHEB"):
+        defaults["p"] = 1.5
+    p = _take(params, defaults)
     n_max = p["n_max"]
     if n_max < 1:
         raise ConfigError(f"n_max must be >= 1, got {n_max}")
-    plan = {"kind": kind, "horizon": n_max, "randomizer": MatrixRandomizer("identity", gen.dim)}
-    if kind in ("XMCI", "XMCI2"):
-        v = _moment(gen, "variance")
-        tr_ref = sm.trace(v)
-        plan["m"] = gen.mean()
-    elif kind == "XMPCI":
-        pw = p["p"]
+    n_start = p.get("n_start", 1)
+    if not 1 <= n_start <= n_max:
+        raise ConfigError(f"n_start {n_start} outside 1..{n_max}")
+    plan = {
+        "kind": kind,
+        "horizon": n_max,
+        "n_start": n_start,
+        "randomizer": MatrixRandomizer("identity", gen.dim),
+    }
+    if kind == "XMPCI":
+        plan["p"] = pw = p["p"]
         if not 1.0 <= pw <= 2.0:
             raise ConfigError(f"p must lie in [1, 2], got {pw}")
-        vp = _moment(gen, "pth_raw", pw)
-        plan["p"] = pw
-    else:  # TRACE_PCHEB
-        pw = p["p"]
+        tr = sm.trace(_moment(gen, "pth_raw", pw))
+    elif kind == "TRACE_PCHEB":
+        plan["p"] = pw = p["p"]
         if pw < 1.0:
             raise ConfigError(f"p must be >= 1, got {pw}")
-        vp = _moment(gen, "pth_central", pw)
-        plan["p"] = pw
-        plan["m"] = gen.mean()
-    if kind == "XMCI":
-        a_scalar = (
-            _number(p["a"], "a") if p["a"] is not None else math.sqrt(tr_ref / p["target"])
-        )
-        plan["a_scalar"] = a_scalar
-        plan["bound"] = tr_ref / a_scalar**2
-    elif kind == "XMCI2":
-        n_start = p["n_start"]
-        if not 1 <= n_start <= n_max:
-            raise ConfigError(f"n_start {n_start} outside 1..{n_max}")
-        a_scalar = (
-            _number(p["a"], "a")
-            if p["a"] is not None
-            else math.sqrt(tr_ref / (p["target"] * n_start))
-        )
-        plan["a_scalar"] = a_scalar
-        plan["n_start"] = n_start
-        plan["bound"] = tr_ref / (a_scalar**2 * n_start)
-    elif kind == "XMPCI":
-        a_scalar = (
-            _number(p["a"], "a")
-            if p["a"] is not None
-            else (sm.trace(vp) / p["target"]) ** (1.0 / pw)
-        )
-        plan["a_scalar"] = a_scalar
-        plan["bound"] = sm.trace(vp) / a_scalar**pw
+        tr = sm.trace(_moment(gen, "pth_central", pw))
     else:
-        tr_vp = sm.trace(vp)
-        a_scalar = (
-            _number(p["a"], "a") if p["a"] is not None else (tr_vp / p["target"]) ** (1.0 / pw)
-        )
-        plan["a_scalar"] = a_scalar
-        plan["bound"] = tr_vp / a_scalar**pw
+        pw = 2
+        tr = sm.trace(_moment(gen, "variance"))
+    if kind != "XMPCI":
+        plan["m"] = gen.mean()
+    if p["a"] is not None:
+        a_scalar = config_number(p["a"], "parameter 'a'")
+    else:
+        ratio = tr / (p["target"] * n_start)
+        a_scalar = math.sqrt(ratio) if pw == 2 else ratio ** (1.0 / pw)
+    plan["a_scalar"] = a_scalar
+    plan["bound"] = tr / (a_scalar**pw * n_start)
     return plan
 
 
@@ -705,35 +670,26 @@ def _trace_exp_common(params, gen, mc, kind, moment, scale_coeff, what):
     """URSN and USMHI both run the self-normalized trace-exp process: URSN
     tests its value with the variance V, USMHI the Hoeffding e-process
     derived from it with the square-deviation bound B."""
-    p = _take(
-        params,
-        {"alpha": 0.05, "gamma_scale": None, "randomizer": None, "stopping": None},
-    )
-    alpha = p["alpha"]
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must be in (0,1), got {alpha}")
+    p = _sequential_params(params, gen, mc)
+    if p["randomizer"].kind == "shifted":
+        raise ConfigError(f"the {what} test uses a scalar randomizer")
     v = _moment(gen, moment)
     scale = (
-        p["gamma_scale"]
-        if p["gamma_scale"] is not None
-        else scale_coeff / max(math.sqrt(sm.lambda_max(v)), 1e-12)
+        scale_coeff / max(math.sqrt(sm.lambda_max(v)), 1e-12)
+        if p["gamma_scale"] is None
+        else p["gamma_scale"]
     )
-    if scale <= 0.0:
-        raise ConfigError(f"gamma_scale must be positive, got {scale}")
-    randomizer = _norm_randomizer(p["randomizer"], gen.dim)
-    if randomizer.kind == "shifted":
-        raise ConfigError(f"the {what} test uses a scalar randomizer")
     return {
         "kind": kind,
         "horizon": mc.horizon,
         "m": gen.mean(),
         "v": v if kind == "URSN" else None,
         "b": v if kind == "USMHI" else None,
-        "alpha": alpha,
+        "alpha": p["alpha"],
         "gammas": _gamma_array(scale, mc.horizon),
-        "stopping": _norm_stopping(p["stopping"], mc.horizon),
-        "randomizer": randomizer,
-        "bound": alpha,
+        "stopping": p["stopping"],
+        "randomizer": p["randomizer"],
+        "bound": p["alpha"],
     }
 
 

@@ -35,13 +35,14 @@ which are symmetrized but not re-validated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .errors import DimMismatch, DomainError
+from .errors import ConfigError, DimMismatch, DomainError, MatconcError
 
 __all__ = [
     "SpectralDecomp",
@@ -163,14 +164,16 @@ def _recompose(q: np.ndarray, fw: np.ndarray) -> np.ndarray:
 def parse_matrix_json(obj) -> np.ndarray:
     """Build a symmetric matrix from a decoded JSON array-of-arrays.
 
-    Rows must all have the same length as the number of rows.  Asymmetry
-    up to a relative ``1e-6`` is silently symmetrized; anything larger is
-    rejected, since it indicates the caller serialized the wrong matrix.
+    Rows must all have the same length as the number of rows, and every
+    entry must be a finite JSON number (an ``int`` or a ``float``; a
+    boolean or a string is not a number).  Asymmetry up to a relative
+    ``1e-6`` is silently symmetrized; anything larger is rejected, since
+    it indicates the caller serialized the wrong matrix.
 
     Raises
     ------
     DomainError
-        On ragged rows, non-numeric entries, or asymmetry beyond tolerance.
+        On non-numeric or non-finite entries, or asymmetry beyond tolerance.
     DimMismatch
         If the value is not a square array-of-arrays.
     """
@@ -180,19 +183,37 @@ def parse_matrix_json(obj) -> np.ndarray:
     for row in obj:
         if not isinstance(row, list) or len(row) != d:
             raise DimMismatch("matrix literal must be square")
+    # exact types: bool is a subclass of int, and numpy reads "1" as 1.0
+    if not {type(x) for row in obj for x in row} <= {int, float}:
+        bad = next(x for row in obj for x in row if type(x) not in (int, float))
+        raise DomainError(f"matrix entries must be numbers, got {bad!r}")
     try:
         a = np.array(obj, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"matrix entries must be numbers: {exc}") from None
-    if not np.all(np.isfinite(a)):
+        top = float(np.max(np.abs(a)))  # nan or inf unless every entry is finite
+    except OverflowError:  # an integer literal beyond the float range
+        top = math.inf
+    if not math.isfinite(top):
         raise DomainError("matrix entries must be finite")
     gap = np.max(np.abs(a - a.T))
-    scale = max(1.0, float(np.max(np.abs(a))))
+    scale = max(1.0, top)
     if gap > LOAD_ASYMMETRY_TOL * scale:
         raise DomainError(
             f"matrix is asymmetric beyond tolerance ({gap:.3e} relative to {scale:.3e})"
         )
-    return symmat(a, copy=False)
+    return symmat_stack(a, trusted=True)
+
+
+def config_matrix(raw, name: str, dim: int | None = None) -> np.ndarray:
+    """The matrix literal ``raw`` of a config or a data stream, read by
+    :func:`parse_matrix_json` and ``dim x dim`` unless ``dim`` is None; a
+    ConfigError naming ``name`` otherwise."""
+    try:
+        mat = parse_matrix_json(raw)
+    except MatconcError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+    if dim is not None and mat.shape[0] != dim:
+        raise ConfigError(f"{name} has dimension {mat.shape[0]}, expected {dim}")
+    return mat
 
 
 def _require_square(a: np.ndarray, name: str = "matrix") -> None:

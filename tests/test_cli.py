@@ -233,6 +233,15 @@ def test_sequential_test_bad_frames(tmp_path, capsys):
     rc = main(["test", "--config", cfg2, "--data", str(wrong)])
     assert rc == 2
     assert "data line 1" in capsys.readouterr().err
+    # a string or a boolean entry is not a number
+    typed = tmp_path / "typed.ndjson"
+    typed.write_text('[["0.1", 0], [0, false]]\n[[0.1, 0], [0, 0.2]]\n')
+    out = tmp_path / "out.ndjson"
+    assert main(["test", "--config", cfg2, "--data", str(typed), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: data line 1: matrix entries must be numbers, got '0.1'\n"
+    )
+    assert not out.exists()
 
 
 #: (config, frame on data line 2, message): a frame that the process cannot step
@@ -488,8 +497,8 @@ def _run_with(path, where, key, value):
 
 
 @pytest.mark.parametrize("value", [2.7, True, False, 1e400])
-@pytest.mark.parametrize("where,key", [("generator", "dim"), ("generator", "seed"),
-                                       ("run", "trials"), ("run", "horizon")])
+@pytest.mark.parametrize("where,key", [("generator", "dim"), ("run", "trials"),
+                                       ("run", "horizon")])
 def test_verify_rejects_an_integer_field_that_is_not_an_integer(tmp_path, capsys, where, key,
                                                                value):
     cfg = _run_with(tmp_path / "cfg.json", where, key, value)
@@ -507,9 +516,13 @@ def test_verify_suite_rejects_fractional_sizes(tmp_path, capsys, key):
         cfg = write_json(tmp_path / "suite.json", {**sizes, key: value})
         assert main(["verify", "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith(f"error: {key!r} must be")
-    cfg = write_json(tmp_path / "suite.json", {**sizes, "dims": [True]})
-    assert main(["verify", "--config", cfg]) == 2
-    assert "'dims' must be a list of positive integers" in capsys.readouterr().err
+    for dims, message in (([True], "'dims' entry 0 must be a number, got True"),
+                          ([1, 1.5], "'dims' entry 1 must be an integer, got 1.5"),
+                          ([2, "1"], "'dims' entry 1 must be a number, got '1'"),
+                          ([0], "'dims' must be a list of positive integers, got [0]")):
+        cfg = write_json(tmp_path / "suite.json", {**sizes, "dims": dims})
+        assert main(["verify", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_integral_floats_run_as_their_integers(tmp_path):
@@ -522,6 +535,14 @@ def test_integral_floats_run_as_their_integers(tmp_path):
         assert main(["verify", "--config", cfg, "--seed", "3", "--output", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+    # a suite's dims too
+    sizes = {"suite": "default", "trials_fixed": 16, "trials_path": 16, "horizon": 5}
+    for i, dims in enumerate(([1], [1.0])):
+        cfg = write_json(tmp_path / f"suite{i}.json", {**sizes, "dims": dims})
+        out = tmp_path / f"suite_out{i}.json"
+        assert main(["verify", "--config", cfg, "--seed", "3", "--output", str(out)]) in (0, 1)
+        outs.append(out.read_bytes())
+    assert outs[2] == outs[3]
 
 
 @pytest.mark.parametrize("key", ["trials", "horizon"])
@@ -571,6 +592,22 @@ PC_BASE = {"generator": GAUSS2, "trials": 5, "horizon": 10}
 TEST_BASE = {"mode": "matrix", "m": [[0.0, 0.0], [0.0, 0.0]], "v": [[0.09, 0.0], [0.0, 0.09]]}
 
 
+ID2 = [[1.0, 0.0], [0.0, 1.0]]
+SCAN_GEN = {"kind": "GAUSSIAN_SCALED", "dim": 2, "c": [[0.5, 0.0], [0.0, 0.5]]}
+HEAVY_GEN = {"kind": "HEAVY_PSD", "dim": 2, "scale": 1.0, "tail_index": 1.75}
+SHEAVY_GEN = {"kind": "SYMMETRIC_HEAVY", "dim": 2, "d_dir": [[0.2, 0.0], [0.0, 0.2]],
+              "tail_index": 2.5}
+BPSD_GEN = {"kind": "BOUNDED_PSD", "dim": 2, "m": ID2, "b": [[3.0, 0.0], [0.0, 3.0]]}
+ELLIPSE_GEN = {"kind": "ELLIPSOID_RANK1", "dim": 2, "a": [[1.0, 0.0], [0.0, 2.0]]}
+
+
+def _one_run(bound, generator, params=None):
+    run = {"bound": bound, "generator": generator, "trials": 16, "horizon": 10}
+    if params is not None:
+        run["params"] = params
+    return {"runs": [run]}
+
+
 def _verify_run(**changes):
     run = json.loads(json.dumps(FIXED_RUN))
     for key, val in changes.items():
@@ -612,6 +649,13 @@ def _run_cli(tmp_path, command, cfg_obj):
         ("test", {**TEST_BASE, "gamma": {"scale": "1.0"}},
          "'gamma' scale must be a positive finite number, got '1.0'"),
         ("test", {**TEST_BASE, "randomizer": {"seed": "3"}}, "'seed' must be a number, got '3'"),
+        # nor is it, or a boolean, a matrix entry
+        ("verify", _one_run("UMMI", {**ELLIPSE_GEN, "a": [["1", 0], [0, True]]}),
+         "run 0: generator 'a': matrix entries must be numbers, got '1'"),
+        ("verify", _one_run("UMMI", ELLIPSE_GEN, {"a": [["2", 0], [0, True]]}),
+         "parameter 'a': matrix entries must be numbers, got '2'"),
+        ("test", {**TEST_BASE, "v": [[0.09, 0], [0, True]]},
+         "'v': matrix entries must be numbers, got True"),
     ],
 )
 def test_a_json_string_is_not_a_number(tmp_path, capsys, command, cfg_obj, message):
@@ -650,15 +694,76 @@ def test_a_fractional_integer_parameter_exits_2(tmp_path, capsys, cfg_obj, messa
          "'randomizer': unknown key 'sede'"),
         ("test", {**TEST_BASE, "gamma": {"scale": 1.0, "decay": 0.5}},
          "'gamma': unknown key 'decay'"),
-        ("test", {**TEST_BASE, "builder": "MGF",
+        ("test", {"m": TEST_BASE["m"], "builder": "MGF",
                   "mgf": {"kind": "RADEMACHER", "matrix": [[1.0, 0.0], [0.0, 1.0]], "gamma": 1}},
          "'mgf': unknown key 'gamma'"),
+        # a key that nothing reads: a bound's params, its randomizer and
+        # stopping objects, a generator object
+        ("verify", _one_run("XMCI", SCAN_GEN, {"p": 1.5}), "params: unknown key 'p'"),
+        ("verify", _one_run("XMCI", SCAN_GEN, {"n_start": 77}), "params: unknown key 'n_start'"),
+        ("verify", _one_run("XMCI2", SCAN_GEN, {"p": 1.5}), "params: unknown key 'p'"),
+        ("verify", _one_run("XMPCI", HEAVY_GEN, {"n_start": 5}), "params: unknown key 'n_start'"),
+        ("verify", _one_run("TRACE_PCHEB", SHEAVY_GEN, {"n_start": 5}),
+         "params: unknown key 'n_start'"),
+        ("verify", _one_run("MVI", BPSD_GEN, {"randomizer": "identity"}),
+         "params: unknown key 'randomizer'"),
+        ("verify", _one_run("MVI", BPSD_GEN, {"stopping": "first_crossing"}),
+         "params: unknown key 'stopping'"),
+        ("verify", _one_run("UMVI_BETTING", BPSD_GEN, {"stopping": {"kind": "geometric", "n": 5}}),
+         "stopping: unknown key 'n'"),
+        ("verify", _one_run("UMVI_BETTING", BPSD_GEN, {"stopping": {"kind": "fixed", "q": 0.1}}),
+         "stopping: unknown key 'q'"),
+        ("verify", _one_run("UMMI", ELLIPSE_GEN,
+                            {"randomizer": {"kind": "scaled_identity", "sede": 3}}),
+         "randomizer: unknown key 'sede'"),
+        ("verify", _one_run("UMMI", {**ELLIPSE_GEN, "seed": 3}),
+         "run 0: generator: unknown key 'seed'"),
+        # a test key that the mode or the builder does not read
+        ("test", {**TEST_BASE, "mode": "scalar", "builder": "SELF_NORMALIZED"},
+         "config: unknown key 'builder'"),
+        ("test", {**TEST_BASE, "mode": "scalar", "a": ID2}, "config: unknown key 'a'"),
+        ("test", {**TEST_BASE, "mode": "scalar", "b": ID2}, "config: unknown key 'b'"),
+        ("test", {**TEST_BASE, "mode": "scalar", "mgf": {"kind": "RADEMACHER", "matrix": ID2}},
+         "config: unknown key 'mgf'"),
+        ("test", {"m": TEST_BASE["m"], "builder": "BETTING", "b": ID2, "v": ID2},
+         "config: unknown key 'v'"),
+        ("test", {**TEST_BASE, "b": ID2}, "config: unknown key 'b'"),
+        ("test", {**TEST_BASE, "builder": "SYMMETRIC_DIST",
+                  "mgf": {"kind": "RADEMACHER", "matrix": ID2}}, "config: unknown key 'mgf'"),
     ],
 )
 def test_a_config_with_an_unknown_or_missing_key_exits_2(tmp_path, capsys, command, cfg_obj,
                                                           message):
     assert _run_cli(tmp_path, command, cfg_obj) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "command,cfg_obj,message",
+    [
+        # a generator field names its run and its key
+        ("verify", _one_run("UMMI", {**ELLIPSE_GEN, "a": [[1, 0.5], [0, 2]]}),
+         "run 0: generator 'a': matrix is asymmetric beyond tolerance "
+         "(5.000e-01 relative to 2.000e+00)"),
+        ("verify", _one_run("UMMI", {**ELLIPSE_GEN, "a": [[1, 0], [0]]}),
+         "run 0: generator 'a': matrix literal must be square"),
+        ("verify", _one_run("UMMI", {**ELLIPSE_GEN, "a": [[1.0]]}),
+         "run 0: generator 'a' has dimension 1, expected 2"),
+        ("power-compare", {**PC_BASE, "generator": {**GAUSS2, "c": [[0.4, 0.1], [0.0, 0.4]]}},
+         "generator 'c': matrix is asymmetric beyond tolerance"),
+        # a bound parameter is read by the same rule: no silent averaging
+        ("verify", _one_run("UMMI", ELLIPSE_GEN, {"a": [[1, 0.5], [0, 1]]}),
+         "parameter 'a': matrix is asymmetric beyond tolerance (5.000e-01 relative to 1.000e+00)"),
+        ("verify", _one_run("UMMI", ELLIPSE_GEN,
+                            {"randomizer": {"kind": "shifted", "y": [[0.1, 0.2], [0, 0.1]]}}),
+         "parameter 'y': matrix is asymmetric beyond tolerance"),
+    ],
+)
+def test_every_config_matrix_is_read_by_one_rule(tmp_path, capsys, command, cfg_obj, message):
+    assert _run_cli(tmp_path, command, cfg_obj) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
 
 
 def _readme_configs():

@@ -81,6 +81,40 @@ def test_unknown_param_rejected():
         run_coverage("UMMI", gen, FAST, params={"bogus": 1.0})
 
 
+#: the params each bound reads; a key that a bound stops reading, or a new
+#: one, is an edit here
+BOUND_KEYS = {
+    "UMMI": ["a", "randomizer", "target"],
+    "UMCI1": ["a", "n", "randomizer", "target"],
+    "UMCI_N": ["a", "n", "randomizer", "target"],
+    "PCHEB1": ["a", "p", "randomizer", "target"],
+    "CHERNOFF1": ["a", "gamma", "randomizer", "target"],
+    "CHERNOFF_HOEFFDING": ["a_scalar", "alpha0", "gamma", "mgf_kind", "n", "randomizer"],
+    "UMVI_MGF": ["alpha", "gamma_scale", "randomizer", "stopping"],
+    "UMVI_BETTING": ["alpha", "gamma_scale", "randomizer", "stopping"],
+    "UMVI_SELF_NORMALIZED": ["alpha", "gamma_scale", "randomizer", "stopping"],
+    "UMVI_SYMMETRIC": ["alpha", "gamma_scale", "randomizer", "stopping"],
+    "MVI": ["alpha", "gamma_scale"],
+    "DOOB": ["a", "n", "target"],
+    "XMCI": ["a", "n_max", "target"],
+    "XMCI2": ["a", "n_max", "n_start", "target"],
+    "XMPCI": ["a", "n_max", "p", "target"],
+    "TRACE_PCHEB": ["a", "n_max", "p", "target"],
+    "URSN": ["alpha", "gamma_scale", "randomizer", "stopping"],
+    "USMHI": ["alpha", "gamma_scale", "randomizer", "stopping"],
+}
+
+
+@pytest.mark.parametrize("bound", registry_names())
+def test_each_bound_accepts_exactly_the_params_it_reads(bound):
+    gen = default_generator(bound, _entry(bound).default_kind, 2)
+    with pytest.raises(ConfigError) as exc:
+        run_coverage(bound, gen, FAST, params={"no_such_key": 1})
+    assert str(exc.value) == (
+        f"params: unknown key 'no_such_key'; expected one of {BOUND_KEYS[bound]}"
+    )
+
+
 def test_run_coverage_report_shape():
     gen = default_generator("UMMI", "ELLIPSOID_RANK1", 2)
     rep = run_coverage("UMMI", gen, FAST)
@@ -413,6 +447,10 @@ def test_sequential_test_stops_memory_stays_below_the_path_stack():
         ("UMMI", {"randomizer": ["shifted"]}),
         ("URSN", {"stopping": ["fixed"]}),
         ("URSN", {"stopping": {"kind": "geometric", "q": [0.1]}}),
+        ("URSN", {"stopping": {"kind": "geometric", "n": 5}}),
+        ("URSN", {"stopping": {"kind": "first_crossing", "n": 5}}),
+        ("UMVI_MGF", {"stopping": {"kind": "fixed", "n": 5, "q": 0.1}}),
+        ("UMVI_MGF", {"randomizer": {"kind": "scaled_identity", "y": None, "seed": 3}}),
         ("UMMI", {"a": "x"}),
         ("UMCI1", {"a": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]}),
         ("UMVI_SELF_NORMALIZED", {"randomizer": {"kind": "shifted", "y": "k"}}),

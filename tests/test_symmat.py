@@ -88,6 +88,14 @@ def test_parse_matrix_json():
     eps = 1e-9
     a = parse_matrix_json([[1.0, eps], [0.0, 1.0]])
     assert a[0, 1] == a[1, 0]
+    # a boolean or a string is not a number, even where numpy would read one
+    for bad in ([[1, True], [True, 1]], [[1.0, 0.0], [0.0, False]], [["1", 0], [0, 1]],
+                [[True]], [["0.5"]], [[None]]):
+        with pytest.raises(DomainError, match="matrix entries must be numbers"):
+            parse_matrix_json(bad)
+    with pytest.raises(DomainError, match="matrix entries must be finite"):
+        parse_matrix_json([[10**400]])
+    assert parse_matrix_json([[1, 2], [2, 3.5]]).tolist() == [[1.0, 2.0], [2.0, 3.5]]
 
 
 # ---------------------------------------------------------------------------
