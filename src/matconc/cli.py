@@ -381,9 +381,12 @@ def _cmd_power_compare(args) -> int:
     gamma_scale = _step_size(cfg.get("gamma_scale", 0.5), "'gamma_scale'")
     # the hypothesized mean: the truth plus an optional shift, so
     # shift = 0 measures size and shift != 0 measures power
-    m0 = gen.mean()
+    m0, null_is_true = gen.mean(), True
     if cfg.get("mean_shift") is not None:
-        m0 = m0 + _matrix(cfg, "mean_shift", d)
+        shift = _matrix(cfg, "mean_shift", d)
+        m0 = m0 + shift
+        # the null E X <= m0 holds when the shift is PSD
+        null_is_true = bool(sm.lambda_min(shift) >= -sm.TOL_PSD)
     try:
         v = gen.variance()
     except ConfigError as exc:
@@ -398,7 +401,7 @@ def _cmd_power_compare(args) -> int:
         "horizon": horizon,
         "dim": d,
         "generator": gen.kind,
-        "null_is_true": cfg.get("mean_shift") is None,
+        "null_is_true": null_is_true,
     }
     for rule, stop in stops.items():
         out[rule] = {

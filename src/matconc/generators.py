@@ -34,10 +34,11 @@ Sampling has two parts.  :meth:`GeneratorSpec.draw` draws a block's
 random numbers (the scalar ``t`` or the vectors above) and builds no
 matrix; indexing the :class:`Draws` it returns over trials and steps
 builds just those matrices, :meth:`Draws.steps` builds a run of
-consecutive steps step-major, and :meth:`Draws.entry` one entry of
-every matrix.  :meth:`GeneratorSpec.sample_batch` is the
-whole stack, ``draw(...)[:, :]``, so each law is written once, and a
-slice built from the draws equals the same slice of the stack exactly.
+consecutive steps step-major, :meth:`Draws.entry` one entry of every
+matrix, and :meth:`Draws.entries` some entries of a run of steps,
+step-major.  :meth:`GeneratorSpec.sample_batch` is the whole stack,
+``draw(...)[:, :]``, so each law is written once, and a slice built
+from the draws equals the same slice of the stack exactly.
 """
 
 from __future__ import annotations
@@ -383,6 +384,25 @@ class Draws:
         v = self.vec
         outer = None if v is None else v[..., a] * v[..., b]
         return self._law(self.coef, self.shift, outer, lambda op: op[a, b])
+
+    def entries(self, lo: int, hi: int, rows, cols) -> np.ndarray:
+        """Entries ``(rows[e], cols[e])`` of the matrices of steps
+        ``lo..hi-1`` of every trial, step-major: shape ``(hi - lo,
+        len(rows), trials)``, C-contiguous, with ``[:, e]`` equal to
+        ``self[:, lo:hi][..., rows[e], cols[e]].T`` bit for bit.  The kind's
+        law runs once on all the entries, each matrix operand replaced by
+        its entries; the vectors of the rank-one kinds are taken step-major
+        once."""
+
+        def field(part):
+            return None if part is None else np.ascontiguousarray(part[:, lo:hi].T)[:, None]
+
+        outer = None
+        if self.vec is not None:
+            v = np.ascontiguousarray(np.moveaxis(self.vec[:, lo:hi], 0, -1))
+            outer = np.take(v, rows, axis=1)
+            outer *= np.take(v, cols, axis=1)
+        return self._law(field(self.coef), field(self.shift), outer, lambda op: op[rows, cols][:, None])
 
     def _build(self, take) -> np.ndarray:
         """The matrices of the draws that ``take`` selects from each field."""

@@ -285,30 +285,30 @@ class MatSupermartingaleState:
         return MatSupermartingaleState(left=self.left @ step, n=self.n + 1)
 
 
-def scan_exceeds(kind: str, xbar, m, a, p: float | None = None) -> np.ndarray:
-    """Crossing test of one running-mean scan for each matrix of a stack ``xbar``.
-
-    ``DOOB`` (squared mean deviation), ``XMCI``/``XMCI2`` (absolute
-    deviation) and ``XMPCI`` (the PSD mean) compare against ``a``
-    through :func:`exceeds`; ``TRACE_PCHEB`` tests ``tr abs(Xbar - M)^p >= a^p``
-    for a scalar ``a`` (or one per matrix) and ``p >= 1``.  Its
-    ``eigvalsh`` runs only on the rows that the exact bound
-    ``sum_i |w_i|^p <= max(1, d^{1 - p/2}) ||D||_F^p`` (Hoelder for
-    ``p <= 2``, ``l_p <= l_2`` above) leaves within the margin of
-    :func:`~matconc.symmat.screened` below ``a^p``, so the events equal
-    those of the eigenvalue rule on every row.  A matrix with a non-finite
-    entry is crossed, as in :func:`exceeds`.  ``first_crossing(MeanScan(...),
-    xs)`` (:mod:`matconc.processes`) runs the scan along whole paths.
-    """
-    if kind == "DOOB":
-        return exceeds(xbar - m, a, np.square)
-    if kind in ("XMCI", "XMCI2"):
-        return exceeds(xbar - m, a, np.abs)
+def _scan_deviation(kind, xbar, m, out=None):
+    """What a scan tests the spectrum of: ``Xbar - M``, or ``Xbar`` itself for XMPCI."""
     if kind == "XMPCI":
-        return exceeds(xbar, a)
+        return xbar
+    return np.subtract(xbar, m, out=out)
+
+
+def _scan_test(kind, a, p, d: int):
+    """``(level, exact, power, scale)``: how a scan at dimension ``d``
+    decides its deviations ``D``.
+
+    ``exact(ys, rows_level)`` is the eigenvalue rule on a stack of
+    deviations, crossed where their statistic reaches ``level``; a
+    deviation with a non-finite entry is crossed.  The statistic is at
+    most ``scale * ||D||_F ** power``, the norm screen of
+    :func:`~matconc.symmat.settles`: ``max f(w_i)`` against ``a`` for the
+    Loewner scans with a threshold ``a I``, with ``power`` 2 for DOOB's
+    squares and 1 otherwise, and ``sum_i |w_i|^p <= max(1, d^{1 - p/2})
+    ||D||_F^p`` against ``a^p`` for TRACE_PCHEB (Hoelder for ``p <= 2``,
+    ``l_p <= l_2`` above).  A Loewner scan against a threshold matrix that
+    is not ``a I`` has no screen: ``power`` is None and ``exact`` is
+    :func:`exceeds` against that matrix.
+    """
     if kind == "TRACE_PCHEB":
-        dev = xbar - m
-        ap, c = a**p, max(1.0, dev.shape[-1] ** (1.0 - p / 2.0))
 
         def rule(ys, rows_ap):
             return (np.abs(np.linalg.eigvalsh(ys)) ** p).sum(axis=-1) >= rows_ap
@@ -316,8 +316,37 @@ def scan_exceeds(kind: str, xbar, m, a, p: float | None = None) -> np.ndarray:
         def exact(ys, rows_ap):
             return sm._finite_rule(rule, ys, rows_ap, 0)
 
-        return sm.screened(dev, ap, exact, p, c)
-    raise ParamMismatch(f"unknown scan kind {kind!r}")
+        return a**p, exact, p, max(1.0, d ** (1.0 - p / 2.0))
+    # the eigenvalue map of each Loewner scan: DOOB tests the squared mean
+    # deviation, XMCI and XMCI2 its absolute value, XMPCI the PSD mean itself
+    maps = {"DOOB": np.square, "XMCI": np.abs, "XMCI2": np.abs, "XMPCI": None}
+    if kind not in maps:
+        raise ParamMismatch(f"unknown scan kind {kind!r}")
+    f, level = maps[kind], sm._scalar_level(a)
+    if level is None:
+        return a, lambda ys, rows_a: exceeds(ys, rows_a, f), None, 1.0
+    return level, sm._level_rule(f), sm._SCREEN_POWER[f], 1.0
+
+
+def scan_exceeds(kind: str, xbar, m, a, p: float | None = None) -> np.ndarray:
+    """Crossing test of one running-mean scan for each matrix of a stack ``xbar``.
+
+    ``DOOB`` (squared mean deviation), ``XMCI``/``XMCI2`` (absolute
+    deviation) and ``XMPCI`` (the PSD mean) compare against ``a``
+    through :func:`exceeds`; ``TRACE_PCHEB`` tests ``tr abs(Xbar - M)^p >= a^p``
+    for a scalar ``a`` (or one per matrix) and ``p >= 1``.  A scan against
+    a level (``a I``, or ``a^p``) runs ``eigvalsh`` only on the rows that
+    the norm screen of :func:`_scan_test` leaves within the margin of
+    :func:`~matconc.symmat.screened`, so the events equal those of the
+    eigenvalue rule on every row.  A matrix with a non-finite entry is
+    crossed, as in :func:`exceeds`.  ``first_crossing(MeanScan(...), xs)``
+    (:mod:`matconc.processes`) runs the scan along whole paths.
+    """
+    level, exact, power, scale = _scan_test(kind, a, p, np.shape(xbar)[-1])
+    dev = _scan_deviation(kind, xbar, m)
+    if power is None:
+        return exact(dev, level)
+    return sm.screened(dev, level, exact, power, scale)
 
 
 def ville_event(y, a: np.ndarray, u):

@@ -20,12 +20,15 @@ steps, bit for bit.
 - :class:`MeanScan`: the running means ``Xbar_n`` tested by
   :func:`~matconc.martingales.scan_exceeds` (DOOB, XMCI, XMCI2, XMPCI,
   TRACE_PCHEB); ``first_crossing(MeanScan(...), xs)`` is the "exists n"
-  scan of a stack of paths.
+  scan of a stack of paths, run one matrix entry at a time: it sums
+  step-major ``(k, trials)`` planes of the entries and forms matrices
+  only for the rows that its norm screen leaves.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,8 +53,9 @@ __all__ = [
 # only its draws and builds its matrices a step or a chunk at a time).
 _CELL_BUDGET = 1 << 24
 # Cells built at once: the step-major draws of a chunk of trials whose
-# means are summed (simulator._block_means), and the matrices of the block of
-# consecutive steps a path run takes (first_crossing).
+# means are summed (simulator._block_means), and the block of k consecutive
+# steps a path run takes (first_crossing): k * trials * d^2 cells of
+# matrices, or k * trials * d for the entry planes of a scan.
 _MEAN_CHUNK_CELLS = 1 << 16
 _PATH_BLOCK_CAP = 1024
 
@@ -74,9 +78,12 @@ class _Process:
     at a time in two parts.  ``_block(xs, gammas)`` runs the recurrence:
     one kernel call does the state-free work of the ``k`` steps
     (``_prepare``), then the state advances step by step and each step's
-    state goes into a step-major buffer.  ``xs`` holds each trial's next
-    ``k`` observations, ``(k, trials, d, d)``, and ``gammas`` their ``k``
-    step sizes (None entries for the scans).  It returns the block: a
+    state goes into a step-major buffer.  ``xs`` is the block's input
+    that ``_block_input`` builds from the paths: each trial's next ``k``
+    observations, ``(k, trials, d, d)`` (a scan's entry planes instead,
+    see :class:`MeanScan`), and ``gammas`` their ``k`` step sizes (None
+    entries for the scans); ``_step_cells`` is the cells of one trial's
+    step in it, which sizes ``k``.  It returns the block: a
     tuple of arrays shaped ``(n, trials, ...)`` (or None), the states of
     the first ``n`` steps.  ``n`` is ``k`` unless a state has a non-finite
     entry, and then the block ends just before it.  ``_events(*states)``
@@ -90,6 +97,17 @@ class _Process:
     """
 
     at_stop = None
+
+    def _step_cells(self, d: int) -> int:
+        """Cells of one trial's step that :func:`first_crossing` budgets a block for."""
+        return d * d
+
+    def _block_input(self, xs, lo, hi):
+        """The input of ``_block`` for steps ``lo + 1 .. hi`` of ``xs``: their
+        matrices, step-major, ``(hi - lo, trials, d, d)``."""
+        if isinstance(xs, Draws):
+            return xs.steps(lo, hi)
+        return np.array(np.swapaxes(xs[:, lo:hi], 0, 1), order="C")
 
     def _block(self, xs, gammas):
         """Advance through the steps ``xs``; returns the block of their states."""
@@ -143,10 +161,8 @@ class FactorProcess(_Process):
         self.builder, self.m, self.a = builder, m, a
         self.params = {"mgf": mgf, "v": v}
         self.state = mg.MatSupermartingaleState.start(m.shape[0])
-        a = np.asarray(a, dtype=np.float64)
-        if a.ndim == 2 and np.array_equal(a, a[0, 0] * np.eye(a.shape[0])):
-            a = a[0, 0]
-        self._level = None if a.ndim else a
+        level = sm._scalar_level(a)
+        self._level = None if level is None or np.ndim(level) else level
 
     def _prepare(self, xs, gammas):
         return mg.factor_pair(self.builder, xs - self.m, gammas, root=True, **self.params)
@@ -299,33 +315,91 @@ class MeanScan(_Process):
     """Running means ``Xbar_n`` tested by :func:`~matconc.martingales.scan_exceeds`
     from ``n_start`` on; the value is the crossing event itself.
 
-    Its state-free work already decides: the block's running sums and the
-    scan test of every step are one call, which overwrites the block with
-    its running sums.
+    A stack of paths is scanned one matrix entry at a time.  A block's
+    input (:meth:`_block_input`) is one step-major ``(k, trials)`` plane
+    per entry, ``(k, entries, trials)``, built by the law of the draws
+    (:meth:`~matconc.generators.Draws.entries`): the lower triangle, all
+    that ``eigvalsh`` reads of a symmetric matrix, and the strict upper
+    triangle too for a plain stack, which may be asymmetric (or for an
+    asymmetric ``m``).  Each entry is summed in step order from a running
+    total of its own, divided by the step count, and ``m`` is subtracted,
+    each the operation the matrix would take, so every entry of ``Xbar_n -
+    M`` is bitwise that of the matrix scan.  The norm screen of
+    :func:`~matconc.martingales._scan_test` settles most rows from the
+    squared Frobenius norm (:func:`_frobenius_sq`), whose squares are
+    added in another order than the matrix scan adds them; the margin of
+    :func:`~matconc.symmat.settles` covers that rounding, so a settled row
+    is one that the exact rule finds not crossed.  Only the rows left get
+    matrices, the lower triangle mirrored (an asymmetric input's upper
+    triangle as it is), decided by the scan's exact rule; a row with a
+    non-finite entry is never settled and is crossed.  So every event
+    equals that of the matrix scan, bit for bit.
     """
 
     def __init__(self, kind, m, a, p=None, n_start=1):
         self.kind, self.m, self.a, self.p, self.n_start = kind, m, a, p, n_start
         self.total, self.n = 0.0, 0
 
-    def _block(self, xs, gammas):
+    def _step_cells(self, d: int) -> int:
+        return d
+
+    def _block_input(self, xs, lo, hi):
+        d = self._d = xs.shape[-1]
+        m = None if self.m is None else np.broadcast_to(self.m, (d, d))
+        full = not isinstance(xs, Draws) or (m is not None and not np.array_equal(m, m.T))
+        rows, cols = self._entries = _scan_entries(d, full)
+        self._m = None if m is None else m[rows, cols][:, None]
+        if isinstance(xs, Draws):
+            return xs.entries(lo, hi, rows, cols)
+        return np.ascontiguousarray(np.moveaxis(xs[:, lo:hi][..., rows, cols], 0, -1))
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _block(self, sums, gammas):
         # running sums in step order, in place: + the total so far (0.0 at
         # first, which turns a -0.0 into 0.0 as 0.0 + x does), then each
-        # step's slice plus the one before
-        xs[0] += self.total
-        for j in range(1, len(xs)):
-            xs[j] += xs[j - 1]
-        self.total = xs[-1]
+        # step's entries plus those of the step before
+        sums[0] += self.total
+        for j in range(1, len(sums)):
+            sums[j] += sums[j - 1]
+        self.total = sums[-1]
         # steps before n_start are not tested
         first = max(self.n + 1, self.n_start)
-        counts = np.arange(first, self.n + len(xs) + 1)
-        live = len(xs) - len(counts)
-        self.n += len(xs)
-        events = np.zeros(xs.shape[:-2], dtype=bool)
+        counts = np.arange(first, self.n + len(sums) + 1)
+        live = len(sums) - len(counts)
+        self.n += len(sums)
+        events = np.zeros((len(sums), sums.shape[-1]), dtype=bool)
         if len(counts):
-            means = xs[live:] / counts.reshape((-1,) + (1,) * (xs.ndim - 1))
-            events[live:] = mg.scan_exceeds(self.kind, means, self.m, self.a, self.p)
+            events[live:] = self._scan(sums[live:], counts)
         return (events,)
+
+    def _scan(self, sums, counts):
+        """Events of the running means ``sums / counts``, ``(n, trials)``."""
+        d, low = self._d, self._d * (self._d + 1) // 2
+        level, exact, power, scale = mg._scan_test(self.kind, self.a, self.p, d)
+        dev = sums / counts[:, None, None]
+        dev = mg._scan_deviation(self.kind, dev, self._m, out=dev)
+        if power is None:
+            settled = np.zeros(dev.shape[::2], dtype=bool)
+        else:
+            sq = _frobenius_sq(dev, d)
+            if dev.shape[1] > low:
+                # eigvalsh never reads the upper triangle, but a non-finite
+                # entry there crosses
+                sq[~np.isfinite(dev[:, low:]).all(axis=1)] = np.nan
+            settled = sm.settles(sq, level, d, power, scale)
+        return sm.unsettled_events(settled, lambda left: exact(self._matrices(dev, left), level))
+
+    def _matrices(self, planes, left):
+        """The matrices of the ``left`` rows (a mask over ``(n, trials)``) of
+        ``planes``: the lower triangle mirrored, then every entry the
+        planes hold in its place."""
+        d, (rows, cols) = self._d, self._entries
+        low = d * (d + 1) // 2
+        picked = np.moveaxis(planes, 1, -1)[left]
+        out = np.empty((len(picked), d, d))
+        out[:, cols[:low], rows[:low]] = picked[:, :low]
+        out[:, rows, cols] = picked
+        return out
 
     def _events(self, events):
         return events
@@ -333,20 +407,41 @@ class MeanScan(_Process):
     _values = _events
 
 
+@lru_cache(maxsize=None)
+def _scan_entries(d: int, full: bool):
+    """The entries of a scan's planes, as row and column indices: the
+    diagonal, then the strict lower triangle, then (``full``) the strict
+    upper triangle."""
+    lower = np.tril_indices(d, -1)
+    upper = np.triu_indices(d, 1) if full else ((), ())
+    entries = np.concatenate([np.tile(np.arange(d), (2, 1)), lower, upper], axis=1).astype(np.intp)
+    entries.flags.writeable = False
+    return tuple(entries)
+
+
+def _frobenius_sq(planes, d: int):
+    """``||S||_F^2`` per row of the entry planes ``(k, entries, trials)`` of
+    :func:`_scan_entries`, for the symmetric ``S`` that ``eigvalsh`` reads
+    (the lower triangle, mirrored): the squares of the diagonal plus twice
+    those of the strict lower triangle, summed in another order than
+    :func:`~matconc.symmat._eig_frobenius_sq` sums them."""
+    sq = np.einsum("kpt,kpt->kt", planes[:, :d], planes[:, :d])
+    if d > 1:
+        lower = planes[:, d : d * (d + 1) // 2]
+        sq += 2.0 * np.einsum("kpt,kpt->kt", lower, lower)
+    return sq
+
+
 def _step_blocks(proc: _Process, xs, gammas, horizon: int):
     """The blocks of ``proc`` along ``xs`` up to ``horizon``, ``k`` steps each,
     ``k`` sized by ``_MEAN_CHUNK_CELLS``: yields ``(lo, hi, block)`` for
     the steps ``lo + 1 .. hi`` (see :class:`_Process`)."""
     size, d = xs.shape[0], xs.shape[-1]
-    k = max(1, _MEAN_CHUNK_CELLS // (size * d * d))
+    k = max(1, _MEAN_CHUNK_CELLS // (size * proc._step_cells(d)))
     for lo in range(0, horizon, k):
         hi = min(lo + k, horizon)
-        if isinstance(xs, Draws):
-            steps = xs.steps(lo, hi)
-        else:
-            steps = np.array(np.swapaxes(xs[:, lo:hi], 0, 1), order="C")
         gs = [None] * (hi - lo) if gammas is None else [float(g) for g in gammas[lo:hi]]
-        yield lo, hi, proc._block(steps, gs)
+        yield lo, hi, proc._block(proc._block_input(xs, lo, hi), gs)
 
 
 def first_crossing(proc: _Process, xs, gammas=None, taus=None) -> np.ndarray:
@@ -359,7 +454,10 @@ def first_crossing(proc: _Process, xs, gammas=None, taus=None) -> np.ndarray:
     (:meth:`~matconc.generators.Draws.steps`), the process runs its
     recurrence through the block and keeps each step's state, and one call
     of its decision rule gives the events of all ``k * trials`` states
-    (see :class:`_Process`).  Step ``n`` uses ``gammas[n - 1]``.  A trial
+    (see :class:`_Process`).  A :class:`MeanScan` builds no matrix there:
+    its block is one ``(k, trials)`` plane per matrix entry
+    (:meth:`~matconc.generators.Draws.entries`), with ``k = max(1,
+    _MEAN_CHUNK_CELLS // (trials d))``.  Step ``n`` uses ``gammas[n - 1]``.  A trial
     stops at its first crossing, or at its entry of ``taus`` (in
     ``1..horizon``) when given, found with one ``argmax`` over the block's
     steps; with ``taus`` no event is computed.  ``at_stop`` takes the

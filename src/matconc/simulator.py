@@ -562,6 +562,8 @@ def _prep_doob(params, gen, mc):
         a_scalar = float(a[0, 0])
         if not np.array_equal(a, a_scalar * np.eye(gen.dim)):
             raise ConfigError("the squared-mean scan needs a scalar threshold a I")
+        if a_scalar <= 0.0:
+            raise ConfigError(f"parameter 'a' must be a positive multiple of I, got {a_scalar:g} I")
     else:
         a_scalar = sm.trace(v) / p["target"]
     return {
@@ -615,6 +617,8 @@ def _scan_common(params, gen, mc, kind, default_target):
         plan["m"] = gen.mean()
     if p["a"] is not None:
         a_scalar = config_number(p["a"], "parameter 'a'")
+        if a_scalar <= 0.0:
+            raise ConfigError(f"parameter 'a' must be positive, got {a_scalar:g}")
     else:
         ratio = tr / (p["target"] * n_start)
         a_scalar = math.sqrt(ratio) if pw == 2 else ratio ** (1.0 / pw)

@@ -623,6 +623,34 @@ def _finite_rule(rule, y, a, a_ndim: int):
     return out[()]
 
 
+def _scalar_level(a):
+    """The level ``t`` of a threshold ``a`` that stands for ``t I``: ``a``
+    itself as a float array for a scalar or one value per matrix, its
+    diagonal entry for a matrix exactly equal to ``t I``; None for any
+    other matrix threshold."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim == 2 and np.array_equal(a, a[0, 0] * np.eye(a.shape[0])):
+        return a[0, 0]
+    return a if a.ndim < 2 else None
+
+
+def _level_rule(f=None):
+    """The exact rule of :func:`exceeds` against levels ``a I``, as
+    ``exact(ys, rows_a)`` for :func:`screened`: ``a I - f(Y)`` has
+    eigenvalues ``a - f(w)``, and a matrix is crossed when they are not all
+    nonnegative (``TOL_PSD`` tie rule included) or it has a non-finite entry."""
+
+    def rule(ys, rows_a):
+        w = np.linalg.eigvalsh(ys)
+        w = w if f is None else f(w)
+        return np.logical_not(spectrum_is_psd(rows_a[..., None] - w))
+
+    def exact(ys, rows_a):
+        return _finite_rule(rule, ys, rows_a, 0)
+
+    return exact
+
+
 def exceeds(y, a, f=None) -> np.ndarray:
     """Event ``f(Y) not <= a`` for each matrix of a stack ``y`` (..., d, d).
 
@@ -642,26 +670,15 @@ def exceeds(y, a, f=None) -> np.ndarray:
     as in :func:`loewner_leq`.  A matrix with a non-finite entry is
     crossed: no norm bound settles it, and it never reaches LAPACK.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim == 2 and np.array_equal(a, a[0, 0] * np.eye(a.shape[0])):
-        a = a[0, 0]
-    if a.ndim < 2:
-
-        def rule(ys, rows_a):
-            w = np.linalg.eigvalsh(ys)
-            w = w if f is None else f(w)
-            return np.logical_not(spectrum_is_psd(rows_a[..., None] - w))
-
-        def exact(ys, rows_a):
-            return _finite_rule(rule, ys, rows_a, 0)
-
-        power = _SCREEN_POWER.get(f)
-        return exact(y, a) if power is None else screened(y, a, exact, power)
+    level = _scalar_level(a)
+    if level is not None:
+        exact, power = _level_rule(f), _SCREEN_POWER.get(f)
+        return exact(y, level) if power is None else screened(y, level, exact, power)
 
     def loewner_rule(ys, rows_a):
         return np.logical_not(loewner_leq(ys if f is None else apply_spectral(f, ys), rows_a))
 
-    return _finite_rule(loewner_rule, y, a, 2)
+    return _finite_rule(loewner_rule, y, np.asarray(a, dtype=np.float64), 2)
 
 
 def exceeds_scaled(y, t, b, f=None):

@@ -331,6 +331,26 @@ def test_power_compare(tmp_path):
     assert res["scalar"]["mean_stop"] <= res["matrix"]["mean_stop"] + 1e-9
 
 
+@pytest.mark.parametrize("shift", [0.0, 0.5])
+def test_power_compare_labels_a_psd_shift_as_the_null(tmp_path, shift):
+    """The null is E X <= m0: a shift with no negative eigenvalue keeps it true."""
+    cfg = write_json(
+        tmp_path / "pc.json",
+        {
+            "generator": {"kind": "GAUSSIAN_SCALED", "dim": 2,
+                          "c": [[0.4, 0.0], [0.0, 0.4]]},
+            "trials": 50,
+            "horizon": 40,
+            "mean_shift": [[shift, 0.0], [0.0, shift]],
+        },
+    )
+    out = tmp_path / "pc_out.json"
+    assert main(["power-compare", "--config", str(cfg), "--seed", "2", "--output", str(out)]) == 0
+    res = json.loads(out.read_text())
+    assert res["null_is_true"] is True
+    assert res["matrix"]["reject_rate"] <= 0.1 and res["scalar"]["reject_rate"] <= 0.1
+
+
 BAD_STEP_SIZES = [0, -0.5, float("nan"), float("inf"), float("-inf"), "x"]
 
 
@@ -736,6 +756,25 @@ def test_a_config_with_an_unknown_or_missing_key_exits_2(tmp_path, capsys, comma
                                                           message):
     assert _run_cli(tmp_path, command, cfg_obj) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "bound,generator,a,message",
+    [
+        ("DOOB", SCAN_GEN, [[0, 0], [0, 0]], "parameter 'a' must be a positive multiple of I, got 0 I"),
+        ("DOOB", SCAN_GEN, [[-1, 0], [0, -1]], "parameter 'a' must be a positive multiple of I, got -1 I"),
+        ("XMCI", SCAN_GEN, 0, "parameter 'a' must be positive, got 0"),
+        ("XMCI", SCAN_GEN, -1, "parameter 'a' must be positive, got -1"),
+        ("XMCI2", SCAN_GEN, -2, "parameter 'a' must be positive, got -2"),
+        ("XMPCI", HEAVY_GEN, 0, "parameter 'a' must be positive, got 0"),
+        ("TRACE_PCHEB", SHEAVY_GEN, -1, "parameter 'a' must be positive, got -1"),
+    ],
+)
+def test_a_scan_threshold_that_is_not_positive_exits_2(tmp_path, capsys, bound, generator, a, message):
+    """A scan's threshold is positive: zero divides its bound by zero, and a
+    negative one crosses at once, which would read as the bound failing."""
+    assert _run_cli(tmp_path, "verify", _one_run(bound, generator, {"a": a})) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

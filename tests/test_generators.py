@@ -265,6 +265,23 @@ def test_in_place_build_is_bitwise_the_expression(kind, d):
         assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
+@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_entries_are_the_step_major_entries_of_the_stack(kind, d):
+    """``entries`` builds chosen entries of a run of steps, one step-major
+    plane each, bitwise as the matrices of the stack hold them."""
+    spec = spec_of_kind(kind, d)
+    draws = spec.draw(substream(65, d), 11, 9)
+    stack = draws[:, :]
+    rng = np.random.default_rng(d)
+    rows, cols = rng.integers(0, d, size=7), rng.integers(0, d, size=7)
+    for lo, hi in ((0, 1), (3, 7), (8, 9), (0, 9)):
+        got = draws.entries(lo, hi, rows, cols)
+        want = np.moveaxis(stack[:, lo:hi][..., rows, cols], 0, -1)
+        assert got.flags.c_contiguous and got.shape == (hi - lo, 7, 11)
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize(
     "kind,params,field",

@@ -1,11 +1,14 @@
-"""Report bytes are pinned: the default suite and the simulated sequential
-tests at small sizes reproduce stored fixtures.
+"""Report bytes are pinned: the default suite, the simulated sequential
+tests and the running-mean scans at small sizes reproduce stored fixtures.
 
 Speed-ups of the simulator are meant to be exact, so every
 ``McReport.to_dict()`` of the default verification matrix must equal the
 stored one field for field, floats bit for bit, and every stopping step
-of ``sequential_test_stops`` (the paths of ``power-compare``) must equal
-the stored one.  A change that alters what a seed produces must say so
+of ``sequential_test_stops`` (the paths of ``power-compare``) and of
+``first_crossing(MeanScan(...))`` must equal the stored one.  The scans
+run below their default thresholds, so that most trials cross, at
+steps spread over the horizon: a report counts only whether a trial
+crossed, and several default scan runs see no crossing at all.  A change that alters what a seed produces must say so
 and regenerate the fixtures with
 
     PYTHONPATH=src python tests/test_report_identity.py
@@ -19,12 +22,15 @@ import sys
 import numpy as np
 import pytest
 
-from matconc.processes import sequential_test_stops
+from matconc import simulator as sim
+from matconc.processes import first_crossing, sequential_test_stops
+from matconc.rng import substream
 from matconc.simulator import default_generator, run_default_suite
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 FIXTURE = os.path.join(FIXTURES, "report_identity_seed101.json")
 STOPS_FIXTURE = os.path.join(FIXTURES, "sequential_stops_seed101.json")
+SCAN_FIXTURE = os.path.join(FIXTURES, "scan_stops_seed101.json")
 SIZES = {"dims": (1, 2, 5), "trials_fixed": 10000, "trials_path": 512, "horizon": 150}
 SEED = 101
 
@@ -40,6 +46,21 @@ STOP_CASES = [
     for shift in (0.0, mid, -0.5)
 ]
 STOP_TRIALS, STOP_HORIZON, STOP_ALPHA = 64, 200, 0.05
+
+#: (scan, dim, params) on the scan's default generator: a target above
+#: the default lowers the threshold, so most trials cross
+SCAN_CASES = [
+    (bound, d, {"target": 1.5 if bound == "TRACE_PCHEB" else 3.0, **extra})
+    for bound, extra in (
+        ("DOOB", {}),
+        ("XMCI", {}),
+        ("XMCI2", {"n_start": 10}),
+        ("XMPCI", {}),
+        ("TRACE_PCHEB", {}),
+    )
+    for d in (1, 2, 3, 5)
+]
+SCAN_TRIALS, SCAN_HORIZON = 128, 200
 
 
 def _reports() -> list[dict]:
@@ -66,6 +87,23 @@ def _all_stops() -> list[dict]:
     ]
 
 
+def _scan_stops(bound: str, d: int, params: dict) -> list[int]:
+    """Each trial's stop of the scan on draws of its default generator."""
+    entry = sim._entry(bound)
+    gen = default_generator(bound, entry.default_kind, d)
+    horizon = {"n" if bound == "DOOB" else "n_max": SCAN_HORIZON}
+    plan = entry.prepare({**params, **horizon}, gen, sim.McConfig(trials=SCAN_TRIALS))
+    draws = gen.draw(substream(SEED, entry.tag, d), SCAN_TRIALS, SCAN_HORIZON)
+    return first_crossing(sim._path_process(plan), draws).tolist()
+
+
+def _all_scan_stops() -> list[dict]:
+    return [
+        {"bound": bound, "dim": d, "params": params, "stops": _scan_stops(bound, d, params)}
+        for bound, d, params in SCAN_CASES
+    ]
+
+
 def test_default_suite_reports_match_fixture():
     with open(FIXTURE) as fh:
         expected = json.load(fh)
@@ -84,8 +122,20 @@ def test_sequential_test_stops_match_fixture(case):
     assert _stops(kind, d, shift) == expected["stops"]
 
 
+@pytest.mark.parametrize("case", range(len(SCAN_CASES)))
+def test_scan_stops_match_fixture(case):
+    with open(SCAN_FIXTURE) as fh:
+        expected = json.load(fh)[case]
+    bound, d, params = SCAN_CASES[case]
+    assert (expected["bound"], expected["dim"], expected["params"]) == (bound, d, params)
+    stops = _scan_stops(bound, d, params)
+    assert stops == expected["stops"]
+    # the fixture pins crossings at several steps, not only trials that never cross
+    assert len(set(stops) - {0}) > 1
+
+
 if __name__ == "__main__":
-    for path, make in ((FIXTURE, _reports), (STOPS_FIXTURE, _all_stops)):
+    for path, make in ((FIXTURE, _reports), (STOPS_FIXTURE, _all_stops), (SCAN_FIXTURE, _all_scan_stops)):
         with open(path, "w") as fh:
             json.dump(make(), fh, indent=1, sort_keys=True)
             fh.write("\n")

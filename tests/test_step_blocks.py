@@ -175,8 +175,8 @@ def test_block_stops_and_values_match_a_per_step_loop(bound, kind, d, params, k,
     horizon = plan["horizon"]
     draws = gen.draw(substream(4242, entry.tag, d), TRIALS, horizon)
     taus = _taus(plan, horizon, substream(4242, entry.tag, 7))
-    monkeypatch.setattr(pr, "_MEAN_CHUNK_CELLS", k * TRIALS * d * d)
     blocked = sim._path_process(plan)
+    monkeypatch.setattr(pr, "_MEAN_CHUNK_CELLS", k * TRIALS * blocked._step_cells(d))
     sizes = record_blocks(blocked)
     stop = pr.first_crossing(blocked, draws, plan.get("gammas"), taus)
     want, want_at = ref_first_crossing(sim._path_process(plan), draws[:, :], plan.get("gammas"), taus)
@@ -244,7 +244,8 @@ def test_a_scan_does_not_overwrite_its_paths():
     xs = np.full((3, 2, 2, 2), -0.0)
     assert_bitwise(pr.first_crossing(scan, xs), np.zeros(3, dtype=np.int64))
     assert_bitwise(xs, np.full((3, 2, 2, 2), -0.0))
-    assert_bitwise(scan.total, np.zeros((3, 2, 2)))  # 0.0 + (-0.0) + (-0.0)
+    # each entry's total is 0.0 + (-0.0) + (-0.0)
+    assert not scan.total.any() and not np.signbit(scan.total).any()
 
 
 # --- the kernels' block forms -----------------------------------------------------
@@ -317,9 +318,8 @@ def _shifted_paths(kind, d, shifts, seed=77):
 
 
 def _blocked(monkeypatch, k, xs, make, *args):
-    d = xs.shape[-1]
-    monkeypatch.setattr(pr, "_MEAN_CHUNK_CELLS", k * xs.shape[0] * d * d)
     proc = make()
+    monkeypatch.setattr(pr, "_MEAN_CHUNK_CELLS", k * xs.shape[0] * proc._step_cells(xs.shape[-1]))
     sizes = record_blocks(proc)
     stop = pr.first_crossing(proc, xs, *args)
     assert_blocks_of(sizes, k)
