@@ -23,9 +23,11 @@ coverage FAIL verdict, 2 configuration or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 
@@ -77,7 +79,11 @@ def _matrix(
 
 
 def _write_atomic(path: str | None, text: str) -> None:
-    """Write output all-or-nothing; partial files never appear."""
+    """Write output all-or-nothing; partial files never appear.
+
+    The file gets the mode ``open(path, "w")`` would leave: an existing
+    file keeps its own, a new one gets ``0o666`` less the umask.
+    """
     if path is None:
         sys.stdout.write(text)
         return
@@ -86,11 +92,23 @@ def _write_atomic(path: str | None, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+            os.fchmod(fh.fileno(), _file_mode(path))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _file_mode(path: str) -> int:
+    """The permission bits of ``path``, or for a new file ``0o666`` less the umask."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        # the umask can only be read by setting it; meanwhile 0o077 errs on the private side
+        umask = os.umask(0o077)
+        os.umask(umask)
+        return 0o666 & ~umask
 
 
 def _load_config(path: str) -> dict:
@@ -433,7 +451,10 @@ def _cmd_falsify(args) -> int:
 # entry point
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first call and kept: each
+    ``parse_args`` fills a namespace of its own, so calls do not share state."""
     parser = argparse.ArgumentParser(
         prog="matconc",
         description="Randomized matrix concentration bounds: verification and testing.",
@@ -494,8 +515,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run the subcommand that ``argv`` (default ``sys.argv[1:]``) names; its exit code.
+
+    The parser is built on the first call and reused by the later calls
+    of the process, which each parse as a fresh interpreter would.
+    """
+    args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except MatconcError as exc:

@@ -76,14 +76,14 @@ class _Process:
 
     A stack of paths runs only through :func:`first_crossing`, ``k`` steps
     at a time in two parts.  ``_block(xs, gammas)`` runs the recurrence:
-    one kernel call does the state-free work of the ``k`` steps
-    (``_prepare``), then the state advances step by step and each step's
-    state goes into a step-major buffer.  ``xs`` is the block's input
-    that ``_block_input`` builds from the paths: each trial's next ``k``
-    observations, ``(k, trials, d, d)`` (a scan's entry planes instead,
-    see :class:`MeanScan`), and ``gammas`` their ``k`` step sizes (None
-    entries for the scans); ``_step_cells`` is the cells of one trial's
-    step in it, which sizes ``k``.  It returns the block: a
+    a few kernel calls do the state-free work of the ``k`` steps, then the
+    state advances step by step, one matrix product or one Kahan add per
+    step, and each step's state goes into a step-major buffer.  ``xs`` is
+    the block's input that ``_block_input`` builds from the paths: each
+    trial's next ``k`` observations, ``(k, trials, d, d)`` (a scan's entry
+    planes instead, see :class:`MeanScan`), and ``gammas`` their ``k`` step
+    sizes (None entries for the scans); ``_step_cells`` is the cells of
+    one trial's step in it, which sizes ``k``.  It returns the block: a
     tuple of arrays shaped ``(n, trials, ...)`` (or None), the states of
     the first ``n`` steps.  ``n`` is ``k`` unless a state has a non-finite
     entry, and then the block ends just before it.  ``_events(*states)``
@@ -150,7 +150,9 @@ class FactorProcess(_Process):
     :func:`~matconc.martingales.exceeds`.  In a stack, a non-finite trial
     is never settled and is crossed.
 
-    The block of :func:`first_crossing` holds ``L_n`` of every step.  A
+    The block of :func:`first_crossing` holds ``L_n`` of every step.  It
+    forms the step factors ``A_n^{1/2} E_n^{1/2}`` of all its steps in one
+    batched product, so the recurrence takes one product per step.  A
     trial that stops inside a block keeps multiplying to the block's end
     and restarts there, so its product may overflow: the recurrence and
     the rule run with overflow warnings off, and a non-finite trial is
@@ -175,13 +177,13 @@ class FactorProcess(_Process):
 
     def _block(self, xs, gammas):
         sqrt_a, lefts = self._prepare(xs, gammas)
+        # the factors A_n^{1/2} E_n^{1/2} of every step, in a buffer of their own
+        steps = lefts if sqrt_a is None else sqrt_a[:, None] @ lefts
         left = self.state.left
         with np.errstate(over="ignore", invalid="ignore"):
-            # each step's L_n takes the place of its factor E_n^{1/2}: a
-            # block allocates no buffer of its own
-            for j, sqrt_e in enumerate(lefts):
-                step = sqrt_e if sqrt_a is None else sqrt_a[j] @ sqrt_e
-                left = np.matmul(left, step, out=sqrt_e)
+            # each step's L_n takes the place of its factor E_n^{1/2}
+            for j, step in enumerate(steps):
+                left = np.matmul(left, step, out=lefts[j])
         self.state = mg.MatSupermartingaleState(left, self.state.n + len(lefts))
         return (lefts,)
 
@@ -229,12 +231,21 @@ class TraceExpProcess(_Process):
     state with a non-finite entry raises DomainError; in
     :func:`first_crossing`, only when no step before it stopped every
     trial.
+
+    A block writes the tilt and compensator increments of its steps into
+    a ``(2, k, trials, d, d)`` buffer (:func:`~matconc.scalar_e.sn_increments`),
+    and one Kahan add per step advances both sums, stacked with their
+    carries in ``(2, trials, d, d)`` buffers that every step and block
+    reuses; the Hoeffding process has the tilt alone, one slot.  At the
+    block's end the state's ``gz`` and ``pc`` and their carries are views
+    of those buffers, read by the next block before it writes them.
     """
 
     def __init__(self, m, v, alpha, b=None):
         self.m, self.v, self.b = m, v, b
         self.state = se.TraceExpState.start(m.shape[0])
         self.level = se.log_level(m.shape[0], alpha)
+        self._scratch = None
 
     def _prepare(self, xs, gammas):
         return se.sn_increments(xs - self.m, self.v, gammas, self.b)
@@ -246,8 +257,11 @@ class TraceExpProcess(_Process):
         return self.decide()
 
     def _block(self, xs, gammas):
-        mats, dc, db = self._prepare(xs, gammas)
-        st, hoeffding = self.state, self.b is not None
+        st, hoeffding, compensated = self.state, self.b is not None, self.v is not None
+        # the tilt and, with v, the compensator: the increments of the k steps
+        k = len(gammas)
+        inc = np.empty((1 + compensated, k) + xs.shape[1:])
+        _, _, db = se.sn_increments(xs - self.m, self.v, gammas, self.b, out=inc)
         sum_b, half = st.sum_gamma_sq_b, None
         if db is not None:
             db[0] += sum_b
@@ -256,20 +270,30 @@ class TraceExpProcess(_Process):
         sum_gamma = st.sum_gamma
         for gamma in gammas:
             sum_gamma += gamma
-        gz, gz_carry, pc, pc_carry = st.gz, st.gz_carry, st.pc, st.pc_carry
+        # the sums, carries and scratch of one Kahan add per step, reused by
+        # every block: buffers made afresh page-fault in every block at d = 5
+        shape = (4, 1 + compensated) + xs.shape[1:]
+        if self._scratch is None or self._scratch.shape != shape:
+            self._scratch = np.empty(shape)
+        acc, carry, spare, work = self._scratch
+        acc[0], carry[0] = st.gz, st.gz_carry
+        if compensated:
+            acc[1], carry[1] = st.pc, st.pc_carry
         # the states after the last trial's stop are formed too, unread
         with np.errstate(over="ignore", invalid="ignore"):
             # each step's exponent S (the tilt G for Hoeffding), before
             # symmetrizing, takes the place of its tilt increment
-            for j, dz in enumerate(mats):
-                gz, gz_carry = se._kahan_add(gz, gz_carry, dz, out=dz if hoeffding else None)
-                if dc is not None:
-                    pc, pc_carry = se._kahan_add(pc, pc_carry, dc[j])
+            for j in range(k):
+                step = inc[:, j]
+                total = step if hoeffding else spare
+                se._kahan_add(acc, carry, step, out=total, work=work)
+                acc, spare = total, acc
                 if not hoeffding:
-                    np.subtract(gz, pc, out=dz)
-            mat = sm.symmat_stack(mats, trusted=True)
+                    np.subtract(acc[0], acc[1] if compensated else st.pc, out=step[0])
+            mat = sm.symmat_stack(inc[0], trusted=True)
             sq = sm._eig_frobenius_sq(mat)
-        self.state = se.TraceExpState(gz, gz_carry, pc, pc_carry, sum_gamma, sum_b, st.n + len(mats))
+        pc, pc_carry = (acc[1], carry[1]) if compensated else (st.pc, st.pc_carry)
+        self.state = se.TraceExpState(acc[0], carry[0], pc, pc_carry, sum_gamma, sum_b, st.n + k)
         if half is not None:
             half = np.broadcast_to(half[:, None], sq.shape)
         n = len(mat)

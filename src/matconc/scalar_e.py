@@ -168,10 +168,17 @@ def log_trace_exp(s: np.ndarray) -> np.ndarray:
     return top + np.log(np.exp(w - top[..., None]).sum(axis=-1))
 
 
-def _kahan_add(total: np.ndarray, carry: np.ndarray, delta: np.ndarray, out=None):
-    y = delta - carry
+def _kahan_add(total: np.ndarray, carry: np.ndarray, delta: np.ndarray, out=None, work=None):
+    """``total + delta`` with Kahan compensation: the new total and carry.
+
+    ``out`` receives the total.  With ``work``, a buffer shaped like the
+    sum, the step allocates nothing: ``work`` takes the compensated
+    increment and the new carry overwrites ``carry``.
+    """
+    y = np.subtract(delta, carry, out=work)
     t = np.add(total, y, out=out)
-    return t, (t - total) - y
+    c = np.subtract(t, total, out=None if work is None else carry)
+    return t, np.subtract(c, y, out=None if work is None else c)
 
 
 def log_level(d: int, alpha: float, u=1.0):
@@ -201,7 +208,7 @@ def _check_step(state: TraceExpState, gamma: float, *mats: np.ndarray) -> None:
         raise DimMismatch("increment dimensions do not match the state")
 
 
-def sn_increments(dev, v, gamma, b: np.ndarray | None = None):
+def sn_increments(dev, v, gamma, b: np.ndarray | None = None, out=None):
     """The state-free part of self-normalized steps on deviations ``dev = X - M``.
 
     Returns the tilt increment ``gamma dev``, the compensator increment
@@ -212,11 +219,22 @@ def sn_increments(dev, v, gamma, b: np.ndarray | None = None):
     of shape ``(..., d, d)``, or ``k`` step sizes with a block ``(k, ...,
     d, d)`` whose leading axis is the step; each step's scalars are those
     of a single step (see :func:`~matconc.martingales.factor_pair`).
+
+    ``out``, for a block, is a ``(2, k, ..., d, d)`` buffer (``(1, k, ...,
+    d, d)`` without ``v``): the tilt increments are written to ``out[0]``
+    and the compensator increments to ``out[1]``, so that one Kahan add
+    per step takes both sums; the first two returns are those views.
     """
     nd = dev.ndim - 1
     g, psi, g_sq = mg._per_step(gamma, lambda g: (g, float(PSI_QUADRATIC(g)), g**2), nd, nd, 2)
-    dc = None if v is None else psi * ((dev @ dev) / 3.0 + (2.0 / 3.0) * v)
-    return g * dev, dc, None if b is None else g_sq * b
+    tilt, dc = (None, None) if out is None else (out[0], out[1] if v is not None else None)
+    if v is not None:
+        # in place, each operation that of psi * ((dev @ dev) / 3 + (2/3) V)
+        dc = np.matmul(dev, dev, out=dc)
+        dc /= 3.0
+        dc += (2.0 / 3.0) * v
+        dc *= psi
+    return np.multiply(g, dev, out=tilt), dc, None if b is None else g_sq * b
 
 
 def sn_advance(

@@ -1,11 +1,14 @@
+import argparse
 import json
 import os
+import stat
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from matconc import cli
 from matconc.cli import main
 from matconc.generators import GeneratorSpec
 from matconc.rng import substream
@@ -859,3 +862,107 @@ def test_the_benchmark_configs_run(tmp_path):
     for i, cfg in enumerate(test_configs):
         assert main(["test", "--config", cfg, "--data", data,
                      "--output", str(tmp_path / f"t{i}.ndjson")]) == 0
+
+
+# ---------------------------------------------------------------------------
+# output files get the mode that open(path, "w") would leave
+
+
+@pytest.fixture
+def umask():
+    """Sets the process umask for a test; restores it afterwards."""
+    saved = os.umask(0o022)
+    try:
+        yield os.umask
+    finally:
+        os.umask(saved)
+
+
+def _power_compare_to(tmp_path, out):
+    cfg = write_json(tmp_path / "pc.json", PC_BASE)
+    return main(["power-compare", "--config", cfg, "--seed", "2", "--output", str(out)])
+
+
+@pytest.mark.parametrize("mask,mode", [(0o022, 0o644), (0o027, 0o640), (0o077, 0o600)])
+def test_a_new_output_file_gets_its_mode_from_the_umask(tmp_path, umask, mask, mode):
+    umask(mask)
+    out = tmp_path / "pc_out.json"
+    assert _power_compare_to(tmp_path, out) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == mode
+    # no temporary file is left behind
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pc.json", "pc_out.json"]
+
+
+@pytest.mark.parametrize("mode", [0o644, 0o604])
+def test_an_existing_output_file_keeps_its_mode(tmp_path, umask, mode):
+    out = tmp_path / "pc_out.json"
+    out.write_text("earlier output\n")
+    out.chmod(mode)
+    assert _power_compare_to(tmp_path, out) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == mode
+    assert json.loads(out.read_text())["trials"] == PC_BASE["trials"]
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_main_builds_its_parser_once(monkeypatch, tmp_path):
+    cli._build_parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+    try:
+        assert _power_compare_to(tmp_path, tmp_path / "a.json") == 0
+        once = len(built)
+        assert _power_compare_to(tmp_path, tmp_path / "b.json") == 0
+    finally:
+        cli._build_parser.cache_clear()
+    assert once > 0 and len(built) == once
+
+
+def test_importing_the_cli_builds_no_parser():
+    script = (
+        "import argparse\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise RuntimeError('an argument parser was built')\n"
+        "argparse.ArgumentParser.__init__ = refuse\n"
+        "import matconc.cli\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_calls_of_main_in_one_process_match_fresh_interpreters(tmp_path, capsys):
+    """``verify --trials 7``, then ``verify`` without it (``trials`` reads None
+    again), ``power-compare`` and ``test`` through the one cached parser print
+    and write what a fresh interpreter running each one does."""
+    run = {"bound": "UMCI1", "generator": GAUSS2}
+    verify_cfg = write_json(tmp_path / "verify.json", {"runs": [run]})
+    test_cfg = write_json(tmp_path / "test.json", {**TEST_BASE, "mode": "scalar"})
+    xs = GeneratorSpec(kind="GAUSSIAN_SCALED", dim=2, c=0.3 * np.eye(2)).sample_path(
+        substream(5, 0), 20
+    )
+    data = write_frames(tmp_path / "d.ndjson", xs)
+    calls = [
+        ["verify", "--config", verify_cfg, "--trials", "7", "--seed", "3"],
+        ["verify", "--config", verify_cfg, "--seed", "3"],
+        ["power-compare", "--config", write_json(tmp_path / "pc.json", PC_BASE), "--seed", "2"],
+        ["test", "--config", test_cfg, "--data", data],
+    ]
+    cli._build_parser()  # built before the first call, as in a process that already ran one
+    for i, argv in enumerate(calls):
+        here, fresh = tmp_path / f"here{i}.out", tmp_path / f"fresh{i}.out"
+        assert main(argv + ["--output", str(here)]) in (0, 1)
+        printed = capsys.readouterr()
+        proc = run_module(*argv, "--output", str(fresh))
+        assert proc.returncode in (0, 1), proc.stderr
+        assert (printed.out, printed.err) == (proc.stdout, proc.stderr)
+        assert here.read_bytes() == fresh.read_bytes()
+    # the two verify calls ran 7 and the default 10 000 trials
+    trials = [json.loads((tmp_path / f"here{i}.out").read_text())[0]["trials"] for i in (0, 1)]
+    assert trials == [7, 10_000]

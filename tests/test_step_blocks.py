@@ -32,6 +32,7 @@ from matconc import simulator as sim
 from matconc import symmat as sm
 from matconc.errors import DomainError
 from matconc.fixed_bounds import MGF_KINDS, MgfSpec
+from matconc.generators import GeneratorSpec
 from matconc.rng import substream
 
 TRIALS, HORIZON = 24, 25
@@ -186,6 +187,65 @@ def test_block_stops_and_values_match_a_per_step_loop(bound, kind, d, params, k,
     # the comparison must see trials stop, some of them inside a block of three
     assert 0 < np.count_nonzero(stop)
     assert any(n % 3 for n in stop if n)
+
+
+@pytest.mark.parametrize("k", [1, 3, HORIZON])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("trials", [1, 2, 3])
+def test_power_compare_stops_match_a_per_step_loop(trials, d, k, monkeypatch):
+    """``sequential_test_stops`` (``matconc power-compare``) at the few-trial
+    shapes of its benchmark: both rules' stops and values at the stops."""
+    gen = GeneratorSpec(kind="GAUSSIAN_SCALED", dim=d, c=0.4 * np.eye(d))
+    v = gen.variance()
+    # a hypothesized mean below the truth, so trials stop inside blocks of three
+    m = gen.mean() - 0.5 * np.eye(d)
+    # power-compare's schedule: gamma_scale / (sqrt(lambda_max(V)) sqrt(n))
+    gammas = 0.5 / (0.4 * np.sqrt(np.arange(1.0, HORIZON + 1)))
+    monkeypatch.setattr(pr, "_MEAN_CHUNK_CELLS", k * trials * d * d)
+    runs, crossing = [], pr.first_crossing
+
+    def recorded(proc, xs, gammas):
+        runs.append((proc, xs, record_blocks(proc)))
+        return crossing(proc, xs, gammas)
+
+    monkeypatch.setattr(pr, "first_crossing", recorded)
+    stops = pr.sequential_test_stops(gen, m, v, gammas, 0.05, trials, seed=11)
+    assert [type(proc) for proc, _, _ in runs] == [pr.FactorProcess, pr.TraceExpProcess]
+    for (proc, xs, sizes), rule in zip(runs, ("matrix", "scalar")):
+        want, want_at = ref_first_crossing(proc, xs[:, :], gammas)
+        assert_blocks_of(sizes, k)
+        assert_bitwise(stops[rule], want)
+        assert_bitwise(proc.at_stop, want_at)
+        assert want.any()
+
+
+@pytest.mark.parametrize("k", [1, 3, HORIZON])
+@pytest.mark.parametrize("rule", ["URSN", "USMHI"])
+def test_trace_exp_blocks_keep_the_kahan_carries_of_single_steps(rule, k, monkeypatch):
+    """Step sizes from 1 down to 1e-8 leave non-zero carries in both Kahan
+    sums; a block's state is that of ``sn_advance`` step by step, bit for bit."""
+    d = 2
+    gen = sim.default_generator("USMHI", "RADEMACHER_SCALED", d)
+    m, v, b = gen.mean(), gen.variance(), gen.sq_dev_bound()
+    xs = gen.draw(substream(31, 4), TRIALS, HORIZON)[:, :]
+    gammas = np.geomspace(1.0, 1e-8, HORIZON)
+    proc = pr.TraceExpProcess(m, v, 0.5) if rule == "URSN" else pr.TraceExpProcess(m, None, 0.5, b)
+    _, stop = _blocked(monkeypatch, k, xs, lambda: proc, gammas, np.full(TRIALS, HORIZON))
+    assert (stop == HORIZON).all()
+    want = se.TraceExpState.start(d)
+    for n, gamma in enumerate(gammas):
+        want = se.sn_advance(want, xs[:, n] - m, proc.v, float(gamma), proc.b)
+    got = proc.state
+    assert got.n == want.n == HORIZON
+    fields = ("gz", "gz_carry", "sum_gamma", "sum_gamma_sq_b")
+    fields += ("pc", "pc_carry") if rule == "URSN" else ()
+    for name in fields:
+        assert_bitwise(getattr(got, name), getattr(want, name))
+    assert got.gz_carry.any()
+    if rule == "URSN":
+        assert got.pc_carry.any()
+    else:
+        assert not got.pc.any() and not got.pc_carry.any()
 
 
 def test_no_block_runs_past_the_last_stopping_time(monkeypatch):
