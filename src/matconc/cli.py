@@ -23,7 +23,9 @@ coverage FAIL verdict, 2 configuration or input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -219,33 +221,67 @@ def _cmd_verify(args) -> int:
 # test
 
 
+#: Lines of a regular data file that :func:`_iter_frames` reads and checks together.
+_FRAME_BLOCK = 256
+
+
 def _iter_frames(path: str):
     """Yield (line_number, matrix) from a stream of one-JSON-per-line.
 
     The stream is read as bytes and each line decoded on its own, so
-    invalid UTF-8 is reported with the number of its line.
+    invalid UTF-8 is reported with the number of its line.  A regular
+    file is read ``_FRAME_BLOCK`` lines at a time and each block's frames
+    are checked as one stack (:func:`~matconc.symmat.accepted_matrices`);
+    anything else (stdin from a pipe or a terminal, a FIFO) one line at a
+    time, since reading ahead there waits for lines the test may not need.
+    A line the stack check does not accept is read by :func:`_frame`, the
+    rule for one line, when the caller asks for it, so every matrix, error
+    and line number is that of reading line by line, and a bad line after
+    the last frame asked for is never reported.  Only a file opened here
+    is closed: ``-`` leaves stdin open.
     """
     try:
-        fh = open(path, "rb") if path != "-" else sys.stdin.buffer
+        fh = open(path, "rb") if path != "-" else contextlib.nullcontext(sys.stdin.buffer)
     except OSError as exc:
         raise ConfigError(f"cannot read data {path}: {exc}") from exc
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                raise ConfigError(f"data line {lineno}: not valid UTF-8") from None
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"data line {lineno}: invalid JSON ({exc.msg})") from exc
-            if isinstance(obj, dict):
-                if "x" not in obj:
-                    raise ConfigError(f"data line {lineno}: frame object needs key 'x'")
-                obj = obj["x"]
-            yield lineno, sm.config_matrix(obj, f"data line {lineno}")
+    with fh as stream:
+        try:
+            regular = stat.S_ISREG(os.fstat(stream.fileno()).st_mode)
+        except (OSError, ValueError):  # no descriptor: an in-memory stream
+            regular = False
+        lines = enumerate(stream, start=1)
+        while block := list(itertools.islice(lines, _FRAME_BLOCK if regular else 1)):
+            parsed = []  # (line number, bytes, decoded literal or None), blank lines left out
+            for lineno, raw in block:
+                try:
+                    line = raw.decode("utf-8")
+                    if not line.strip():
+                        continue
+                    obj = json.loads(line)
+                except (ValueError, RecursionError):  # _frame raises it when the line is reached
+                    obj = None
+                parsed.append((lineno, raw, obj.get("x") if isinstance(obj, dict) else obj))
+            mats = sm.accepted_matrices([obj for _, _, obj in parsed])
+            for (lineno, raw, _), mat in zip(parsed, mats):
+                yield lineno, _frame(lineno, raw) if mat is None else mat
+
+
+def _frame(lineno: int, raw: bytes) -> np.ndarray:
+    """The matrix on data line ``lineno``, whose bytes ``raw`` are not blank;
+    a ConfigError naming the line if it holds none."""
+    try:
+        line = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ConfigError(f"data line {lineno}: not valid UTF-8") from None
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"data line {lineno}: invalid JSON ({exc.msg})") from exc
+    if isinstance(obj, dict):
+        if "x" not in obj:
+            raise ConfigError(f"data line {lineno}: frame object needs key 'x'")
+        obj = obj["x"]
+    return sm.config_matrix(obj, f"data line {lineno}")
 
 
 def _step_size(raw, name: str) -> float:

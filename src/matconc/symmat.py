@@ -216,6 +216,46 @@ def config_matrix(raw, name: str, dim: int | None = None) -> np.ndarray:
     return mat
 
 
+def accepted_matrices(objs: list) -> list:
+    """:func:`parse_matrix_json` over a list of decoded literals, checked as one stack.
+
+    Entry ``i`` is the matrix ``parse_matrix_json(objs[i])`` returns, bit for
+    bit, or None; it is None for every literal that call rejects, and also
+    for one whose dimension differs from the first square literal's, one that
+    symmetrizes to a non-finite matrix, or any literal of a list holding an
+    integer beyond the float range: the caller reads those one at a time.
+    Nothing is raised and numpy does not warn.
+    """
+    out = [None] * len(objs)
+    square = [
+        i for i, obj in enumerate(objs)
+        if type(obj) is list and obj
+        and all(type(row) is list and len(row) == len(obj) for row in obj)
+    ]
+    d = len(objs[square[0]]) if square else 0
+    # exact types: bool is a subclass of int, and numpy reads "1" as 1.0
+    keep = [
+        i for i in square
+        if len(objs[i]) == d and {type(x) for row in objs[i] for x in row} <= {int, float}
+    ]
+    if not keep:
+        return out
+    try:
+        a = np.array([objs[i] for i in keep], dtype=np.float64)
+    except OverflowError:
+        return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = np.max(np.abs(a), axis=(1, 2))
+        gap = np.max(np.abs(a - np.swapaxes(a, 1, 2)), axis=(1, 2))
+        sym = symmat_stack(a, trusted=True)
+        # a finite symmetric part needs finite entries, so top needs no check of its own
+        ok = ~(gap > LOAD_ASYMMETRY_TOL * np.maximum(1.0, top)) & np.isfinite(sym).all(axis=(1, 2))
+    for i, good, mat in zip(keep, ok.tolist(), sym):
+        if good:
+            out[i] = mat
+    return out
+
+
 def _require_square(a: np.ndarray, name: str = "matrix") -> None:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimMismatch(f"{name} must be square, got shape {a.shape}")

@@ -1,17 +1,24 @@
 import argparse
+import io
 import json
+import math
 import os
 import stat
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from matconc import cli
 from matconc.cli import main
+from matconc.errors import ConfigError
 from matconc.generators import GeneratorSpec
 from matconc.rng import substream
+from matconc.symmat import LOAD_ASYMMETRY_TOL, config_matrix
 
 
 def write_json(path, obj):
@@ -293,6 +300,159 @@ def test_invalid_utf8_exits_2_with_its_line(tmp_path, capsys):
     for argv in (["test", "--data", str(bad)], ["verify"]):
         assert main([*argv, "--config", str(bad_cfg)]) == 2
         assert capsys.readouterr().err == f"error: config {bad_cfg} is not valid UTF-8 (byte 56)\n"
+
+
+#: One malformed data line of each kind, among 2 x 2 frames.
+BAD_LINES = {
+    "not utf-8": b"[[0.\xff, 0], [0, 1]]",
+    "not json": b'{"not json',
+    "no x": b'{"y": [[1, 0], [0, 1]]}',
+    "string": b'[["0.1", 0], [0, 1]]',
+    "boolean": b"[[true, 0], [0, 1]]",
+    "null": b"[[null, 0], [0, 1]]",
+    "huge integer": b"[[1" + b"0" * 400 + b", 0], [0, 1]]",
+    "nan": b"[[NaN, 0], [0, 1]]",
+    "ragged": b"[[1, 0], [0]]",
+    "not square": b"[[1, 0, 0], [0, 1, 0]]",
+    "asymmetric": b"[[1.0, 0.0], [1.1e-06, 1.0]]",
+    "wrong dimension": b"[[0.5]]",
+}
+
+
+def frames_line_by_line(path):
+    """The data reader of ``matconc test`` one line at a time, each literal
+    through ``config_matrix``: the reference for ``cli._iter_frames``."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ConfigError(f"data line {lineno}: not valid UTF-8") from None
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"data line {lineno}: invalid JSON ({exc.msg})") from exc
+            if isinstance(obj, dict):
+                if "x" not in obj:
+                    raise ConfigError(f"data line {lineno}: frame object needs key 'x'")
+                obj = obj["x"]
+            yield lineno, config_matrix(obj, f"data line {lineno}")
+
+
+def drain(frames):
+    """The (line, shape, matrix bytes) of each frame, the error text or None,
+    and the text of each warning raised on the way."""
+    got, error = [], None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            for lineno, mat in frames:
+                got.append((lineno, mat.shape, mat.tobytes()))
+        except ConfigError as exc:
+            error = str(exc)
+    return got, error, [str(w.message) for w in caught]
+
+
+_number = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.integers(-(10**30), 10**30)
+)
+_frame_line = st.tuples(_number, _number, _number).map(
+    lambda t: json.dumps([[t[0], t[1]], [t[1], t[2]]]).encode()
+)
+_good_line = st.one_of(
+    _frame_line,
+    _frame_line.map(lambda line: b'{"x": ' + line + b', "note": 1}'),
+    st.sampled_from([b"", b"  ", b"\t"]),
+)
+
+
+@st.composite
+def _asymmetry_edge(draw):
+    """A frame whose asymmetry is at the tolerance, or one float above or below it."""
+    s = draw(st.floats(0.0, 1e12))
+    gap = LOAD_ASYMMETRY_TOL * max(1.0, s)
+    gap = draw(st.sampled_from([gap, math.nextafter(gap, 0.0), math.nextafter(gap, math.inf)]))
+    return json.dumps([[s, gap], [0.0, s]]).encode()
+
+
+@st.composite
+def _stream(draw):
+    lines = draw(st.lists(_good_line, max_size=14))
+    bad = draw(st.one_of(st.none(), st.sampled_from(sorted(BAD_LINES)).map(BAD_LINES.get),
+                         _asymmetry_edge()))
+    if bad is not None:
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    ends = draw(st.lists(st.sampled_from([b"\n", b"\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    return b"".join(line + end for line, end in zip(lines, ends))
+
+
+@pytest.mark.parametrize("block", [1, 3, cli._FRAME_BLOCK, "stdin"])
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_stream())
+def test_the_block_reader_reads_what_the_line_reader_reads(tmp_path, monkeypatch, block, data):
+    path = tmp_path / "d.ndjson"
+    path.write_bytes(data)
+    if block == "stdin":  # no descriptor: one line per block
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        frames = cli._iter_frames("-")
+    else:
+        monkeypatch.setattr(cli, "_FRAME_BLOCK", block)
+        frames = cli._iter_frames(str(path))
+    assert drain(frames) == drain(frames_line_by_line(path))
+
+
+_REJECTS_AT_3 = {"mode": "scalar", "m": [[0.0, 0.0], [0.0, 0.0]], "v": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+@pytest.mark.parametrize("where", ["same block", "next block"])
+@pytest.mark.parametrize("kind", sorted(BAD_LINES))
+def test_a_bad_line_after_the_rejecting_frame_is_never_reported(tmp_path, capsys, kind, where):
+    cfg = write_json(tmp_path / "t.json", _REJECTS_AT_3)
+    frame = b"[[3.0, 0.0], [0.0, 3.0]]\n"
+    before = 3 if where == "same block" else cli._FRAME_BLOCK
+    data = tmp_path / "d.ndjson"
+    data.write_bytes(frame * before + BAD_LINES[kind] + b"\n" + frame)
+    out = tmp_path / "out.ndjson"
+    assert main(["test", "--config", cfg, "--data", str(data), "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text().splitlines()[-1])["rejected_at"] == 3
+
+
+def test_reading_stdin_leaves_it_open(tmp_path, monkeypatch):
+    cfg = write_json(tmp_path / "t.json", {"mode": "scalar", "m": [[0.0]], "v": [[1.0]]})
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b'[[0.1]]\n\n{"x": [[-0.2]]}\r\n')))
+    outputs = []
+    for i in range(2):
+        out = tmp_path / f"out{i}.ndjson"
+        assert main(["test", "--config", cfg, "--data", "-", "--output", str(out)]) == 0
+        assert not sys.stdin.closed
+        sys.stdin.buffer.seek(0)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0].splitlines()[-1])["frames"] == 2
+
+
+def test_an_open_pipe_is_not_read_ahead(tmp_path):
+    cfg = write_json(tmp_path / "t.json", {"mode": "scalar", "m": [[0.0]], "v": [[1.0]]})
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "matconc", "test", "--config", cfg, "--data", "-"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        proc.stdin.write(b"[[3.0]]\n" * 3)  # rejects at frame 3; the pipe stays open
+        proc.stdin.flush()
+        rc = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        out, err = proc.communicate()
+    assert rc == 0, err
+    assert json.loads(out.splitlines()[-1])["rejected_at"] == 3
 
 
 def test_sequential_test_missing_config_keys(tmp_path, capsys):
