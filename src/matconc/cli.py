@@ -121,7 +121,7 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not valid UTF-8 (byte {exc.start})") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an over-long integer, too deep a nesting
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -275,8 +275,9 @@ def _frame(lineno: int, raw: bytes) -> np.ndarray:
         raise ConfigError(f"data line {lineno}: not valid UTF-8") from None
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"data line {lineno}: invalid JSON ({exc.msg})") from exc
+    except (ValueError, RecursionError) as exc:  # also an over-long integer, too deep a nesting
+        msg = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+        raise ConfigError(f"data line {lineno}: invalid JSON ({msg})") from exc
     if isinstance(obj, dict):
         if "x" not in obj:
             raise ConfigError(f"data line {lineno}: frame object needs key 'x'")

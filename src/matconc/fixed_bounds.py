@@ -111,7 +111,7 @@ class MgfSpec:
 
 
 def _require_pd(a: np.ndarray) -> np.ndarray:
-    a = sm.symmat(a, copy=False)
+    a = sm.symmat(a)
     if sm.lambda_min(a) <= 0.0:
         raise DomainError("threshold matrix must be positive definite")
     return a
@@ -133,7 +133,7 @@ def _event(hit):
 def _abs_dev_event(x, m, thr, t=None):
     """``abs(X - M) not <= thr``, the Chebyshev-type event; with ``t``, the
     threshold is ``t thr`` (see :func:`~matconc.symmat.exceeds_scaled`)."""
-    dev = np.asarray(x, dtype=np.float64) - sm.symmat(m, copy=False)
+    dev = np.asarray(x, dtype=np.float64) - sm.symmat(m)
     if t is None:
         return _event(sm.exceeds(dev, thr, np.abs))
     return _event(sm.exceeds_scaled(dev, t, thr, np.abs))
@@ -175,7 +175,7 @@ def ummi_event(x, a: np.ndarray, u):
 
 def ummi_bound(mean_x: np.ndarray, a: np.ndarray) -> float:
     """Markov bound ``tr((E X) A^{-1})``."""
-    return sm.trace_product(sm.symmat(mean_x, copy=False), sm.mat_inv(_require_pd(a)))
+    return sm.trace_product(sm.symmat(mean_x), sm.mat_inv(_require_pd(a)))
 
 
 def chebyshev_event(x, m: np.ndarray, a: np.ndarray, u):
@@ -192,7 +192,7 @@ def chebyshev_event(x, m: np.ndarray, a: np.ndarray, u):
 
 def chebyshev1_bound(v: np.ndarray, a: np.ndarray) -> float:
     """One-observation Chebyshev bound ``tr(V A^{-2})``."""
-    return sm.trace_product(sm.symmat(v, copy=False), sm.mat_pow(_require_pd(a), -2.0))
+    return sm.trace_product(sm.symmat(v), sm.mat_pow(_require_pd(a), -2.0))
 
 
 def chebyshev_n_event(xs, m: np.ndarray, a: np.ndarray, u):
@@ -235,7 +235,7 @@ def pcheb1_event(x, m: np.ndarray, a: np.ndarray, u, p: float):
 def pcheb1_bound(vp: np.ndarray, a: np.ndarray, p: float) -> float:
     """p-Chebyshev bound ``tr(V_p A^{-p})``."""
     p = _check_p(p)
-    return sm.trace_product(sm.symmat(vp, copy=False), sm.mat_pow(_require_pd(a), -p))
+    return sm.trace_product(sm.symmat(vp), sm.mat_pow(_require_pd(a), -p))
 
 
 def chernoff1_event(x, a: np.ndarray, u, gamma: float):
@@ -247,7 +247,7 @@ def chernoff1_event(x, a: np.ndarray, u, gamma: float):
     """
     if gamma == 0.0:
         raise DomainError("gamma must be nonzero")
-    a = sm.symmat(a, copy=False)
+    a = sm.symmat(a)
     u = _randomizer(u, a.shape[0])
     if u.ndim < 2:
         log_u, singular = _log_or_singular(u)
@@ -263,8 +263,8 @@ def chernoff1_bound(exp_moment: np.ndarray, a: np.ndarray, gamma: float) -> floa
     """Chernoff bound ``tr(e^{-2 gamma A} E e^{2 gamma X})``."""
     if gamma == 0.0:
         raise DomainError("gamma must be nonzero")
-    a = sm.symmat(a, copy=False)
-    return sm.trace_product(sm.mat_exp(-2.0 * gamma * a), sm.symmat(exp_moment, copy=False))
+    a = sm.symmat(a)
+    return sm.trace_product(sm.mat_exp(-2.0 * gamma * a), sm.symmat(exp_moment))
 
 
 def mgf_trace_bound(spec: MgfSpec, gamma: float, n: int) -> float:
@@ -304,7 +304,7 @@ def chernoff_hoeffding_event(xs, m: np.ndarray, a_scalar: float, gamma: float, u
         raise DomainError(f"gamma must be positive, got {gamma}")
     if a_scalar <= 0.0:
         raise DomainError(f"scalar threshold must be positive, got {a_scalar}")
-    m = sm.symmat(m, copy=False)
+    m = sm.symmat(m)
     dev = np.mean(np.asarray(xs, dtype=np.float64), axis=-3) - m
     eye = np.eye(m.shape[0])
     log_u, singular = _log_or_singular(_randomizer(u, m.shape[0]))

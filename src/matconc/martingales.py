@@ -217,7 +217,7 @@ def build_factors(
         When the kind's parameter is missing.
     """
     x = sm.symmat_stack(x)
-    m = sm.symmat(m, copy=False)
+    m = sm.symmat(m)
     if x.shape[-2:] != m.shape:
         raise DimMismatch("observation and mean have different shapes")
     if kind not in BUILDER_KINDS:
@@ -230,7 +230,7 @@ def build_factors(
     elif kind == "BETTING":
         if b is None:
             raise ParamMismatch("BETTING builder needs the upper bound b")
-        lo, hi = betting_gamma_interval(m, sm.symmat(b, copy=False))
+        lo, hi = betting_gamma_interval(m, sm.symmat(b))
         if not (lo < gamma < hi):
             raise GammaOutOfRange(
                 f"gamma {gamma} outside the open interval ({lo:.6g}, {hi:.6g})"
@@ -238,7 +238,7 @@ def build_factors(
     elif kind == "SELF_NORMALIZED":
         if v is None:
             raise ParamMismatch("SELF_NORMALIZED builder needs the variance v")
-        v = sm.symmat(v, copy=False)
+        v = sm.symmat(v)
     a, e = factor_pair(kind, x - m, gamma, mgf=mgf, v=v)
     return e, (np.eye(m.shape[0]) if a is None else a)
 
@@ -267,8 +267,8 @@ class MatSupermartingaleState:
 
     def step(self, e: np.ndarray, a: np.ndarray) -> "MatSupermartingaleState":
         """Absorb one factor pair; returns the advanced state."""
-        e = sm.symmat(e, copy=False)
-        a = sm.symmat(a, copy=False)
+        e = sm.symmat(e)
+        a = sm.symmat(a)
         if e.shape != a.shape or e.shape[0] != self.left.shape[0]:
             raise DimMismatch("factor dimensions do not match the state")
         if sm.lambda_min(a) <= 0.0:
@@ -367,7 +367,7 @@ def doob_bound(ey_last: np.ndarray, a: np.ndarray) -> float:
 
 def xmci_bound(v, a) -> float:
     """Time-uniform Chebyshev bound ``tr(V A^{-2})``."""
-    return sm.trace_product(sm.symmat(v, copy=False), sm.mat_pow(_require_pd(a), -2.0))
+    return sm.trace_product(sm.symmat(v), sm.mat_pow(_require_pd(a), -2.0))
 
 
 def xmci2_bound(v, a, n_start: int) -> float:
@@ -384,7 +384,7 @@ def xmci2_bound(v, a, n_start: int) -> float:
 def xmpci_bound(vp_raw, a, p: float) -> float:
     """Raw-moment bound ``tr(V_p A^{-p})`` for PSD exchangeable streams."""
     _check_p(p)
-    return sm.trace_product(sm.symmat(vp_raw, copy=False), sm.mat_pow(_require_pd(a), -p))
+    return sm.trace_product(sm.symmat(vp_raw), sm.mat_pow(_require_pd(a), -p))
 
 
 def trace_pcheb_bound(tr_vp: float, a_scalar: float, p: float) -> float:

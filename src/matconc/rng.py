@@ -16,20 +16,23 @@ import os
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = ["DEFAULT_SEED", "default_seed", "substream", "spawn_pair"]
 
 DEFAULT_SEED = 20240817
 
 
 def default_seed() -> int:
-    """Seed from ``MATCONC_SEED`` when set, else the package constant."""
+    """Seed from ``MATCONC_SEED`` when set, else the package constant; a
+    ConfigError if it is set to anything but an integer."""
     raw = os.environ.get("MATCONC_SEED")
     if raw is None:
         return DEFAULT_SEED
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(f"MATCONC_SEED must be an integer, got {raw!r}") from None
+        raise ConfigError(f"MATCONC_SEED must be an integer, got {raw!r}") from None
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:

@@ -153,7 +153,7 @@ class TraceExpState:
         """Gamma-weighted average deviation ``(sum gamma_i Z_i) / sum gamma_i``."""
         if self.sum_gamma <= 0.0:
             raise DomainError("no positive-gamma steps accumulated yet")
-        return sm.symmat(self.gz / self.sum_gamma, copy=False)
+        return sm.symmat(self.gz / self.sum_gamma)
 
 
 def log_trace_exp(s: np.ndarray) -> np.ndarray:
@@ -263,13 +263,13 @@ def sn_process_step(
     ``(X - M)^2`` escaping ``b`` triggers an AssumptionViolated warning
     but does not stop the stream.
     """
-    x = sm.symmat(x, copy=False)
-    m = sm.symmat(m, copy=False)
-    v = sm.symmat(v, copy=False)
+    x = sm.symmat(x)
+    m = sm.symmat(m)
+    v = sm.symmat(v)
     _check_step(state, gamma, x, m, v)
     dev = x - m
     if b is not None:
-        b = sm.symmat(b, copy=False)
+        b = sm.symmat(b)
         if not sm.loewner_leq(dev @ dev, b):
             warnings.warn(
                 "realized squared deviation exceeds the declared bound B",
@@ -329,7 +329,7 @@ def usmhi_threshold(
         raise DomainError("need at least one positive gamma")
     acc = None
     for g, b_raw in zip(gam, bs, strict=True):
-        b = sm.symmat(b_raw, copy=False)
+        b = sm.symmat(b_raw)
         acc = g * g * b if acc is None else acc + g * g * b
     return _hoeffding_threshold(d, alpha, u, acc, float(np.sum(gam)))
 
@@ -350,7 +350,7 @@ def _hoeffding_threshold(d, alpha, u, sum_gamma_sq_b, sum_gamma) -> float:
 
 def usmhi_event(weighted_dev_mean: np.ndarray, threshold: float) -> bool:
     """Rejection event ``lambda_max(weighted mean deviation) >= threshold``."""
-    return bool(_top(sm.symmat(weighted_dev_mean, copy=False)) >= threshold)
+    return bool(_top(sm.symmat(weighted_dev_mean)) >= threshold)
 
 
 def mhi_threshold(b_opnorm: float, n: int, d: int, alpha: float) -> float:
@@ -367,10 +367,10 @@ def mhi_threshold(b_opnorm: float, n: int, d: int, alpha: float) -> float:
 
 def matrix_test_decide(y: np.ndarray, a_thresh: np.ndarray) -> bool:
     """MATRIX rule: reject when ``Y_n`` is not below the threshold matrix."""
-    a = sm.symmat(a_thresh, copy=False)
+    a = sm.symmat(a_thresh)
     if sm.lambda_min(a) <= 0.0:
         raise DomainError("threshold matrix must be positive definite")
-    return bool(mg.exceeds(sm.symmat(y, copy=False), a))
+    return bool(mg.exceeds(sm.symmat(y), a))
 
 
 def scalar_test_decide(l_value: float, d: int, alpha: float, u: float = 1.0) -> bool:
@@ -412,7 +412,7 @@ def oracle_A_choice(y1_known: np.ndarray, alpha: float, epsilon: float) -> np.nd
     single coefficient becomes ``1/alpha`` to keep the calibration.
     """
     _check_alpha(alpha)
-    y1 = sm.symmat(y1_known, copy=False)
+    y1 = sm.symmat(y1_known)
     dec = sm.eigh_decomp(y1)
     lam_top = float(dec.eigenvalues[-1])
     if lam_top <= 1.0 / alpha:
@@ -430,7 +430,7 @@ def oracle_A_choice(y1_known: np.ndarray, alpha: float, epsilon: float) -> np.nd
     rest = q[:, : d - 1] @ q[:, : d - 1].T
     top = np.outer(q[:, -1], q[:, -1])
     a = ((d - 1) / epsilon) * rest + (1.0 / (alpha - epsilon)) * top
-    return sm.symmat(a, copy=False)
+    return sm.symmat(a)
 
 
 def _check_alpha(alpha: float) -> None:

@@ -170,27 +170,14 @@ def _gamma_array(scale: float, horizon: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # registry
 
-_REGISTRY: dict[str, "_Entry"] = {}
-
 
 @dataclass(frozen=True)
 class _Entry:
     name: str
     family: str  # "fixed" | "path"
-    compatible: tuple[str, ...]
-    prepare: callable = field(repr=False, compare=False, default=None)
-    default_kind: str = ""
-    tag: int = 0
-
-
-def _register(name, family, compatible, default_kind):
-    def deco(fn):
-        _REGISTRY[name] = _Entry(
-            name, family, tuple(compatible), fn, default_kind, len(_REGISTRY)
-        )
-        return fn
-
-    return deco
+    compatible: tuple[str, ...]  # the default generator kind first
+    prepare: callable = field(repr=False, compare=False)
+    tag: int  # the bound's place in _BOUNDS, which keys its substreams
 
 
 def registry_names() -> tuple[str, ...]:
@@ -228,16 +215,21 @@ def _moment(gen: GeneratorSpec, method: str, *args):
 # --- fixed-time entries ----------------------------------------------------
 
 
-@_register("UMMI", "fixed", ("ELLIPSOID_RANK1", "HEAVY_PSD", "BOUNDED_PSD"), "ELLIPSOID_RANK1")
+def _threshold(p: dict, gen: GeneratorSpec, default_scale) -> np.ndarray:
+    """The threshold matrix ``a``: parameter ``a`` when given, else
+    ``default_scale() I``, the bound's default (computed only then)."""
+    if p["a"] is not None:
+        return sm.config_matrix(p["a"], "parameter 'a'", gen.dim)
+    return default_scale() * np.eye(gen.dim)
+
+
 def _prep_ummi(params, gen, mc):
     p = _take(params, {"a": None, "randomizer": None, "target": 0.5})
     mean_x = gen.mean()
-    if p["a"] is not None:
-        a = sm.config_matrix(p["a"], "parameter 'a'", gen.dim)
-    elif gen.kind == "ELLIPSOID_RANK1":
+    if p["a"] is None and gen.kind == "ELLIPSOID_RANK1":
         a = gen.a.copy()  # the supporting ellipsoid: equality case
     else:
-        a = (sm.trace(mean_x) / p["target"]) * np.eye(gen.dim)
+        a = _threshold(p, gen, lambda: sm.trace(mean_x) / p["target"])
     return {
         "event": partial(fb.ummi_event, a=a),
         "n_per": 1,
@@ -254,10 +246,7 @@ def _prep_cheb(params, gen, mc, n_fixed):
     if n > 1 and gen.kind == "EXCHANGEABLE_MIXTURE":
         raise IncompatiblePair("variance of the running mean needs independent draws")
     v = _moment(gen, "variance")
-    if p["a"] is not None:
-        a = sm.config_matrix(p["a"], "parameter 'a'", gen.dim)
-    else:
-        a = math.sqrt(sm.trace(v) / (p["target"] * n)) * np.eye(gen.dim)
+    a = _threshold(p, gen, lambda: math.sqrt(sm.trace(v) / (p["target"] * n)))
     return {
         "event": partial(fb.chebyshev_n_event, m=gen.mean(), a=a),
         "averaged": True,
@@ -267,29 +256,6 @@ def _prep_cheb(params, gen, mc, n_fixed):
     }
 
 
-@_register(
-    "UMCI1",
-    "fixed",
-    (
-        "GAUSSIAN_SCALED",
-        "RADEMACHER_SCALED",
-        "BOUNDED_PSD",
-        "SYMMETRIC_HEAVY",
-        "EXCHANGEABLE_MIXTURE",
-        "IID_WISHART_LIKE",
-    ),
-    "GAUSSIAN_SCALED",
-)
-def _prep_umci1(params, gen, mc):
-    return _prep_cheb(params, gen, mc, n_fixed=1)
-
-
-@_register(
-    "UMCI_N",
-    "fixed",
-    ("RADEMACHER_SCALED", "GAUSSIAN_SCALED", "BOUNDED_PSD", "IID_WISHART_LIKE"),
-    "RADEMACHER_SCALED",
-)
 def _prep_umci_n(params, gen, mc):
     plan = _prep_cheb(params, gen, mc, n_fixed=50)
     if plan["n_per"] < 2:
@@ -297,22 +263,13 @@ def _prep_umci_n(params, gen, mc):
     return plan
 
 
-@_register(
-    "PCHEB1",
-    "fixed",
-    ("SYMMETRIC_HEAVY", "GAUSSIAN_SCALED", "RADEMACHER_SCALED", "BOUNDED_PSD"),
-    "SYMMETRIC_HEAVY",
-)
 def _prep_pcheb1(params, gen, mc):
     p = _take(params, {"p": 1.5, "a": None, "randomizer": None, "target": 0.1})
     pw = p["p"]
     if not 1.0 <= pw <= 2.0:
         raise ConfigError(f"p must lie in [1, 2], got {pw}")
     vp = _moment(gen, "pth_central", pw)
-    if p["a"] is not None:
-        a = sm.config_matrix(p["a"], "parameter 'a'", gen.dim)
-    else:
-        a = (sm.trace(vp) / p["target"]) ** (1.0 / pw) * np.eye(gen.dim)
+    a = _threshold(p, gen, lambda: (sm.trace(vp) / p["target"]) ** (1.0 / pw))
     return {
         "event": partial(fb.pcheb1_event, m=gen.mean(), a=a, p=pw),
         "n_per": 1,
@@ -322,7 +279,6 @@ def _prep_pcheb1(params, gen, mc):
     }
 
 
-@_register("CHERNOFF1", "fixed", ("RADEMACHER_SCALED", "GAUSSIAN_SCALED"), "RADEMACHER_SCALED")
 def _prep_chernoff1(params, gen, mc):
     p = _take(params, {"gamma": 1.0, "a": None, "randomizer": None, "target": 0.15})
     gamma = p["gamma"]
@@ -340,11 +296,8 @@ def _prep_chernoff1(params, gen, mc):
         exp_moment = sm.mat_exp(two_g * m) @ (half / 2.0)
     else:
         exp_moment = sm.mat_exp(two_g * m + (two_g**2 / 2.0) * (c @ c))
-    exp_moment = sm.symmat(exp_moment, copy=False)
-    if p["a"] is not None:
-        a = sm.config_matrix(p["a"], "parameter 'a'", gen.dim)
-    else:
-        a = (math.log(sm.trace(exp_moment) / p["target"]) / two_g) * np.eye(gen.dim)
+    exp_moment = sm.symmat(exp_moment)
+    a = _threshold(p, gen, lambda: math.log(sm.trace(exp_moment) / p["target"]) / two_g)
     return {
         "event": partial(fb.chernoff1_event, a=a, gamma=gamma),
         "n_per": 1,
@@ -363,12 +316,6 @@ _CH_ROWS = {
 }
 
 
-@_register(
-    "CHERNOFF_HOEFFDING",
-    "fixed",
-    ("RADEMACHER_SCALED", "GAUSSIAN_SCALED", "BOUNDED_PSD"),
-    "RADEMACHER_SCALED",
-)
 def _prep_ch(params, gen, mc):
     p = _take(
         params,
@@ -500,42 +447,6 @@ def _umvi_common(params, gen, mc, builder, randomized=True):
     return plan
 
 
-@_register(
-    "UMVI_MGF",
-    "path",
-    ("RADEMACHER_SCALED", "GAUSSIAN_SCALED", "BOUNDED_PSD"),
-    "RADEMACHER_SCALED",
-)
-def _prep_umvi_mgf(params, gen, mc):
-    return _umvi_common(params, gen, mc, "MGF")
-
-
-@_register("UMVI_BETTING", "path", ("BOUNDED_PSD",), "BOUNDED_PSD")
-def _prep_umvi_betting(params, gen, mc):
-    return _umvi_common(params, gen, mc, "BETTING")
-
-
-@_register(
-    "UMVI_SELF_NORMALIZED",
-    "path",
-    ("GAUSSIAN_SCALED", "RADEMACHER_SCALED", "BOUNDED_PSD", "IID_WISHART_LIKE"),
-    "GAUSSIAN_SCALED",
-)
-def _prep_umvi_sn(params, gen, mc):
-    return _umvi_common(params, gen, mc, "SELF_NORMALIZED")
-
-
-@_register(
-    "UMVI_SYMMETRIC",
-    "path",
-    ("SYMMETRIC_HEAVY", "RADEMACHER_SCALED", "GAUSSIAN_SCALED", "BOUNDED_PSD"),
-    "SYMMETRIC_HEAVY",
-)
-def _prep_umvi_sym(params, gen, mc):
-    return _umvi_common(params, gen, mc, "SYMMETRIC_DIST")
-
-
-@_register("MVI", "path", ("BOUNDED_PSD",), "BOUNDED_PSD")
 def _prep_mvi(params, gen, mc):
     # "exists n" scans are never randomized: the threshold would have to
     # be known before the scan starts for the crossing to define a
@@ -545,12 +456,6 @@ def _prep_mvi(params, gen, mc):
     return plan
 
 
-@_register(
-    "DOOB",
-    "path",
-    ("GAUSSIAN_SCALED", "RADEMACHER_SCALED", "BOUNDED_PSD", "IID_WISHART_LIKE"),
-    "GAUSSIAN_SCALED",
-)
 def _prep_doob(params, gen, mc):
     p = _take(params, {"a": None, "n": 100, "target": 0.1})
     n = p["n"]
@@ -627,49 +532,6 @@ def _scan_common(params, gen, mc, kind, default_target):
     return plan
 
 
-@_register(
-    "XMCI",
-    "path",
-    (
-        "EXCHANGEABLE_MIXTURE",
-        "GAUSSIAN_SCALED",
-        "RADEMACHER_SCALED",
-        "BOUNDED_PSD",
-        "IID_WISHART_LIKE",
-    ),
-    "EXCHANGEABLE_MIXTURE",
-)
-def _prep_xmci(params, gen, mc):
-    return _scan_common(params, gen, mc, "XMCI", 0.25)
-
-
-@_register(
-    "XMCI2",
-    "path",
-    ("GAUSSIAN_SCALED", "RADEMACHER_SCALED", "BOUNDED_PSD", "IID_WISHART_LIKE"),
-    "GAUSSIAN_SCALED",
-)
-def _prep_xmci2(params, gen, mc):
-    # The sharper 1/n variant needs E[D_i D_j + D_j D_i] = 0 for i != j;
-    # i.i.d. centered increments give that, a shared latent shift does not.
-    return _scan_common(params, gen, mc, "XMCI2", 0.1)
-
-
-@_register("XMPCI", "path", ("HEAVY_PSD",), "HEAVY_PSD")
-def _prep_xmpci(params, gen, mc):
-    return _scan_common(params, gen, mc, "XMPCI", 0.1)
-
-
-@_register(
-    "TRACE_PCHEB",
-    "path",
-    ("SYMMETRIC_HEAVY", "GAUSSIAN_SCALED", "RADEMACHER_SCALED", "BOUNDED_PSD"),
-    "SYMMETRIC_HEAVY",
-)
-def _prep_trace_pcheb(params, gen, mc):
-    return _scan_common(params, gen, mc, "TRACE_PCHEB", 0.2)
-
-
 def _trace_exp_common(params, gen, mc, kind, moment, scale_coeff, what):
     """URSN and USMHI both run the self-normalized trace-exp process: URSN
     tests its value with the variance V, USMHI the Hoeffding e-process
@@ -697,19 +559,106 @@ def _trace_exp_common(params, gen, mc, kind, moment, scale_coeff, what):
     }
 
 
-@_register(
-    "URSN",
-    "path",
-    ("GAUSSIAN_SCALED", "RADEMACHER_SCALED", "BOUNDED_PSD", "IID_WISHART_LIKE"),
-    "GAUSSIAN_SCALED",
+#: every bound: its name, family, compatible generator kinds (the default
+#: first) and the function that turns (params, generator, McConfig) into
+#: the plan of a run.  A bound's place here is the ``tag`` that keys its
+#: substreams, so new bounds go at the end.
+_BOUNDS = (
+    ("UMMI", "fixed", ("ELLIPSOID_RANK1", "HEAVY_PSD", "BOUNDED_PSD"), _prep_ummi),
+    (
+        "UMCI1",
+        "fixed",
+        ("GAUSSIAN_SCALED", "RADEMACHER_SCALED", "BOUNDED_PSD", "SYMMETRIC_HEAVY",
+         "EXCHANGEABLE_MIXTURE", "IID_WISHART_LIKE"),
+        partial(_prep_cheb, n_fixed=1),
+    ),
+    (
+        "UMCI_N",
+        "fixed",
+        ("RADEMACHER_SCALED", "GAUSSIAN_SCALED", "BOUNDED_PSD", "IID_WISHART_LIKE"),
+        _prep_umci_n,
+    ),
+    (
+        "PCHEB1",
+        "fixed",
+        ("SYMMETRIC_HEAVY", "GAUSSIAN_SCALED", "RADEMACHER_SCALED", "BOUNDED_PSD"),
+        _prep_pcheb1,
+    ),
+    ("CHERNOFF1", "fixed", ("RADEMACHER_SCALED", "GAUSSIAN_SCALED"), _prep_chernoff1),
+    (
+        "CHERNOFF_HOEFFDING",
+        "fixed",
+        ("RADEMACHER_SCALED", "GAUSSIAN_SCALED", "BOUNDED_PSD"),
+        _prep_ch,
+    ),
+    (
+        "UMVI_MGF",
+        "path",
+        ("RADEMACHER_SCALED", "GAUSSIAN_SCALED", "BOUNDED_PSD"),
+        partial(_umvi_common, builder="MGF"),
+    ),
+    ("UMVI_BETTING", "path", ("BOUNDED_PSD",), partial(_umvi_common, builder="BETTING")),
+    (
+        "UMVI_SELF_NORMALIZED",
+        "path",
+        ("GAUSSIAN_SCALED", "RADEMACHER_SCALED", "BOUNDED_PSD", "IID_WISHART_LIKE"),
+        partial(_umvi_common, builder="SELF_NORMALIZED"),
+    ),
+    (
+        "UMVI_SYMMETRIC",
+        "path",
+        ("SYMMETRIC_HEAVY", "RADEMACHER_SCALED", "GAUSSIAN_SCALED", "BOUNDED_PSD"),
+        partial(_umvi_common, builder="SYMMETRIC_DIST"),
+    ),
+    ("MVI", "path", ("BOUNDED_PSD",), _prep_mvi),
+    (
+        "DOOB",
+        "path",
+        ("GAUSSIAN_SCALED", "RADEMACHER_SCALED", "BOUNDED_PSD", "IID_WISHART_LIKE"),
+        _prep_doob,
+    ),
+    (
+        "XMCI",
+        "path",
+        ("EXCHANGEABLE_MIXTURE", "GAUSSIAN_SCALED", "RADEMACHER_SCALED", "BOUNDED_PSD",
+         "IID_WISHART_LIKE"),
+        partial(_scan_common, kind="XMCI", default_target=0.25),
+    ),
+    (
+        # The sharper 1/n variant needs E[D_i D_j + D_j D_i] = 0 for i != j;
+        # i.i.d. centered increments give that, a shared latent shift does not.
+        "XMCI2",
+        "path",
+        ("GAUSSIAN_SCALED", "RADEMACHER_SCALED", "BOUNDED_PSD", "IID_WISHART_LIKE"),
+        partial(_scan_common, kind="XMCI2", default_target=0.1),
+    ),
+    ("XMPCI", "path", ("HEAVY_PSD",), partial(_scan_common, kind="XMPCI", default_target=0.1)),
+    (
+        "TRACE_PCHEB",
+        "path",
+        ("SYMMETRIC_HEAVY", "GAUSSIAN_SCALED", "RADEMACHER_SCALED", "BOUNDED_PSD"),
+        partial(_scan_common, kind="TRACE_PCHEB", default_target=0.2),
+    ),
+    (
+        "URSN",
+        "path",
+        ("GAUSSIAN_SCALED", "RADEMACHER_SCALED", "BOUNDED_PSD", "IID_WISHART_LIKE"),
+        partial(_trace_exp_common, kind="URSN", moment="variance", scale_coeff=0.5,
+                what="trace-exp"),
+    ),
+    (
+        "USMHI",
+        "path",
+        ("RADEMACHER_SCALED", "BOUNDED_PSD"),
+        partial(_trace_exp_common, kind="USMHI", moment="sq_dev_bound", scale_coeff=0.3,
+                what="stopped Hoeffding"),
+    ),
 )
-def _prep_ursn(params, gen, mc):
-    return _trace_exp_common(params, gen, mc, "URSN", "variance", 0.5, "trace-exp")
 
-
-@_register("USMHI", "path", ("RADEMACHER_SCALED", "BOUNDED_PSD"), "RADEMACHER_SCALED")
-def _prep_usmhi(params, gen, mc):
-    return _trace_exp_common(params, gen, mc, "USMHI", "sq_dev_bound", 0.3, "stopped Hoeffding")
+_REGISTRY = {
+    name: _Entry(name, family, compatible, prepare, tag)
+    for tag, (name, family, compatible, prepare) in enumerate(_BOUNDS)
+}
 
 
 # ---------------------------------------------------------------------------
@@ -940,49 +889,9 @@ def run_coverage(
     )
 
 
-def _default_rad(d, lam_top=0.8, mean_scale=0.2):
-    diag = lam_top * (0.5 + 0.5 * np.arange(1, d + 1) / d)
-    return GeneratorSpec(
-        "RADEMACHER_SCALED", d, c=np.diag(diag), m=mean_scale * np.eye(d)
-    )
-
-
-def _default_gauss(d):
-    diag = 0.5 * (0.5 + 0.5 * np.arange(1, d + 1) / d)
-    return GeneratorSpec("GAUSSIAN_SCALED", d, c=np.diag(diag), m=0.1 * np.eye(d))
-
-
-def _default_bpsd(d):
-    spread = np.linspace(0.0, 0.2, d) if d > 1 else np.zeros(1)
-    m = np.eye(d) + np.diag(spread)
-    return GeneratorSpec("BOUNDED_PSD", d, m=m, b=3.0 * np.eye(d))
-
-
 def _default_sheavy(d, tail):
     diag = 0.2 * (0.5 + 0.5 * np.arange(1, d + 1) / d)
     return GeneratorSpec("SYMMETRIC_HEAVY", d, d_dir=np.diag(diag), tail_index=tail)
-
-
-def _default_mixture(d):
-    return GeneratorSpec(
-        "EXCHANGEABLE_MIXTURE",
-        d,
-        d_dir=0.6 * np.eye(d),
-        tau=0.5,
-        c=0.3 * np.eye(d),
-    )
-
-
-def _default_wishart(d):
-    return GeneratorSpec("IID_WISHART_LIKE", d, scale=0.5)
-
-
-def _default_hpsd(d, tail):
-    return GeneratorSpec("HEAVY_PSD", d, scale=1.0, tail_index=tail)
-
-
-def _default_ellip(d):
-    return GeneratorSpec("ELLIPSOID_RANK1", d, a=np.diag(np.arange(1.0, d + 1.0)))
 
 
 def default_generator(bound: str, kind: str, d: int) -> GeneratorSpec:
@@ -990,23 +899,25 @@ def default_generator(bound: str, kind: str, d: int) -> GeneratorSpec:
     entry = _entry(bound)
     if kind not in entry.compatible:
         raise IncompatiblePair(f"{bound} is not verified against {kind}")
+    ramp = 0.5 + 0.5 * np.arange(1, d + 1) / d  # diagonal scales, 1/2 + 1/(2d) up to 1
     if kind == "RADEMACHER_SCALED":
-        return _default_rad(d)
+        return GeneratorSpec(kind, d, c=np.diag(0.8 * ramp), m=0.2 * np.eye(d))
     if kind == "GAUSSIAN_SCALED":
-        return _default_gauss(d)
+        return GeneratorSpec(kind, d, c=np.diag(0.5 * ramp), m=0.1 * np.eye(d))
     if kind == "BOUNDED_PSD":
-        return _default_bpsd(d)
+        m = np.eye(d) + np.diag(np.linspace(0.0, 0.2, d))
+        return GeneratorSpec(kind, d, m=m, b=3.0 * np.eye(d))
     if kind == "SYMMETRIC_HEAVY":
         # keep requested p-th moments finite for the default p values
         return _default_sheavy(d, 1.75 if bound == "PCHEB1" else 2.5)
     if kind == "EXCHANGEABLE_MIXTURE":
-        return _default_mixture(d)
+        return GeneratorSpec(kind, d, d_dir=0.6 * np.eye(d), tau=0.5, c=0.3 * np.eye(d))
     if kind == "IID_WISHART_LIKE":
-        return _default_wishart(d)
+        return GeneratorSpec(kind, d, scale=0.5)
     if kind == "HEAVY_PSD":
-        return _default_hpsd(d, 1.75 if bound == "XMPCI" else 1.5)
+        return GeneratorSpec(kind, d, scale=1.0, tail_index=1.75 if bound == "XMPCI" else 1.5)
     if kind == "ELLIPSOID_RANK1":
-        return _default_ellip(d)
+        return GeneratorSpec(kind, d, a=np.diag(np.arange(1.0, d + 1.0)))
     raise ConfigError(f"unknown generator kind {kind!r}")
 
 
@@ -1028,7 +939,7 @@ def default_run_specs(dims=(1, 2, 5)) -> list[tuple[str, GeneratorSpec, dict | N
     out = []
     for d in dims:
         for name, entry in _REGISTRY.items():
-            out.append((name, default_generator(name, entry.default_kind, d), None))
+            out.append((name, default_generator(name, entry.compatible[0], d), None))
         for name, kind, params in _EXTRA_RUNS:
             if params and params.get("p") is not None:
                 gen = _default_sheavy(d, 1.5)

@@ -111,15 +111,14 @@ class SpectralDecomp:
         return self.eigenvalues.shape[0]
 
 
-def symmat(m, *, copy: bool = True) -> np.ndarray:
+def symmat(m) -> np.ndarray:
     """Validate and symmetrize a square array.
 
     Parameters
     ----------
     m : array_like, shape (d, d)
-        Square real matrix.  Any asymmetry is averaged away.
-    copy : bool, default True
-        Force a copy even when the input is already a float64 array.
+        Square real matrix (a nested list is fine).  Any asymmetry is
+        averaged away.
 
     Returns
     -------
@@ -133,7 +132,7 @@ def symmat(m, *, copy: bool = True) -> np.ndarray:
     DomainError
         If the input contains non-finite entries.
     """
-    a = np.array(m, dtype=np.float64, copy=copy)
+    a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2:
         raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
     return symmat_stack(a)
@@ -168,12 +167,14 @@ def parse_matrix_json(obj) -> np.ndarray:
     entry must be a finite JSON number (an ``int`` or a ``float``; a
     boolean or a string is not a number).  Asymmetry up to a relative
     ``1e-6`` is silently symmetrized; anything larger is rejected, since
-    it indicates the caller serialized the wrong matrix.
+    it indicates the caller serialized the wrong matrix.  So is a matrix
+    whose symmetric part overflows (entries near the float limit).
 
     Raises
     ------
     DomainError
-        On non-numeric or non-finite entries, or asymmetry beyond tolerance.
+        On non-numeric or non-finite entries, asymmetry beyond tolerance,
+        or a symmetric part that overflows.
     DimMismatch
         If the value is not a square array-of-arrays.
     """
@@ -194,13 +195,17 @@ def parse_matrix_json(obj) -> np.ndarray:
         top = math.inf
     if not math.isfinite(top):
         raise DomainError("matrix entries must be finite")
-    gap = np.max(np.abs(a - a.T))
+    with np.errstate(over="ignore"):  # entries near the float limit: checked below
+        gap = np.max(np.abs(a - a.T))
+        sym = symmat_stack(a, trusted=True)
     scale = max(1.0, top)
     if gap > LOAD_ASYMMETRY_TOL * scale:
         raise DomainError(
             f"matrix is asymmetric beyond tolerance ({gap:.3e} relative to {scale:.3e})"
         )
-    return symmat_stack(a, trusted=True)
+    if not np.isfinite(sym).all():
+        raise DomainError("matrix entries are too large: the symmetric part overflows")
+    return sym
 
 
 def config_matrix(raw, name: str, dim: int | None = None) -> np.ndarray:
@@ -268,7 +273,7 @@ def _require_same_shape(a: np.ndarray, b: np.ndarray) -> None:
 
 def eigh_decomp(a: np.ndarray) -> SpectralDecomp:
     """Eigendecompose a symmetric matrix (eigenvalues ascending)."""
-    w, q = np.linalg.eigh(symmat(a, copy=False))
+    w, q = np.linalg.eigh(symmat(a))
     return SpectralDecomp(eigenvalues=w, eigenvectors=q)
 
 

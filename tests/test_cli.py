@@ -302,6 +302,74 @@ def test_invalid_utf8_exits_2_with_its_line(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: config {bad_cfg} is not valid UTF-8 (byte 56)\n"
 
 
+#: JSON that ``json`` refuses with other than a JSONDecodeError
+DEEP, LONG_INTEGER = "[" * 50_000, "[[1" + "0" * 5000 + "]]"
+
+
+@pytest.mark.parametrize("line", [DEEP, LONG_INTEGER, '{"x": ' + LONG_INTEGER + "}"],
+                         ids=["deep nesting", "long integer", "long integer in x"])
+def test_a_data_line_json_cannot_read_exits_2_with_its_line(tmp_path, capsys, line):
+    cfg = write_json(tmp_path / "t.json", {"mode": "scalar", "m": [[0.0]], "v": [[1.0]]})
+    data = tmp_path / "d.ndjson"
+    data.write_text(f"[[0.1]]\n{line}\n[[0.2]]\n")
+    out = tmp_path / "out.ndjson"
+    assert main(["test", "--config", cfg, "--data", str(data), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: data line 2: invalid JSON (") and err.endswith(")\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [DEEP * 2, '{"suite": ' + LONG_INTEGER + "}"],
+                         ids=["deep nesting", "long integer"])
+def test_a_config_json_cannot_read_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config {cfg} is not valid JSON: ")
+
+
+OVERFLOWS = "matrix entries are too large: the symmetric part overflows"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["matrix", "scalar"])
+@pytest.mark.parametrize("frames,line", [(["[[1.7e308]]"], 1),
+                                         (["[[0.1]]", "[[0.2]]", "[[1.7e308]]", "[[0.3]]"], 3)],
+                         ids=["lone frame", "inside a block"])
+def test_a_frame_whose_symmetric_part_overflows_exits_2_with_its_line(tmp_path, capsys, mode,
+                                                                      frames, line):
+    cfg = write_json(tmp_path / "t.json", {"mode": mode, "m": [[0.0]], "v": [[1.0]]})
+    data = tmp_path / "d.ndjson"
+    data.write_text("\n".join(frames) + "\n")
+    assert main(["test", "--config", cfg, "--data", str(data)]) == 2
+    assert capsys.readouterr().err == f"error: data line {line}: {OVERFLOWS}\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_config_matrix_whose_symmetric_part_overflows_exits_2_naming_its_key(tmp_path, capsys):
+    cfg = write_json(tmp_path / "t.json", {"mode": "scalar", "m": [[1.7e308]], "v": [[1.0]]})
+    data = tmp_path / "d.ndjson"
+    data.write_text("[[1.0]]\n")
+    assert main(["test", "--config", cfg, "--data", str(data)]) == 2
+    assert capsys.readouterr().err == f"error: 'm': {OVERFLOWS}\n"
+
+
+@pytest.mark.parametrize("command", ["falsify", "verify"])
+def test_a_seed_that_is_not_an_integer_exits_2(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setenv("MATCONC_SEED", "abc")
+    if command == "falsify":
+        argv = ["falsify", "--p", "1.5", "--d", "1", "--instances", "2",
+                "--trials-per-instance", "3"]
+    else:
+        run = {"bound": "UMCI1", "generator": {"kind": "GAUSSIAN_SCALED", "dim": 1, "c": [[0.5]]},
+               "trials": 10}
+        argv = ["verify", "--config", write_json(tmp_path / "cfg.json", {"runs": [run]})]
+    out = tmp_path / "out.json"
+    assert main([*argv, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "error: MATCONC_SEED must be an integer, got 'abc'\n"
+    assert not out.exists()
+
+
 #: One malformed data line of each kind, among 2 x 2 frames.
 BAD_LINES = {
     "not utf-8": b"[[0.\xff, 0], [0, 1]]",
@@ -316,6 +384,9 @@ BAD_LINES = {
     "not square": b"[[1, 0, 0], [0, 1, 0]]",
     "asymmetric": b"[[1.0, 0.0], [1.1e-06, 1.0]]",
     "wrong dimension": b"[[0.5]]",
+    "overflowing symmetric part": b"[[1.7e308, 0], [0, 1]]",
+    "deep nesting": b"[" * 50_000,
+    "long integer": b"[[1" + b"0" * 5000 + b", 0], [0, 1]]",
 }
 
 
@@ -332,8 +403,9 @@ def frames_line_by_line(path):
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"data line {lineno}: invalid JSON ({exc.msg})") from exc
+            except (ValueError, RecursionError) as exc:
+                msg = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+                raise ConfigError(f"data line {lineno}: invalid JSON ({msg})") from exc
             if isinstance(obj, dict):
                 if "x" not in obj:
                     raise ConfigError(f"data line {lineno}: frame object needs key 'x'")

@@ -122,7 +122,7 @@ def _running_mean_event(plan, gen, path):
 @pytest.mark.parametrize("bound,params", CASES)
 def test_batched_path_events_match_per_sample_api(bound, params):
     entry = _entry(bound)
-    gen = default_generator(bound, entry.default_kind, 2)
+    gen = default_generator(bound, entry.compatible[0], 2)
     plan = entry.prepare(params, gen, McConfig(trials=TRIALS, horizon=30))
     horizon = plan["horizon"]
     xs = gen.sample_batch(substream(4242, entry.tag, 0), TRIALS, horizon)

@@ -90,7 +90,7 @@ def _all_stops() -> list[dict]:
 def _scan_stops(bound: str, d: int, params: dict) -> list[int]:
     """Each trial's stop of the scan on draws of its default generator."""
     entry = sim._entry(bound)
-    gen = default_generator(bound, entry.default_kind, d)
+    gen = default_generator(bound, entry.compatible[0], d)
     horizon = {"n" if bound == "DOOB" else "n_max": SCAN_HORIZON}
     plan = entry.prepare({**params, **horizon}, gen, sim.McConfig(trials=SCAN_TRIALS))
     draws = gen.draw(substream(SEED, entry.tag, d), SCAN_TRIALS, SCAN_HORIZON)

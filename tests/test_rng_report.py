@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from matconc.errors import ConfigError
 from matconc.report import SIGMA_MARGIN, McReport, wilson_interval
 from matconc.rng import default_seed, spawn_pair, substream
 
@@ -36,7 +37,7 @@ def test_default_seed_env_override(monkeypatch):
     monkeypatch.delenv("MATCONC_SEED")
     assert default_seed() == 20240817
     monkeypatch.setenv("MATCONC_SEED", "not-an-int")
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         default_seed()
 
 

@@ -29,6 +29,47 @@ from matconc.simulator import (
 FAST = McConfig(trials=2000, horizon=60, base_seed=7)
 
 
+#: (name, family, tag, compatible generator kinds, the default first) of
+#: every bound, in registry order: the tag keys a bound's substreams, so a
+#: change here changes the draws of every seed
+REGISTRY = [
+    ("UMMI", "fixed", 0, ("ELLIPSOID_RANK1", "HEAVY_PSD", "BOUNDED_PSD")),
+    ("UMCI1", "fixed", 1, ("GAUSSIAN_SCALED", "RADEMACHER_SCALED", "BOUNDED_PSD",
+                           "SYMMETRIC_HEAVY", "EXCHANGEABLE_MIXTURE", "IID_WISHART_LIKE")),
+    ("UMCI_N", "fixed", 2, ("RADEMACHER_SCALED", "GAUSSIAN_SCALED", "BOUNDED_PSD",
+                            "IID_WISHART_LIKE")),
+    ("PCHEB1", "fixed", 3, ("SYMMETRIC_HEAVY", "GAUSSIAN_SCALED", "RADEMACHER_SCALED",
+                            "BOUNDED_PSD")),
+    ("CHERNOFF1", "fixed", 4, ("RADEMACHER_SCALED", "GAUSSIAN_SCALED")),
+    ("CHERNOFF_HOEFFDING", "fixed", 5, ("RADEMACHER_SCALED", "GAUSSIAN_SCALED", "BOUNDED_PSD")),
+    ("UMVI_MGF", "path", 6, ("RADEMACHER_SCALED", "GAUSSIAN_SCALED", "BOUNDED_PSD")),
+    ("UMVI_BETTING", "path", 7, ("BOUNDED_PSD",)),
+    ("UMVI_SELF_NORMALIZED", "path", 8, ("GAUSSIAN_SCALED", "RADEMACHER_SCALED", "BOUNDED_PSD",
+                                         "IID_WISHART_LIKE")),
+    ("UMVI_SYMMETRIC", "path", 9, ("SYMMETRIC_HEAVY", "RADEMACHER_SCALED", "GAUSSIAN_SCALED",
+                                   "BOUNDED_PSD")),
+    ("MVI", "path", 10, ("BOUNDED_PSD",)),
+    ("DOOB", "path", 11, ("GAUSSIAN_SCALED", "RADEMACHER_SCALED", "BOUNDED_PSD",
+                          "IID_WISHART_LIKE")),
+    ("XMCI", "path", 12, ("EXCHANGEABLE_MIXTURE", "GAUSSIAN_SCALED", "RADEMACHER_SCALED",
+                          "BOUNDED_PSD", "IID_WISHART_LIKE")),
+    ("XMCI2", "path", 13, ("GAUSSIAN_SCALED", "RADEMACHER_SCALED", "BOUNDED_PSD",
+                           "IID_WISHART_LIKE")),
+    ("XMPCI", "path", 14, ("HEAVY_PSD",)),
+    ("TRACE_PCHEB", "path", 15, ("SYMMETRIC_HEAVY", "GAUSSIAN_SCALED", "RADEMACHER_SCALED",
+                                 "BOUNDED_PSD")),
+    ("URSN", "path", 16, ("GAUSSIAN_SCALED", "RADEMACHER_SCALED", "BOUNDED_PSD",
+                          "IID_WISHART_LIKE")),
+    ("USMHI", "path", 17, ("RADEMACHER_SCALED", "BOUNDED_PSD")),
+]
+
+
+def test_the_registry_is_pinned():
+    got = [(name, _entry(name).family, _entry(name).tag, compatible_generators(name))
+           for name in registry_names()]
+    assert got == REGISTRY
+
+
 def test_registry_covers_all_bound_families():
     names = registry_names()
     assert len(names) == 18
@@ -107,7 +148,7 @@ BOUND_KEYS = {
 
 @pytest.mark.parametrize("bound", registry_names())
 def test_each_bound_accepts_exactly_the_params_it_reads(bound):
-    gen = default_generator(bound, _entry(bound).default_kind, 2)
+    gen = default_generator(bound, _entry(bound).compatible[0], 2)
     with pytest.raises(ConfigError) as exc:
         run_coverage(bound, gen, FAST, params={"no_such_key": 1})
     assert str(exc.value) == (
@@ -463,7 +504,7 @@ def test_sequential_test_stops_memory_stays_below_the_path_stack():
     ],
 )
 def test_malformed_params_raise_config_error_before_sampling(bound, params, monkeypatch):
-    gen = default_generator(bound, _entry(bound).default_kind, 2)
+    gen = default_generator(bound, _entry(bound).compatible[0], 2)
 
     def no_sampling(*args):
         raise AssertionError("sampled before validating")

@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matconc import fixed_bounds as fb
+from matconc import martingales as mg
+from matconc import scalar_e as se
 from matconc.errors import DimMismatch, DomainError
 from matconc.symmat import (
     apply_spectral,
@@ -96,6 +99,39 @@ def test_parse_matrix_json():
     with pytest.raises(DomainError, match="matrix entries must be finite"):
         parse_matrix_json([[10**400]])
     assert parse_matrix_json([[1, 2], [2, 3.5]]).tolist() == [[1.0, 2.0], [2.0, 3.5]]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("literal", [[[1.7e308]], [[1.0, 1.7e308], [1.7e308, 1.0]],
+                                     [[0.0, 1.7e308], [-1.7e308, 0.0]]])
+def test_a_literal_whose_symmetric_part_overflows_is_rejected_without_warning(literal):
+    with pytest.raises(DomainError):
+        parse_matrix_json(literal)
+    # one below: its symmetric part is finite
+    assert parse_matrix_json([[8.9e307]]).tolist() == [[8.9e307]]
+
+
+#: public functions of matrix arguments, and their arguments as nested lists
+MATRIX_CALLS = {
+    "lambda_max": (lambda_max, [[[1.0, 2.0], [2.0, 1.0]]]),
+    "ummi_bound": (fb.ummi_bound, [[[1.0, 0.0], [0.0, 1.0]], [[3.0, 0.0], [0.0, 3.0]]]),
+    "xmci_bound": (mg.xmci_bound, [[[1.0]], [[2.0]]]),
+    "matrix_test_decide": (se.matrix_test_decide, [[[3.0, 0.0], [0.0, 1.0]], [[2.0, 0.0], [0.0, 2.0]]]),
+    "usmhi_threshold": (
+        lambda bs: se.usmhi_threshold([0.5, 0.25], bs, 0.05, 1.0, 2),
+        [[[[1.0, 0.0], [0.0, 2.0]], [[2.0, 1.0], [1.0, 2.0]]]],
+    ),
+}
+
+
+@pytest.mark.parametrize("form", ["nested list", "int array"])
+@pytest.mark.parametrize("name", sorted(MATRIX_CALLS))
+def test_matrix_arguments_may_be_nested_lists_or_int_arrays(name, form):
+    fn, args = MATRIX_CALLS[name]
+    want = fn(*[np.asarray(a, dtype=np.float64) for a in args])
+    if form == "int array":
+        args = [np.asarray(a, dtype=np.int64) for a in args]
+    assert fn(*args) == want
 
 
 # ---------------------------------------------------------------------------
