@@ -113,6 +113,15 @@ def _file_mode(path: str) -> int:
         return 0o666 & ~umask
 
 
+def _json_error(exc: Exception):
+    """What ``json`` raised, for an error message; Python's limit on the
+    digits of an integer literal is named in matconc's words, without its
+    advice to raise the limit in the interpreter."""
+    if type(exc) is ValueError and "integer string conversion" in str(exc):
+        return f"integer literal longer than {sys.get_int_max_str_digits()} digits"
+    return exc
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -122,7 +131,7 @@ def _load_config(path: str) -> dict:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not valid UTF-8 (byte {exc.start})") from exc
     except (ValueError, RecursionError) as exc:  # also an over-long integer, too deep a nesting
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"config {path} is not valid JSON: {_json_error(exc)}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     return cfg
@@ -276,7 +285,7 @@ def _frame(lineno: int, raw: bytes) -> np.ndarray:
     try:
         obj = json.loads(line)
     except (ValueError, RecursionError) as exc:  # also an over-long integer, too deep a nesting
-        msg = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+        msg = exc.msg if isinstance(exc, json.JSONDecodeError) else _json_error(exc)
         raise ConfigError(f"data line {lineno}: invalid JSON ({msg})") from exc
     if isinstance(obj, dict):
         if "x" not in obj:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -114,11 +115,13 @@ def _per_step(gamma, f, *ndims):
 
     A block's scalars are thus the very Python-float expressions of its
     single steps (never numpy ``**`` on an array of step sizes), so every
-    matrix that they scale equals the single step's bit for bit.
+    matrix that they scale equals the single step's bit for bit; one
+    ``np.fromiter`` reads the steps' tuples into a ``(k, len(ndims))`` table.
     """
     if not isinstance(gamma, list):
         return f(gamma)
-    cols = np.array([f(g) for g in gamma]).T
+    table = np.fromiter(chain.from_iterable(map(f, gamma)), np.float64, len(gamma) * len(ndims))
+    cols = table.reshape(len(gamma), len(ndims)).T
     return tuple(col.reshape((-1,) + (1,) * nd) for col, nd in zip(cols, ndims))
 
 

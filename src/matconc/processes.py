@@ -78,12 +78,14 @@ class _Process:
     at a time in two parts.  ``_block(xs, gammas)`` runs the recurrence:
     a few kernel calls do the state-free work of the ``k`` steps, then the
     state advances step by step, one matrix product or one Kahan add per
-    step, and each step's state goes into a step-major buffer.  ``xs`` is
-    the block's input that ``_block_input`` builds from the paths: each
-    trial's next ``k`` observations, ``(k, trials, d, d)`` (a scan's entry
-    planes instead, see :class:`MeanScan`), and ``gammas`` their ``k`` step
-    sizes (None entries for the scans); ``_step_cells`` is the cells of
-    one trial's step in it, which sizes ``k``.  It returns the block: a
+    step on views of step-major buffers walked by ``zip``, and each step's
+    state goes into a step-major buffer.  ``xs`` is the block's input
+    that ``_block_input`` builds from the paths: each trial's next ``k``
+    observations, ``(k, trials, d, d)`` (a scan's entry planes instead,
+    see :class:`MeanScan`), and ``gammas`` their ``k`` step sizes (None
+    entries for the scans); ``_step_cells`` is the cells of one trial's
+    step in it, which sizes ``k``.  ``xs`` is the block's own: ``_block``
+    may overwrite it.  It returns the block: a
     tuple of arrays shaped ``(n, trials, ...)`` (or None), the states of
     the first ``n`` steps.  ``n`` is ``k`` unless a state has a non-finite
     entry, and then the block ends just before it.  ``_events(*states)``
@@ -181,9 +183,10 @@ class FactorProcess(_Process):
         steps = lefts if sqrt_a is None else sqrt_a[:, None] @ lefts
         left = self.state.left
         with np.errstate(over="ignore", invalid="ignore"):
-            # each step's L_n takes the place of its factor E_n^{1/2}
-            for j, step in enumerate(steps):
-                left = np.matmul(left, step, out=lefts[j])
+            # each step's L_n takes the place of its factor E_n^{1/2} (``out``
+            # positionally, which a ufunc call parses faster)
+            for step, out in zip(steps, lefts):
+                left = np.matmul(left, step, out)
         self.state = mg.MatSupermartingaleState(left, self.state.n + len(lefts))
         return (lefts,)
 
@@ -232,13 +235,19 @@ class TraceExpProcess(_Process):
     :func:`first_crossing`, only when no step before it stopped every
     trial.
 
-    A block writes the tilt and compensator increments of its steps into
-    a ``(2, k, trials, d, d)`` buffer (:func:`~matconc.scalar_e.sn_increments`),
-    and one Kahan add per step advances both sums, stacked with their
-    carries in ``(2, trials, d, d)`` buffers that every step and block
-    reuses; the Hoeffding process has the tilt alone, one slot.  At the
-    block's end the state's ``gz`` and ``pc`` and their carries are views
-    of those buffers, read by the next block before it writes them.
+    A block runs in one step-major buffer of ``k + 3`` (or more) rows of
+    ``(1 + compensated, trials, d, d)`` that every block of the process
+    reuses (buffers made afresh page-fault in every block at d = 5).  Row
+    0 holds the sums the block starts from: the tilt and, with ``v``, the
+    compensator.  Rows ``1..k`` take the increments of the block's steps
+    (:func:`~matconc.scalar_e.sn_increments`), and one Kahan add per step
+    turns its row into that step's sums in place, walking the rows by
+    ``zip``; the last two rows are the carries and the adds' scratch.
+    After the loop, one subtraction forms every step's exponent ``S = G -
+    P`` (the Hoeffding process reads the tilt ``G``) in place of the
+    block's deviations, which took the place of its input, and the last
+    sums are copied to row 0: the state's ``gz`` and ``pc`` and their
+    carries are views of the buffer, where the next block starts.
     """
 
     def __init__(self, m, v, alpha, b=None):
@@ -258,39 +267,39 @@ class TraceExpProcess(_Process):
 
     def _block(self, xs, gammas):
         st, hoeffding, compensated = self.state, self.b is not None, self.v is not None
-        # the tilt and, with v, the compensator: the increments of the k steps
         k = len(gammas)
-        inc = np.empty((1 + compensated, k) + xs.shape[1:])
-        _, _, db = se.sn_increments(xs - self.m, self.v, gammas, self.b, out=inc)
+        shape = (1 + compensated,) + xs.shape[1:]
+        buf = self._scratch
+        if buf is None or buf.shape[1:] != shape or len(buf) < k + 3:
+            buf = self._scratch = np.empty((k + 3,) + shape)
+        sums, carry, work = buf[: k + 1], buf[-2], buf[-1]
+        # the block's input is its own: the deviations take its place
+        dev = np.subtract(xs, self.m, out=xs)
+        _, _, db = se.sn_increments(dev, self.v, gammas, self.b, out=sums[1:].swapaxes(0, 1))
         sum_b, half = st.sum_gamma_sq_b, None
         if db is not None:
             db[0] += sum_b
-            sums = np.add.accumulate(db, axis=0, out=db)
-            sum_b, half = sums[-1], 0.5 * se._top(sums)
+            db = np.add.accumulate(db, axis=0, out=db)
+            sum_b, half = db[-1], 0.5 * se._top(db)
         sum_gamma = st.sum_gamma
         for gamma in gammas:
             sum_gamma += gamma
-        # the sums, carries and scratch of one Kahan add per step, reused by
-        # every block: buffers made afresh page-fault in every block at d = 5
-        shape = (4, 1 + compensated) + xs.shape[1:]
-        if self._scratch is None or self._scratch.shape != shape:
-            self._scratch = np.empty(shape)
-        acc, carry, spare, work = self._scratch
-        acc[0], carry[0] = st.gz, st.gz_carry
+        # numpy skips the copy where the state is the last block's, in place
+        sums[0, 0], carry[0] = st.gz, st.gz_carry
         if compensated:
-            acc[1], carry[1] = st.pc, st.pc_carry
+            sums[0, 1], carry[1] = st.pc, st.pc_carry
         # the states after the last trial's stop are formed too, unread
         with np.errstate(over="ignore", invalid="ignore"):
-            # each step's exponent S (the tilt G for Hoeffding), before
-            # symmetrizing, takes the place of its tilt increment
-            for j in range(k):
-                step = inc[:, j]
-                total = step if hoeffding else spare
-                se._kahan_add(acc, carry, step, out=total, work=work)
-                acc, spare = total, acc
-                if not hoeffding:
-                    np.subtract(acc[0], acc[1] if compensated else st.pc, out=step[0])
-            mat = sm.symmat_stack(inc[0], trusted=True)
+            for acc, step in zip(sums, sums[1:]):
+                se._kahan_add(acc, carry, step, out=step, work=work)
+            acc = sums[0]
+            acc[...] = sums[-1]
+            tilt = sums[1:, 0]
+            if not hoeffding:
+                # contiguous, in place of the deviations: symmat_stack runs
+                # slower on strided planes
+                tilt = np.subtract(tilt, sums[1:, 1] if compensated else st.pc, out=dev)
+            mat = sm.symmat_stack(tilt, trusted=True)
             sq = sm._eig_frobenius_sq(mat)
         pc, pc_carry = (acc[1], carry[1]) if compensated else (st.pc, st.pc_carry)
         self.state = se.TraceExpState(acc[0], carry[0], pc, pc_carry, sum_gamma, sum_b, st.n + k)
@@ -381,7 +390,9 @@ class MeanScan(_Process):
     def _block(self, sums, gammas):
         # running sums in step order, in place: + the total so far (0.0 at
         # first, which turns a -0.0 into 0.0 as 0.0 + x does), then each
-        # step's entries plus those of the step before
+        # step's entries plus those of the step before.  A loop of plane
+        # adds, not np.add.accumulate: accumulate runs its inner loop along
+        # the step axis, strided, 3-5x slower on planes of 512 trials
         sums[0] += self.total
         for j in range(1, len(sums)):
             sums[j] += sums[j - 1]

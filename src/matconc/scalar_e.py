@@ -173,12 +173,13 @@ def _kahan_add(total: np.ndarray, carry: np.ndarray, delta: np.ndarray, out=None
 
     ``out`` receives the total.  With ``work``, a buffer shaped like the
     sum, the step allocates nothing: ``work`` takes the compensated
-    increment and the new carry overwrites ``carry``.
+    increment and the new carry overwrites ``carry``.  The outputs go in
+    positionally, which a ufunc call parses faster than ``out=``.
     """
-    y = np.subtract(delta, carry, out=work)
-    t = np.add(total, y, out=out)
-    c = np.subtract(t, total, out=None if work is None else carry)
-    return t, np.subtract(c, y, out=None if work is None else c)
+    y = np.subtract(delta, carry, work)
+    t = np.add(total, y, out)
+    c = np.subtract(t, total, None if work is None else carry)
+    return t, np.subtract(c, y, None if work is None else c)
 
 
 def log_level(d: int, alpha: float, u=1.0):
@@ -221,19 +222,23 @@ def sn_increments(dev, v, gamma, b: np.ndarray | None = None, out=None):
     of a single step (see :func:`~matconc.martingales.factor_pair`).
 
     ``out``, for a block, is a ``(2, k, ..., d, d)`` buffer (``(1, k, ...,
-    d, d)`` without ``v``): the tilt increments are written to ``out[0]``
-    and the compensator increments to ``out[1]``, so that one Kahan add
-    per step takes both sums; the first two returns are those views.
+    d, d)`` without ``v``), or a view of one such as a step-major buffer
+    with its first two axes swapped: the tilt increments are written to
+    ``out[0]`` and the compensator increments to ``out[1]``, so that one
+    Kahan add per step takes both sums; the first two returns are those
+    views.
     """
     nd = dev.ndim - 1
     g, psi, g_sq = mg._per_step(gamma, lambda g: (g, float(PSI_QUADRATIC(g)), g**2), nd, nd, 2)
     tilt, dc = (None, None) if out is None else (out[0], out[1] if v is not None else None)
     if v is not None:
-        # in place, each operation that of psi * ((dev @ dev) / 3 + (2/3) V)
-        dc = np.matmul(dev, dev, out=dc)
-        dc /= 3.0
-        dc += (2.0 / 3.0) * v
-        dc *= psi
+        # each operation that of psi * ((dev @ dev) / 3 + (2/3) V), in place
+        # in a buffer of its own but the last: in-place operations run
+        # slower on a strided ``out``
+        sq = dev @ dev
+        sq /= 3.0
+        sq += (2.0 / 3.0) * v
+        dc = np.multiply(sq, psi, out=sq if dc is None else dc)
     return np.multiply(g, dev, out=tilt), dc, None if b is None else g_sq * b
 
 

@@ -36,6 +36,7 @@ which are symmetrized but not re-validated.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -160,6 +161,14 @@ def _recompose(q: np.ndarray, fw: np.ndarray) -> np.ndarray:
     return (out + np.swapaxes(out, -1, -2)) / 2.0
 
 
+def _brief(x) -> str:
+    """``repr(x)`` for an error message: ``reprlib``'s abridged form, cut to
+    60 characters with an ellipsis, so a large nested entry neither floods
+    the message nor costs a full ``repr``."""
+    text = reprlib.repr(x)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 def parse_matrix_json(obj) -> np.ndarray:
     """Build a symmetric matrix from a decoded JSON array-of-arrays.
 
@@ -187,7 +196,7 @@ def parse_matrix_json(obj) -> np.ndarray:
     # exact types: bool is a subclass of int, and numpy reads "1" as 1.0
     if not {type(x) for row in obj for x in row} <= {int, float}:
         bad = next(x for row in obj for x in row if type(x) not in (int, float))
-        raise DomainError(f"matrix entries must be numbers, got {bad!r}")
+        raise DomainError(f"matrix entries must be numbers, got {_brief(bad)}")
     try:
         a = np.array(obj, dtype=np.float64)
         top = float(np.max(np.abs(a)))  # nan or inf unless every entry is finite

@@ -354,6 +354,39 @@ def test_a_config_matrix_whose_symmetric_part_overflows_exits_2_naming_its_key(t
     assert capsys.readouterr().err == f"error: 'm': {OVERFLOWS}\n"
 
 
+@pytest.mark.parametrize("mode", ["matrix", "scalar"])
+def test_a_deeply_nested_entry_is_named_in_a_short_message(tmp_path, capsys, mode):
+    cfg = write_json(tmp_path / "t.json", {"mode": mode, "m": [[0.0, 0.0], [0.0, 0.0]],
+                                           "v": [[1.0, 0.0], [0.0, 1.0]]})
+    data = tmp_path / "d.ndjson"
+    data.write_text("[[1, 0], [0, 1]]\n" + "[" * 900 + "]" * 900 + "\n")
+    assert main(["test", "--config", cfg, "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: data line 2: matrix entries must be numbers, got [[[")
+    assert len(err) < 120
+
+
+@pytest.mark.parametrize("where", ["data line", "config"])
+def test_an_over_long_integer_is_named_in_matconcs_words(tmp_path, capsys, where):
+    literal = "1" * 5001
+    body = {"mode": "scalar", "m": [[0.0, 0.0], [0.0, 0.0]], "v": [[1.0, 0.0], [0.0, 1.0]]}
+    data = tmp_path / "d.ndjson"
+    if where == "config":
+        cfg = tmp_path / "t.json"
+        cfg.write_text(json.dumps(body)[:-1] + f', "alpha": {literal}}}')
+        data.write_text("[[1, 0], [0, 1]]\n")
+        named = f"config {cfg} is not valid JSON: "
+    else:
+        cfg = write_json(tmp_path / "t.json", body)
+        data.write_text(f"[[1, 0], [0, 1]]\n[[{literal}, 0], [0, 1]]\n")
+        named = "data line 2: invalid JSON ("
+    assert main(["test", "--config", str(cfg), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    limit = sys.get_int_max_str_digits()
+    assert err.startswith(f"error: {named}integer literal longer than {limit} digits")
+    assert "sys" not in err.replace(str(cfg), "")
+
+
 @pytest.mark.parametrize("command", ["falsify", "verify"])
 def test_a_seed_that_is_not_an_integer_exits_2(tmp_path, capsys, monkeypatch, command):
     monkeypatch.setenv("MATCONC_SEED", "abc")
@@ -404,7 +437,7 @@ def frames_line_by_line(path):
             try:
                 obj = json.loads(line)
             except (ValueError, RecursionError) as exc:
-                msg = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+                msg = exc.msg if isinstance(exc, json.JSONDecodeError) else cli._json_error(exc)
                 raise ConfigError(f"data line {lineno}: invalid JSON ({msg})") from exc
             if isinstance(obj, dict):
                 if "x" not in obj:

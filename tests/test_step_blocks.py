@@ -308,6 +308,105 @@ def test_a_scan_does_not_overwrite_its_paths():
     assert not scan.total.any() and not np.signbit(scan.total).any()
 
 
+# --- the trace-exp buffer and the scan's running sums, block by block -------------
+
+
+def _trace_exp_path(trials, n, seed=41):
+    """A null USMHI-default path of ``n`` steps per trial and step sizes from 1
+    down to 1e-8, which leave non-zero carries in both Kahan sums."""
+    gen = sim.default_generator("USMHI", "RADEMACHER_SCALED", 2)
+    xs = gen.draw(substream(seed, trials), trials, n)[:, :]
+    return xs, [float(g) for g in np.geomspace(1.0, 1e-8, n)]
+
+
+def _block_windows(n, k):
+    """``(lo, hi)`` of consecutive blocks of ``k`` steps over ``n`` steps."""
+    return [(lo, min(lo + k, n)) for lo in range(0, n, k)]
+
+
+@pytest.mark.parametrize("k", [1, 7, HORIZON])
+@pytest.mark.parametrize("trials", [1, 2])
+@pytest.mark.parametrize("rule", ["URSN", "USMHI"])
+def test_trace_exp_state_after_each_block_is_the_one_path_steps(rule, trials, k):
+    """Blocks of ``k`` steps, three whole ones and a ragged one, leave ``gz``,
+    ``pc`` and their carries bitwise where each trial's one-path ``step``
+    loop leaves them, and each step's exponent is that loop's."""
+    n = 3 * k + 2
+    xs, gammas = _trace_exp_path(trials, n)
+    make = _trace_exp_maker(rule)
+    proc, lone = make(), [make() for _ in range(trials)]
+    windows = _block_windows(n, k)
+    assert len(windows) >= 4
+    for lo, hi in windows:
+        mat, _, _ = proc._block(proc._block_input(xs, lo, hi), gammas[lo:hi])
+        assert len(mat) == hi - lo
+        for j in range(lo, hi):
+            for t, one in enumerate(lone):
+                one.step(xs[t, j], gammas[j])
+                state = one.state
+                s = state.exponent() if rule == "URSN" else sm.symmat_stack(state.gz, trusted=True)
+                assert_bitwise(mat[j - lo, t], s)
+        for t, one in enumerate(lone):
+            for name in ("gz", "gz_carry", "pc", "pc_carry"):
+                got = np.broadcast_to(getattr(proc.state, name), (trials, 2, 2))[t]
+                assert_bitwise(got, np.broadcast_to(getattr(one.state, name), (2, 2)))
+        assert proc.state.n == hi
+    assert proc.state.gz_carry.any()
+    if rule == "URSN":
+        assert proc.state.pc_carry.any()
+
+
+@pytest.mark.parametrize("k", [3, 7, HORIZON])
+@pytest.mark.parametrize("trials", [1, 2])
+@pytest.mark.parametrize("rule", ["URSN", "USMHI"])
+def test_a_non_finite_increment_in_mid_block_ends_the_block_before_its_step(rule, trials, k):
+    """After a whole block, a NaN observation at step ``j`` of the next block
+    (not its first) ends that block with the ``j`` finite states before it,
+    each bitwise the per-step reference's."""
+    n = 2 * k
+    xs, gammas = _trace_exp_path(trials, n)
+    j = k // 2 + 1
+    xs[trials - 1, k + j] = np.nan
+    make = _trace_exp_maker(rule)
+    proc, ref = make(), RefProcess(make())
+    for lo, hi in _block_windows(n, k):
+        block = proc._block(proc._block_input(xs, lo, hi), gammas[lo:hi])
+        want = k if lo == 0 else j
+        assert all(len(s) == want for s in block if s is not None)
+        for step in range(lo, lo + want):
+            _, value = ref.advance(xs[:, step], gammas[step])
+            got = proc._values(*(None if s is None else s[step - lo] for s in block))
+            assert_bitwise(got, value)
+
+
+@pytest.mark.parametrize("k", [1, 7, HORIZON])
+def test_the_scan_running_sums_are_those_of_a_step_loop(k):
+    """``MeanScan._block`` sums its planes in place, block after block, as
+    the loop ``sums[0] += total; sums[j] += sums[j - 1]`` does, bit for bit:
+    an entry of -0.0 in the first step becomes 0.0 (0.0 + -0.0), later ones
+    add as they come."""
+    rng = np.random.default_rng(k)
+    n, trials, d = 3 * k + 2, 4, 2
+    xs = rng.standard_normal((trials, n, d, d)) * 1e-3
+    xs = (xs + np.swapaxes(xs, -1, -2)) / 2
+    xs[:, 0] = -0.0
+    xs[::2, 1:] = np.where(rng.random((2, n - 1, d, d)) < 0.3, -0.0, xs[::2, 1:])
+    scan, total = pr.MeanScan("XMCI", np.zeros((d, d)), 1e6), 0.0
+    for lo, hi in _block_windows(n, k):
+        planes = scan._block_input(xs, lo, hi)
+        want = planes.copy()
+        want[0] += total
+        for j in range(1, len(want)):
+            want[j] += want[j - 1]
+        total = want[-1]
+        events, = scan._block(planes, [None] * (hi - lo))
+        assert_bitwise(planes, want)
+        assert_bitwise(scan.total, total)
+        assert not events.any()
+        if lo == 0:
+            assert not np.signbit(planes[0]).any()
+
+
 # --- the kernels' block forms -----------------------------------------------------
 
 

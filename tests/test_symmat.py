@@ -99,6 +99,11 @@ def test_parse_matrix_json():
     with pytest.raises(DomainError, match="matrix entries must be finite"):
         parse_matrix_json([[10**400]])
     assert parse_matrix_json([[1, 2], [2, 3.5]]).tolist() == [[1.0, 2.0], [2.0, 3.5]]
+    # a large entry is named by an abridged repr of at most 60 characters
+    with pytest.raises(DomainError) as info:
+        parse_matrix_json([[["x" * 20] * 6, 0], [0, 1]])
+    named = str(info.value).removeprefix("matrix entries must be numbers, got ")
+    assert len(named) == 60 and named.startswith("['xxx") and named.endswith("...")
 
 
 @pytest.mark.filterwarnings("error")
