@@ -34,17 +34,17 @@ Sampling has two parts.  :meth:`GeneratorSpec.draw` draws a block's
 random numbers (the scalar ``t`` or the vectors above) and builds no
 matrix; indexing the :class:`Draws` it returns over trials and steps
 builds just those matrices, :meth:`Draws.steps` builds a run of
-consecutive steps step-major, :meth:`Draws.entry` one entry of every
-matrix, and :meth:`Draws.entries` some entries of a run of steps,
-step-major.  :meth:`GeneratorSpec.sample_batch` is the whole stack,
-``draw(...)[:, :]``, so each law is written once, and a slice built
-from the draws equals the same slice of the stack exactly.
+consecutive steps step-major, and :meth:`Draws.entries` some entries of
+a run of steps, step-major.  :meth:`GeneratorSpec.sample_batch` is the
+whole stack, ``draw(...)[:, :]``, so each law is written once, and a
+slice built from the draws equals the same slice of the stack exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -332,10 +332,10 @@ class Draws:
     ``shape`` is that of the stack, ``(trials, n, dim, dim)``; indexing
     it over trials and steps (``draws[rows, steps]``) builds only those
     matrices, each by the elementwise expression of the kind, and
-    ``entry(a, b)`` builds the ``(a, b)`` entry of every matrix.  ``coef``
-    is the scalar of the ``M + t C`` kinds or the weight of HEAVY_PSD,
-    ``vec`` the vectors of the rank-one kinds (``x`` itself for
-    ELLIPSOID_RANK1), ``shift`` the per-path latent of
+    :meth:`entries` builds some entries of the matrices of a run of
+    steps.  ``coef`` is the scalar of the ``M + t C`` kinds or the weight
+    of HEAVY_PSD, ``vec`` the vectors of the rank-one kinds (``x`` itself
+    for ELLIPSOID_RANK1), ``shift`` the per-path latent of
     EXCHANGEABLE_MIXTURE, broadcast over the steps.
     """
 
@@ -368,41 +368,27 @@ class Draws:
         ``self[:, lo:hi]`` with its first two axes swapped."""
         return self._build(lambda part: np.ascontiguousarray(np.swapaxes(part[:, lo:hi], 0, 1)))
 
-    def transposed(self, lo: int, hi: int) -> "Draws":
-        """Trials ``lo..hi-1`` step-major: the draws of ``self[lo:hi]``
-        with their first two axes swapped, each field C-contiguous."""
-
-        def swap(part):
-            return None if part is None else np.ascontiguousarray(np.swapaxes(part[lo:hi], 0, 1))
-
-        return Draws(self.spec, swap(self.coef), swap(self.vec), swap(self.shift))
-
-    def entry(self, a: int, b: int) -> np.ndarray:
-        """Entry ``(a, b)`` of every matrix, shape ``self.shape[:2]``: the
-        kind's law with each matrix operand replaced by its ``(a, b)``
-        entry, equal to ``self[:, :][..., a, b]`` bit for bit."""
-        v = self.vec
-        outer = None if v is None else v[..., a] * v[..., b]
-        return self._law(self.coef, self.shift, outer, lambda op: op[a, b])
-
     def entries(self, lo: int, hi: int, rows, cols) -> np.ndarray:
         """Entries ``(rows[e], cols[e])`` of the matrices of steps
         ``lo..hi-1`` of every trial, step-major: shape ``(hi - lo,
         len(rows), trials)``, C-contiguous, with ``[:, e]`` equal to
-        ``self[:, lo:hi][..., rows[e], cols[e]].T`` bit for bit.  The kind's
-        law runs once on all the entries, each matrix operand replaced by
-        its entries; the vectors of the rank-one kinds are taken step-major
-        once."""
+        ``self[:, lo:hi][..., rows[e], cols[e]].T`` bit for bit.  The fields
+        (the vectors of the rank-one kinds too) are taken step-major once;
+        then the kind's law runs once per entry, on contiguous ``(hi - lo,
+        trials)`` operands with each matrix operand replaced by that entry.
+        (One law on a broadcast ``(hi - lo, entries, trials)`` stack is about
+        twice as slow at d >= 2 and a few thousand trials: numpy iterates
+        it one ``trials`` row at a time.)"""
 
         def field(part):
-            return None if part is None else np.ascontiguousarray(part[:, lo:hi].T)[:, None]
+            return None if part is None else np.ascontiguousarray(part[:, lo:hi].T)
 
-        outer = None
-        if self.vec is not None:
-            v = np.ascontiguousarray(np.moveaxis(self.vec[:, lo:hi], 0, -1))
-            outer = np.take(v, rows, axis=1)
-            outer *= np.take(v, cols, axis=1)
-        return self._law(field(self.coef), field(self.shift), outer, lambda op: op[rows, cols][:, None])
+        coef, shift, v = field(self.coef), field(self.shift), field(self.vec)
+        out = np.empty((hi - lo, len(rows), self.shape[0]))
+        for e, (a, b) in enumerate(zip(rows, cols)):
+            outer = None if v is None else v[a] * v[b]
+            out[:, e] = self._law(coef, shift, outer, itemgetter((a, b)))
+        return out
 
     def _build(self, take) -> np.ndarray:
         """The matrices of the draws that ``take`` selects from each field."""

@@ -52,10 +52,9 @@ __all__ = [
 # of the reproducibility contract, not a bound on memory (a block keeps
 # only its draws and builds its matrices a step or a chunk at a time).
 _CELL_BUDGET = 1 << 24
-# Cells built at once: the step-major draws of a chunk of trials whose
-# means are summed (simulator._block_means), and the block of k consecutive
-# steps a path run takes (first_crossing): k * trials * d^2 cells of
-# matrices, or k * trials * d for the entry planes of a scan.
+# Cells built at once: the block of k consecutive steps a path run takes
+# (first_crossing), k * trials * d^2 cells of matrices, or k * trials * d
+# for the entry planes of a scan (and of the means of _step_means).
 _MEAN_CHUNK_CELLS = 1 << 16
 _PATH_BLOCK_CAP = 1024
 
@@ -392,10 +391,11 @@ class MeanScan(_Process):
         # first, which turns a -0.0 into 0.0 as 0.0 + x does), then each
         # step's entries plus those of the step before.  A loop of plane
         # adds, not np.add.accumulate: accumulate runs its inner loop along
-        # the step axis, strided, 3-5x slower on planes of 512 trials
+        # the step axis, strided, 3-5x slower on planes of 512 trials.  This
+        # is the one loop that sums draws over steps (_step_means runs it too)
         sums[0] += self.total
-        for j in range(1, len(sums)):
-            sums[j] += sums[j - 1]
+        for step, before in zip(sums[1:], sums):
+            step += before
         self.total = sums[-1]
         # steps before n_start are not tested
         first = max(self.n + 1, self.n_start)
@@ -425,9 +425,9 @@ class MeanScan(_Process):
         return sm.unsettled_events(settled, lambda left: exact(self._matrices(dev, left), level))
 
     def _matrices(self, planes, left):
-        """The matrices of the ``left`` rows (a mask over ``(n, trials)``) of
-        ``planes``: the lower triangle mirrored, then every entry the
-        planes hold in its place."""
+        """The matrices of the ``left`` rows (a mask over ``(n, trials)``, or
+        one step) of ``planes``: the lower triangle mirrored, then every
+        entry the planes hold in its place."""
         d, (rows, cols) = self._d, self._entries
         low = d * (d + 1) // 2
         picked = np.moveaxis(planes, 1, -1)[left]
@@ -530,6 +530,21 @@ def first_crossing(proc: _Process, xs, gammas=None, taus=None) -> np.ndarray:
     if len(rows):
         proc._stop(block, np.full(len(rows), n - 1), rows)
     return stop
+
+
+def _step_means(xs) -> np.ndarray:
+    """Each trial's mean of its steps, ``(trials, d, d)``, for stacked paths
+    ``xs`` or their :class:`~matconc.generators.Draws`: the running mean a
+    :class:`MeanScan` reaches at the last step, each entry summed in step
+    order from ``0.0`` and divided by the step count, then mirrored from
+    the scan's planes.  It runs the blocks of :func:`first_crossing`
+    without its stopping rule, which a scan that tests no step never
+    needs."""
+    n = xs.shape[1]
+    scan = MeanScan(None, None, None, n_start=n + 1)  # tests no step
+    for _ in _step_blocks(scan, xs, None, n):
+        pass
+    return scan._matrices((scan.total / n)[None], 0)
 
 
 def sequential_test_stops(gen, m, v, gammas, alpha: float, trials: int, seed: int) -> dict:

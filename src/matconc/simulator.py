@@ -665,59 +665,14 @@ _REGISTRY = {
 # block runners
 
 
-def _block_means(draws) -> np.ndarray:
-    """Mean of each trial's ``n`` matrices, summed a chunk of trials at a time.
-
-    At ``d >= 2`` a chunk of ``rows`` trials is taken step-major once
-    (``Draws.transposed``; ``n * rows * d`` cells for the vectors of the
-    rank-one kinds) and summed one upper-triangle entry ``(a, b)`` at a
-    time: the step-major ``(n, rows)`` plane of that entry
-    (``Draws.entry``) is summed over the steps in step order
-    (:func:`_sum_steps`) into ``(a, b)``, which is mirrored to ``(b, a)``
-    (every drawn matrix is exactly symmetric) before all is divided by
-    ``n``.  At ``d = 1`` the chunk is built trial-major, ``(rows, n)``,
-    and each trial's steps are summed pairwise, as ``np.mean`` sums a
-    contiguous axis.  Either way the result is
-    ``np.mean(draws[:, :], axis=1)`` bit for bit.
-    """
-    size, n, d = draws.shape[:3]
-    rows = max(1, pr._MEAN_CHUNK_CELLS // (n * d))
-    out = np.empty((size, d, d))
-    upper = np.triu_indices(d)
-    for lo in range(0, size, rows):
-        hi = min(size, lo + rows)
-        if d == 1:
-            np.add.reduce(draws[lo:hi][:, :, 0, 0], axis=1, out=out[lo:hi, 0, 0])
-            continue
-        chunk = draws.transposed(lo, hi)
-        for a, b in zip(*upper):
-            _sum_steps(chunk.entry(a, b), out[lo:hi, a, b])
-    out[:, upper[1], upper[0]] = out[:, upper[0], upper[1]]
-    out /= n
-    return out
-
-
-def _sum_steps(plane: np.ndarray, out: np.ndarray) -> None:
-    """Sum of a step-major ``(n, rows)`` plane over its steps, in step order.
-
-    ``np.add.reduce`` adds step after step across a row of several trials
-    but sums a one-trial column pairwise; ``np.add.accumulate`` keeps step
-    order there.
-    """
-    if plane.shape[1] > 1:
-        np.add.reduce(plane, axis=0, out=out)
-    else:
-        out[:] = np.add.accumulate(plane, axis=0)[-1]
-
-
 def _fixed_block(plan, gen, size, seed, tag, block_idx) -> int:
     """Events of a fixed-time bound: its ``fixed_bounds`` predicate on a block of trials."""
     g_data, g_rand = _rng.spawn_pair(seed, tag, block_idx)
     draws = gen.draw(g_data, size, plan["n_per"])
     u = plan["randomizer"].draw(g_rand, size)
     # an event on the average of n observations gets each trial's mean
-    # as its one observation: the mean of one matrix is that matrix
-    x = _block_means(draws)[:, None] if plan.get("averaged") else draws[:, 0]
+    # as its one observation, summed as the running-mean scans sum it
+    x = pr._step_means(draws)[:, None] if plan.get("averaged") else draws[:, 0]
     return int(np.count_nonzero(plan["event"](x, u=u)))
 
 

@@ -152,13 +152,15 @@ def symmat_stack(m, *, trusted: bool = False) -> np.ndarray:
             raise DimMismatch(f"expected square matrices, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise DomainError("matrix entries must be finite")
-    return (a + np.swapaxes(a, -1, -2)) / 2.0
+    # halved in place: the sum is a fresh array, never a view of ``a``
+    out = a + np.swapaxes(a, -1, -2)
+    out /= 2.0
+    return out
 
 
 def _recompose(q: np.ndarray, fw: np.ndarray) -> np.ndarray:
     """``Q diag(f(w)) Q.T`` per matrix, re-symmetrized to absorb floating-point drift."""
-    out = (q * fw[..., None, :]) @ np.swapaxes(q, -1, -2)
-    return (out + np.swapaxes(out, -1, -2)) / 2.0
+    return symmat_stack((q * fw[..., None, :]) @ np.swapaxes(q, -1, -2), trusted=True)
 
 
 def _brief(x) -> str:

@@ -1,4 +1,5 @@
-"""Every exported name exists, and every function the benchmark traces is there.
+"""Every exported name exists, every function the benchmark traces is there,
+and every matconc name that README.md writes in backticks resolves.
 
 ``perfbench/layertrace.py`` wraps the functions of ``LAYER_FUNCTIONS``
 through ``vars(owner)[attr]``: a function deleted or moved out of its
@@ -10,6 +11,7 @@ writes its bytecode, so nothing under ``perfbench/`` changes.
 import importlib
 import os
 import pkgutil
+import re
 import runpy
 
 import pytest
@@ -17,6 +19,7 @@ import pytest
 import matconc
 
 LAYERTRACE = os.path.join(os.path.dirname(__file__), "..", "perfbench", "layertrace.py")
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 MODULES = sorted(m.name for m in pkgutil.iter_modules(matconc.__path__))
 
 
@@ -42,3 +45,44 @@ def test_the_package_lists_the_processes_module():
     assert "processes" in MODULES
     for name in importlib.import_module("matconc.processes").__all__:
         assert getattr(matconc, name) is getattr(matconc.processes, name)
+
+
+def _readme_names():
+    """The backticked dotted names of README.md that name matconc:
+    ``matconc.module``, ``module.attr`` for a module of matconc, and
+    ``Class.attr`` (a capitalized head); ``np.mean`` and the like are not
+    matconc's."""
+    with open(README, encoding="utf-8") as f:
+        names = set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", f.read()))
+    return sorted(n for n in names if n.split(".")[0] in ("matconc", *MODULES) or n[0].isupper())
+
+
+def _resolves(name):
+    head, *attrs = name.split(".")
+    if head == "matconc":
+        head, *attrs = attrs
+    if head in MODULES:
+        obj = importlib.import_module(f"matconc.{head}")
+    else:
+        owners = [vars(importlib.import_module(f"matconc.{m}")) for m in MODULES]
+        found = [o[head] for o in owners if head in o]
+        if not found:
+            return False
+        obj = found[0]
+    for attr in attrs:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+@pytest.mark.parametrize("name", _readme_names())
+def test_every_name_the_readme_gives_resolves(name):
+    assert _resolves(name)
+
+
+def test_the_readme_check_reads_its_names():
+    names = _readme_names()
+    assert "matconc.processes" in names and "Draws.entries" in names
+    assert "np.mean" not in names
+    assert not _resolves("Draws.transposed") and not _resolves("NoSuchClass.attr")

@@ -408,16 +408,24 @@ def test_fixed_block_means_over_chunks_match_the_full_stack(bound, kind, params,
     plan = entry.prepare(params, gen, FAST)
     assert plan["averaged"]
     n = plan["n_per"]
-    # three full chunks of trials and a partial fourth
-    rows = pr._MEAN_CHUNK_CELLS // (n * d)
-    trials = 3 * rows + rows // 2
+    # about n / 3.5 steps per block: three full blocks of steps and a partial fourth
+    trials = 3 * (pr._MEAN_CHUNK_CELLS // (n * d)) + pr._MEAN_CHUNK_CELLS // (2 * n * d)
+    assert 3 < n / (pr._MEAN_CHUNK_CELLS // (trials * d)) < 4
     seed, block_idx = 808, 2
     count = sim._fixed_block(plan, gen, trials, seed, entry.tag, block_idx)
     g_data, g_rand = spawn_pair(seed, entry.tag, block_idx)
     draws = gen.draw(g_data, trials, n)
     g_data, _ = spawn_pair(seed, entry.tag, block_idx)
     xs = gen.sample_batch(g_data, trials, n)
-    assert np.array_equal(sim._block_means(draws), np.mean(xs, axis=1))
+    means = pr._step_means(draws)
+    # each entry summed in step order: np.mean's order at d >= 2, but at
+    # d = 1 numpy sums the contiguous step axis pairwise
+    total = 0.0
+    for j in range(n):
+        total = total + xs[:, j]
+    assert means.tobytes() == (total / n).tobytes()
+    if d > 1:
+        assert means.tobytes() == np.mean(xs, axis=1).tobytes()
     events = plan["event"](xs, u=plan["randomizer"].draw(g_rand, trials))
     assert count == np.count_nonzero(events)
     assert 0 < count < trials
