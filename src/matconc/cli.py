@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import itertools
 import json
@@ -39,7 +40,7 @@ from . import martingales as mg
 from . import rng as _rng
 from . import scalar_e as se
 from . import symmat as sm
-from .errors import ConfigError, MatconcError, config_keys, config_number
+from .errors import ConfigError, MatconcError, config_keys, config_number, config_step_size
 from .fixed_bounds import MgfSpec
 from .generators import GeneratorSpec
 from .processes import FactorProcess, TraceExpProcess, sequential_test_stops
@@ -89,17 +90,36 @@ def _write_atomic(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".matconc-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".matconc-")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
             os.fchmod(fh.fileno(), _file_mode(path))
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
         raise
+
+
+def _check_output(path: str) -> None:
+    """A ConfigError now, before any work, unless ``path`` can take the
+    output: it is not a directory (an empty path names the working
+    directory) and its directory exists and may be written to."""
+    target = os.path.abspath(path)
+    directory = os.path.dirname(target)
+    if os.path.isdir(target):
+        reason = errno.EISDIR
+    elif not os.path.isdir(directory):
+        reason = errno.ENOENT
+    elif not os.access(directory, os.W_OK | os.X_OK):
+        reason = errno.EACCES
+    else:
+        return
+    raise ConfigError(f"cannot write {path}: {os.strerror(reason)}")
 
 
 def _file_mode(path: str) -> int:
@@ -294,26 +314,15 @@ def _frame(lineno: int, raw: bytes) -> np.ndarray:
     return sm.config_matrix(obj, f"data line {lineno}")
 
 
-def _step_size(raw, name: str) -> float:
-    """``raw`` as a step size, a positive finite float; a ConfigError naming ``name``."""
-    try:
-        g = config_number(raw, name)
-    except ConfigError:
-        g = math.nan
-    if not g > 0.0:
-        raise ConfigError(f"{name} must be a positive finite number, got {raw!r}")
-    return g
-
-
 def _gamma_fn(raw):
     if raw is None:
         return mg.default_gamma_schedule(1.0)
     if isinstance(raw, (int, float)):
-        g = _step_size(raw, "'gamma'")
+        g = config_step_size(raw, "'gamma'")
         return lambda n: g
     if isinstance(raw, dict) and "scale" in raw:
         config_keys(raw, ("scale",), "'gamma'")
-        return mg.default_gamma_schedule(_step_size(raw["scale"], "'gamma' scale"))
+        return mg.default_gamma_schedule(config_step_size(raw["scale"], "'gamma' scale"))
     raise ConfigError("'gamma' must be a positive number or {\"scale\": s}")
 
 
@@ -400,10 +409,7 @@ def _cmd_test(args) -> int:
             break
     if rejected_at is None and randomizer is not None and n > 0:
         u = randomizer.sample()
-        if mode == "matrix":
-            final = mg.ville_event(proc.value, a_thresh, u)
-        else:
-            final = se.ursn_event(proc.state, alpha, u)
+        final = bool(proc.stopped_event(proc.value, u))
         if final:
             rejected_at = n
         frames_out.append({"n": n, "u": u, "reject": final})
@@ -442,7 +448,7 @@ def _cmd_power_compare(args) -> int:
     horizon = _num(cfg, "horizon", 200, int)
     if trials < 1 or horizon < 1:
         raise ConfigError("trials and horizon must be positive")
-    gamma_scale = _step_size(cfg.get("gamma_scale", 0.5), "'gamma_scale'")
+    gamma_scale = config_step_size(cfg.get("gamma_scale", 0.5), "'gamma_scale'")
     # the hypothesized mean: the truth plus an optional shift, so
     # shift = 0 measures size and shift != 0 measures power
     m0, null_is_true = gen.mean(), True
@@ -458,6 +464,7 @@ def _cmd_power_compare(args) -> int:
     seed = args.seed if args.seed is not None else _rng.default_seed()
     lam_v = max(math.sqrt(sm.lambda_max(v)), 1e-12)
     gammas = gamma_scale / (lam_v * np.sqrt(np.arange(1, horizon + 1)))
+    config_step_size(float(gammas[0]), "the first step size 'gamma_scale' / sqrt(lambda_max(V))")
     stops = sequential_test_stops(gen, m0, v, gammas, alpha, trials, seed)
     out = {
         "alpha": alpha,
@@ -568,6 +575,8 @@ def main(argv=None) -> int:
     """
     args = _build_parser().parse_args(argv)
     try:
+        if args.output is not None:
+            _check_output(args.output)
         return args.fn(args)
     except MatconcError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -59,6 +59,20 @@ def config_number(raw, name: str, kind=float):
     return int(raw)
 
 
+def config_step_size(raw, name: str) -> float:
+    """``raw`` as a step size: a positive float whose square is finite, as
+    the steps that square it need; a ConfigError naming ``name`` otherwise."""
+    try:
+        g = config_number(raw, name)
+    except ConfigError:
+        g = math.nan
+    if not g > 0.0:
+        raise ConfigError(f"{name} must be a positive finite number, got {raw!r}")
+    if not math.isfinite(g * g):
+        raise ConfigError(f"{name} must be small enough to square, got {raw!r}")
+    return g
+
+
 def config_keys(obj: dict, allowed, where: str) -> None:
     """A ConfigError naming the first key of ``obj`` that is not in ``allowed``."""
     extra = sorted(set(obj) - set(allowed))

@@ -210,6 +210,13 @@ class FactorProcess(_Process):
     def _values(self, left):
         return mg.MatSupermartingaleState(left).value()
 
+    def stopped_event(self, value, u):
+        """The randomized stopped event of a value ``Y_tau`` (or a stack, with
+        ``u`` one per trial): :func:`~matconc.martingales.ville_event` against
+        ``a``, ``a I`` for a scalar ``a``."""
+        a = self.a if np.ndim(self.a) else self.a * np.eye(self.m.shape[0])
+        return mg.ville_event(value, a, u)
+
     def _stop(self, block, steps, rows):
         super()._stop(block, steps, rows)
         # a stopped trial's value is recorded; restarting it keeps its product bounded
@@ -250,7 +257,7 @@ class TraceExpProcess(_Process):
     """
 
     def __init__(self, m, v, alpha, b=None):
-        self.m, self.v, self.b = m, v, b
+        self.m, self.v, self.alpha, self.b = m, v, alpha, b
         self.state = se.TraceExpState.start(m.shape[0])
         self.level = se.log_level(m.shape[0], alpha)
         self._scratch = None
@@ -341,6 +348,11 @@ class TraceExpProcess(_Process):
         if self.b is None:
             return se.log_trace_exp(mat)
         return np.linalg.eigvalsh(mat)[..., -1] - half
+
+    def stopped_event(self, value, u):
+        """The randomized stopped event of a log value (or a stack, with ``u``
+        one per trial): it reaches :func:`~matconc.scalar_e.log_level` at ``u``."""
+        return value >= se.log_level(self.m.shape[0], self.alpha, u)
 
 
 class MeanScan(_Process):

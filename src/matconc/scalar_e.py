@@ -142,8 +142,7 @@ class TraceExpState:
 
     def value(self) -> float:
         """``L_n = tr exp(S_n)``; ``d`` at n = 0, inf past float range."""
-        log_l = self.log_value()
-        return math.exp(log_l) if log_l <= 709.0 else math.inf
+        return _exp_or_inf(self.log_value())
 
     def log_spectral_lower_bound(self) -> float:
         """Log of the dominated e-process value."""
@@ -312,8 +311,17 @@ def log_hoeffding_eprocess_value(state: TraceExpState):
 
 
 def hoeffding_eprocess_value(state: TraceExpState) -> float:
-    """The bounded-deviations e-process value; always <= the trace-exp value."""
-    return math.exp(log_hoeffding_eprocess_value(state))
+    """The bounded-deviations e-process value; always <= the trace-exp value,
+    inf past float range."""
+    return _exp_or_inf(log_hoeffding_eprocess_value(state))
+
+
+def _exp_or_inf(log_value: float) -> float:
+    """``exp(log_value)``, or inf exactly where that overflows the float range."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
 
 
 def usmhi_threshold(

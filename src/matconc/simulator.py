@@ -16,11 +16,13 @@ bit-for-bit reproducible no matter how it is parallelized.
 
 A block keeps its random numbers (:meth:`GeneratorSpec.draw`), not the
 ``(block, n, d, d)`` stack they stand for: a path run steps the
-sequential processes of :mod:`matconc.processes` a cache-sized run of
-consecutive steps at a time (:func:`~matconc.processes.first_crossing`),
-and a fixed-time event on the mean of ``n`` draws receives means built a
-cache-sized chunk of trials at a time.  Every matrix and every mean comes
-out as it would from the whole stack.
+sequential process its plan carries a cache-sized run of consecutive
+steps at a time (:func:`~matconc.processes.first_crossing`) and decides
+a randomized bound with the process's own ``stopped_event``, and a
+fixed-time event on the mean of ``n`` draws receives the running means
+of :func:`~matconc.processes._step_means`, summed over the same step
+blocks.  Every matrix and every mean comes out as it would from the
+whole stack.
 """
 
 from __future__ import annotations
@@ -34,12 +36,11 @@ from functools import partial
 import numpy as np
 
 from . import fixed_bounds as fb
-from . import martingales as mg
 from . import processes as pr
 from . import rng as _rng
-from . import scalar_e as se
 from . import symmat as sm
 from .errors import ConfigError, DomainError, IncompatiblePair, config_keys, config_number
+from .errors import config_step_size
 from .generators import GeneratorSpec
 from .randomizers import MatrixRandomizer
 from .report import McReport
@@ -215,12 +216,18 @@ def _moment(gen: GeneratorSpec, method: str, *args):
 # --- fixed-time entries ----------------------------------------------------
 
 
-def _threshold(p: dict, gen: GeneratorSpec, default_scale) -> np.ndarray:
-    """The threshold matrix ``a``: parameter ``a`` when given, else
-    ``default_scale() I``, the bound's default (computed only then)."""
-    if p["a"] is not None:
-        return sm.config_matrix(p["a"], "parameter 'a'", gen.dim)
-    return default_scale() * np.eye(gen.dim)
+def _threshold(p: dict, gen: GeneratorSpec, default_scale, pd=True) -> np.ndarray:
+    """The threshold matrix ``a``: parameter ``a`` when given, positive
+    definite with ``pd``, else ``default_scale() I``, the bound's default
+    (computed only then)."""
+    if p["a"] is None:
+        return default_scale() * np.eye(gen.dim)
+    a = sm.config_matrix(p["a"], "parameter 'a'", gen.dim)
+    if pd and sm.lambda_min(a) <= 0.0:
+        raise ConfigError(
+            f"parameter 'a' must be positive definite, smallest eigenvalue {sm.lambda_min(a):g}"
+        )
+    return a
 
 
 def _prep_ummi(params, gen, mc):
@@ -281,23 +288,22 @@ def _prep_pcheb1(params, gen, mc):
 
 def _prep_chernoff1(params, gen, mc):
     p = _take(params, {"gamma": 1.0, "a": None, "randomizer": None, "target": 0.15})
-    gamma = p["gamma"]
-    if gamma <= 0.0:
-        raise ConfigError(f"gamma must be positive, got {gamma}")
+    gamma = config_step_size(p["gamma"], "parameter 'gamma'")
     m, c = gen.m, gen.c
     if sm.spectral_norm(m @ c - c @ m) > 1e-10 * max(1.0, sm.spectral_norm(m @ c)):
         raise IncompatiblePair(
             "closed-form exponential moment needs commuting mean and scale"
         )
     # With [M, C] = 0 the tilted mean splits: E e^{2g X} = e^{2g M} E e^{2g W C}.
-    two_g = 2.0 * gamma
+    two_g = config_step_size(2.0 * gamma, "twice parameter 'gamma'")  # squared below
     if gen.kind == "RADEMACHER_SCALED":
         half = sm.mat_exp(two_g * c) + sm.mat_exp(-two_g * c)
         exp_moment = sm.mat_exp(two_g * m) @ (half / 2.0)
     else:
         exp_moment = sm.mat_exp(two_g * m + (two_g**2 / 2.0) * (c @ c))
     exp_moment = sm.symmat(exp_moment)
-    a = _threshold(p, gen, lambda: math.log(sm.trace(exp_moment) / p["target"]) / two_g)
+    # Chernoff's bound holds for any symmetric threshold
+    a = _threshold(p, gen, lambda: math.log(sm.trace(exp_moment) / p["target"]) / two_g, pd=False)
     return {
         "event": partial(fb.chernoff1_event, a=a, gamma=gamma),
         "n_per": 1,
@@ -352,9 +358,13 @@ def _prep_ch(params, gen, mc):
     alpha0 = p["alpha0"]
     if not 0.0 < alpha0 < gen.dim:
         raise ConfigError(f"alpha0 must be in (0, {gen.dim}), got {alpha0}")
-    gamma = p["gamma"] if p["gamma"] is not None else math.sqrt(
-        2.0 * n * math.log(gen.dim / alpha0) / lam
+    gamma = (
+        config_step_size(p["gamma"], "parameter 'gamma'")
+        if p["gamma"] is not None
+        else math.sqrt(2.0 * n * math.log(gen.dim / alpha0) / lam)
     )
+    if p["a_scalar"] is not None and p["a_scalar"] <= 0.0:
+        raise ConfigError(f"parameter 'a_scalar' must be positive, got {p['a_scalar']:g}")
     a_scalar = (
         p["a_scalar"]
         if p["a_scalar"] is not None
@@ -381,40 +391,28 @@ def _prep_ch(params, gen, mc):
 def _sequential_params(params, gen, mc, randomized=True) -> dict:
     """The ``alpha``, ``gamma_scale`` (None for the bound's default),
     ``randomizer`` and ``stopping`` of a sequential bound.  Without
-    ``randomized`` the last two are not keys: the trial runs to its first
-    crossing and is tested with ``U = I``."""
+    ``randomized`` the last two are not keys: the randomizer is ``U = I``
+    and ``stopping`` None, as the crossing itself is the event."""
     defaults = {"alpha": 0.05, "gamma_scale": None}
     if randomized:
         defaults.update(randomizer=None, stopping=None)
     p = _take(params, defaults)
     if not 0.0 < p["alpha"] < 1.0:
         raise ConfigError(f"alpha must be in (0,1), got {p['alpha']}")
-    if p["gamma_scale"] is not None and p["gamma_scale"] <= 0.0:
-        raise ConfigError(f"gamma_scale must be positive, got {p['gamma_scale']}")
+    if p["gamma_scale"] is not None:
+        config_step_size(p["gamma_scale"], "parameter 'gamma_scale'")
     if randomized:
         p["randomizer"] = _norm_randomizer(p["randomizer"], gen.dim)
         p["stopping"] = _norm_stopping(p["stopping"], mc.horizon)
     else:
-        p["randomizer"] = MatrixRandomizer("identity", gen.dim)
-        p["stopping"] = {"kind": "first_crossing"}
+        p["randomizer"], p["stopping"] = MatrixRandomizer("identity", gen.dim), None
     return p
 
 
 def _umvi_common(params, gen, mc, builder, randomized=True):
     p = _sequential_params(params, gen, mc, randomized)
-    horizon = mc.horizon
-    d = gen.dim
     m = gen.mean()
-    plan = {
-        "kind": "UMVI",
-        "builder": builder,
-        "horizon": horizon,
-        "m": m,
-        "a_scalar": d / p["alpha"],
-        "bound": p["alpha"],
-        "stopping": p["stopping"],
-        "randomizer": p["randomizer"],
-    }
+    kwargs = {}  # the builder's parameters
     if builder == "MGF":
         row_kind, row_mat = _moment(gen, "mgf_row")
         scale_ref = (
@@ -422,38 +420,36 @@ def _umvi_common(params, gen, mc, builder, randomized=True):
             if row_kind != "SYM_HOEFFDING"
             else math.sqrt(sm.lambda_max(row_mat))
         )
-        plan["mgf"] = fb.MgfSpec(row_kind, row_mat)
+        kwargs["mgf"] = fb.MgfSpec(row_kind, row_mat)
         default_scale = 0.5 / max(scale_ref, 1e-12)
     elif builder == "BETTING":
         _moment(gen, "betting_upper")  # the factor needs 0 <= X <= B surely
         hi = 1.0 / sm.lambda_max(m)
         default_scale = 0.4 * hi
-        plan["gamma_hi"] = hi
     elif builder == "SELF_NORMALIZED":
-        v = _moment(gen, "variance")
-        plan["v"] = v
+        v = kwargs["v"] = _moment(gen, "variance")
         default_scale = 0.5 / max(math.sqrt(sm.lambda_max(v)), 1e-12)
     else:  # SYMMETRIC_DIST
         if not gen.deviations_symmetric():
             raise IncompatiblePair("needs conditionally symmetric deviations")
         default_scale = 0.3 / max(sm.spectral_norm(gen.spread), 1e-12)
     scale = default_scale if p["gamma_scale"] is None else p["gamma_scale"]
-    plan["gammas"] = _gamma_array(scale, horizon)
-    if builder == "BETTING" and plan["gammas"][0] >= plan["gamma_hi"]:
+    gammas = _gamma_array(scale, mc.horizon)
+    if builder == "BETTING" and gammas[0] >= hi:
         raise ConfigError(
-            f"gamma schedule starts at {plan['gammas'][0]:.6g}, outside the "
-            f"admissible interval (0, {plan['gamma_hi']:.6g})"
+            f"gamma schedule starts at {gammas[0]:.6g}, outside the "
+            f"admissible interval (0, {hi:.6g})"
         )
-    return plan
-
-
-def _prep_mvi(params, gen, mc):
-    # "exists n" scans are never randomized: the threshold would have to
-    # be known before the scan starts for the crossing to define a
-    # stopping time, so the plain version is the honest one.
-    plan = _umvi_common(params, gen, mc, "BETTING", randomized=False)
-    plan["kind"] = "MVI"
-    return plan
+    a_scalar = gen.dim / p["alpha"]
+    return {
+        "process": partial(pr.FactorProcess, builder=builder, m=m, a=a_scalar, **kwargs),
+        "horizon": mc.horizon,
+        "a_scalar": a_scalar,
+        "bound": p["alpha"],
+        "stopping": p["stopping"],
+        "randomizer": p["randomizer"],
+        "gammas": gammas,
+    }
 
 
 def _prep_doob(params, gen, mc):
@@ -472,9 +468,8 @@ def _prep_doob(params, gen, mc):
     else:
         a_scalar = sm.trace(v) / p["target"]
     return {
-        "kind": "DOOB",
+        "process": partial(pr.MeanScan, kind="DOOB", m=gen.mean(), a=float(a_scalar)),
         "horizon": n,
-        "m": gen.mean(),
         "a_scalar": float(a_scalar),
         "bound": sm.trace(v) / float(a_scalar),
         "randomizer": MatrixRandomizer("identity", gen.dim),
@@ -499,12 +494,7 @@ def _scan_common(params, gen, mc, kind, default_target):
     n_start = p.get("n_start", 1)
     if not 1 <= n_start <= n_max:
         raise ConfigError(f"n_start {n_start} outside 1..{n_max}")
-    plan = {
-        "kind": kind,
-        "horizon": n_max,
-        "n_start": n_start,
-        "randomizer": MatrixRandomizer("identity", gen.dim),
-    }
+    plan = {"horizon": n_max, "randomizer": MatrixRandomizer("identity", gen.dim)}
     if kind == "XMPCI":
         plan["p"] = pw = p["p"]
         if not 1.0 <= pw <= 2.0:
@@ -518,8 +508,6 @@ def _scan_common(params, gen, mc, kind, default_target):
     else:
         pw = 2
         tr = sm.trace(_moment(gen, "variance"))
-    if kind != "XMPCI":
-        plan["m"] = gen.mean()
     if p["a"] is not None:
         a_scalar = config_number(p["a"], "parameter 'a'")
         if a_scalar <= 0.0:
@@ -529,6 +517,10 @@ def _scan_common(params, gen, mc, kind, default_target):
         a_scalar = math.sqrt(ratio) if pw == 2 else ratio ** (1.0 / pw)
     plan["a_scalar"] = a_scalar
     plan["bound"] = tr / (a_scalar**pw * n_start)
+    m = None if kind == "XMPCI" else gen.mean()
+    plan["process"] = partial(
+        pr.MeanScan, kind=kind, m=m, a=a_scalar, p=plan.get("p"), n_start=n_start
+    )
     return plan
 
 
@@ -545,12 +537,10 @@ def _trace_exp_common(params, gen, mc, kind, moment, scale_coeff, what):
         if p["gamma_scale"] is None
         else p["gamma_scale"]
     )
+    v, b = (v, None) if kind == "URSN" else (None, v)
     return {
-        "kind": kind,
+        "process": partial(pr.TraceExpProcess, m=gen.mean(), v=v, alpha=p["alpha"], b=b),
         "horizon": mc.horizon,
-        "m": gen.mean(),
-        "v": v if kind == "URSN" else None,
-        "b": v if kind == "USMHI" else None,
         "alpha": p["alpha"],
         "gammas": _gamma_array(scale, mc.horizon),
         "stopping": p["stopping"],
@@ -610,7 +600,10 @@ _BOUNDS = (
         ("SYMMETRIC_HEAVY", "RADEMACHER_SCALED", "GAUSSIAN_SCALED", "BOUNDED_PSD"),
         partial(_umvi_common, builder="SYMMETRIC_DIST"),
     ),
-    ("MVI", "path", ("BOUNDED_PSD",), _prep_mvi),
+    # "exists n" scans are never randomized: the threshold would have to be
+    # known before the scan starts for the crossing to define a stopping
+    # time, so the plain version is the honest one.
+    ("MVI", "path", ("BOUNDED_PSD",), partial(_umvi_common, builder="BETTING", randomized=False)),
     (
         "DOOB",
         "path",
@@ -676,36 +669,22 @@ def _fixed_block(plan, gen, size, seed, tag, block_idx) -> int:
     return int(np.count_nonzero(plan["event"](x, u=u)))
 
 
-def _path_process(plan) -> pr._Process:
-    kind = plan["kind"]
-    if kind in ("UMVI", "MVI"):
-        return pr.FactorProcess(
-            plan["builder"], plan["m"], plan["a_scalar"], mgf=plan.get("mgf"), v=plan.get("v")
-        )
-    if kind in ("URSN", "USMHI"):
-        return pr.TraceExpProcess(plan["m"], plan["v"], plan["alpha"], plan["b"])
-    return pr.MeanScan(kind, plan.get("m"), plan["a_scalar"], plan.get("p"), plan.get("n_start", 1))
-
-
 def _path_events(plan, xs, g_rand: np.random.Generator) -> np.ndarray:
     """Per-trial events of a path bound on stacked paths ``xs`` (see ``processes.first_crossing``)."""
-    size, horizon, d = xs.shape[0], xs.shape[1], xs.shape[-1]
-    kind = plan["kind"]
-    stopping = plan.get("stopping", {"kind": "first_crossing"})
+    size, horizon = xs.shape[0], xs.shape[1]
+    stopping = plan.get("stopping")
+    kind = None if stopping is None else stopping["kind"]
     taus = None
-    if stopping["kind"] == "geometric":
+    if kind == "geometric":
         taus = np.minimum(g_rand.geometric(stopping["q"], size), horizon)
-    elif stopping["kind"] == "fixed":
+    elif kind == "fixed":
         taus = np.full(size, stopping["n"])
-    proc = _path_process(plan)
+    proc = plan["process"]()
     stop = pr.first_crossing(proc, xs, plan.get("gammas"), taus)
-    if kind not in ("UMVI", "URSN", "USMHI"):
+    if stopping is None:
         # "exists n" scans: the crossing itself is the event, never randomized
         return stop > 0
-    us = plan["randomizer"].draw(g_rand, size)
-    if kind != "UMVI":
-        return proc.at_stop >= se.log_level(d, plan["alpha"], us)
-    return mg.ville_event(proc.at_stop, plan["a_scalar"] * np.eye(d), us)
+    return proc.stopped_event(proc.at_stop, plan["randomizer"].draw(g_rand, size))
 
 
 def _path_block(plan, gen, size, seed, tag, block_idx) -> int:

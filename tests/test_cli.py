@@ -14,9 +14,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from matconc import cli
+from matconc import martingales as mg
+from matconc import scalar_e as se
 from matconc.cli import main
 from matconc.errors import ConfigError
 from matconc.generators import GeneratorSpec
+from matconc.randomizers import ScalarRandomizer
 from matconc.rng import substream
 from matconc.symmat import LOAD_ASYMMETRY_TOL, config_matrix
 
@@ -214,6 +217,39 @@ def test_sequential_test_frames_excludes_randomizer_record(tmp_path, mode):
     assert len(lines) == 4 and "u" in lines[2]
     assert lines[-1]["decision"] == "continue"
     assert lines[-1]["frames"] == 2
+
+
+@pytest.mark.parametrize("mode", ["matrix", "scalar"])
+@pytest.mark.parametrize("seed,reject", [(7, True), (3, False)])
+def test_closing_randomizer_record_is_the_stopped_event(tmp_path, mode, seed, reject):
+    """No frame crosses; the record after the last one decides at the drawn
+    ``u`` (0.114 at seed 7, 0.948 at seed 3) as the per-sample rules do."""
+    m, v, alpha = np.zeros((2, 2)), np.eye(2), 0.05
+    xs = [1.5 * np.eye(2)] * 3
+    cfg = write_json(
+        tmp_path / "t.json",
+        {"mode": mode, "m": m.tolist(), "v": v.tolist(), "randomizer": {"kind": "uniform01", "seed": seed}},
+    )
+    out = tmp_path / "out.ndjson"
+    assert main(["test", "--config", cfg, "--data", write_frames(tmp_path / "d.ndjson", xs),
+                 "--output", str(out)]) == 0
+    *frames, record, summary = [json.loads(s) for s in out.read_text().splitlines()]
+    assert [f["reject"] for f in frames] == [False] * 3
+    u = ScalarRandomizer("uniform01", seed=seed).sample()
+    assert record == {"n": 3, "u": u, "reject": reject}
+    assert summary["decision"] == ("reject" if reject else "continue")
+    gamma = mg.default_gamma_schedule(1.0)
+    if mode == "scalar":
+        state = se.TraceExpState.start(2)
+        for n, x in enumerate(xs, start=1):
+            state = se.sn_process_step(state, x, m, v, gamma(n))
+        assert se.ursn_event(state, alpha, u) == reject
+    else:
+        state = mg.MatSupermartingaleState.start(2)
+        for n, x in enumerate(xs, start=1):
+            state = state.step(*mg.build_factors("SELF_NORMALIZED", x, m, gamma(n), v=v))
+        a = se.calibrated_threshold(alpha, (2 / alpha) * np.eye(2))
+        assert mg.ville_event(state.value(), a, u) == reject
 
 
 def test_sequential_test_bad_frames(tmp_path, capsys):
@@ -1071,6 +1107,81 @@ def test_every_config_matrix_is_read_by_one_rule(tmp_path, capsys, command, cfg_
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "command,cfg_obj,message",
+    [
+        # a bound parameter out of range names its key before any sampling
+        ("verify", _one_run("CHERNOFF_HOEFFDING", SCAN_GEN, {"gamma": 0}),
+         "parameter 'gamma' must be a positive finite number, got 0.0"),
+        ("verify", _one_run("CHERNOFF_HOEFFDING", SCAN_GEN, {"gamma": -1}),
+         "parameter 'gamma' must be a positive finite number, got -1.0"),
+        ("verify", _one_run("CHERNOFF_HOEFFDING", SCAN_GEN, {"a_scalar": 0}),
+         "parameter 'a_scalar' must be positive, got 0"),
+        ("verify", _one_run("CHERNOFF_HOEFFDING", SCAN_GEN, {"a_scalar": -2}),
+         "parameter 'a_scalar' must be positive, got -2"),
+        ("verify", _one_run("UMMI", HEAVY_GEN, {"a": [[1, 0], [0, -1]]}),
+         "parameter 'a' must be positive definite, smallest eigenvalue -1"),
+        ("verify", _one_run("UMCI1", SCAN_GEN, {"a": [[1, 0], [0, 0]]}),
+         "parameter 'a' must be positive definite, smallest eigenvalue 0"),
+        ("verify", _one_run("UMCI_N", SCAN_GEN, {"a": [[0, 1], [1, 0]]}),
+         "parameter 'a' must be positive definite, smallest eigenvalue -1"),
+        ("verify", _one_run("PCHEB1", SHEAVY_GEN, {"a": [[-1, 0], [0, -1]]}),
+         "parameter 'a' must be positive definite, smallest eigenvalue -1"),
+        # a step size whose square overflows
+        ("test", {**TEST_BASE, "gamma": 1e200}, "'gamma' must be small enough to square, got 1e+200"),
+        ("test", {**TEST_BASE, "mode": "scalar", "gamma": {"scale": 1e200}},
+         "'gamma' scale must be small enough to square, got 1e+200"),
+        ("power-compare", {**PC_BASE, "gamma_scale": 1e300},
+         "'gamma_scale' must be small enough to square, got 1e+300"),
+        # the step sizes used are gamma_scale / sqrt(lambda_max(V)), here 1e150 / 1e-12
+        ("power-compare", {**PC_BASE, "gamma_scale": 1e150,
+                           "generator": {**GAUSS2, "c": [[1e-300, 0.0], [0.0, 1e-300]]}},
+         "the first step size 'gamma_scale' / sqrt(lambda_max(V)) must be small enough to square"),
+        ("verify", _one_run("URSN", SCAN_GEN, {"gamma_scale": 1e300}),
+         "parameter 'gamma_scale' must be small enough to square, got 1e+300"),
+        ("verify", _one_run("UMVI_SELF_NORMALIZED", SCAN_GEN, {"gamma_scale": 1e200}),
+         "parameter 'gamma_scale' must be small enough to square, got 1e+200"),
+        ("verify", _one_run("CHERNOFF_HOEFFDING", SCAN_GEN, {"gamma": 1e200}),
+         "parameter 'gamma' must be small enough to square, got 1e+200"),
+        # CHERNOFF1 squares 2 gamma
+        ("verify", _one_run("CHERNOFF1", SCAN_GEN, {"gamma": 1e154}),
+         "twice parameter 'gamma' must be small enough to square, got 2e+154"),
+    ],
+)
+def test_malformed_inputs_exit_2_with_one_error_line(tmp_path, capsys, command, cfg_obj, message):
+    assert _run_cli(tmp_path, command, cfg_obj) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "test", "power-compare", "falsify"])
+@pytest.mark.parametrize("where", ["missing directory", "directory", "empty path"])
+def test_an_unwritable_output_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command, where):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before checking --output")
+
+    for name in ("_load_config", "run_default_suite", "falsify_conjecture"):
+        monkeypatch.setattr(cli, name, no_work)
+    out, reason = {
+        "missing directory": (str(tmp_path / "missing" / "out.json"), "No such file or directory"),
+        "directory": (str(tmp_path), "Is a directory"),
+        "empty path": ("", "Is a directory"),  # the working directory
+    }[where]
+    argv = {"verify": [], "test": ["--config", "c.json", "--data", "d.ndjson"],
+            "power-compare": ["--config", "c.json"], "falsify": ["--p", "1.5", "--d", "2"]}
+    assert main([command, *argv[command], "--output", out]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_checking_the_output_leaves_only_the_output(tmp_path):
+    out = tmp_path / "out.json"
+    argv = ["falsify", "--p", "1.5", "--d", "2", "--instances", "2", "--trials-per-instance", "10"]
+    assert main([*argv, "--output", str(out)]) == 0
+    assert os.listdir(tmp_path) == ["out.json"]
 
 
 def _readme_configs():

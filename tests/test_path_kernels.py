@@ -21,7 +21,7 @@ from matconc import fixed_bounds as fb
 from matconc import martingales as mg
 from matconc import scalar_e as se
 from matconc import symmat as sm
-from matconc.processes import sequential_test_stops
+from matconc.processes import FactorProcess, TraceExpProcess, sequential_test_stops
 from matconc.rng import spawn_pair, substream
 from matconc.simulator import McConfig, _entry, _fixed_block, _path_events, default_generator
 
@@ -48,7 +48,7 @@ CASES = [
 
 def _draws(plan, g_rand, horizon):
     """Stopping times and randomizer draws, in the harness's order."""
-    stopping = plan.get("stopping", {"kind": "first_crossing"})
+    stopping = plan.get("stopping") or {"kind": "first_crossing"}
     taus = None
     if stopping["kind"] == "geometric":
         taus = np.minimum(g_rand.geometric(stopping["q"], TRIALS), horizon)
@@ -64,22 +64,24 @@ def _draws(plan, g_rand, horizon):
 def _umvi_event(plan, gen, path, tau, u):
     d = gen.dim
     a = plan["a_scalar"] * np.eye(d)
+    proc = plan["process"].keywords
+    builder, randomized = proc["builder"], plan["stopping"] is not None
     kwargs = {}
-    if plan["builder"] == "MGF":
-        kwargs["mgf"] = plan["mgf"]
-    elif plan["builder"] == "BETTING":
+    if builder == "MGF":
+        kwargs["mgf"] = proc["mgf"]
+    elif builder == "BETTING":
         kwargs["b"] = gen.betting_upper()
-    elif plan["builder"] == "SELF_NORMALIZED":
-        kwargs["v"] = plan["v"]
+    elif builder == "SELF_NORMALIZED":
+        kwargs["v"] = proc["v"]
     state = mg.MatSupermartingaleState.start(d)
     history = []
     for n, x in enumerate(path, start=1):
-        e, a_fac = mg.build_factors(plan["builder"], x, plan["m"], plan["gammas"][n - 1], **kwargs)
+        e, a_fac = mg.build_factors(builder, x, proc["m"], plan["gammas"][n - 1], **kwargs)
         state = state.step(e, a_fac)
         history.append(state.value())
-        if plan["kind"] == "UMVI" and (n == tau if tau is not None else se.matrix_test_decide(history[-1], a)):
+        if randomized and (n == tau if tau is not None else se.matrix_test_decide(history[-1], a)):
             break
-    if plan["kind"] == "MVI":
+    if not randomized:
         return bool(mg.exceeds(np.stack(history), a).any())
     u_mat = u * np.eye(d)
     if plan["randomizer"].y is not None:
@@ -88,11 +90,12 @@ def _umvi_event(plan, gen, path, tau, u):
 
 
 def _trace_exp_event(plan, gen, path, tau, u):
-    alpha = plan["alpha"]
+    proc = plan["process"].keywords
+    alpha = proc["alpha"]
     state = se.TraceExpState.start(gen.dim)
-    b = plan["b"]
+    b = proc["b"]
     # the Hoeffding e-process is the self-normalized one with V = B
-    v = plan["v"] if b is None else b
+    v = proc["v"] if b is None else b
 
     def rejects(state, u):
         if b is None:
@@ -101,7 +104,7 @@ def _trace_exp_event(plan, gen, path, tau, u):
         return se.usmhi_event(state.weighted_dev_mean(), thr)
 
     for n, x in enumerate(path, start=1):
-        state = se.sn_process_step(state, x, plan["m"], v, plan["gammas"][n - 1], b=b)
+        state = se.sn_process_step(state, x, proc["m"], v, plan["gammas"][n - 1], b=b)
         if n == tau if tau is not None else rejects(state, 1.0):
             break
     return rejects(state, u)
@@ -109,14 +112,15 @@ def _trace_exp_event(plan, gen, path, tau, u):
 
 def _running_mean_event(plan, gen, path):
     """Whether the running means of ``path`` cross from ``n_start`` on."""
-    kind = plan["kind"]
+    proc = plan["process"].keywords
+    kind = proc["kind"]
     a = plan["a_scalar"] if kind == "TRACE_PCHEB" else plan["a_scalar"] * np.eye(gen.dim)
     means = np.cumsum(path, axis=0) / np.arange(1, len(path) + 1)[:, None, None]
     if kind == "DOOB":
-        devs = [(xb - plan["m"]) @ (xb - plan["m"]) for xb in means]
+        devs = [(xb - proc["m"]) @ (xb - proc["m"]) for xb in means]
         return bool(mg.exceeds(np.stack(devs), a).any())
-    means = sm.symmat_stack(means)[plan.get("n_start", 1) - 1 :]
-    return bool(mg.scan_exceeds(kind, means, plan.get("m"), a, plan.get("p")).any())
+    means = sm.symmat_stack(means)[proc.get("n_start", 1) - 1 :]
+    return bool(mg.scan_exceeds(kind, means, proc.get("m"), a, proc.get("p")).any())
 
 
 @pytest.mark.parametrize("bound,params", CASES)
@@ -131,9 +135,9 @@ def test_batched_path_events_match_per_sample_api(bound, params):
     expected = []
     for t in range(TRIALS):
         tau = None if taus is None else taus[t]
-        if plan["kind"] in ("UMVI", "MVI"):
+        if plan["process"].func is FactorProcess:
             expected.append(_umvi_event(plan, gen, xs[t], tau, us[t]))
-        elif plan["kind"] in ("URSN", "USMHI"):
+        elif plan["process"].func is TraceExpProcess:
             expected.append(_trace_exp_event(plan, gen, xs[t], tau, us[t]))
         else:
             expected.append(_running_mean_event(plan, gen, xs[t]))

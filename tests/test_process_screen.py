@@ -25,6 +25,7 @@ from matconc import scalar_e as se
 from matconc import symmat as sm
 from matconc.errors import DomainError
 from matconc.processes import FactorProcess, TraceExpProcess, first_crossing
+from matconc.randomizers import MatrixRandomizer
 from matconc.simulator import McConfig, default_generator, run_coverage
 
 EPS = np.finfo(np.float64).eps
@@ -442,6 +443,42 @@ def test_fixed_events_with_one_u_per_trial_match_per_trial_calls(name, event, f,
     per_trial = [event(x[i], a, float(u[i])) for i in range(300)]
     assert batched.tolist() == per_trial
     assert 0 < sum(per_trial) < 300
+
+
+# --- the randomized stopped event ----------------------------------------------
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_one_path_stopped_event_is_its_row_of_the_stacked_call(d):
+    """One path's stopped event, as ``matconc test`` decides it, equals its
+    trial's entry of the stacked call of a path run, for one scalar ``u``,
+    one ``u`` per trial and the shifted ``U = u I + Y``."""
+    rng = np.random.default_rng(d)
+    trials, alpha, level = 300, 0.2, d / 0.2
+    h = rng.standard_normal((d, d))
+    shift = 0.1 * h @ h.T
+    # values around the level: Y up to 2 (d / alpha) I, log values within log 5 of log(d / alpha)
+    scale = np.sqrt(rng.uniform(0.0, 2.0 * level / d, (trials, 1, 1)))
+    ys = ref_value(rng.standard_normal((trials, d, d)) * scale)
+    logs = math.log(level) + rng.uniform(-math.log(5.0), math.log(5.0), trials)
+    us = rng.uniform(0.01, 1.0, trials)
+    shifted = MatrixRandomizer("shifted", d, shift).draw(rng, trials)
+    m, eye = np.zeros((d, d)), np.eye(d)
+    cases = [
+        (FactorProcess("SELF_NORMALIZED", m, level, v=eye), ys, (0.6, us, shifted)),
+        (FactorProcess("SELF_NORMALIZED", m, level * eye + shift, v=eye), ys, (0.6, us, shifted)),
+        (TraceExpProcess(m, eye, alpha), logs, (0.6, us)),
+        (TraceExpProcess(m, None, alpha, b=eye), logs, (0.6, us)),
+    ]
+    for proc, values, randomizers in cases:
+        for u in randomizers:
+            stacked = proc.stopped_event(values, u)
+            rows = [bool(proc.stopped_event(values[i], u if np.ndim(u) == 0 else u[i])) for i in range(trials)]
+            assert stacked.tolist() == rows
+            assert 0 < sum(rows) < trials
+    # a scalar threshold a stands for a I
+    np.testing.assert_array_equal(cases[0][0].stopped_event(ys, us), mg.ville_event(ys, level * eye, us))
+    np.testing.assert_array_equal(cases[2][0].stopped_event(logs, us), logs >= se.log_level(d, alpha, us))
 
 
 # --- engagement -------------------------------------------------------------------

@@ -94,7 +94,7 @@ def _scan_stops(bound: str, d: int, params: dict) -> list[int]:
     horizon = {"n" if bound == "DOOB" else "n_max": SCAN_HORIZON}
     plan = entry.prepare({**params, **horizon}, gen, sim.McConfig(trials=SCAN_TRIALS))
     draws = gen.draw(substream(SEED, entry.tag, d), SCAN_TRIALS, SCAN_HORIZON)
-    return first_crossing(sim._path_process(plan), draws).tolist()
+    return first_crossing(plan["process"](), draws).tolist()
 
 
 def _all_scan_stops() -> list[dict]:

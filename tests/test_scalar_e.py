@@ -128,6 +128,14 @@ def test_value_survives_huge_exponents():
     assert math.isinf(state.value()) or state.value() > 1e300
 
 
+@pytest.mark.parametrize("log_l,want", [(709.5, math.exp(709.5)), (800.0, math.inf)])
+def test_values_are_inf_exactly_where_exp_overflows(log_l, want):
+    """Both e-process values are ``exp`` of their logs, inf only past the float range."""
+    state = dataclasses.replace(TraceExpState.start(1), gz=np.array([[log_l]]))
+    assert state.log_value() == log_hoeffding_eprocess_value(state) == log_l
+    assert state.value() == hoeffding_eprocess_value(state) == want
+
+
 def test_trace_exp_dominates_spectral_bound(gen):
     # pathwise: log L_n >= lambda_max(gz) - lambda_max(pc)
     for _ in range(50):

@@ -80,11 +80,11 @@ def test_scan_stops_match_the_matrix_scan_on_draws(bound, kind, params, d, k, mo
     gen = sim.default_generator(bound, kind, d)
     plan = entry.prepare(params, gen, sim.McConfig(trials=TRIALS))
     draws = gen.draw(substream(808, entry.tag, d), TRIALS, HORIZON)
-    stop = blocked_stops(monkeypatch, k, lambda: sim._path_process(plan), draws)
-    want = ref_stops(sim._path_process(plan), draws[:, :])
+    stop = blocked_stops(monkeypatch, k, plan["process"], draws)
+    want = ref_stops(plan["process"](), draws[:, :])
     assert stop.tobytes() == want.tobytes()
     # on draws and on the stack they stand for
-    assert blocked_stops(monkeypatch, k, lambda: sim._path_process(plan), draws[:, :]).tobytes() == want.tobytes()
+    assert blocked_stops(monkeypatch, k, plan["process"], draws[:, :]).tobytes() == want.tobytes()
 
 
 def _stack(d, seed=5, scale=0.6):

@@ -509,6 +509,17 @@ def test_sequential_test_stops_memory_stays_below_the_path_stack():
         ("UMVI_MGF", {"gamma_scale": float("nan")}),
         ("DOOB", {"n": float("inf")}),
         ("DOOB", ["n", 5]),
+        ("CHERNOFF_HOEFFDING", {"gamma": 0}),
+        ("CHERNOFF_HOEFFDING", {"gamma": -1}),
+        ("CHERNOFF_HOEFFDING", {"gamma": 1e200}),
+        ("CHERNOFF_HOEFFDING", {"a_scalar": 0}),
+        ("CHERNOFF_HOEFFDING", {"a_scalar": -1}),
+        ("UMMI", {"a": [[1.0, 0.0], [0.0, -1.0]]}),
+        ("UMCI1", {"a": [[1.0, 0.0], [0.0, 0.0]]}),
+        ("UMCI_N", {"a": [[0.0, 1.0], [1.0, 0.0]]}),
+        ("PCHEB1", {"a": [[-1.0, 0.0], [0.0, -1.0]]}),
+        ("URSN", {"gamma_scale": 1e300}),
+        ("UMVI_SELF_NORMALIZED", {"gamma_scale": 1e200}),
     ],
 )
 def test_malformed_params_raise_config_error_before_sampling(bound, params, monkeypatch):

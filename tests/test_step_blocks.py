@@ -159,7 +159,7 @@ CASES = [
 
 
 def _taus(plan, horizon, g):
-    stopping = plan.get("stopping", {"kind": "first_crossing"})
+    stopping = plan.get("stopping") or {"kind": "first_crossing"}
     if stopping["kind"] == "geometric":
         return np.minimum(g.geometric(stopping["q"], TRIALS), horizon)
     if stopping["kind"] == "fixed":
@@ -176,11 +176,11 @@ def test_block_stops_and_values_match_a_per_step_loop(bound, kind, d, params, k,
     horizon = plan["horizon"]
     draws = gen.draw(substream(4242, entry.tag, d), TRIALS, horizon)
     taus = _taus(plan, horizon, substream(4242, entry.tag, 7))
-    blocked = sim._path_process(plan)
+    blocked = plan["process"]()
     monkeypatch.setattr(pr, "_MEAN_CHUNK_CELLS", k * TRIALS * blocked._step_cells(d))
     sizes = record_blocks(blocked)
     stop = pr.first_crossing(blocked, draws, plan.get("gammas"), taus)
-    want, want_at = ref_first_crossing(sim._path_process(plan), draws[:, :], plan.get("gammas"), taus)
+    want, want_at = ref_first_crossing(plan["process"](), draws[:, :], plan.get("gammas"), taus)
     assert_blocks_of(sizes, k)
     assert_bitwise(stop, want)
     assert_bitwise(blocked.at_stop, want_at)
@@ -255,7 +255,7 @@ def test_no_block_runs_past_the_last_stopping_time(monkeypatch):
     draws = gen.draw(substream(6, 1), TRIALS, HORIZON)
     built = []
     monkeypatch.setattr(type(draws), "steps", lambda self, lo, hi: built.append(hi) or draws[:, lo:hi].swapaxes(0, 1).copy())
-    stop = pr.first_crossing(sim._path_process(plan), draws, plan["gammas"], np.full(TRIALS, 7))
+    stop = pr.first_crossing(plan["process"](), draws, plan["gammas"], np.full(TRIALS, 7))
     assert stop.tolist() == [7] * TRIALS and built == [7]
 
 
@@ -267,7 +267,7 @@ def test_a_stack_of_matrices_steps_like_its_draws(monkeypatch):
     monkeypatch.setattr(pr, "_MEAN_CHUNK_CELLS", 4 * TRIALS * 4)
     stack = draws[:, :]
     before = stack.copy()
-    a, b = sim._path_process(plan), sim._path_process(plan)
+    a, b = plan["process"](), plan["process"]()
     sizes_a, sizes_b = record_blocks(a), record_blocks(b)
     assert_bitwise(pr.first_crossing(a, stack, plan["gammas"]), pr.first_crossing(b, draws, plan["gammas"]))
     assert_blocks_of(sizes_a, 4)
@@ -588,12 +588,12 @@ def test_taus_stop_without_computing_events(bound, kind, params, stopping, k, mo
     plan = entry.prepare({**params, "stopping": stopping}, gen, sim.McConfig(trials=TRIALS, horizon=HORIZON))
     draws = gen.draw(substream(4243, entry.tag, d), TRIALS, HORIZON)
     taus = _taus(plan, HORIZON, substream(4243, entry.tag, 8))
-    want, want_at = ref_first_crossing(sim._path_process(plan), draws[:, :], plan["gammas"], taus)
+    want, want_at = ref_first_crossing(plan["process"](), draws[:, :], plan["gammas"], taus)
 
     def no_screen(*args, **kwargs):
         raise AssertionError("an event was computed")
 
     monkeypatch.setattr(sm, "settles", no_screen)
-    proc, stop = _blocked(monkeypatch, k, draws, lambda: sim._path_process(plan), plan["gammas"], taus)
+    proc, stop = _blocked(monkeypatch, k, draws, plan["process"], plan["gammas"], taus)
     assert_bitwise(stop, want)
     assert_bitwise(proc.at_stop, want_at)
