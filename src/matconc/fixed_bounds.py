@@ -65,6 +65,7 @@ __all__ = [
     "chernoff1_bound",
     "mgf_trace_bound",
     "chernoff_hoeffding_event",
+    "sum_tail_event",
     "chernoff_hoeffding_bound",
     "sum_pth_moment_bound",
     "vector_pcheb_bound",
@@ -195,9 +196,24 @@ def chebyshev1_bound(v: np.ndarray, a: np.ndarray) -> float:
     return sm.trace_product(sm.symmat(v), sm.mat_pow(_require_pd(a), -2.0))
 
 
+def _mean(xs) -> np.ndarray:
+    """The mean of ``xs`` (..., n, d, d) as the harness forms it: a scan stopped at ``n``."""
+    from .processes import MeanScan, first_crossing  # processes imports this module
+
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim < 3 or xs.shape[-3] < 1:
+        raise DimMismatch(f"observations must be shaped (..., n >= 1, d, d), got {xs.shape}")
+    paths = xs.reshape((-1,) + xs.shape[-3:])
+    if not len(paths):  # no trials
+        return np.zeros(xs.shape[:-3] + xs.shape[-2:])
+    scan = MeanScan()
+    first_crossing(scan, paths, taus=np.full(len(paths), paths.shape[1]))
+    return scan.at_stop.reshape(xs.shape[:-3] + xs.shape[-2:])
+
+
 def chebyshev_n_event(xs, m: np.ndarray, a: np.ndarray, u):
-    """Chebyshev event on the average of the ``n`` observations ``xs`` (..., n, d, d)."""
-    return chebyshev_event(np.mean(np.asarray(xs, dtype=np.float64), axis=-3), m, a, u)
+    """:func:`chebyshev_event` on the mean of the ``n`` observations ``xs`` (..., n, d, d)."""
+    return chebyshev_event(_mean(xs), m, a, u)
 
 
 def chebyshev_n_bound(v: np.ndarray, a: np.ndarray, n: int) -> float:
@@ -294,7 +310,12 @@ def mgf_trace_bound(spec: MgfSpec, gamma: float, n: int) -> float:
 
 
 def chernoff_hoeffding_event(xs, m: np.ndarray, a_scalar: float, gamma: float, u):
-    """Sum-tail event ``Xbar_n - M not <= a I + log(U) / gamma`` on ``xs`` (..., n, d, d).
+    """:func:`sum_tail_event` on the mean of the ``n`` observations ``xs`` (..., n, d, d)."""
+    return sum_tail_event(_mean(xs), m, a_scalar, gamma, u)
+
+
+def sum_tail_event(xbar, m: np.ndarray, a_scalar: float, gamma: float, u):
+    """Sum-tail event ``Xbar_n - M not <= a I + log(U) / gamma`` on a mean ``Xbar_n``.
 
     For ``U = u I`` the threshold is ``(a + log(u) / gamma) I``.  A
     singular ``U`` makes the threshold unbounded below, so the event
@@ -305,7 +326,7 @@ def chernoff_hoeffding_event(xs, m: np.ndarray, a_scalar: float, gamma: float, u
     if a_scalar <= 0.0:
         raise DomainError(f"scalar threshold must be positive, got {a_scalar}")
     m = sm.symmat(m)
-    dev = np.mean(np.asarray(xs, dtype=np.float64), axis=-3) - m
+    dev = np.asarray(xbar, dtype=np.float64) - m
     eye = np.eye(m.shape[0])
     log_u, singular = _log_or_singular(_randomizer(u, m.shape[0]))
     if log_u.ndim < 2:

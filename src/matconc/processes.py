@@ -22,7 +22,8 @@ steps, bit for bit.
   TRACE_PCHEB); ``first_crossing(MeanScan(...), xs)`` is the "exists n"
   scan of a stack of paths, run one matrix entry at a time: it sums
   step-major ``(k, trials)`` planes of the entries and forms matrices
-  only for the rows that its norm screen leaves.
+  only for the rows that its norm screen leaves; stopped at ``n``, a
+  scan that tests no step is the mean of a fixed-time bound.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ __all__ = [
 _CELL_BUDGET = 1 << 24
 # Cells built at once: the block of k consecutive steps a path run takes
 # (first_crossing), k * trials * d^2 cells of matrices, or k * trials * d
-# for the entry planes of a scan (and of the means of _step_means).
+# for the entry planes of a scan.
 _MEAN_CHUNK_CELLS = 1 << 16
 _PATH_BLOCK_CAP = 1024
 
@@ -87,8 +88,8 @@ class _Process:
     may overwrite it.  It returns the block: a
     tuple of arrays shaped ``(n, trials, ...)`` (or None), the states of
     the first ``n`` steps.  ``n`` is ``k`` unless a state has a non-finite
-    entry, and then the block ends just before it.  ``_events(*states)``
-    is the decision rule, one call on any stack of states; it decides most
+    entry, and then the block ends just before it.  ``_events(*block)``
+    is the decision rule, one call on the block just run; it decides most
     rows from an exact norm bound, without the statistic, which only rows
     near the level need.  ``_values(*states)`` forms the statistic of the
     states it is given, and ``_stop`` records it in ``at_stop``: at each
@@ -116,10 +117,6 @@ class _Process:
 
     def _events(self, *states):
         """Crossing events of a stack of states."""
-        raise NotImplementedError
-
-    def _values(self, *states):
-        """The statistic of a stack of states."""
         raise NotImplementedError
 
     def _stop(self, block, steps, rows):
@@ -357,7 +354,7 @@ class TraceExpProcess(_Process):
 
 class MeanScan(_Process):
     """Running means ``Xbar_n`` tested by :func:`~matconc.martingales.scan_exceeds`
-    from ``n_start`` on; the value is the crossing event itself.
+    from ``n_start`` on (with no ``kind``, on no step); the value is ``Xbar_n``.
 
     A stack of paths is scanned one matrix entry at a time.  A block's
     input (:meth:`_block_input`) is one step-major ``(k, trials)`` plane
@@ -380,9 +377,10 @@ class MeanScan(_Process):
     equals that of the matrix scan, bit for bit.
     """
 
-    def __init__(self, kind, m, a, p=None, n_start=1):
+    def __init__(self, kind=None, m=None, a=None, p=None, n_start=1):
         self.kind, self.m, self.a, self.p, self.n_start = kind, m, a, p, n_start
         self.total, self.n = 0.0, 0
+        self._at = None
 
     def _step_cells(self, d: int) -> int:
         return d
@@ -404,20 +402,23 @@ class MeanScan(_Process):
         # step's entries plus those of the step before.  A loop of plane
         # adds, not np.add.accumulate: accumulate runs its inner loop along
         # the step axis, strided, 3-5x slower on planes of 512 trials.  This
-        # is the one loop that sums draws over steps (_step_means runs it too)
+        # is the one loop that sums draws over steps
         sums[0] += self.total
         for step, before in zip(sums[1:], sums):
             step += before
         self.total = sums[-1]
-        # steps before n_start are not tested
-        first = max(self.n + 1, self.n_start)
-        counts = np.arange(first, self.n + len(sums) + 1)
-        live = len(sums) - len(counts)
         self.n += len(sums)
+        return (sums,)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _events(self, sums):
+        counts = np.arange(self.n - len(sums) + 1, self.n + 1)
+        # steps before n_start are not tested, nor any step of a scan with no kind
+        live = len(sums) if self.kind is None else np.searchsorted(counts, self.n_start)
         events = np.zeros((len(sums), sums.shape[-1]), dtype=bool)
-        if len(counts):
-            events[live:] = self._scan(sums[live:], counts)
-        return (events,)
+        if live < len(sums):
+            events[live:] = self._scan(sums[live:], counts[live:])
+        return events
 
     def _scan(self, sums, counts):
         """Events of the running means ``sums / counts``, ``(n, trials)``."""
@@ -434,24 +435,32 @@ class MeanScan(_Process):
                 # entry there crosses
                 sq[~np.isfinite(dev[:, low:]).all(axis=1)] = np.nan
             settled = sm.settles(sq, level, d, power, scale)
-        return sm.unsettled_events(settled, lambda left: exact(self._matrices(dev, left), level))
+        rows = np.moveaxis(dev, 1, -1)
+        return sm.unsettled_events(settled, lambda left: exact(self._matrices(rows[left]), level))
 
-    def _matrices(self, planes, left):
-        """The matrices of the ``left`` rows (a mask over ``(n, trials)``, or
-        one step) of ``planes``: the lower triangle mirrored, then every
-        entry the planes hold in its place."""
+    def _matrices(self, picked):
+        """The matrices of the entry rows ``picked``, ``(count, entries)``: every
+        entry in its place, the lower triangle mirrored where the upper is not held."""
         d, (rows, cols) = self._d, self._entries
-        low = d * (d + 1) // 2
-        picked = np.moveaxis(planes, 1, -1)[left]
-        out = np.empty((len(picked), d, d))
-        out[:, cols[:low], rows[:low]] = picked[:, :low]
-        out[:, rows, cols] = picked
-        return out
+        place = np.full((d, d), -1)
+        place[rows, cols] = np.arange(len(rows))
+        return picked[:, np.where(place < 0, place.T, place).ravel()].reshape(-1, d, d)
 
-    def _events(self, events):
-        return events
+    def _stop(self, block, steps, rows):
+        (sums,) = block
+        first = self.n - len(sums) + 1
+        if len(rows) == sums.shape[-1] and (steps == steps[0]).all():
+            # every trial stops at one step, as at a fixed time: one plane gather
+            self._at = (sums[steps[0]] / (first + steps[0])).T
+            return
+        if self._at is None:
+            self._at = np.empty(sums.shape[:0:-1])
+        self._at[rows] = sums[steps, :, rows] / (first + steps)[:, None]
 
-    _values = _events
+    @property
+    def at_stop(self):
+        """``Xbar_tau`` of each trial, ``(trials, d, d)``, formed when read."""
+        return None if self._at is None else self._matrices(self._at)
 
 
 @lru_cache(maxsize=None)
@@ -479,59 +488,53 @@ def _frobenius_sq(planes, d: int):
     return sq
 
 
-def _step_blocks(proc: _Process, xs, gammas, horizon: int):
-    """The blocks of ``proc`` along ``xs`` up to ``horizon``, ``k`` steps each,
-    ``k`` sized by ``_MEAN_CHUNK_CELLS``: yields ``(lo, hi, block)`` for
-    the steps ``lo + 1 .. hi`` (see :class:`_Process`)."""
-    size, d = xs.shape[0], xs.shape[-1]
-    k = max(1, _MEAN_CHUNK_CELLS // (size * proc._step_cells(d)))
-    for lo in range(0, horizon, k):
-        hi = min(lo + k, horizon)
-        gs = [None] * (hi - lo) if gammas is None else [float(g) for g in gammas[lo:hi]]
-        yield lo, hi, proc._block(proc._block_input(xs, lo, hi), gs)
-
-
 def first_crossing(proc: _Process, xs, gammas=None, taus=None) -> np.ndarray:
     """Step ``proc`` along stacked paths ``xs`` of shape (trials, horizon, d, d).
 
-    ``xs`` is the stack or the :class:`~matconc.generators.Draws` that
-    stand for it.  The steps go to ``proc`` in blocks of ``k`` consecutive
-    steps, ``k = max(1, _MEAN_CHUNK_CELLS // (trials d^2))``: a block is
-    built step-major, ``(k, trials, d, d)``
-    (:meth:`~matconc.generators.Draws.steps`), the process runs its
-    recurrence through the block and keeps each step's state, and one call
-    of its decision rule gives the events of all ``k * trials`` states
-    (see :class:`_Process`).  A :class:`MeanScan` builds no matrix there:
-    its block is one ``(k, trials)`` plane per matrix entry
-    (:meth:`~matconc.generators.Draws.entries`), with ``k = max(1,
-    _MEAN_CHUNK_CELLS // (trials d))``.  Step ``n`` uses ``gammas[n - 1]``.  A trial
-    stops at its first crossing, or at its entry of ``taus`` (in
+    The one loop that steps a stack: every coverage run (a fixed-time run
+    is a :class:`MeanScan` stopped at ``n``) and
+    :func:`sequential_test_stops`.  ``xs`` is the stack or the
+    :class:`~matconc.generators.Draws` that stand for it.  The steps go
+    to ``proc`` in blocks of ``k`` consecutive steps, ``k = max(1,
+    _MEAN_CHUNK_CELLS // (trials d^2))``: a block is built step-major,
+    ``(k, trials, d, d)`` (:meth:`~matconc.generators.Draws.steps`), the
+    process runs its recurrence through the block and keeps each step's
+    state, and one call of its decision rule gives the events of all
+    ``k * trials`` states (see :class:`_Process`).  A :class:`MeanScan`
+    builds no matrix there: its block is one ``(k, trials)`` plane per
+    entry (:meth:`~matconc.generators.Draws.entries`), with ``d`` in
+    place of ``d^2``.  Step ``n`` uses ``gammas[n - 1]``.  A trial stops
+    at its first crossing, or at its entry of ``taus`` (in
     ``1..horizon``) when given, found with one ``argmax`` over the block's
-    steps; with ``taus`` no event is computed.  ``at_stop`` takes the
-    value of the state at the stopping step.  A stopped trial keeps running
-    to the end of its block, where a :class:`FactorProcess` restarts it.
-    Every stop and value equals that of a loop that takes one observation
-    of every trial at a time, applies the decision rule to each state and
-    stops at the first step that crosses, bit for bit; a state with a
-    non-finite entry raises DomainError only at a step that such a loop
-    would reach.
+    steps or read off ``taus``; with ``taus`` no event is computed.
+    ``at_stop`` takes the value of the state at the stopping step (a
+    scan's ``Xbar_tau``).  A stopped trial keeps running to the end of its
+    block, where a :class:`FactorProcess` restarts it.  Every stop and
+    value equals that of a loop that takes one observation of every trial
+    at a time, applies the decision rule to each state and stops at the
+    first step that crosses, bit for bit; a state with a non-finite entry
+    raises DomainError only at a step that such a loop would reach.
     Returns each trial's stopping step, 0 for a trial that never stopped;
-    ``proc.at_stop`` then holds the value at the stopping step, or at
-    the last step run for trials that never stopped.
+    ``proc.at_stop`` then holds the value at the stopping step, or at the
+    last step run for trials that never stopped.
     """
-    # every trial has stopped by the largest of taus: no block runs past it
-    horizon = xs.shape[1] if taus is None else min(xs.shape[1], int(taus.max()))
-    stop = np.zeros(xs.shape[0], dtype=np.int64)
-    for lo, hi, block in _step_blocks(proc, xs, gammas, horizon):
+    size, horizon, d = xs.shape[0], xs.shape[1], xs.shape[-1]
+    # no trial stops before the smallest of taus, and no block runs past the largest
+    first, horizon = (1, horizon) if taus is None else (taus.min(), min(horizon, int(taus.max())))
+    k = max(1, _MEAN_CHUNK_CELLS // (size * proc._step_cells(d)))
+    stop = np.zeros(size, dtype=np.int64)
+    for lo in range(0, horizon, k):
+        hi = min(lo + k, horizon)
+        gs = [None] * (hi - lo) if gammas is None else [float(g) for g in gammas[lo:hi]]
+        block = proc._block(proc._block_input(xs, lo, hi), gs)
         n = len(block[0])
         if taus is None:
             crossed = proc._events(*block)
+            rows = np.flatnonzero((stop == 0) & crossed.any(axis=0))
         else:
-            crossed = taus == np.arange(lo + 1, lo + n + 1)[:, None]
-        newly = (stop == 0) & crossed.any(axis=0)
-        if newly.any():
-            rows = np.flatnonzero(newly)
-            steps = crossed[:, rows].argmax(axis=0)
+            rows = np.flatnonzero((lo < taus) & (taus <= lo + n)) if lo + n >= first else ()
+        if len(rows):
+            steps = crossed[:, rows].argmax(axis=0) if taus is None else taus[rows] - (lo + 1)
             stop[rows] = lo + 1 + steps
             proc._stop(block, steps, rows)
             if stop.all():
@@ -542,21 +545,6 @@ def first_crossing(proc: _Process, xs, gammas=None, taus=None) -> np.ndarray:
     if len(rows):
         proc._stop(block, np.full(len(rows), n - 1), rows)
     return stop
-
-
-def _step_means(xs) -> np.ndarray:
-    """Each trial's mean of its steps, ``(trials, d, d)``, for stacked paths
-    ``xs`` or their :class:`~matconc.generators.Draws`: the running mean a
-    :class:`MeanScan` reaches at the last step, each entry summed in step
-    order from ``0.0`` and divided by the step count, then mirrored from
-    the scan's planes.  It runs the blocks of :func:`first_crossing`
-    without its stopping rule, which a scan that tests no step never
-    needs."""
-    n = xs.shape[1]
-    scan = MeanScan(None, None, None, n_start=n + 1)  # tests no step
-    for _ in _step_blocks(scan, xs, None, n):
-        pass
-    return scan._matrices((scan.total / n)[None], 0)
 
 
 def sequential_test_stops(gen, m, v, gammas, alpha: float, trials: int, seed: int) -> dict:

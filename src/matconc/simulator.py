@@ -14,15 +14,15 @@ the trial count and the data shape (through the cell budget of
 :mod:`matconc.processes`), never on the worker count, so a run is
 bit-for-bit reproducible no matter how it is parallelized.
 
-A block keeps its random numbers (:meth:`GeneratorSpec.draw`), not the
-``(block, n, d, d)`` stack they stand for: a path run steps the
-sequential process its plan carries a cache-sized run of consecutive
-steps at a time (:func:`~matconc.processes.first_crossing`) and decides
-a randomized bound with the process's own ``stopped_event``, and a
-fixed-time event on the mean of ``n`` draws receives the running means
-of :func:`~matconc.processes._step_means`, summed over the same step
-blocks.  Every matrix and every mean comes out as it would from the
-whole stack.
+One run loop runs every bound: each plan carries a process and a
+stopping rule, and a block keeps its random numbers
+(:meth:`GeneratorSpec.draw`), not the ``(block, n, d, d)`` stack they
+stand for, steps the process a cache-sized run of steps at a time to its
+stop (:func:`~matconc.processes.first_crossing`) and decides there.  A
+fixed-time run is the running mean stopped at ``n``: a
+:class:`~matconc.processes.MeanScan` that tests no step, its ``at_stop =
+Xbar_n`` decided by the bound's ``fixed_bounds`` event.  Every matrix
+and every mean comes out as from the whole stack.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from __future__ import annotations
 import atexit
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -230,6 +231,13 @@ def _threshold(p: dict, gen: GeneratorSpec, default_scale, pd=True) -> np.ndarra
     return a
 
 
+def _fixed_time(n: int, params: dict, gen: GeneratorSpec, **plan) -> dict:
+    """A fixed-time plan: the mean ``Xbar_n`` of a scan stopped at ``n``,
+    decided by ``event`` with the randomizer ``params["randomizer"]``."""
+    plan["randomizer"] = _norm_randomizer(params["randomizer"], gen.dim)
+    return {"process": pr.MeanScan, "stopping": {"kind": "fixed", "n": n}, "n_per": n, **plan}
+
+
 def _prep_ummi(params, gen, mc):
     p = _take(params, {"a": None, "randomizer": None, "target": 0.5})
     mean_x = gen.mean()
@@ -237,12 +245,11 @@ def _prep_ummi(params, gen, mc):
         a = gen.a.copy()  # the supporting ellipsoid: equality case
     else:
         a = _threshold(p, gen, lambda: sm.trace(mean_x) / p["target"])
-    return {
-        "event": partial(fb.ummi_event, a=a),
-        "n_per": 1,
-        "randomizer": _norm_randomizer(p["randomizer"], gen.dim),
-        "bound": fb.ummi_bound(mean_x, a),
-    }
+    return _fixed_time(
+        1, p, gen,
+        event=partial(fb.ummi_event, a=a),
+        bound=fb.ummi_bound(mean_x, a),
+    )
 
 
 def _prep_cheb(params, gen, mc, n_fixed):
@@ -250,24 +257,17 @@ def _prep_cheb(params, gen, mc, n_fixed):
     n = p["n"]
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
+    if n == 1 < n_fixed:
+        raise ConfigError("UMCI_N is the n-sample variant; use UMCI1 for n = 1")
     if n > 1 and gen.kind == "EXCHANGEABLE_MIXTURE":
         raise IncompatiblePair("variance of the running mean needs independent draws")
     v = _moment(gen, "variance")
     a = _threshold(p, gen, lambda: math.sqrt(sm.trace(v) / (p["target"] * n)))
-    return {
-        "event": partial(fb.chebyshev_n_event, m=gen.mean(), a=a),
-        "averaged": True,
-        "n_per": n,
-        "randomizer": _norm_randomizer(p["randomizer"], gen.dim),
-        "bound": fb.chebyshev_n_bound(v, a, n),
-    }
-
-
-def _prep_umci_n(params, gen, mc):
-    plan = _prep_cheb(params, gen, mc, n_fixed=50)
-    if plan["n_per"] < 2:
-        raise ConfigError("UMCI_N is the n-sample variant; use UMCI1 for n = 1")
-    return plan
+    return _fixed_time(
+        n, p, gen,
+        event=partial(fb.chebyshev_event, m=gen.mean(), a=a),
+        bound=fb.chebyshev_n_bound(v, a, n),
+    )
 
 
 def _prep_pcheb1(params, gen, mc):
@@ -277,13 +277,22 @@ def _prep_pcheb1(params, gen, mc):
         raise ConfigError(f"p must lie in [1, 2], got {pw}")
     vp = _moment(gen, "pth_central", pw)
     a = _threshold(p, gen, lambda: (sm.trace(vp) / p["target"]) ** (1.0 / pw))
-    return {
-        "event": partial(fb.pcheb1_event, m=gen.mean(), a=a, p=pw),
-        "n_per": 1,
-        "p": pw,
-        "randomizer": _norm_randomizer(p["randomizer"], gen.dim),
-        "bound": fb.pcheb1_bound(vp, a, pw),
-    }
+    return _fixed_time(
+        1, p, gen,
+        event=partial(fb.pcheb1_event, m=gen.mean(), a=a, p=pw),
+        p=pw,
+        bound=fb.pcheb1_bound(vp, a, pw),
+    )
+
+
+@contextmanager
+def _moments_of(gamma: float):
+    """Computing a bound's exponential moments from ``gamma``: an overflow is a ConfigError."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    except (DomainError, OverflowError):
+        raise ConfigError(f"parameter 'gamma' overflows the exponential moments, got {gamma!r}") from None
 
 
 def _prep_chernoff1(params, gen, mc):
@@ -296,21 +305,21 @@ def _prep_chernoff1(params, gen, mc):
         )
     # With [M, C] = 0 the tilted mean splits: E e^{2g X} = e^{2g M} E e^{2g W C}.
     two_g = config_step_size(2.0 * gamma, "twice parameter 'gamma'")  # squared below
-    if gen.kind == "RADEMACHER_SCALED":
-        half = sm.mat_exp(two_g * c) + sm.mat_exp(-two_g * c)
-        exp_moment = sm.mat_exp(two_g * m) @ (half / 2.0)
-    else:
-        exp_moment = sm.mat_exp(two_g * m + (two_g**2 / 2.0) * (c @ c))
-    exp_moment = sm.symmat(exp_moment)
+    with _moments_of(gamma):
+        if gen.kind == "RADEMACHER_SCALED":
+            half = sm.mat_exp(two_g * c) + sm.mat_exp(-two_g * c)
+            exp_moment = sm.mat_exp(two_g * m) @ (half / 2.0)
+        else:
+            exp_moment = sm.mat_exp(two_g * m + (two_g**2 / 2.0) * (c @ c))
+        exp_moment = sm.symmat(exp_moment)
     # Chernoff's bound holds for any symmetric threshold
     a = _threshold(p, gen, lambda: math.log(sm.trace(exp_moment) / p["target"]) / two_g, pd=False)
-    return {
-        "event": partial(fb.chernoff1_event, a=a, gamma=gamma),
-        "n_per": 1,
-        "gamma": gamma,
-        "randomizer": _norm_randomizer(p["randomizer"], gen.dim),
-        "bound": fb.chernoff1_bound(exp_moment, a, gamma),
-    }
+    return _fixed_time(
+        1, p, gen,
+        event=partial(fb.chernoff1_event, a=a, gamma=gamma),
+        gamma=gamma,
+        bound=fb.chernoff1_bound(exp_moment, a, gamma),
+    )
 
 
 _CH_ROWS = {
@@ -370,19 +379,16 @@ def _prep_ch(params, gen, mc):
         if p["a_scalar"] is not None
         else 2.0 * math.log(gen.dim / alpha0) / gamma
     )
-    spec = fb.MgfSpec(mgf_kind, row_mat)
-    return {
-        "event": partial(
-            fb.chernoff_hoeffding_event, m=gen.mean(), a_scalar=a_scalar, gamma=gamma
-        ),
-        "averaged": True,
-        "n_per": n,
-        "gamma": gamma,
-        "a_scalar": a_scalar,
-        "randomizer": _norm_randomizer(p["randomizer"], gen.dim),
-        "bound": fb.chernoff_hoeffding_bound(spec, gamma, n, a_scalar),
-        "mgf_kind": mgf_kind,
-    }
+    with _moments_of(gamma):
+        bound = fb.chernoff_hoeffding_bound(fb.MgfSpec(mgf_kind, row_mat), gamma, n, a_scalar)
+    return _fixed_time(
+        n, p, gen,
+        event=partial(fb.sum_tail_event, m=gen.mean(), a_scalar=a_scalar, gamma=gamma),
+        gamma=gamma,
+        a_scalar=a_scalar,
+        bound=bound,
+        mgf_kind=mgf_kind,
+    )
 
 
 # --- sequential entries ----------------------------------------------------
@@ -566,7 +572,7 @@ _BOUNDS = (
         "UMCI_N",
         "fixed",
         ("RADEMACHER_SCALED", "GAUSSIAN_SCALED", "BOUNDED_PSD", "IID_WISHART_LIKE"),
-        _prep_umci_n,
+        partial(_prep_cheb, n_fixed=50),
     ),
     (
         "PCHEB1",
@@ -658,45 +664,29 @@ _REGISTRY = {
 # block runners
 
 
-def _fixed_block(plan, gen, size, seed, tag, block_idx) -> int:
-    """Events of a fixed-time bound: its ``fixed_bounds`` predicate on a block of trials."""
-    g_data, g_rand = _rng.spawn_pair(seed, tag, block_idx)
-    draws = gen.draw(g_data, size, plan["n_per"])
-    u = plan["randomizer"].draw(g_rand, size)
-    # an event on the average of n observations gets each trial's mean
-    # as its one observation, summed as the running-mean scans sum it
-    x = pr._step_means(draws)[:, None] if plan.get("averaged") else draws[:, 0]
-    return int(np.count_nonzero(plan["event"](x, u=u)))
-
-
 def _path_events(plan, xs, g_rand: np.random.Generator) -> np.ndarray:
-    """Per-trial events of a path bound on stacked paths ``xs`` (see ``processes.first_crossing``)."""
+    """Per-trial events of a bound on stacked paths ``xs`` (see ``processes.first_crossing``)."""
     size, horizon = xs.shape[0], xs.shape[1]
-    stopping = plan.get("stopping")
-    kind = None if stopping is None else stopping["kind"]
+    stopping = plan.get("stopping") or {}
     taus = None
-    if kind == "geometric":
+    if stopping.get("kind") == "geometric":
         taus = np.minimum(g_rand.geometric(stopping["q"], size), horizon)
-    elif kind == "fixed":
+    elif stopping.get("kind") == "fixed":
         taus = np.full(size, stopping["n"])
     proc = plan["process"]()
     stop = pr.first_crossing(proc, xs, plan.get("gammas"), taus)
-    if stopping is None:
+    if not stopping:
         # "exists n" scans: the crossing itself is the event, never randomized
         return stop > 0
-    return proc.stopped_event(proc.at_stop, plan["randomizer"].draw(g_rand, size))
-
-
-def _path_block(plan, gen, size, seed, tag, block_idx) -> int:
-    g_data, g_rand = _rng.spawn_pair(seed, tag, block_idx)
-    draws = gen.draw(g_data, size, plan["horizon"])
-    return int(_path_events(plan, draws, g_rand).sum())
+    event = plan.get("event") or proc.stopped_event
+    return event(proc.at_stop, u=plan["randomizer"].draw(g_rand, size))
 
 
 def _block_task(args) -> int:
-    family, plan, gen, size, seed, tag, block_idx = args
-    runner = _fixed_block if family == "fixed" else _path_block
-    return runner(plan, gen, size, seed, tag, block_idx)
+    """The event count of one block of trials, every bound's one run loop."""
+    plan, gen, size, steps, seed, tag, block_idx = args
+    g_data, g_rand = _rng.spawn_pair(seed, tag, block_idx)
+    return int(np.count_nonzero(_path_events(plan, gen.draw(g_data, size, steps), g_rand)))
 
 
 def _pool_size(workers: int) -> int:
@@ -787,16 +777,13 @@ def run_coverage(
     _check_pair(entry, gen)
     plan = entry.prepare(params, gen, mc)
     seed = mc.seed()
-    n_per = plan.get("n_per", plan.get("horizon", 1))
+    steps = plan.get("n_per", plan.get("horizon"))
     cap = _FIXED_BLOCK_CAP if entry.family == "fixed" else pr._PATH_BLOCK_CAP
-    block = pr._block_size(n_per, gen.dim, cap)
+    block = pr._block_size(steps, gen.dim, cap)
     sizes = [block] * (mc.trials // block)
     if mc.trials % block:
         sizes.append(mc.trials % block)
-    tasks = [
-        (entry.family, plan, gen, size, seed, entry.tag, idx)
-        for idx, size in enumerate(sizes)
-    ]
+    tasks = [(plan, gen, size, steps, seed, entry.tag, idx) for idx, size in enumerate(sizes)]
     pool_size = _pool_size(mc.workers)
     if pool_size == 1:
         counts = [_block_task(t) for t in tasks]

@@ -119,7 +119,7 @@ def symmat(m) -> np.ndarray:
     ----------
     m : array_like, shape (d, d)
         Square real matrix (a nested list is fine).  Any asymmetry is
-        averaged away.
+        removed: the result is the symmetric part.
 
     Returns
     -------

@@ -923,6 +923,8 @@ SHEAVY_GEN = {"kind": "SYMMETRIC_HEAVY", "dim": 2, "d_dir": [[0.2, 0.0], [0.0, 0
               "tail_index": 2.5}
 BPSD_GEN = {"kind": "BOUNDED_PSD", "dim": 2, "m": ID2, "b": [[3.0, 0.0], [0.0, 3.0]]}
 ELLIPSE_GEN = {"kind": "ELLIPSOID_RANK1", "dim": 2, "a": [[1.0, 0.0], [0.0, 2.0]]}
+RAD_GEN = {"kind": "RADEMACHER_SCALED", "dim": 2, "c": [[0.5, 0.0], [0.0, 0.5]]}
+GAMMA_MOMENTS = "parameter 'gamma' overflows the exponential moments, got "
 
 
 def _one_run(bound, generator, params=None):
@@ -1148,6 +1150,11 @@ def test_every_config_matrix_is_read_by_one_rule(tmp_path, capsys, command, cfg_
         # CHERNOFF1 squares 2 gamma
         ("verify", _one_run("CHERNOFF1", SCAN_GEN, {"gamma": 1e154}),
          "twice parameter 'gamma' must be small enough to square, got 2e+154"),
+        # a step size that overflows the bound's exponential moments, before any sampling
+        ("verify", _one_run("CHERNOFF1", SCAN_GEN, {"gamma": 1e100}), GAMMA_MOMENTS + "1e+100"),
+        ("verify", _one_run("CHERNOFF_HOEFFDING", SCAN_GEN, {"gamma": 1e100}), GAMMA_MOMENTS + "1e+100"),
+        ("verify", _one_run("CHERNOFF_HOEFFDING", RAD_GEN, {"gamma": 1e100, "mgf_kind": "BENNETT_I"}),
+         GAMMA_MOMENTS + "1e+100"),
     ],
 )
 def test_malformed_inputs_exit_2_with_one_error_line(tmp_path, capsys, command, cfg_obj, message):

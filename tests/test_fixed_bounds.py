@@ -83,6 +83,18 @@ def test_chebyshev_n_event_averages(gen):
     assert not chebyshev_n_event(xs, m, a, 0.01 * np.eye(2))
 
 
+def test_events_on_a_mean_of_no_trials_are_empty_and_need_a_step_axis():
+    m, a = np.zeros((2, 2)), np.eye(2)
+    for stack in (np.zeros((0, 3, 2, 2)), np.zeros((4, 0, 3, 2, 2))):
+        assert chebyshev_n_event(stack, m, a, 1.0).shape == stack.shape[:-3]
+        assert chernoff_hoeffding_event(stack, m, 1.0, 1.0, 1.0).shape == stack.shape[:-3]
+    for bad in (np.zeros((2, 2)), np.zeros((5, 0, 2, 2))):
+        with pytest.raises(DimMismatch):
+            chebyshev_n_event(bad, m, a, 1.0)
+        with pytest.raises(DimMismatch):
+            chernoff_hoeffding_event(bad, m, 1.0, 1.0, 1.0)
+
+
 def test_pcheb_reduces_to_chebyshev_at_p_two(gen):
     for _ in range(25):
         x = random_psd(gen, 3)

@@ -6,10 +6,11 @@ stepped one observation at a time through the validated per-sample
 functions (``build_factors``, ``MatSupermartingaleState.step``,
 ``sn_process_step``, the decision rules), and the running-mean scans are
 formed by ``np.cumsum`` and tested by ``scan_exceeds``: both must decide
-the same events on the same draws.  The fixed-time bounds run the public
-``fixed_bounds`` events on a whole block of trials, with the randomizer
-``u I`` given as one scalar per trial; called one trial at a time with
-the matrix ``U``, the same events must count the same hits.
+the same events on the same draws.  The fixed-time bounds run as the
+running mean stopped at ``n``, decided by a ``fixed_bounds`` event on a
+whole block of trials with the randomizer ``u I`` given as one scalar
+per trial; the public events, called one trial at a time on its sample
+with the matrix ``U``, must count the same hits.
 """
 
 import math
@@ -23,7 +24,7 @@ from matconc import scalar_e as se
 from matconc import symmat as sm
 from matconc.processes import FactorProcess, TraceExpProcess, sequential_test_stops
 from matconc.rng import spawn_pair, substream
-from matconc.simulator import McConfig, _entry, _fixed_block, _path_events, default_generator
+from matconc.simulator import McConfig, _block_task, _entry, _path_events, default_generator
 
 TRIALS = 48
 
@@ -189,8 +190,9 @@ RANDOMIZERS = [
     "scaled_identity",
     {"kind": "shifted", "y": [[0.2, 0.1], [0.1, 0.3]]},
 ]
-#: events on the average of n observations take the whole sample
-AVERAGED = (fb.chebyshev_n_event, fb.chernoff_hoeffding_event)
+#: events on the average of n observations take the whole sample; a plan
+#: decides their mean-level form on the running mean
+AVERAGED = {fb.chebyshev_n_event: fb.chebyshev_event, fb.chernoff_hoeffding_event: fb.sum_tail_event}
 
 
 @pytest.mark.parametrize("randomizer", RANDOMIZERS, ids=["identity", "scaled", "shifted"])
@@ -199,9 +201,9 @@ def test_fixed_block_counts_match_per_trial_events(bound, kind, event, params, r
     entry = _entry(bound)
     gen = default_generator(bound, kind, 2)
     plan = entry.prepare({**(params or {}), "randomizer": randomizer}, gen, McConfig())
-    assert plan["event"].func is event
+    assert plan["event"].func is AVERAGED.get(event, event)
     seed, block_idx = 4242, 3
-    count = _fixed_block(plan, gen, TRIALS, seed, entry.tag, block_idx)
+    count = _block_task((plan, gen, TRIALS, plan["n_per"], seed, entry.tag, block_idx))
     g_data, g_rand = spawn_pair(seed, entry.tag, block_idx)
     xs = gen.sample_batch(g_data, TRIALS, plan["n_per"])
     us = np.ones(TRIALS) if randomizer == "identity" else 1.0 - g_rand.random(TRIALS)

@@ -1,5 +1,6 @@
 """Report bytes are pinned: the default suite, the simulated sequential
-tests and the running-mean scans at small sizes reproduce stored fixtures.
+tests, the running-mean scans and the stopping rules and randomizers
+beside the defaults, at small sizes, reproduce stored fixtures.
 
 Speed-ups of the simulator are meant to be exact, so every
 ``McReport.to_dict()`` of the default verification matrix must equal the
@@ -8,7 +9,11 @@ of ``sequential_test_stops`` (the paths of ``power-compare``) and of
 ``first_crossing(MeanScan(...))`` must equal the stored one.  The scans
 run below their default thresholds, so that most trials cross, at
 steps spread over the horizon: a report counts only whether a trial
-crossed, and several default scan runs see no crossing at all.  A change that alters what a seed produces must say so
+crossed, and several default scan runs see no crossing at all.  The
+default suite stops each randomized bound at its first crossing and
+draws ``u I``; the route reports run fixed and geometric stopping times
+and a shifted randomizer, at a level where many trials see the event.
+A change that alters what a seed produces must say so
 and regenerate the fixtures with
 
     PYTHONPATH=src python tests/test_report_identity.py
@@ -31,6 +36,7 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 FIXTURE = os.path.join(FIXTURES, "report_identity_seed101.json")
 STOPS_FIXTURE = os.path.join(FIXTURES, "sequential_stops_seed101.json")
 SCAN_FIXTURE = os.path.join(FIXTURES, "scan_stops_seed101.json")
+ROUTE_FIXTURE = os.path.join(FIXTURES, "stopping_routes_seed101.json")
 SIZES = {"dims": (1, 2, 5), "trials_fixed": 10000, "trials_path": 512, "horizon": 150}
 SEED = 101
 
@@ -61,6 +67,27 @@ SCAN_CASES = [
     for d in (1, 2, 3, 5)
 ]
 SCAN_TRIALS, SCAN_HORIZON = 128, 200
+
+
+def _shift(d: int) -> list:
+    """A PSD shift ``Y`` of the ``shifted`` randomizer at dimension ``d``."""
+    return (0.1 * np.eye(d) + 0.05).tolist()
+
+
+#: (bound, dim, params): stopping times other than the first crossing,
+#: each stopping inside a block of steps, and the shifted randomizer
+ROUTE_CASES = [
+    (bound, d, params)
+    for d in (1, 2, 5)
+    for bound, params in (
+        ("UMVI_MGF", {"alpha": 0.5, "stopping": {"kind": "fixed", "n": 7}}),
+        ("UMVI_SYMMETRIC", {"alpha": 0.5, "stopping": {"kind": "fixed", "n": 7}}),
+        ("URSN", {"alpha": 0.5, "stopping": {"kind": "geometric", "q": 0.1}}),
+        ("UMVI_MGF", {"alpha": 0.5, "stopping": {"kind": "geometric", "q": 0.1}}),
+        ("UMMI", {"randomizer": {"kind": "shifted", "y": _shift(d)}}),
+        ("UMVI_BETTING", {"alpha": 0.5, "randomizer": {"kind": "shifted", "y": _shift(d)}}),
+    )
+]
 
 
 def _reports() -> list[dict]:
@@ -104,6 +131,22 @@ def _all_scan_stops() -> list[dict]:
     ]
 
 
+def _route_report(bound: str, d: int, params: dict) -> dict:
+    """The report of one route case on the bound's default generator."""
+    entry = sim._entry(bound)
+    gen = default_generator(bound, entry.compatible[0], d)
+    trials = SIZES["trials_fixed" if entry.family == "fixed" else "trials_path"]
+    mc = sim.McConfig(trials=trials, horizon=SIZES["horizon"], base_seed=SEED)
+    return json.loads(json.dumps(sim.run_coverage(bound, gen, mc, params).to_dict()))
+
+
+def _all_route_reports() -> list[dict]:
+    return [
+        {"bound": bound, "dim": d, "params": params, "report": _route_report(bound, d, params)}
+        for bound, d, params in ROUTE_CASES
+    ]
+
+
 def test_default_suite_reports_match_fixture():
     with open(FIXTURE) as fh:
         expected = json.load(fh)
@@ -134,8 +177,26 @@ def test_scan_stops_match_fixture(case):
     assert len(set(stops) - {0}) > 1
 
 
+@pytest.mark.parametrize("case", range(len(ROUTE_CASES)))
+def test_stopping_and_randomizer_routes_match_fixture(case):
+    with open(ROUTE_FIXTURE) as fh:
+        expected = json.load(fh)[case]
+    bound, d, params = ROUTE_CASES[case]
+    assert (expected["bound"], expected["dim"], expected["params"]) == (bound, d, params)
+    report = _route_report(bound, d, params)
+    assert report == expected["report"]
+    # a report that saw no event would pin nothing of the decision at the stop
+    assert report["event_freq"] > 0
+
+
 if __name__ == "__main__":
-    for path, make in ((FIXTURE, _reports), (STOPS_FIXTURE, _all_stops), (SCAN_FIXTURE, _all_scan_stops)):
+    fixtures = (
+        (FIXTURE, _reports),
+        (STOPS_FIXTURE, _all_stops),
+        (SCAN_FIXTURE, _all_scan_stops),
+        (ROUTE_FIXTURE, _all_route_reports),
+    )
+    for path, make in fixtures:
         with open(path, "w") as fh:
             json.dump(make(), fh, indent=1, sort_keys=True)
             fh.write("\n")

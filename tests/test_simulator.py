@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from matconc import fixed_bounds as fb
 from matconc import processes as pr
 from matconc import simulator as sim
 from matconc.errors import ConfigError, IncompatiblePair
@@ -400,35 +401,70 @@ AVERAGED_CASES = [
 ]
 
 
+#: the public event of each mean-level event a fixed-time plan decides on
+PUBLIC_EVENTS = {fb.chebyshev_event: fb.chebyshev_n_event, fb.sum_tail_event: fb.chernoff_hoeffding_event}
+
+
 @pytest.mark.parametrize("d", [1, 2, 5])
 @pytest.mark.parametrize("bound,kind,params", AVERAGED_CASES)
-def test_fixed_block_means_over_chunks_match_the_full_stack(bound, kind, params, d):
+def test_fixed_time_means_over_chunks_match_the_full_stack(bound, kind, params, d):
     entry = _entry(bound)
     gen = default_generator(bound, kind, d)
     plan = entry.prepare(params, gen, FAST)
-    assert plan["averaged"]
     n = plan["n_per"]
+    assert plan["stopping"] == {"kind": "fixed", "n": n}
     # about n / 3.5 steps per block: three full blocks of steps and a partial fourth
     trials = 3 * (pr._MEAN_CHUNK_CELLS // (n * d)) + pr._MEAN_CHUNK_CELLS // (2 * n * d)
     assert 3 < n / (pr._MEAN_CHUNK_CELLS // (trials * d)) < 4
     seed, block_idx = 808, 2
-    count = sim._fixed_block(plan, gen, trials, seed, entry.tag, block_idx)
+    count = sim._block_task((plan, gen, trials, n, seed, entry.tag, block_idx))
     g_data, g_rand = spawn_pair(seed, entry.tag, block_idx)
-    draws = gen.draw(g_data, trials, n)
+    proc = plan["process"]()
+    pr.first_crossing(proc, gen.draw(g_data, trials, n), None, np.full(trials, n))
     g_data, _ = spawn_pair(seed, entry.tag, block_idx)
     xs = gen.sample_batch(g_data, trials, n)
-    means = pr._step_means(draws)
     # each entry summed in step order: np.mean's order at d >= 2, but at
     # d = 1 numpy sums the contiguous step axis pairwise
     total = 0.0
     for j in range(n):
         total = total + xs[:, j]
-    assert means.tobytes() == (total / n).tobytes()
+    assert proc.at_stop.tobytes() == (total / n).tobytes()
     if d > 1:
-        assert means.tobytes() == np.mean(xs, axis=1).tobytes()
-    events = plan["event"](xs, u=plan["randomizer"].draw(g_rand, trials))
+        assert proc.at_stop.tobytes() == np.mean(xs, axis=1).tobytes()
+    # the public event on the whole sample counts the same hits
+    event = PUBLIC_EVENTS[plan["event"].func]
+    events = event(xs, u=plan["randomizer"].draw(g_rand, trials), **plan["event"].keywords)
     assert count == np.count_nonzero(events)
     assert 0 < count < trials
+
+
+def _eye2(scale):
+    return (scale * np.eye(2)).tolist()
+
+
+#: (bound, params): each bound's threshold far inside its validity range
+LIVE_CASES = [
+    ("UMMI", {"a": _eye2(0.01)}),
+    ("UMCI1", {"a": _eye2(0.01)}),
+    ("UMCI_N", {"a": _eye2(0.001)}),
+    ("PCHEB1", {"a": _eye2(0.01)}),
+    ("CHERNOFF1", {"a": _eye2(-5.0)}),
+    ("CHERNOFF_HOEFFDING", {"a_scalar": 1e-3}),
+    ("DOOB", {"a": _eye2(1e-4), "n": 20}),
+    ("XMCI", {"a": 1e-3, "n_max": 20}),
+    ("XMCI2", {"a": 1e-3, "n_max": 20}),
+    ("XMPCI", {"a": 1e-3, "n_max": 20}),
+    ("TRACE_PCHEB", {"a": 1e-3, "n_max": 20}),
+]
+
+
+@pytest.mark.parametrize("bound,params", LIVE_CASES)
+def test_an_event_far_inside_its_range_is_seen(bound, params):
+    """The coverage gate is one-sided: an event wired to False passes it.
+    Against a threshold far inside its range, each bound's event fires."""
+    gen = default_generator(bound, _entry(bound).compatible[0], 2)
+    rep = run_coverage(bound, gen, McConfig(trials=2000, base_seed=31), params)
+    assert rep.event_freq >= 0.5
 
 
 def _block_peak_bytes(run) -> int:
@@ -445,13 +481,13 @@ def test_block_memory_stays_below_the_sample_stack():
     ch = _entry("CHERNOFF_HOEFFDING")
     gen = default_generator("CHERNOFF_HOEFFDING", "RADEMACHER_SCALED", 5)
     plan = ch.prepare(None, gen, FAST)
-    peak = _block_peak_bytes(lambda: sim._fixed_block(plan, gen, 2000, 9, ch.tag, 0))
+    peak = _block_peak_bytes(lambda: sim._block_task((plan, gen, 2000, plan["n_per"], 9, ch.tag, 0)))
     assert peak < 16 * 2**20
     tp = _entry("TRACE_PCHEB")
     gen = default_generator("TRACE_PCHEB", "SYMMETRIC_HEAVY", 5)
     plan = tp.prepare(None, gen, FAST)
     assert plan["horizon"] == 300
-    peak = _block_peak_bytes(lambda: sim._path_block(plan, gen, 512, 9, tp.tag, 0))
+    peak = _block_peak_bytes(lambda: sim._block_task((plan, gen, 512, plan["horizon"], 9, tp.tag, 0)))
     assert peak < 16 * 2**20
 
 

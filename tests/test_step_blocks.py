@@ -49,7 +49,8 @@ class RefProcess:
     (or one ``(d, d)`` matrix), and returns each trial's crossing event
     and statistic: ``exceeds`` on ``Y = L L^T`` for a factor process,
     ``log tr e^S`` or the Hoeffding value against ``log(d / alpha)`` for
-    a trace-exp process, the scan test of the running mean for a scan.
+    a trace-exp process, the scan test of the running mean and the mean
+    itself for a scan.
     """
 
     def __init__(self, proc):
@@ -76,11 +77,10 @@ class RefProcess:
             value = se.log_trace_exp(s) if p.b is None else se.log_hoeffding_eprocess_value(self.state)
             return value >= p.level, value
         self.total, self.n = self.total + x, self.n + 1
+        mean = self.total / self.n
         if self.n < p.n_start:
-            events = np.zeros(x.shape[:-2], dtype=bool)
-        else:
-            events = mg.scan_exceeds(p.kind, self.total / self.n, p.m, p.a, p.p)
-        return events, events
+            return np.zeros(x.shape[:-2], dtype=bool), mean
+        return mg.scan_exceeds(p.kind, mean, p.m, p.a, p.p), mean
 
     def restart(self, rows):
         """Restart the products of stopped trials, which keeps them bounded."""
@@ -399,10 +399,11 @@ def test_the_scan_running_sums_are_those_of_a_step_loop(k):
         for j in range(1, len(want)):
             want[j] += want[j - 1]
         total = want[-1]
-        events, = scan._block(planes, [None] * (hi - lo))
+        (sums,) = scan._block(planes, [None] * (hi - lo))
+        assert sums is planes
         assert_bitwise(planes, want)
         assert_bitwise(scan.total, total)
-        assert not events.any()
+        assert not scan._events(sums).any()
         if lo == 0:
             assert not np.signbit(planes[0]).any()
 
