@@ -14,7 +14,9 @@ Four subcommands:
     stopping times.
 ``matconc falsify``
     Randomized search for counterexamples to the trace p-th moment
-    contraction ratio; prints the worst instance found, never a proof.
+    contraction ratio, each instance's ratio exact; prints the worst
+    instance found, which refutes the conjecture if its ratio exceeds 1
+    beyond rounding, and never proves it.
 
 Exit codes: 0 success (and all verifications passed), 1 at least one
 coverage FAIL verdict, 2 configuration or input error.
@@ -398,10 +400,11 @@ def _cmd_test(args) -> int:
                 f"data line {lineno}: dimension {x.shape[0]} != mean dimension {d}"
             )
         n += 1
+        gamma = gamma_fn(n)
         try:
-            reject = bool(proc.step(x, gamma_fn(n)))
+            reject = bool(proc.step(x, gamma))
         except MatconcError as exc:
-            raise ConfigError(f"data line {lineno}: {exc}") from exc
+            raise ConfigError(f"data line {lineno} at step size 'gamma' = {gamma!r}: {exc}") from exc
         value = sm.trace(proc.value) if mode == "matrix" else float(proc.value)
         frames_out.append({"n": n, key: value, "reject": reject})
         if reject:
@@ -489,13 +492,7 @@ def _cmd_power_compare(args) -> int:
 
 
 def _cmd_falsify(args) -> int:
-    rec = falsify_conjecture(
-        p=args.p,
-        d=args.d,
-        instances=args.instances,
-        trials_per_instance=args.trials_per_instance,
-        seed=args.seed,
-    )
+    rec = falsify_conjecture(p=args.p, d=args.d, instances=args.instances, seed=args.seed)
     _write_atomic(args.output, _dump_json(rec.to_dict()))
     return 0
 
@@ -562,7 +559,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fals.add_argument("--p", type=float, required=True, help="moment order in [1,2]")
     p_fals.add_argument("--d", type=int, required=True, help="matrix dimension")
     p_fals.add_argument("--instances", type=int, default=200)
-    p_fals.add_argument("--trials-per-instance", type=int, default=1500)
     p_fals.set_defaults(fn=_cmd_falsify)
     return parser
 

@@ -37,7 +37,7 @@ from . import martingales as mg
 from . import rng as _rng
 from . import scalar_e as se
 from . import symmat as sm
-from .errors import DomainError
+from .errors import DimMismatch, DomainError
 from .generators import Draws
 
 __all__ = [
@@ -152,9 +152,9 @@ class FactorProcess(_Process):
     forms the step factors ``A_n^{1/2} E_n^{1/2}`` of all its steps in one
     batched product, so the recurrence takes one product per step.  A
     trial that stops inside a block keeps multiplying to the block's end
-    and restarts there, so its product may overflow: the recurrence and
-    the rule run with overflow warnings off, and a non-finite trial is
-    crossed in any case.
+    and restarts there, so its product may overflow: the factors, the
+    recurrence and the rule run with overflow warnings off, and a
+    non-finite trial is crossed in any case.
     """
 
     def __init__(self, builder, m, a, mgf=None, v=None):
@@ -174,11 +174,11 @@ class FactorProcess(_Process):
         return self.decide()
 
     def _block(self, xs, gammas):
-        sqrt_a, lefts = self._prepare(xs, gammas)
-        # the factors A_n^{1/2} E_n^{1/2} of every step, in a buffer of their own
-        steps = lefts if sqrt_a is None else sqrt_a[:, None] @ lefts
         left = self.state.left
         with np.errstate(over="ignore", invalid="ignore"):
+            sqrt_a, lefts = self._prepare(xs, gammas)
+            # the factors A_n^{1/2} E_n^{1/2} of every step, in a buffer of their own
+            steps = lefts if sqrt_a is None else sqrt_a[:, None] @ lefts
             # each step's L_n takes the place of its factor E_n^{1/2} (``out``
             # positionally, which a ufunc call parses faster)
             for step, out in zip(steps, lefts):
@@ -516,9 +516,12 @@ def first_crossing(proc: _Process, xs, gammas=None, taus=None) -> np.ndarray:
     raises DomainError only at a step that such a loop would reach.
     Returns each trial's stopping step, 0 for a trial that never stopped;
     ``proc.at_stop`` then holds the value at the stopping step, or at the
-    last step run for trials that never stopped.
+    last step run for trials that never stopped.  A stack without a trial
+    or a step raises DimMismatch.
     """
     size, horizon, d = xs.shape[0], xs.shape[1], xs.shape[-1]
+    if size == 0 or horizon == 0:
+        raise DimMismatch(f"paths must be shaped (trials >= 1, horizon >= 1, d, d), got {xs.shape}")
     # no trial stops before the smallest of taus, and no block runs past the largest
     first, horizon = (1, horizon) if taus is None else (taus.min(), min(horizon, int(taus.max())))
     k = max(1, _MEAN_CHUNK_CELLS // (size * proc._step_cells(d)))

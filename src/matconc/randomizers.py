@@ -9,8 +9,8 @@ must satisfy is *trace super-uniformity*:
 
 ``u * I`` with ``u ~ Uniform(0,1)`` satisfies this with equality on the
 family of unit-trace rank-one matrices; adding any fixed PSD shift
-preserves the inequality.  :func:`verify_trace_superuniform` checks the
-property empirically for a given randomizer.
+preserves the inequality.  :func:`verify_trace_superuniform` gives both
+sides exactly for a given randomizer.
 
 Randomizers own their randomness: a sampler never sees the data stream,
 and the Monte Carlo engine hands each work unit a dedicated generator.
@@ -26,7 +26,6 @@ import numpy as np
 from . import rng as _rng
 from . import symmat as sm
 from .errors import ConfigError, DomainError
-from .report import McReport, wilson_interval
 
 __all__ = [
     "ScalarRandomizer",
@@ -154,27 +153,25 @@ class MatrixRandomizer:
         g = gen if gen is not None else self._own_gen()
         return self.sample_given(_uniform_open(g))
 
-    def _us(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` scalars ``u`` at once, as :meth:`sample` draws them one at a
-        time; all 1 for ``identity``, which reads nothing of ``gen``."""
-        return np.ones(size) if self.kind == "identity" else 1.0 - gen.random(size)
-
     def draw(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        """``U`` for each of ``size`` trials: one ``u`` per trial standing for
-        ``u I``, or the stack ``u I + Y`` for ``shifted``."""
-        us = self._us(gen, size)
+        """``U`` for each of ``size`` trials, drawn as :meth:`sample` draws
+        them one at a time: one ``u`` per trial standing for ``u I`` (all 1
+        for ``identity``, which reads nothing of ``gen``), or the stack
+        ``u I + Y`` for ``shifted``."""
+        us = np.ones(size) if self.kind == "identity" else 1.0 - gen.random(size)
         if self.kind != "shifted":
             return us
         return us[:, None, None] * np.eye(self.dim) + self.y
 
 
-def verify_trace_superuniform(
-    randomizer: MatrixRandomizer,
-    y_list,
-    trials: int = 100_000,
-    seed: int | None = None,
-) -> list[McReport]:
-    """Empirically check ``Pr(U not >= Y) <= tr Y`` for each probe matrix.
+def verify_trace_superuniform(randomizer: MatrixRandomizer, y_list) -> list[tuple[float, float]]:
+    """Both sides of ``Pr(U not >= Y) <= tr Y`` for each probe matrix, exactly.
+
+    Every supported ``U`` is ``u I + S``, with ``S`` the shift of
+    ``shifted`` (else 0) and ``u`` uniform on ``(0, 1]``, so ``U`` is not
+    ``>= Y`` iff ``u < lambda_max(Y - S)``: the probability is that
+    eigenvalue clipped to ``[0, 1]``.  For ``identity`` (``u = 1``) it is
+    0 or 1, decided by the PSD rule of :func:`~matconc.symmat.spectrum_is_psd`.
 
     Parameters
     ----------
@@ -182,19 +179,14 @@ def verify_trace_superuniform(
         Randomizer under test.
     y_list : sequence of ndarray
         PSD probe matrices ``Y``.
-    trials : int
-        Draws per probe.
-    seed : int, optional
-        Overrides the package default seed.
 
     Returns
     -------
-    list of McReport
-        One report per probe; verdict PASS iff the Wilson 95% lower
-        bound of the event frequency does not exceed ``tr Y``.
+    list of (float, float)
+        ``(Pr(U not >= Y), tr Y)`` per probe; the property holds where
+        the first is at most the second.
     """
-    base = seed if seed is not None else _rng.default_seed()
-    reports = []
+    out = []
     for j, y_raw in enumerate(y_list):
         y = sm.symmat(y_raw)
         if y.shape[0] != randomizer.dim:
@@ -203,29 +195,10 @@ def verify_trace_superuniform(
             )
         if not sm.is_psd(y):
             raise DomainError(f"probe {j} is not positive semidefinite")
-        gen = _rng.substream(base, 0xFA13, j)
-        # Every supported U is u*I + S, so U - Y has eigenvalues u + w
-        # with w the (fixed) spectrum of S - Y; the per-trial Loewner test
-        # is the PSD rule on those shifted spectra.
-        shift = randomizer.y if randomizer.kind == "shifted" else np.zeros_like(y)
-        w = np.linalg.eigvalsh(shift - y)
-        us = randomizer._us(gen, trials)
-        hits = int(np.count_nonzero(~sm.spectrum_is_psd(us[:, None] + w)))
-        bound = sm.trace(y)
-        p = hits / trials
-        low, high = wilson_interval(hits, trials)
-        reports.append(
-            McReport(
-                name=f"trace_superuniform[{j}]",
-                event_freq=p,
-                stderr=float(np.sqrt(p * (1.0 - p) / trials)),
-                stated_bound=bound,
-                trials=trials,
-                verdict=low <= bound,
-                vacuous=bound > 1.0,
-                wilson_low=low,
-                wilson_high=high,
-                meta={"kind": randomizer.kind, "dim": randomizer.dim, "seed": base},
-            )
-        )
-    return reports
+        if randomizer.kind == "identity":
+            prob = 0.0 if sm.spectrum_is_psd(1.0 + np.linalg.eigvalsh(-y)) else 1.0
+        else:
+            shift = randomizer.y if randomizer.kind == "shifted" else 0.0
+            prob = min(max(float(np.linalg.eigvalsh(y - shift)[-1]), 0.0), 1.0)
+        out.append((prob, sm.trace(y)))
+    return out

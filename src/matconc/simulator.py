@@ -32,7 +32,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -286,13 +286,13 @@ def _prep_pcheb1(params, gen, mc):
 
 
 @contextmanager
-def _moments_of(gamma: float):
-    """Computing a bound's exponential moments from ``gamma``: an overflow is a ConfigError."""
+def _overflow_names(key: str, what: str):
+    """Computing ``what`` from parameter ``key``: an overflow is a ConfigError naming it."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             yield
     except (DomainError, OverflowError):
-        raise ConfigError(f"parameter 'gamma' overflows the exponential moments, got {gamma!r}") from None
+        raise ConfigError(f"parameter {key!r} overflows {what}") from None
 
 
 def _prep_chernoff1(params, gen, mc):
@@ -305,7 +305,7 @@ def _prep_chernoff1(params, gen, mc):
         )
     # With [M, C] = 0 the tilted mean splits: E e^{2g X} = e^{2g M} E e^{2g W C}.
     two_g = config_step_size(2.0 * gamma, "twice parameter 'gamma'")  # squared below
-    with _moments_of(gamma):
+    with _overflow_names("gamma", f"the exponential moments, got {gamma!r}"):
         if gen.kind == "RADEMACHER_SCALED":
             half = sm.mat_exp(two_g * c) + sm.mat_exp(-two_g * c)
             exp_moment = sm.mat_exp(two_g * m) @ (half / 2.0)
@@ -314,11 +314,10 @@ def _prep_chernoff1(params, gen, mc):
         exp_moment = sm.symmat(exp_moment)
     # Chernoff's bound holds for any symmetric threshold
     a = _threshold(p, gen, lambda: math.log(sm.trace(exp_moment) / p["target"]) / two_g, pd=False)
+    with _overflow_names("a", "the bound's exponential e^(-2 gamma a)"):
+        bound = fb.chernoff1_bound(exp_moment, a, gamma)
     return _fixed_time(
-        1, p, gen,
-        event=partial(fb.chernoff1_event, a=a, gamma=gamma),
-        gamma=gamma,
-        bound=fb.chernoff1_bound(exp_moment, a, gamma),
+        1, p, gen, event=partial(fb.chernoff1_event, a=a, gamma=gamma), gamma=gamma, bound=bound
     )
 
 
@@ -379,7 +378,7 @@ def _prep_ch(params, gen, mc):
         if p["a_scalar"] is not None
         else 2.0 * math.log(gen.dim / alpha0) / gamma
     )
-    with _moments_of(gamma):
+    with _overflow_names("gamma", f"the exponential moments, got {gamma!r}"):
         bound = fb.chernoff_hoeffding_bound(fb.MgfSpec(mgf_kind, row_mat), gamma, n, a_scalar)
     return _fixed_time(
         n, p, gen,
@@ -785,10 +784,19 @@ def run_coverage(
         sizes.append(mc.trials % block)
     tasks = [(plan, gen, size, steps, seed, entry.tag, idx) for idx, size in enumerate(sizes)]
     pool_size = _pool_size(mc.workers)
-    if pool_size == 1:
-        counts = [_block_task(t) for t in tasks]
-    else:
-        counts = _POOL.map(_block_task, tasks, pool_size)
+    try:
+        if pool_size == 1:
+            counts = [_block_task(t) for t in tasks]
+        else:
+            counts = _POOL.map(_block_task, tasks, pool_size)
+    except DomainError as exc:
+        if "gammas" not in plan:
+            raise
+        # the generators draw finite data: a process that overflows does so by its step sizes
+        raise ConfigError(
+            f"parameter 'gamma_scale' overflows the process at the first step size "
+            f"{plan['gammas'][0]:g}: {exc}"
+        ) from None
     hits = int(sum(counts))
     name = f"{bound}[{gen.kind},d={gen.dim}]"
     meta = {
@@ -898,22 +906,21 @@ def run_default_suite(
 
 @dataclass(frozen=True)
 class FalsifyRecord:
-    """Largest observed trace-moment ratio over a randomized search.
+    """Largest exact trace-moment ratio over a randomized search.
 
     The ratio compared is ``tr E|S_n|^p`` against ``n * tr V_p`` for
-    centered sums of sign-symmetric matrix increments.  A ratio is an
-    observation, never a proof; ``stderr`` quantifies the Monte Carlo
-    noise of the winning estimate.
+    centered sums of sign-symmetric matrix increments, computed exactly
+    on each instance's finite law.  A ratio above 1 beyond float rounding
+    refutes the conjecture for the instance ``mats``, ``n``; no ratio
+    proves it.
     """
 
     p: float
     d: int
     best_ratio: float
-    stderr: float
     n: int
     mats: tuple
     instances: int
-    trials_per_instance: int
     seed: int
 
     def to_dict(self) -> dict:
@@ -921,65 +928,77 @@ class FalsifyRecord:
             "p": self.p,
             "d": self.d,
             "best_ratio": self.best_ratio,
-            "stderr": self.stderr,
             "n": self.n,
             "mats": [m.tolist() for m in self.mats],
             "instances": self.instances,
-            "trials_per_instance": self.trials_per_instance,
             "seed": self.seed,
         }
 
 
-def falsify_conjecture(
-    p: float,
-    d: int,
-    instances: int = 200,
-    trials_per_instance: int = 1500,
-    seed: int | None = None,
-) -> FalsifyRecord:
+@lru_cache(maxsize=None)
+def _walk_law(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The law of ``c`` in ``Z^k`` after ``n`` steps ``±e_j``, each with
+    probability ``1/(2k)``: its atoms ``(atoms, k)`` and their
+    probabilities, read-only, grown from the law at ``n - 1``."""
+    if n == 0:
+        atoms, probs = np.zeros((1, k), dtype=np.int64), np.ones(1)
+    else:
+        prev, prev_probs = _walk_law(n - 1, k)
+        # cell c + n of a grid holds the probability of c
+        grid = np.zeros((2 * n + 1,) * k)
+        for j in range(k):
+            for sign in (-1, 1):
+                cells = prev + n
+                cells[:, j] += sign
+                grid[tuple(cells.T)] += prev_probs / (2 * k)
+        atoms, probs = np.argwhere(grid) - n, grid[grid != 0]
+    atoms.flags.writeable = probs.flags.writeable = False
+    return atoms, probs
+
+
+def _trace_abs_pow(stack: np.ndarray, p: float) -> np.ndarray:
+    """``tr |A|^p`` of each matrix of a stack."""
+    return (np.abs(np.linalg.eigvalsh(stack)) ** p).sum(axis=-1)
+
+
+def _instance(base: int, i: int, d: int) -> tuple[np.ndarray, int]:
+    """Instance ``i`` of a search: its ``k`` in {2, 3} directions ``(k, d, d)`` and its ``n``."""
+    g = _rng.substream(base, 0xF415, i)
+    k = int(g.integers(2, 4))
+    raw = g.standard_normal((k, d, d))
+    return (raw + np.transpose(raw, (0, 2, 1))) / 2.0, int(g.integers(2, 31))
+
+
+def _exact_ratio(mats: np.ndarray, n: int, p: float) -> float:
+    """``tr E|S_n|^p / (n tr V_p)`` for the sum of ``n`` steps ``±D_j``, each
+    with probability ``1/(2k)``: ``S_n = sum_j c_j D_j`` over the atoms of
+    :func:`_walk_law`, one batched ``eigvalsh``."""
+    atoms, probs = _walk_law(n, len(mats))
+    sums = np.tensordot(atoms.astype(np.float64), mats, axes=1)
+    return float(probs @ _trace_abs_pow(sums, p)) / (n * float(_trace_abs_pow(mats, p).mean()))
+
+
+def falsify_conjecture(p: float, d: int, instances: int = 200, seed: int | None = None) -> FalsifyRecord:
     """Search for instances pushing ``tr E|S_n|^p`` past ``n tr V_p``.
 
-    Instances are mixtures ``X = R D_J`` of a fair sign times one of a
-    few random symmetric directions, for which ``V_p`` is available in
-    closed form (``mean_k |D_k|^p``).  Returns the largest observed
-    ratio; at ``p = 2`` the ratio is exactly 1 in expectation, which
-    doubles as a calibration check of the estimator.
+    Instances are mixtures ``X = R D_J`` of a fair sign times one of
+    ``k`` random symmetric directions, for which ``V_p = mean_j |D_j|^p``,
+    and each ratio is exact (:func:`_exact_ratio`).  Returns the largest;
+    at ``p = 2`` every ratio is 1 up to rounding.
     """
     if not 1.0 <= p <= 2.0:
         raise ConfigError(f"p must lie in [1, 2], got {p}")
     if d < 1:
         raise ConfigError(f"d must be >= 1, got {d}")
-    if instances < 1 or trials_per_instance < 2:
-        raise ConfigError("need at least 1 instance and 2 trials per instance")
+    if instances < 1:
+        raise ConfigError("need at least 1 instance")
     base = seed if seed is not None else _rng.default_seed()
     best = None
     for i in range(instances):
-        g = _rng.substream(base, 0xF415, i)
-        k = int(g.integers(2, 4))
-        raw = g.standard_normal((k, d, d))
-        mats = (raw + np.transpose(raw, (0, 2, 1))) / 2.0
-        n = int(g.integers(2, 31))
-        idx = g.integers(0, k, size=(trials_per_instance, n))
-        signs = g.integers(0, 2, size=(trials_per_instance, n)) * 2.0 - 1.0
-        sums = (signs[..., None, None] * mats[idx]).sum(axis=1)
-        w = np.linalg.eigvalsh(sums)
-        tvals = (np.abs(w) ** p).sum(axis=-1)
-        tr_vp = float(
-            np.mean([sm.trace(sm.mat_pow(sm.mat_abs(mk), p)) for mk in mats])
-        )
-        denom = n * tr_vp
-        ratio = float(tvals.mean()) / denom
-        err = float(tvals.std(ddof=1)) / math.sqrt(trials_per_instance) / denom
+        mats, n = _instance(base, i, d)
+        ratio = _exact_ratio(mats, n, p)
         if best is None or ratio > best[0]:
-            best = (ratio, err, n, tuple(mats))
+            best = (ratio, n, tuple(mats))
     return FalsifyRecord(
-        p=float(p),
-        d=d,
-        best_ratio=best[0],
-        stderr=best[1],
-        n=best[2],
-        mats=best[3],
-        instances=instances,
-        trials_per_instance=trials_per_instance,
-        seed=base,
+        p=float(p), d=d, best_ratio=best[0], n=best[1], mats=best[2], instances=instances, seed=base
     )

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import shlex
 import stat
 import subprocess
 import sys
@@ -313,7 +314,9 @@ def test_a_frame_that_cannot_be_stepped_exits_2_with_its_line(tmp_path, capsys, 
     data.write_text(f"[[0.1, 0], [0, 0.1]]\n{json.dumps(frame)}\n[[0.1, 0], [0, 0.1]]\n")
     out = tmp_path / "out.ndjson"
     assert main(["test", "--config", cfg, "--data", str(data), "--output", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: data line 2: {message}\n"
+    # the error names the frame's line and its step size, gamma_2 of the default schedule
+    gamma = 1.0 / math.sqrt(2)
+    assert capsys.readouterr().err == f"error: data line 2 at step size 'gamma' = {gamma!r}: {message}\n"
     assert not out.exists()
 
 
@@ -427,8 +430,7 @@ def test_an_over_long_integer_is_named_in_matconcs_words(tmp_path, capsys, where
 def test_a_seed_that_is_not_an_integer_exits_2(tmp_path, capsys, monkeypatch, command):
     monkeypatch.setenv("MATCONC_SEED", "abc")
     if command == "falsify":
-        argv = ["falsify", "--p", "1.5", "--d", "1", "--instances", "2",
-                "--trials-per-instance", "3"]
+        argv = ["falsify", "--p", "1.5", "--d", "1", "--instances", "2"]
     else:
         run = {"bound": "UMCI1", "generator": {"kind": "GAUSSIAN_SCALED", "dim": 1, "c": [[0.5]]},
                "trials": 10}
@@ -716,20 +718,33 @@ def test_betting_rejects_an_inadmissible_gamma_before_reading_data(tmp_path, cap
 
 def test_falsify_record_output(tmp_path):
     out = tmp_path / "falsify.json"
-    rc = main(["falsify", "--p", "2.0", "--d", "2", "--instances", "10",
-               "--trials-per-instance", "300", "--seed", "4",
+    rc = main(["falsify", "--p", "2.0", "--d", "2", "--instances", "10", "--seed", "4",
                "--output", str(out)])
     assert rc == 0
     rec = json.loads(out.read_text())
-    assert rec["p"] == 2.0
-    assert rec["best_ratio"] > 0.0
-    assert len(rec["mats"]) >= 2
+    assert list(rec) == ["p", "d", "best_ratio", "n", "mats", "instances", "seed"]
+    assert (rec["p"], rec["d"], rec["instances"], rec["seed"]) == (2.0, 2, 10, 4)
+    # at p = 2 every instance's exact ratio is 1
+    assert abs(rec["best_ratio"] - 1.0) <= 1e-12
+    assert 2 <= len(rec["mats"]) <= 3 and 2 <= rec["n"] <= 30
+
+
+@pytest.mark.parametrize("p,d,best", [(2.0, 2, 1.0), (1.0, 2, 0.668422)])
+def test_falsify_prints_the_exact_best_ratio(capsys, p, d, best):
+    assert main(["falsify", "--p", str(p), "--d", str(d), "--seed", "5"]) == 0
+    assert round(json.loads(capsys.readouterr().out)["best_ratio"], 6) == best
+
+
+def test_falsify_refuses_the_trial_count(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["falsify", "--p", "1.5", "--d", "2", "--trials-per-instance", "10"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --trials-per-instance 10" in capsys.readouterr().err
 
 
 def test_float_serialization_round_trips(tmp_path):
     out = tmp_path / "o.json"
-    rc = main(["falsify", "--p", "1.5", "--d", "1", "--instances", "5",
-               "--trials-per-instance", "200", "--seed", "9",
+    rc = main(["falsify", "--p", "1.5", "--d", "1", "--instances", "5", "--seed", "9",
                "--output", str(out)])
     assert rc == 0
     text = out.read_text()
@@ -741,8 +756,7 @@ def test_float_serialization_round_trips(tmp_path):
 
 
 def test_output_goes_to_stdout_without_flag(tmp_path, capsys):
-    rc = main(["falsify", "--p", "2.0", "--d", "1", "--instances", "4",
-               "--trials-per-instance", "100", "--seed", "1"])
+    rc = main(["falsify", "--p", "2.0", "--d", "1", "--instances", "4", "--seed", "1"])
     assert rc == 0
     rec = json.loads(capsys.readouterr().out)
     assert rec["d"] == 1
@@ -1155,13 +1169,37 @@ def test_every_config_matrix_is_read_by_one_rule(tmp_path, capsys, command, cfg_
         ("verify", _one_run("CHERNOFF_HOEFFDING", SCAN_GEN, {"gamma": 1e100}), GAMMA_MOMENTS + "1e+100"),
         ("verify", _one_run("CHERNOFF_HOEFFDING", RAD_GEN, {"gamma": 1e100, "mgf_kind": "BENNETT_I"}),
          GAMMA_MOMENTS + "1e+100"),
+        # a threshold whose bound e^(-2 gamma a) overflows
+        ("verify", _one_run("CHERNOFF1", SCAN_GEN, {"gamma": 1, "a": [[-1e300, 0], [0, -1e300]]}),
+         "parameter 'a' overflows the bound's exponential e^(-2 gamma a)\n"),
+        # step sizes that overflow a process while it runs
+        ("verify", _one_run("UMVI_MGF", SCAN_GEN, {"gamma_scale": 1e100}),
+         "parameter 'gamma_scale' overflows the process at the first step size 1e+100: "
+         "spectral map produced non-finite values\n"),
+        ("verify", _one_run("URSN", SCAN_GEN, {"gamma_scale": 1.3e154}),
+         "parameter 'gamma_scale' overflows the process at the first step size 1.3e+154: "
+         "matrix entries must be finite\n"),
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy must not warn before the error
 def test_malformed_inputs_exit_2_with_one_error_line(tmp_path, capsys, command, cfg_obj, message):
     assert _run_cli(tmp_path, command, cfg_obj) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_step_size_that_overflows_the_process_is_named(tmp_path, capsys):
+    cfg = write_json(tmp_path / "t.json", {"m": [[0.0, 0.0], [0.0, 0.0]], "builder": "MGF",
+                                           "mgf": {"kind": "RADEMACHER", "matrix": ID2},
+                                           "gamma": 1e150})
+    data = tmp_path / "d.ndjson"
+    data.write_text("[[0.5, 0], [0, 0.5]]\n")
+    assert main(["test", "--config", cfg, "--data", str(data)]) == 2
+    assert capsys.readouterr().err == (
+        "error: data line 1 at step size 'gamma' = 1e+150: spectral map produced non-finite values\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["verify", "test", "power-compare", "falsify"])
@@ -1186,9 +1224,27 @@ def test_an_unwritable_output_exits_2_before_any_work(tmp_path, capsys, monkeypa
 
 def test_checking_the_output_leaves_only_the_output(tmp_path):
     out = tmp_path / "out.json"
-    argv = ["falsify", "--p", "1.5", "--d", "2", "--instances", "2", "--trials-per-instance", "10"]
+    argv = ["falsify", "--p", "1.5", "--d", "2", "--instances", "2"]
     assert main([*argv, "--output", str(out)]) == 0
     assert os.listdir(tmp_path) == ["out.json"]
+
+
+def _readme_commands():
+    """The argument lists of the ``matconc`` lines in the README's ``sh`` blocks."""
+    text = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    lines = []
+    for block in text.split("```sh\n")[1:]:
+        body = block.split("```")[0].replace("\\\n", " ")
+        lines += [shlex.split(line, comments=True) for line in body.splitlines()]
+    return [argv[1:] for argv in lines if argv[:1] == ["matconc"]]
+
+
+def test_the_readme_commands_parse():
+    """A flag the parser no longer takes cannot linger in the docs."""
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {"verify", "test", "power-compare", "falsify"}
+    for argv in commands:
+        cli._build_parser().parse_args(argv)
 
 
 def _readme_configs():

@@ -91,73 +91,62 @@ def test_matrix_sample_dominates_scaled_identity():
 
 def test_trace_superuniform_equality_on_unit_trace_rank_one():
     # For U = u I and Y = c * v v^T with ||v|| = 1, the event {U not >= Y}
-    # is exactly {u < c}, so the frequency should match tr Y = c closely.
+    # is exactly {u < c}: equality with tr Y = c
     r = MatrixRandomizer(kind="scaled_identity", dim=3)
     v = np.array([2.0, -1.0, 2.0]) / 3.0
     probes = [0.25 * np.outer(v, v), 0.64 * np.outer(v, v)]
-    reps = verify_trace_superuniform(r, probes, trials=200_000, seed=4)
-    for rep, c in zip(reps, (0.25, 0.64)):
-        assert rep.verdict
-        assert abs(rep.event_freq - c) <= 4.0 * rep.stderr
+    for (prob, tr), c in zip(verify_trace_superuniform(r, probes), (0.25, 0.64)):
+        assert prob == pytest.approx(c, abs=1e-15)
+        assert tr == pytest.approx(c, abs=1e-15)
 
 
 def test_trace_superuniform_one_dimensional_exact():
     r = MatrixRandomizer(kind="scaled_identity", dim=1)
-    reps = verify_trace_superuniform(r, [np.array([[0.25]])], trials=400_000, seed=8)
-    assert reps[0].verdict
-    assert abs(reps[0].event_freq - 0.25) < 0.004
+    assert verify_trace_superuniform(r, [np.array([[0.25]])]) == [(0.25, 0.25)]
 
 
 def test_trace_superuniform_strict_for_spread_spectrum():
     # full-rank probe with the same trace: the event needs u below the top
     # eigenvalue only, which is smaller than the trace, so slack appears
     r = MatrixRandomizer(kind="scaled_identity", dim=2)
-    probe = np.diag([0.3, 0.3])
-    reps = verify_trace_superuniform(r, [probe], trials=100_000, seed=5)
-    assert reps[0].verdict
-    assert reps[0].event_freq < 0.35  # ~0.3, well under tr Y = 0.6
+    assert verify_trace_superuniform(r, [np.diag([0.3, 0.3])]) == [(0.3, 0.6)]
 
 
 def test_trace_superuniform_identity_randomizer():
-    # U = I never fails against Y <= I, always fails against lam_max > 1
+    # U = I never fails against Y <= I (a tie included), always fails against lam_max > 1
     r = MatrixRandomizer(kind="identity", dim=2)
-    reps = verify_trace_superuniform(
-        r, [0.5 * np.eye(2), np.diag([1.5, 0.0])], trials=100, seed=6
-    )
-    assert reps[0].event_freq == 0.0
-    assert reps[1].event_freq == 1.0
-    assert reps[1].vacuous  # tr Y = 1.5 > 1
+    probes = [0.5 * np.eye(2), np.diag([1.0, 0.0]), np.diag([1.5, 0.0])]
+    assert verify_trace_superuniform(r, probes) == [(0.0, 1.0), (0.0, 1.0), (1.0, 1.5)]
 
 
 def test_trace_superuniform_shifted_keeps_bound():
     y = np.array([[0.2, 0.05], [0.05, 0.1]])
     r = MatrixRandomizer(kind="shifted", dim=2, y=y)
-    probes = [np.diag([0.4, 0.1]), y, 0.3 * np.eye(2)]
-    reps = verify_trace_superuniform(r, probes, trials=100_000, seed=7)
-    assert all(rep.verdict for rep in reps)
-    # probe == shift: u I + Y >= Y always, frequency exactly zero
-    assert reps[1].event_freq == 0.0
+    probes = [np.diag([0.4, 0.1]), y, 0.3 * np.eye(2), 2.0 * np.eye(2)]
+    out = verify_trace_superuniform(r, probes)
+    assert all(prob <= tr for prob, tr in out)
+    # probe == shift: u I + Y >= Y always, probability exactly zero
+    assert out[1][0] == 0.0
+    # lambda_max(Y - S) >= 1: u I + S never dominates, probability one
+    assert out[3][0] == 1.0
 
 
 def test_trace_superuniform_rejects_bad_probes():
     r = MatrixRandomizer(kind="scaled_identity", dim=2)
     with pytest.raises(DomainError):
-        verify_trace_superuniform(r, [np.eye(3)], trials=10)
+        verify_trace_superuniform(r, [np.eye(3)])
     with pytest.raises(DomainError):
-        verify_trace_superuniform(r, [-np.eye(2)], trials=10)
+        verify_trace_superuniform(r, [-np.eye(2)])
 
 
-def test_trace_superuniform_matches_dense_loewner_check():
-    # the vectorized scalar comparison must agree with a per-draw
-    # loewner_leq call on the sampled matrices
+@pytest.mark.parametrize("kind", ["scaled_identity", "shifted"])
+def test_trace_superuniform_matches_dense_loewner_check(kind):
+    # the closed form must agree with per-draw loewner_leq calls on
+    # sampled matrices, within the binomial noise of the draws
     y = np.array([[0.35, 0.1], [0.1, 0.15]])
-    r = MatrixRandomizer(kind="shifted", dim=2, y=0.05 * np.eye(2))
-    trials = 2000
-    rep = verify_trace_superuniform(r, [y], trials=trials, seed=11)[0]
-    gen = substream(11, 0xFA13, 0)
-    hits = 0
-    for _ in range(trials):
-        mat = r.sample_given(1.0 - float(gen.random()))
-        if not loewner_leq(y, mat):
-            hits += 1
-    assert rep.event_freq == hits / trials
+    r = MatrixRandomizer(kind=kind, dim=2, y=0.05 * np.eye(2) if kind == "shifted" else None)
+    prob = verify_trace_superuniform(r, [y])[0][0]
+    gen, trials = substream(11, 1), 4000
+    hits = sum(not loewner_leq(y, r.sample(gen)) for _ in range(trials))
+    assert 0.0 < prob < 1.0
+    assert abs(hits / trials - prob) <= 4.0 * np.sqrt(prob * (1.0 - prob) / trials)

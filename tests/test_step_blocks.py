@@ -30,7 +30,7 @@ from matconc import processes as pr
 from matconc import scalar_e as se
 from matconc import simulator as sim
 from matconc import symmat as sm
-from matconc.errors import DomainError
+from matconc.errors import DimMismatch, DomainError
 from matconc.fixed_bounds import MGF_KINDS, MgfSpec
 from matconc.generators import GeneratorSpec
 from matconc.rng import substream
@@ -274,6 +274,21 @@ def test_a_stack_of_matrices_steps_like_its_draws(monkeypatch):
     assert sizes_b == sizes_a
     assert_bitwise(a.at_stop, b.at_stop)
     assert_bitwise(stack, before)  # the caller's stack is not overwritten
+
+
+@pytest.mark.parametrize("trials,horizon", [(0, HORIZON), (TRIALS, 0), (0, 0)])
+@pytest.mark.parametrize("as_draws", [False, True], ids=["stack", "draws"])
+def test_an_empty_stack_raises_dim_mismatch(trials, horizon, as_draws):
+    """A stack without a trial or a step has no stop to give, on every process."""
+    gen = sim.default_generator("URSN", "GAUSSIAN_SCALED", 2)
+    draws = gen.draw(substream(5, 2), trials, horizon)
+    xs = draws if as_draws else np.zeros((trials, horizon, 2, 2))
+    m = np.zeros((2, 2))
+    procs = [pr.FactorProcess("SELF_NORMALIZED", m, 4.0, v=np.eye(2)), pr.TraceExpProcess(m, np.eye(2), 0.5),
+             pr.MeanScan("XMCI", m, 1.0)]
+    for proc in procs:
+        with pytest.raises(DimMismatch, match=r"shaped \(trials >= 1, horizon >= 1, d, d\)"):
+            pr.first_crossing(proc, xs, [0.5] * horizon)
 
 
 def _lone_processes():
