@@ -69,6 +69,27 @@ GENERATOR_KINDS = (
 _BOUNDED_MARGIN = 0.9
 
 
+#: Direction vectors normalised at once by :func:`_normalise_rows`.
+_NORM_CHUNK_ROWS = 1 << 13
+
+
+def _normalise_rows(v: np.ndarray) -> None:
+    """Divide each vector ``v[..., :]`` of a C-contiguous stack by its
+    Euclidean norm, in place, ``_NORM_CHUNK_ROWS`` vectors at a time.
+
+    Each chunk takes the ``np.linalg.norm(..., axis=-1, keepdims=True)``
+    call that the whole stack would, along the same contiguous axis, so
+    every vector's bits are those of ``v / np.linalg.norm(v, axis=-1,
+    keepdims=True)`` at every ``d``: one ``add.reduce`` of its squares
+    (pairwise from 8 terms on, so a sum plane by plane would differ).
+    The norm's squares take the size of a chunk, not of the stack.
+    """
+    rows = v.reshape(-1, v.shape[-1])
+    for lo in range(0, len(rows), _NORM_CHUNK_ROWS):
+        part = rows[lo : lo + _NORM_CHUNK_ROWS]
+        part /= np.linalg.norm(part, axis=-1, keepdims=True)
+
+
 def _abs_gauss_moment(p: float) -> float:
     """``E |G|^p`` for standard normal ``G``."""
     return 2.0 ** (p / 2.0) * math.gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
@@ -170,7 +191,14 @@ class GeneratorSpec:
         """The random part of ``trials`` independent paths of ``n`` draws.
 
         Makes the RNG calls of :meth:`sample_batch` in the same order but
-        builds no matrix; index the result to build the ones needed.
+        builds no matrix; index the result to build the ones needed.  The
+        result holds only its fields: the scalars and the vectors are
+        finished in the arrays the RNG filled (the vectors normalised by
+        :func:`_normalise_rows`), with the bits of the whole-array
+        expressions ``pareto(...) + 1.0``, ``u / np.linalg.norm(u,
+        axis=-1, keepdims=True)`` and ``sqrt(w)[..., None] * (A^{1/2}
+        z)``.  Only ELLIPSOID_RANK1 forms its vectors once more, as
+        ``A^{1/2} z``.
         """
         d = self.dim
         if self.kind == "RADEMACHER_SCALED":
@@ -190,15 +218,18 @@ class GeneratorSpec:
         if self.kind == "IID_WISHART_LIKE":
             return Draws(self, None, gen.standard_normal((trials, n, d)))
         if self.kind == "HEAVY_PSD":
-            w = gen.pareto(self.tail_index, size=(trials, n)) + 1.0
+            w = gen.pareto(self.tail_index, size=(trials, n))
+            w += 1.0
             u = gen.standard_normal((trials, n, d))
-            u /= np.linalg.norm(u, axis=-1, keepdims=True)
+            _normalise_rows(u)
             return Draws(self, w, u)
         if self.kind == "ELLIPSOID_RANK1":
             z = gen.standard_normal((trials, n, d))
-            z /= np.linalg.norm(z, axis=-1, keepdims=True)
+            _normalise_rows(z)
             w = gen.random((trials, n))
-            x = np.sqrt(w)[..., None] * np.einsum("ij,...j->...i", self._a_root, z)
+            # sqrt(w) x, as x sqrt(w): multiplication commutes
+            x = np.einsum("ij,...j->...i", self._a_root, z)
+            x *= np.sqrt(w)[..., None]
             return Draws(self, None, x)
         raise AssertionError(self.kind)
 
@@ -336,7 +367,9 @@ class Draws:
     steps.  ``coef`` is the scalar of the ``M + t C`` kinds or the weight
     of HEAVY_PSD, ``vec`` the vectors of the rank-one kinds (``x`` itself
     for ELLIPSOID_RANK1), ``shift`` the per-path latent of
-    EXCHANGEABLE_MIXTURE, broadcast over the steps.
+    EXCHANGEABLE_MIXTURE, broadcast over the steps.  These fields are all
+    a block keeps: ``trials * n * (1 + dim)`` floats at most (a weight and
+    a vector per draw), never the ``trials * n * dim^2`` of its matrices.
     """
 
     spec: GeneratorSpec

@@ -50,8 +50,9 @@ __all__ = [
 
 # Cells of the (block, n, d, d) stack a block stands for.  It sets the
 # block boundaries, and so which substream draws each trial: it is part
-# of the reproducibility contract, not a bound on memory (a block keeps
-# only its draws and builds its matrices a step or a chunk at a time).
+# of the reproducibility contract, not a bound on memory.  A run's peak
+# is its block's draws (Draws holds only its fields) plus one block of k
+# steps: first_crossing lets go of each block before it builds the next.
 _CELL_BUDGET = 1 << 24
 # Cells built at once: the block of k consecutive steps a path run takes
 # (first_crossing), k * trials * d^2 cells of matrices, or k * trials * d
@@ -183,7 +184,8 @@ class FactorProcess(_Process):
             # positionally, which a ufunc call parses faster)
             for step, out in zip(steps, lefts):
                 left = np.matmul(left, step, out)
-        self.state = mg.MatSupermartingaleState(left, self.state.n + len(lefts))
+        # a copy: a view of the last L_n would keep the whole block alive
+        self.state = mg.MatSupermartingaleState(left.copy(), self.state.n + len(lefts))
         return (lefts,)
 
     def decide(self):
@@ -406,7 +408,9 @@ class MeanScan(_Process):
         sums[0] += self.total
         for step, before in zip(sums[1:], sums):
             step += before
-        self.total = sums[-1]
+        # a copy: a view of the last sums would keep the whole block alive
+        # while the next one is built
+        self.total = sums[-1].copy()
         self.n += len(sums)
         return (sums,)
 
@@ -529,6 +533,8 @@ def first_crossing(proc: _Process, xs, gammas=None, taus=None) -> np.ndarray:
     for lo in range(0, horizon, k):
         hi = min(lo + k, horizon)
         gs = [None] * (hi - lo) if gammas is None else [float(g) for g in gammas[lo:hi]]
+        # let go of the last block before the next one is built
+        block = crossed = None
         block = proc._block(proc._block_input(xs, lo, hi), gs)
         n = len(block[0])
         if taus is None:

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,17 @@ import pytest
 from matconc.generators import GeneratorSpec
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def peak_bytes(run) -> int:
+    """The peak of the memory traced by tracemalloc (numpy's arrays among
+    it) while ``run()`` runs, what it returns included, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_symmetric(gen, d, scale=1.0):

@@ -8,7 +8,7 @@ from matconc.generators import GENERATOR_KINDS, Draws, GeneratorSpec
 from matconc.rng import substream
 from matconc.symmat import is_psd, loewner_leq, spectral_norm
 
-from conftest import spec_of_kind
+from conftest import peak_bytes, spec_of_kind
 
 
 def mc_mean(spec, trials=60_000, seed=101):
@@ -280,6 +280,59 @@ def test_entries_are_the_step_major_entries_of_the_stack(kind, d):
         want = np.moveaxis(stack[:, lo:hi][..., rows, cols], 0, -1)
         assert got.flags.c_contiguous and got.shape == (hi - lo, 7, 11)
         assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def _reference_fields(spec, gen, trials, n):
+    """The fields of ``spec.draw``, by whole-array expressions: the norm of
+    all the vectors at once, ``pareto(...) + 1.0`` and ``sqrt(w) x``."""
+    d, shape = spec.dim, (trials, n)
+    if spec.kind == "RADEMACHER_SCALED":
+        return gen.integers(0, 2, size=shape) * 2.0 - 1.0, None, None
+    if spec.kind == "GAUSSIAN_SCALED":
+        return gen.standard_normal(shape), None, None
+    if spec.kind == "BOUNDED_PSD":
+        return gen.uniform(-1.0, 1.0, size=shape), None, None
+    if spec.kind == "SYMMETRIC_HEAVY":
+        w = gen.pareto(spec.tail_index, size=shape) + 1.0
+        return (gen.integers(0, 2, size=shape) * 2.0 - 1.0) * w, None, None
+    if spec.kind == "EXCHANGEABLE_MIXTURE":
+        t = gen.normal(0.0, spec.tau, size=(trials, 1))
+        g = gen.standard_normal(shape)
+        return g, None, np.broadcast_to(t, shape)
+    if spec.kind == "IID_WISHART_LIKE":
+        return None, gen.standard_normal(shape + (d,)), None
+    if spec.kind == "HEAVY_PSD":
+        w = gen.pareto(spec.tail_index, size=shape) + 1.0
+        u = gen.standard_normal(shape + (d,))
+        return w, u / np.linalg.norm(u, axis=-1, keepdims=True), None
+    z = gen.standard_normal(shape + (d,))
+    z = z / np.linalg.norm(z, axis=-1, keepdims=True)
+    w = gen.random(shape)
+    return None, np.sqrt(w)[..., None] * np.einsum("ij,...j->...i", spec._a_root, z), None
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_draws_are_bitwise_the_whole_array_expressions(kind):
+    """``draw`` normalises the vectors a chunk of rows at a time, in place,
+    with the norm call of the whole array: at d >= 8 its sum of squares is
+    pairwise, so summing plane by plane would differ in the last bits."""
+    for d in (1, 2, 5, 8, 10):
+        spec = spec_of_kind(kind, d)
+        for shape in ((512, 300), (2000, 1), (3, 7)):
+            draws = spec.draw(substream(66, d), *shape)
+            want = _reference_fields(spec, substream(66, d), *shape)
+            for got, ref in zip((draws.coef, draws.vec, draws.shift), want):
+                assert (got is None) == (ref is None)
+                if ref is not None:
+                    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def test_a_rank_one_draw_holds_only_its_fields():
+    # 14.1 MB of weights and vectors; the norm of all the vectors at once
+    # took another 12.3 MB of squares
+    spec = GeneratorSpec("HEAVY_PSD", 5, scale=1.0, tail_index=2.5)
+    fields = 8 * 1024 * 300 * (5 + 1)
+    assert peak_bytes(lambda: spec.draw(substream(67, 0), 1024, 300)) <= fields + 2 * 2**20
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
